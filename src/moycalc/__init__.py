@@ -11,9 +11,9 @@ from .quotient import QuotientRing, TriangularityViolation, InfiniteDimension
 from .laurent import LaurentPoly, quantum_integer
 from .symm import (ReductionFailed, jacobi_algebra, pi_poly,
                    power_sum_expand, uv_polys)
-from .mf import (ExplicitMF, IncompatibleBase, KoszulMF, KoszulRow, MFSum,
-                 NotAFactorization, OddShift, ZeroScalar, koszul_new,
-                 potential, verify_factorization)
+from .mf import (ExplicitMF, KoszulMF, KoszulRow, MFSum, NotAFactorization,
+                 OddShift, ZeroScalar, koszul_new, potential,
+                 verify_factorization)
 from .reduce import (NotMonicInVariable, ReductionTrace, ResidualVariable,
                      VariableInPotential, auto_reduce, canonical_form,
                      eliminate_contractible, exclude_variable, replay,

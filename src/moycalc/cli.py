@@ -18,7 +18,7 @@ import sys
 from .diagram import DiagramError, glue, parse_diagram
 from .homology import NonzeroPotential, euler_characteristic, graded_homology
 from .laurent import LaurentDivisionError, LaurentPoly, quantum_integer
-from .mf import IncompatibleBase, NotAFactorization, OddShift, ZeroScalar
+from .mf import NotAFactorization, OddShift, ZeroScalar
 from .moybracket import MOYGraph, StuckGraph, all_path_values, bracket_text
 from .poly import NonExactDivision
 from .quotient import InfiniteDimension, TriangularityViolation
@@ -27,11 +27,10 @@ from .reduce import (NotMonicInVariable, ResidualVariable, VariableInPotential,
 from .symm import ReductionFailed
 
 DOMAIN_ERRORS = (DiagramError, NonzeroPotential, LaurentDivisionError,
-                 IncompatibleBase, NotAFactorization, OddShift, ZeroScalar,
-                 StuckGraph, NonExactDivision, InfiniteDimension,
-                 TriangularityViolation, NotMonicInVariable,
-                 ResidualVariable, VariableInPotential, ReductionFailed,
-                 OSError)
+                 NotAFactorization, OddShift, ZeroScalar, StuckGraph,
+                 NonExactDivision, InfiniteDimension, TriangularityViolation,
+                 NotMonicInVariable, ResidualVariable, VariableInPotential,
+                 ReductionFailed, OSError)
 
 
 def main(argv=None):

@@ -211,17 +211,23 @@ def parse_diagram(text):
         if len(tokens) != 1 + ARITY[head]:
             raise ParseError("%s takes %d parameters" % (head, ARITY[head]),
                              lineno, column)
-        _check_ids(tokens[1:], raw, lineno)
-        for slot, name in enumerate(tokens[1:]):
-            want = "d" if slot in DOUBLE_SLOTS[head] else "x"
-            if not name.startswith(want):
-                raise ParseError(
-                    "parameter %r should be a %s-identifier"
-                    % (name, want), lineno, raw.index(name) + 1)
+        check_params(head, tokens[1:], raw, lineno)
         pieces.append(Piece(head, tokens[1:], lineno))
     if n is None:
         raise ParseError("empty diagram: missing 'n <int>'", 1)
     return Diagram(n, pieces, merges)
+
+
+def check_params(kind, names, raw, lineno):
+    """The parameters of a ``kind`` statement on source line ``raw``:
+    identifiers, of the x- or d-type each slot wants."""
+    _check_ids(names, raw, lineno)
+    for slot, name in enumerate(names):
+        want = "d" if slot in DOUBLE_SLOTS[kind] else "x"
+        if not name.startswith(want):
+            raise ParseError(
+                "parameter %r should be a %s-identifier"
+                % (name, want), lineno, raw.index(name) + 1)
 
 
 def _check_ids(tokens, raw, lineno):

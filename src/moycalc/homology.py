@@ -11,7 +11,7 @@ from fractions import Fraction
 from .laurent import LaurentPoly
 from .mf import KoszulMF, MFSum
 from .poly import Poly, mono_degree
-from .quotient import InfiniteDimension
+from .quotient import InfiniteDimension, echelon
 
 
 class NonzeroPotential(ValueError):
@@ -162,28 +162,4 @@ def _rank_at(cols, src_basis, tgt_basis, t, source):
             tdeg = tgt_basis[next(iter(col))][1]
             if tdeg == t:
                 picked.append(col)
-    return _rank(picked)
-
-
-def _rank(columns):
-    pivots = {}
-    rank = 0
-    for col in columns:
-        vec = dict(col)
-        while vec:
-            lead = min(vec)
-            if lead in pivots:
-                c = vec[lead]
-                prow = pivots[lead]
-                for r, pc in prow.items():
-                    nv = vec.get(r, Fraction(0)) - c * pc
-                    if nv:
-                        vec[r] = nv
-                    else:
-                        vec.pop(r, None)
-            else:
-                inv = vec[lead]
-                pivots[lead] = {r: c / inv for r, c in vec.items()}
-                rank += 1
-                break
-    return rank
+    return len(echelon(picked))

@@ -22,10 +22,6 @@ class OddShift(ValueError):
     """A Koszul row whose internal shift is not an integer."""
 
 
-class IncompatibleBase(ValueError):
-    """Tensor factors carry conflicting quotient rules."""
-
-
 class NotAFactorization(ValueError):
     """d1*d0 is not a scalar multiple of the identity."""
 

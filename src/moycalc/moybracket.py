@@ -19,7 +19,8 @@ Crossing statements (xplus/xminus) in the input expand into the two
 planar resolutions with the skein coefficients before evaluation.
 """
 
-from .diagram import DOUBLE_SLOTS, ROLES, ParseError, parse_diagram
+from .diagram import (DOUBLE_SLOTS, ROLES, ParseError, check_params,
+                      parse_diagram)
 from .laurent import LaurentPoly, quantum_integer
 
 VERTEX_KINDS = ("vin", "vout")
@@ -433,27 +434,31 @@ def expand_crossings(text):
     for i, raw in enumerate(lines):
         tokens = raw.split("#", 1)[0].split()
         if tokens and tokens[0] in CROSSINGS:
+            column = raw.index(tokens[0]) + 1
             if n is None:
-                raise ParseError("crossing before 'n <int>'", i + 1)
+                raise ParseError("crossing before 'n <int>'", i + 1, column)
             if len(tokens) != 5:
                 raise ParseError("usage: %s <x1> <x2> <x3> <x4>" % tokens[0],
-                                 i + 1)
+                                 i + 1, column)
+            check_params("wide", tokens[1:], raw, i + 1)
             crossing_lines.append((i, tokens[0], tokens[1:]))
 
+    # each resolution takes the crossing's line; the second arc goes after
+    # the last line, so that every other line keeps its number
     results = [(LaurentPoly({0: 1}), list(lines))]
     for i, kind, (a, b, c, d) in crossing_lines:
-        arcs = "arc %s %s\narc %s %s" % (c, a, d, b)
-        wide = "wide %s %s %s %s" % (a, b, c, d)
+        arcs = ("arc %s %s" % (c, a), "arc %s %s" % (d, b))
+        wide = ("wide %s %s %s %s" % (a, b, c, d),)
         if kind == "xplus":
             coeffs = (LaurentPoly({n - 1: 1}), LaurentPoly({n: -1}))
         else:
             coeffs = (LaurentPoly({1 - n: 1}), LaurentPoly({-n: -1}))
         expanded = []
         for coeff, cur in results:
-            for c2, repl in zip(coeffs, (arcs, wide)):
+            for c2, (repl, *extra) in zip(coeffs, (arcs, wide)):
                 nxt = list(cur)
                 nxt[i] = repl
-                expanded.append((coeff * c2, nxt))
+                expanded.append((coeff * c2, nxt + extra))
         results = expanded
     return [(coeff, "\n".join(cur)) for coeff, cur in results]
 

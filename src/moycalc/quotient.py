@@ -8,12 +8,14 @@ rewriting; since mixed-variable replacements can make naive rewriting
 cycle (a monomial may reduce to a multiple of itself), a rewrite chain
 that revisits a monomial resolves it exactly by linear algebra in its
 graded piece, modulo the ideal generated by the rule polynomials v^d - p.
+That linear algebra is one sparse eliminator, ``echelon``, shared with the
+staircase-basis check below and with the homology ranks.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from .poly import Poly, mono_degree, mono_mul, var_degree, var_key
+from .poly import Poly, var_degree, var_key
 
 class TriangularityViolation(ValueError):
     """A rule insertion or substitution would break the triangular shape."""
@@ -53,9 +55,6 @@ class QuotientRing:
         return "Q[...]/<%s>" % gens
 
     __repr__ = __str__
-
-    def leaders(self):
-        return {v: d for v, d, _ in self.rules}
 
     def rule_for(self, v):
         for w, d, p in self.rules:
@@ -144,7 +143,7 @@ class QuotientRing:
             result = Poly({mono: Fraction(1)})
         elif mono in self._nf_stack:
             # the rewrite chain returned to this monomial: resolve exactly
-            result = self._reduce_by_ideal(Poly({mono: Fraction(1)}))
+            result = self._reduce_graded_piece(Poly({mono: Fraction(1)}))
         else:
             self._nf_stack.add(mono)
             try:
@@ -163,19 +162,8 @@ class QuotientRing:
         self._nf_cache[mono] = result
         return result
 
-    def is_reduced(self, p):
-        for v, d, _ in self.rules:
-            if p.degree_in(v) >= d:
-                return False
-        return True
-
-    def _reduce_by_ideal(self, p):
-        out = Poly()
-        for _, part in p.homogeneous_parts().items():
-            out = out + self._reduce_graded_piece(part)
-        return out
-
     def _reduce_graded_piece(self, p):
+        """Normal form of a homogeneous p by linear algebra in its degree."""
         degree = p.degree()
         # only variables reachable from p through rule replacements matter;
         # rules on other leaders can never fire while reducing p
@@ -187,50 +175,17 @@ class QuotientRing:
                 if v in varset and not repl.variables() <= varset:
                     varset |= repl.variables()
                     changed = True
-        rules = [(v, d, repl) for v, d, repl in self.rules if v in varset]
         variables = sorted(varset, key=var_key)
         cache_key = (tuple(variables), degree)
         cached = self._pivot_cache.get(cache_key)
         if cached is None:
-            monomials = _monomials_of_degree(variables, degree)
-            leaders = {v: d for v, d, _ in rules}
-
-            def is_staircase(mono):
-                return any(dict(mono).get(v, 0) >= d
-                           for v, d in leaders.items())
-
-            columns = sorted(monomials,
-                             key=lambda m: (not is_staircase(m),
-                                            [-k for k in _flat_key(m)]))
-            col_index = {m: i for i, m in enumerate(columns)}
-
-            rows = []
-            for v, d, repl in rules:
-                g = Poly.var(v, d) - repl
-                gdeg = g.degree()
-                if gdeg is None or gdeg > degree:
-                    continue
-                for mult in _monomials_of_degree(variables, degree - gdeg):
-                    prod = Poly({mult: Fraction(1)}) * g
-                    vec = [Fraction(0)] * len(columns)
-                    for mono, coeff in prod.terms.items():
-                        vec[col_index[mono]] = coeff
-                    rows.append(vec)
-
-            pivots = _row_reduce(rows)
-            cached = (columns, col_index, pivots)
+            rules = [rule for rule in self.rules if rule[0] in varset]
+            cached = _relation_echelon(rules, variables, degree)
             self._pivot_cache[cache_key] = cached
-        columns, col_index, pivots = cached
-        vec = [Fraction(0)] * len(columns)
-        for mono, coeff in p.terms.items():
-            vec[col_index[mono]] = coeff
-        for col, row in pivots.items():
-            if vec[col]:
-                c = vec[col]
-                for j in range(len(vec)):
-                    vec[j] -= c * row[j]
-        terms = {columns[j]: c for j, c in enumerate(vec) if c}
-        return Poly(terms)
+        columns, _, pivots = cached
+        vec = reduce_vector({columns.index(mono): coeff
+                             for mono, coeff in p.terms.items()}, pivots)
+        return Poly({columns[j]: vec[j] for j in sorted(vec)})
 
     # -- dimension --------------------------------------------------------
 
@@ -255,9 +210,6 @@ class QuotientRing:
                                 key=lambda it: var_key(it[0])))
             out.append(mono)
         return out
-
-
-_verified_components = {}
 
 
 def _check_acyclic(rules):
@@ -329,48 +281,78 @@ def _check_acyclic(rules):
 
 def _verify_staircase(rules):
     """Check, degree by degree, that the monomials below the staircase of
-    a closed rule system are a basis of the quotient; memoized."""
-    key = tuple((v, d, tuple(sorted(p.terms.items())))
-                for v, d, p in rules)
-    if key in _verified_components:
-        return
+    a closed rule system are a basis of the quotient."""
     leaders = {v: d for v, d, _ in rules}
     variables = sorted(leaders, key=var_key)
     socle = sum(var_degree(v) * (d - 1) for v, d in leaders.items())
     top = socle + max(var_degree(v) for v in variables)
     for degree in range(1, top + 1):
-        monomials = _monomials_of_degree(variables, degree)
-        if not monomials:
-            continue
-
-        def is_reducible(mono):
-            return any(dict(mono).get(v, 0) >= d
-                       for v, d in leaders.items())
-
-        columns = sorted(monomials,
-                         key=lambda m: (not is_reducible(m),
-                                        [-k for k in _flat_key(m)]))
-        col_index = {m: i for i, m in enumerate(columns)}
-        reducible = sum(1 for m in monomials if is_reducible(m))
-        rows = []
-        for v, d, repl in rules:
-            g = Poly.var(v, d) - repl
-            gdeg = g.degree()
-            if gdeg is None or gdeg > degree:
-                continue
-            for mult in _monomials_of_degree(variables, degree - gdeg):
-                prod = Poly({mult: Fraction(1)}) * g
-                vec = [Fraction(0)] * len(columns)
-                for mono, coeff in prod.terms.items():
-                    vec[col_index[mono]] = coeff
-                rows.append(vec)
-        pivots = _row_reduce(rows)
-        if len(pivots) != reducible or \
-                (pivots and max(pivots) >= reducible):
+        _, reducible, pivots = _relation_echelon(rules, variables, degree)
+        if len(pivots) != reducible or any(j >= reducible for j in pivots):
             raise TriangularityViolation(
                 "cyclic rules on %s break the staircase basis in degree %d"
                 % (", ".join("%s%d" % v for v in variables), degree))
-    _verified_components[key] = True
+
+
+def _relation_echelon(rules, variables, degree):
+    """Echelon form of the multiples of the rule polynomials v^d - p that
+    lie in one degree, over the monomials of that degree in ``variables``.
+
+    Columns put the reducible monomials (on or above the staircase) first;
+    returns (columns, number of reducible monomials, pivots).
+    """
+    leaders = {v: d for v, d, _ in rules}
+
+    def is_reducible(mono):
+        return any(dict(mono).get(v, 0) >= d for v, d in leaders.items())
+
+    columns = sorted(_monomials_of_degree(variables, degree),
+                     key=lambda m: (not is_reducible(m),
+                                    [-k for k in _flat_key(m)]))
+    col_index = {m: i for i, m in enumerate(columns)}
+    rows = []
+    for v, d, repl in rules:
+        g = Poly.var(v, d) - repl
+        for mult in _monomials_of_degree(variables, degree - g.degree()):
+            prod = Poly({mult: Fraction(1)}) * g
+            rows.append({col_index[m]: c for m, c in prod.terms.items()})
+    reducible = sum(1 for m in columns if is_reducible(m))
+    return columns, reducible, echelon(rows)
+
+
+def echelon(vectors):
+    """Row echelon form of sparse {column: nonzero Fraction} vectors.
+
+    Returns {lead: vector scaled to lead 1}, where a vector's lead is its
+    smallest nonzero column; the number of pivots is the rank.
+    """
+    pivots = {}
+    for vec in vectors:
+        vec = reduce_vector(vec, pivots)
+        if vec:
+            lead = min(vec)
+            inv = vec[lead]
+            pivots[lead] = {j: c / inv for j, c in vec.items()}
+    return pivots
+
+
+def reduce_vector(vec, pivots):
+    """vec minus multiples of the pivots: a new vector that is zero in
+    every pivot column.  Pivots are applied in increasing lead order, each
+    touching only columns beyond its lead, so none undoes an earlier one.
+    """
+    vec = dict(vec)
+    for lead in sorted(pivots):
+        c = vec.get(lead)
+        if not c:
+            continue
+        for j, pc in pivots[lead].items():
+            nv = vec.get(j, 0) - c * pc
+            if nv:
+                vec[j] = nv
+            else:
+                del vec[j]
+    return vec
 
 
 def _flat_key(mono):
@@ -405,22 +387,3 @@ def _monomials_of_degree(variables, degree):
 
     rec(0, degree, [])
     return out
-
-
-def _row_reduce(rows):
-    """In-place fraction-free-ish Gaussian elimination; returns pivot map."""
-    pivots = {}
-    for row in rows:
-        for col, prow in pivots.items():
-            if row[col]:
-                c = row[col]
-                for j in range(len(row)):
-                    row[j] -= c * prow[j]
-        lead = next((j for j, c in enumerate(row) if c), None)
-        if lead is None:
-            continue
-        inv = row[lead]
-        for j in range(len(row)):
-            row[j] /= inv
-        pivots[lead] = row
-    return pivots

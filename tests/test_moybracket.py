@@ -2,7 +2,7 @@
 
 import pytest
 
-from moycalc.diagram import parse_diagram
+from moycalc.diagram import ParseError, parse_diagram
 from moycalc.laurent import LaurentPoly, quantum_integer
 from moycalc.moybracket import (MOYGraph, StuckGraph, all_path_values,
                                 bracket, bracket_text, expand_crossings)
@@ -99,3 +99,18 @@ def test_stuck_graph_raises():
     g.add_edge("single", None, None)
     with pytest.raises(StuckGraph):
         bracket(g)
+
+
+def test_crossing_errors_carry_source_position():
+    # an arcs resolution adds a line, yet later lines keep their numbers
+    with pytest.raises(ParseError) as e:
+        bracket_text("n 3\nxplus x1 x2 x3 x4\nbogus x1\n")
+    assert (e.value.line, e.value.column) == (3, 1)
+    # an indented crossing's usage error points at the statement
+    with pytest.raises(ParseError) as e:
+        bracket_text("n 3\n  xminus x1 x2\n")
+    assert (e.value.line, e.value.column) == (2, 3)
+    # a bad parameter is located in the crossing, not in its resolution
+    with pytest.raises(ParseError) as e:
+        bracket_text("n 3\nxplus x1 x2 d3 x4\n")
+    assert (e.value.line, e.value.column) == (2, 13)
