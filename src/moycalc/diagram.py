@@ -8,12 +8,17 @@ Pieces and their boundary parameters:
   dline h t      double edge oriented t -> h; parameters are (y, z) pairs
   vin a b d      two singles in, one double out
   vout d a b     one double in, two singles out
+  xplus a b c d  positive crossing; parameters as for wide
+  xminus a b c d negative crossing; parameters as for wide
 
 A parameter name marks exactly one edge end.  ``glue p q`` identifies
 two names, one an output use and one an input use, into an internal
 point.  Names left unglued form the boundary.  Gluing is substitution:
 every identified pair is realized by one polynomial variable shared by
 the two pieces that use it.
+
+Crossings have no factorization here: only the bracket resolves them
+(moybracket.expand_crossings), and glue refuses them.
 """
 
 import re
@@ -23,7 +28,10 @@ from .quotient import QuotientRing
 from .mf import KoszulMF, KoszulRow
 from .symm import pi_poly, power_sum_at, uv_polys
 
-ARITY = {"arc": 2, "wide": 4, "dline": 2, "vin": 3, "vout": 3}
+ARITY = {"arc": 2, "wide": 4, "dline": 2, "vin": 3, "vout": 3,
+         "xplus": 4, "xminus": 4}
+
+CROSSINGS = ("xplus", "xminus")
 
 # roles: for each piece kind, the orientation of each parameter slot
 ROLES = {
@@ -32,11 +40,13 @@ ROLES = {
     "dline": ("out", "in"),
     "vin": ("in", "in", "out"),
     "vout": ("in", "out", "out"),
+    "xplus": ("out", "out", "in", "in"),
+    "xminus": ("out", "out", "in", "in"),
 }
 
 # which slots are double parameters
 DOUBLE_SLOTS = {"arc": (), "wide": (), "dline": (0, 1), "vin": (2,),
-                "vout": (0,)}
+                "vout": (0,), "xplus": (), "xminus": ()}
 
 _ID = re.compile(r"^[xd][0-9]+$")
 
@@ -211,23 +221,16 @@ def parse_diagram(text):
         if len(tokens) != 1 + ARITY[head]:
             raise ParseError("%s takes %d parameters" % (head, ARITY[head]),
                              lineno, column)
-        check_params(head, tokens[1:], raw, lineno)
+        _check_ids(tokens[1:], raw, lineno)
+        for slot, name in enumerate(tokens[1:]):
+            want = "d" if slot in DOUBLE_SLOTS[head] else "x"
+            if not name.startswith(want):
+                raise ParseError("parameter %r should be a %s-identifier"
+                                 % (name, want), lineno, raw.index(name) + 1)
         pieces.append(Piece(head, tokens[1:], lineno))
     if n is None:
         raise ParseError("empty diagram: missing 'n <int>'", 1)
     return Diagram(n, pieces, merges)
-
-
-def check_params(kind, names, raw, lineno):
-    """The parameters of a ``kind`` statement on source line ``raw``:
-    identifiers, of the x- or d-type each slot wants."""
-    _check_ids(names, raw, lineno)
-    for slot, name in enumerate(names):
-        want = "d" if slot in DOUBLE_SLOTS[kind] else "x"
-        if not name.startswith(want):
-            raise ParseError(
-                "parameter %r should be a %s-identifier"
-                % (name, want), lineno, raw.index(name) + 1)
 
 
 def _check_ids(tokens, raw, lineno):
@@ -245,8 +248,8 @@ def build_primitive(kind, n, params):
     params: per slot, a single variable for x-parameters or a (y, z)
     variable pair for d-parameters.
     """
-    if kind not in ARITY:
-        raise DiagramError("unknown piece kind %r" % kind)
+    if kind not in ARITY or kind in CROSSINGS:
+        raise DiagramError("no factorization for piece kind %r" % kind)
     if len(params) != ARITY[kind]:
         raise ArityMismatch("%s takes %d parameters" % (kind, ARITY[kind]))
     if n < 2 or (kind != "arc" and n < 3):
@@ -333,12 +336,21 @@ def class_variables(diagram):
 
 def glue(diagram):
     """Tensor all pieces over shared glued variables."""
+    refuse_crossings(diagram)
     assign = class_variables(diagram)
     out = KoszulMF()
     for p in diagram.pieces:
         params = [assign[diagram.class_of(name)] for name in p.params]
         out = out @ build_primitive(p.kind, diagram.n, params)
     return out
+
+
+def refuse_crossings(diagram):
+    """Raise at the first crossing: only the bracket resolves crossings."""
+    for p in diagram.pieces:
+        if p.kind in CROSSINGS:
+            raise DiagramError("line %d: %s is a crossing; only the bracket "
+                               "resolves crossings" % (p.line, p.kind))
 
 
 def boundary_potential(diagram):

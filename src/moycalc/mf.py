@@ -247,29 +247,74 @@ class SparseMat:
         return self.mapped(Poly.__neg__)
 
     def __matmul__(self, other):
+        """Matrix product, cancelling products symbolically before expanding.
+
+        Tensor-product differentials repeat a few distinct entry
+        polynomials across thousands of positions, and the off-diagonal
+        contributions of a square d1 @ d0 cancel in +/- pairs of identical
+        products.  Tracking each position as a signed multiset of (entry,
+        entry) symbols makes those cancellations free; only surviving
+        symbol sums (the diagonal, for an actual factorization) are
+        expanded, and equal sums expand only once.
+        """
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
+        registry = {}
+        canon = {}
+        keep = []
+
+        def symbol(p):
+            got = canon.get(id(p))
+            if got is not None:
+                return got
+            key = tuple(sorted(p.terms.items()))
+            hit = registry.get(key)
+            if hit is not None:
+                got = (1, hit)
+            else:
+                neg = tuple(sorted((-p).terms.items()))
+                hit = registry.get(neg)
+                if hit is not None:
+                    got = (-1, hit)
+                else:
+                    registry[key] = p
+                    got = (1, p)
+            canon[id(p)] = got
+            keep.append(p)
+            return got
+
         by_row = {}
-        for (i, k), p in other.entries.items():
-            by_row.setdefault(i, []).append((k, p))
-        # tensor-product matrices repeat a handful of distinct entries
-        # thousands of times, so memoize the pairwise products and
-        # accumulate raw coefficients instead of building interim Polys
-        products = {}
+        for (k, j), q in other.entries.items():
+            by_row.setdefault(k, []).append((j, symbol(q)))
         acc = {}
-        zero = Fraction(0)
         for (i, k), p in self.entries.items():
-            for (j, q) in by_row.get(k, ()):
-                key = (id(p), id(q))
-                pq = products.get(key)
-                if pq is None:
-                    pq = p * q
-                    products[key] = pq
+            sp, cp = symbol(p)
+            for j, (sq, cq) in by_row.get(k, ()):
+                pair = ((id(cp), id(cq)) if id(cp) <= id(cq)
+                        else (id(cq), id(cp)))
                 slot = acc.setdefault((i, j), {})
-                for mono, c in pq.terms.items():
-                    slot[mono] = slot.get(mono, zero) + c
-        out = {pos: Poly(slot) for pos, slot in acc.items()}
-        return SparseMat(self.nrows, other.ncols, out)
+                coeff = slot.get(pair, 0) + sp * sq
+                if coeff:
+                    slot[pair] = coeff
+                else:
+                    del slot[pair]
+
+        polys = {id(p): p for _, p in registry.items()}
+        expanded = {}
+        entries = {}
+        for pos, slot in acc.items():
+            if not slot:
+                continue
+            key = tuple(sorted(slot.items()))
+            value = expanded.get(key)
+            if value is None:
+                value = Poly()
+                for (pa, pb), coeff in slot.items():
+                    value = value + polys[pa] * polys[pb] * coeff
+                expanded[key] = value
+            if not value.is_zero():
+                entries[pos] = value
+        return SparseMat(self.nrows, other.ncols, entries)
 
     def mapped(self, fn):
         """Apply fn to every entry, once per distinct entry object."""
@@ -320,7 +365,7 @@ class ExplicitMF:
         # the four blocks of each differential are disjoint and a Kronecker
         # product with an identity writes each entry to distinct positions,
         # so every position is assigned once and the entry objects are
-        # shared, which lets _square's identity-keyed symbol table hit
+        # shared, which lets the product's identity-keyed symbol table hit
         ln0, ln1 = len(n0), len(n1)
         # d0 blocks: [[dM0 x I(n0), -I(m1) x dN1], [I(m0) x dN0, dM1 x I(n1)]]
         for (i, j), p in self.d0.entries.items():
@@ -403,82 +448,13 @@ def verify_factorization(exp):
     Raises NotAFactorization with the offending entry position otherwise.
     """
     nf = exp.base.normal_form
-    omega = _check_scalar(_square(exp.d1, exp.d0), nf, "d1*d0")
-    omega2 = _check_scalar(_square(exp.d0, exp.d1), nf, "d0*d1")
+    omega = _check_scalar(exp.d1 @ exp.d0, nf, "d1*d0")
+    omega2 = _check_scalar(exp.d0 @ exp.d1, nf, "d0*d1")
     if len(exp.gens0) and len(exp.gens1) and omega != omega2:
         raise NotAFactorization("d1*d0 and d0*d1 disagree")
     _check_homogeneity(exp, omega if len(exp.gens0) and len(exp.gens1)
                        else Poly())
     return omega if len(exp.gens0) else omega2
-
-
-def _square(left, right):
-    """left @ right, cancelling products symbolically before expanding.
-
-    Tensor-product differentials repeat a few distinct entry polynomials
-    across thousands of positions, and the off-diagonal contributions of
-    the square cancel in +/- pairs of identical products.  Tracking each
-    position as a signed multiset of (entry, entry) symbols makes those
-    cancellations free; only surviving symbol sums (the diagonal, for an
-    actual factorization) are expanded, and equal sums expand only once.
-    """
-    if left.ncols != right.nrows:
-        raise ValueError("shape mismatch")
-    registry = {}
-    canon = {}
-    keep = []
-
-    def symbol(p):
-        got = canon.get(id(p))
-        if got is not None:
-            return got
-        key = tuple(sorted(p.terms.items()))
-        hit = registry.get(key)
-        if hit is not None:
-            got = (1, hit)
-        else:
-            neg = tuple(sorted((-p).terms.items()))
-            hit = registry.get(neg)
-            if hit is not None:
-                got = (-1, hit)
-            else:
-                registry[key] = p
-                got = (1, p)
-        canon[id(p)] = got
-        keep.append(p)
-        return got
-
-    by_row = {}
-    for (k, j), q in right.entries.items():
-        by_row.setdefault(k, []).append((j, symbol(q)))
-    acc = {}
-    for (i, k), p in left.entries.items():
-        sp, cp = symbol(p)
-        for j, (sq, cq) in by_row.get(k, ()):
-            pair = (id(cp), id(cq)) if id(cp) <= id(cq) else (id(cq), id(cp))
-            slot = acc.setdefault((i, j), {})
-            coeff = slot.get(pair, 0) + sp * sq
-            if coeff:
-                slot[pair] = coeff
-            else:
-                del slot[pair]
-
-    polys = {id(p): p for _, p in registry.items()}
-    expanded = {}
-    entries = {}
-    for pos, slot in acc.items():
-        if not slot:
-            continue
-        key = tuple(sorted(slot.items()))
-        value = expanded.get(key)
-        if value is None:
-            value = Poly()
-            for (pa, pb), coeff in slot.items():
-                value = value + polys[pa] * polys[pb] * coeff
-            expanded[key] = value
-        if not value.is_zero():
-            entries[pos] = value
-    return SparseMat(left.nrows, right.ncols, entries)
 
 
 def _check_scalar(square, nf, label):

@@ -15,12 +15,12 @@ graph by local relations until only free loops remain:
   (7)  the oriented square of four vertices expands into a two-term sum
        with coefficients 1 and [n-2].
 
-Crossing statements (xplus/xminus) in the input expand into the two
-planar resolutions with the skein coefficients before evaluation.
+Crossing pieces (xplus/xminus) expand into their two planar resolutions
+with the skein coefficients before evaluation.
 """
 
-from .diagram import (DOUBLE_SLOTS, ROLES, ParseError, check_params,
-                      parse_diagram)
+from .diagram import (CROSSINGS, DOUBLE_SLOTS, ROLES, Diagram, DiagramError,
+                      Piece, parse_diagram, refuse_crossings)
 from .laurent import LaurentPoly, quantum_integer
 
 VERTEX_KINDS = ("vin", "vout")
@@ -165,7 +165,8 @@ class MOYGraph:
     @classmethod
     def from_diagram(cls, diagram):
         if not diagram.is_closed():
-            raise ValueError("bracket needs a closed diagram")
+            raise DiagramError("bracket needs a closed diagram")
+        refuse_crossings(diagram)
         g = cls(diagram.n)
 
         # a wide edge is a vin/vout pair joined by an internal double edge;
@@ -407,66 +408,47 @@ def all_path_values(graph):
     return out
 
 
-# -- source text with crossings ----------------------------------------------
+# -- crossings ---------------------------------------------------------------
 
-CROSSINGS = ("xplus", "xminus")
+def expand_crossings(diagram):
+    """Resolve the xplus/xminus pieces of a parsed diagram.
 
-
-def expand_crossings(text):
-    """Resolve xplus/xminus statements; returns [(coeff, diagram text)].
-
-    xplus a b c d / xminus a b c d use the wide-edge convention: a, b
-    outgoing on top, c, d incoming on the bottom.  Each crossing expands
-    into its oriented-arcs and wide-edge resolutions:
+    Returns [(coeff, pieces)], one piece list per resolution; pieces are
+    shared across the resolutions.  xplus a b c d / xminus a b c d use
+    the wide-edge convention: a, b outgoing on top, c, d incoming on the
+    bottom.  Each crossing expands into its oriented-arcs and wide-edge
+    resolutions:
 
       xplus  = q^(n-1) * arcs - q^n * wide
       xminus = q^(1-n) * arcs - q^(-n) * wide
-    """
-    lines = text.splitlines()
-    n = None
-    for raw in lines:
-        tokens = raw.split("#", 1)[0].split()
-        if tokens and tokens[0] == "n" and len(tokens) == 2 \
-                and tokens[1].isdigit():
-            n = int(tokens[1])
-            break
-    crossing_lines = []
-    for i, raw in enumerate(lines):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens and tokens[0] in CROSSINGS:
-            column = raw.index(tokens[0]) + 1
-            if n is None:
-                raise ParseError("crossing before 'n <int>'", i + 1, column)
-            if len(tokens) != 5:
-                raise ParseError("usage: %s <x1> <x2> <x3> <x4>" % tokens[0],
-                                 i + 1, column)
-            check_params("wide", tokens[1:], raw, i + 1)
-            crossing_lines.append((i, tokens[0], tokens[1:]))
 
-    # each resolution takes the crossing's line; the second arc goes after
-    # the last line, so that every other line keeps its number
-    results = [(LaurentPoly({0: 1}), list(lines))]
-    for i, kind, (a, b, c, d) in crossing_lines:
-        arcs = ("arc %s %s" % (c, a), "arc %s %s" % (d, b))
-        wide = ("wide %s %s %s %s" % (a, b, c, d),)
-        if kind == "xplus":
+    The wide piece or the first arc takes the crossing's place, and the
+    second arc goes after the last piece, in crossing order.  The graph's
+    vertex ids follow this order, and they decide the rewrite order.
+    """
+    n = diagram.n
+    results = [(LaurentPoly({0: 1}), diagram.pieces)]
+    for i, p in enumerate(diagram.pieces):
+        if p.kind not in CROSSINGS:
+            continue
+        a, b, c, d = p.params
+        arcs = (Piece("arc", (c, a), p.line), Piece("arc", (d, b), p.line))
+        wide = (Piece("wide", p.params, p.line),)
+        if p.kind == "xplus":
             coeffs = (LaurentPoly({n - 1: 1}), LaurentPoly({n: -1}))
         else:
             coeffs = (LaurentPoly({1 - n: 1}), LaurentPoly({-n: -1}))
-        expanded = []
-        for coeff, cur in results:
-            for c2, (repl, *extra) in zip(coeffs, (arcs, wide)):
-                nxt = list(cur)
-                nxt[i] = repl
-                expanded.append((coeff * c2, nxt + extra))
-        results = expanded
-    return [(coeff, "\n".join(cur)) for coeff, cur in results]
+        results = [(coeff * c2, cur[:i] + [repl] + cur[i + 1:] + extra)
+                   for coeff, cur in results
+                   for c2, (repl, *extra) in zip(coeffs, (arcs, wide))]
+    return results
 
 
 def bracket_text(text):
     """Parse diagram source (crossings allowed) and evaluate the bracket."""
+    d = parse_diagram(text)
     total = LaurentPoly()
-    for coeff, source in expand_crossings(text):
-        graph = MOYGraph.from_diagram(parse_diagram(source))
+    for coeff, pieces in expand_crossings(d):
+        graph = MOYGraph.from_diagram(Diagram(d.n, pieces, d.merges))
         total = total + coeff * bracket(graph)
     return total

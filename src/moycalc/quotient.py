@@ -199,7 +199,7 @@ class QuotientRing:
 
     def basis_monomials(self, ambient=()):
         """All monomials below the staircase; ambient vars must be bounded."""
-        for v in ambient:
+        for v in sorted(ambient, key=var_key):
             if self.rule_for(v) is None:
                 raise InfiniteDimension("no bounding rule for %s%d" % v)
         vs = [(v, d) for v, d, _ in self.rules]

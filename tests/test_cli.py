@@ -1,9 +1,14 @@
 """Command-line interface: outputs, JSON mode, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import moycalc
 from moycalc.cli import main
 
 CIRCLE = "n 3\narc x1 x2\nglue x1 x2\n"
@@ -84,6 +89,41 @@ def test_bad_diagram_is_domain_error(tmp_path, capsys):
     path.write_text("n 3\narc x1 x1\n")
     assert main(["euler", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_open_bracket_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "open.moy"
+    path.write_text("n 3\nwide x1 x2 x3 x4\n")
+    assert main(["bracket", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % path) and "closed" in err
+
+
+@pytest.mark.parametrize("command", ["euler", "build"])
+def test_crossing_outside_bracket_is_domain_error(command, tmp_path, capsys):
+    path = tmp_path / "kink.moy"
+    path.write_text(KINK)
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: line 2: xplus" % path)
+
+
+def test_infinite_dimension_message_ignores_hash_seed(tmp_path):
+    # the search stops short on this diagram and homology names an
+    # unbounded variable; which one must not depend on set iteration order
+    path = tmp_path / "hard.moy"
+    path.write_text("n 4\ndline d1 d2\ndline d3 d4\nwide x1 x2 x3 x4\n"
+                    "glue x1 x4\nglue x2 x3\nglue d1 d2\nglue d3 d4\n")
+    src = str(Path(moycalc.__file__).resolve().parents[1])
+    errs = set()
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-m", "moycalc.cli", "euler",
+                              str(path)], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 1
+        errs.add(run.stderr)
+    assert len(errs) == 1 and "no bounding rule for" in errs.pop()
 
 
 def test_usage_error_exits_two(capsys):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from moycalc.diagram import ParseError, parse_diagram
+from moycalc.diagram import (DiagramError, ParseError, build_primitive, glue,
+                             parse_diagram)
 from moycalc.laurent import LaurentPoly, quantum_integer
 from moycalc.moybracket import (MOYGraph, StuckGraph, all_path_values,
                                 bracket, bracket_text, expand_crossings)
@@ -51,15 +52,45 @@ def test_open_diagram_is_rejected():
 
 def test_expand_crossings_coefficients():
     n = 3
-    out = expand_crossings("n 3\nxplus x1 x2 x3 x4\n"
-                           "glue x1 x3\nglue x2 x4\n")
+    out = expand_crossings(parse_diagram("n 3\nxplus x1 x2 x3 x4\n"
+                                         "glue x1 x3\nglue x2 x4\n"))
     assert len(out) == 2
     coeffs = sorted(str(c) for c, _ in out)
     assert str(LaurentPoly({n - 1: 1})) in coeffs
     assert str(LaurentPoly({n: -1})) in coeffs
-    texts = [t for _, t in out]
-    assert any("arc x3 x1" in t and "arc x4 x2" in t for t in texts)
-    assert any("wide x1 x2 x3 x4" in t for t in texts)
+    resolutions = [[(p.kind, p.params) for p in pieces] for _, pieces in out]
+    assert [("arc", ("x3", "x1")), ("arc", ("x4", "x2"))] in resolutions
+    assert [("wide", ("x1", "x2", "x3", "x4"))] in resolutions
+
+
+def test_expand_crossings_piece_order():
+    # the wide piece or first arc takes the crossing's place; second arcs
+    # follow the last piece, in crossing order
+    out = expand_crossings(parse_diagram(
+        "n 3\nxplus x1 x2 x3 x4\narc x5 x6\nxminus x7 x8 x9 x10\n"))
+    assert [c for c, _ in out] == [
+        LaurentPoly({0: 1}), LaurentPoly({-1: -1}), LaurentPoly({1: -1}),
+        LaurentPoly({0: 1})]
+    assert [" ".join(repr(p) for p in pieces) for _, pieces in out] == [
+        "arc(x3, x1) arc(x5, x6) arc(x9, x7) arc(x4, x2) arc(x10, x8)",
+        "arc(x3, x1) arc(x5, x6) wide(x7, x8, x9, x10) arc(x4, x2)",
+        "wide(x1, x2, x3, x4) arc(x5, x6) arc(x9, x7) arc(x10, x8)",
+        "wide(x1, x2, x3, x4) arc(x5, x6) wide(x7, x8, x9, x10)"]
+    # resolutions share their pieces, and each keeps its crossing's line
+    assert out[0][1][1] is out[3][1][1]
+    assert out[0][1][0] is out[1][1][0]
+    assert [p.line for p in out[0][1]] == [2, 3, 4, 2, 4]
+
+
+def test_crossings_have_no_factorization():
+    d = parse_diagram("n 3\narc x5 x6\nxminus x1 x2 x3 x4\n"
+                      "glue x2 x3\nglue x1 x4\nglue x5 x6\n")
+    with pytest.raises(DiagramError, match="line 3: xminus"):
+        glue(d)
+    with pytest.raises(DiagramError, match="line 3: xminus"):
+        MOYGraph.from_diagram(d)
+    with pytest.raises(DiagramError, match="no factorization"):
+        build_primitive("xplus", 3, ("x1", "x2", "x3", "x4"))
 
 
 def test_kink_values():
