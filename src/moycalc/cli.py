@@ -117,7 +117,7 @@ def _cmd_reduce(args):
     diagram = _read_diagram(args)
     reduced, trace = auto_reduce(glue(diagram))
     if args.json:
-        doc = {"n": diagram.n, "steps": len(trace.steps), "summands": []}
+        doc = {"n": diagram.n, "steps": len(trace), "summands": []}
         for mf in reduced:
             cf = canonical_form(mf)
             doc["summands"].append({
@@ -127,7 +127,7 @@ def _cmd_reduce(args):
                 "shift": cf.shift, "parity": cf.parity})
         print(json.dumps(doc, indent=2))
         return 0
-    print("steps: %d  summands: %d" % (len(trace.steps), len(reduced)))
+    print("steps: %d  summands: %d" % (len(trace), len(reduced)))
     for k, mf in enumerate(reduced):
         print("summand %d:" % k)
         _print_summand(canonical_form(mf), args.show_rows)
@@ -139,7 +139,7 @@ def _homology_doc(args):
     reduced, trace = auto_reduce(glue(diagram))
     hom = graded_homology(reduced)
     euler = euler_characteristic(hom, signed=args.signed_euler)
-    return diagram.n, euler, hom, len(trace.steps)
+    return diagram.n, euler, hom, len(trace)
 
 
 def _json_doc(n, euler, hom, steps):

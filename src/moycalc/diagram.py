@@ -106,9 +106,10 @@ class Diagram:
     def _validate(self):
         if self.n < 2:
             raise UnsupportedN("n must be >= 2")
-        if self.n < 3 and any(p.kind != "arc" for p in self.pieces):
-            raise UnsupportedN("double lines need n >= 3")
         for p in self.pieces:
+            if self.n < 3 and p.kind != "arc":
+                raise UnsupportedN("line %d: %s needs n >= 3"
+                                   % (p.line, p.kind))
             if len(p.params) != ARITY[p.kind]:
                 raise ArityMismatch("%s takes %d parameters"
                                     % (p.kind, ARITY[p.kind]))

@@ -7,18 +7,26 @@ the potential can be deleted, passing to the quotient by that entry.
 Linear entries (power 1) are eliminated by outright substitution, so no
 rule lingers in the base; higher powers become quotient-ring rules.
 
-auto_reduce drives exclusions to a fixpoint.  A greedy choice can dead-end
-(excluding the wrong generator first may block the remaining rows), so the
-driver backtracks depth-first over candidates in (row, variable, side)
-order and keeps the first branch that reaches zero rows everywhere;
-failing that, it returns the greedy fixpoint.  The result is deterministic.
+auto_reduce drives exclusions to a fixpoint and splits the base module
+along a rule where none is left.  Exclusions and splits keep the
+potential, and a summand without rows has potential 0, so under a nonzero
+potential the search just takes the first feasible (row, variable, side).
+Under a zero potential a greedy choice can dead-end, so the search
+backtracks depth-first to the first branch that reaches zero rows
+everywhere; after 16 exclusions it settles for first branches instead.
+
+A trace is a flat list of (kind, info) steps: drop (rows), exclude (row,
+var, side, power) and split (var, power, sizes), where a split is followed
+by its copies' steps, sizes[k] of them for copy k (the split tree in
+pre-order).
 """
 
+import itertools
 from fractions import Fraction
 
-from .poly import Poly, var_degree, var_key
+from .poly import Poly, mono_sort_key, var_degree, var_key
 from .quotient import QuotientRing, TriangularityViolation
-from .mf import KoszulMF, KoszulRow, MFSum, ZeroScalar
+from .mf import KoszulMF, MFSum, ZeroScalar
 
 
 class VariableInPotential(ValueError):
@@ -34,32 +42,13 @@ class ResidualVariable(ValueError):
 
 
 class ReductionTrace:
-    """Ordered record of reduction steps, replayable with replay()."""
+    """The steps of one reduction, laid out as the module docstring says."""
 
-    def __init__(self, steps=None):
-        self.steps = list(steps or ())
-
-    def record(self, kind, **info):
-        self.steps.append((kind, info))
+    def __init__(self, steps=()):
+        self.steps = list(steps)
 
     def __len__(self):
         return len(self.steps)
-
-    def summary(self):
-        return [self._describe(kind, info) for kind, info in self.steps]
-
-    @staticmethod
-    def _describe(kind, info):
-        if kind == "exclude":
-            return "exclude %s%d (row %d, %s-side, power %d)" % (
-                info["var"][0], info["var"][1], info["row"], info["side"],
-                info["power"])
-        if kind == "split":
-            return "split off %d copies along %s%d" % (
-                info["power"], info["var"][0], info["var"][1])
-        if kind == "drop":
-            return "drop contractible rows %s" % (list(info["rows"]),)
-        return kind
 
 
 def scale_row(mf, i, c):
@@ -163,7 +152,7 @@ def split_free_module(mf, v):
 
 
 def _exclusion_candidates(mf, potential_vars, order=None):
-    """Feasible (row, var, side) triples in deterministic preference order."""
+    """Feasible (row, var, side, power) in deterministic preference order."""
     out = []
     for i, row in enumerate(mf.rows):
         variables = sorted(row.a.variables() | row.b.variables(), key=var_key)
@@ -172,9 +161,8 @@ def _exclusion_candidates(mf, potential_vars, order=None):
                 continue
             for side, entry in (("b", row.b), ("a", row.a)):
                 data = _monic_data(entry, v)
-                if data is None:
-                    continue
-                out.append((i, v, side))
+                if data is not None:
+                    out.append((i, v, side, data[0]))
     if order is not None:
         order.shuffle(out)
     return out
@@ -200,92 +188,101 @@ def auto_reduce(mf, order=None):
     order, if given, is a random.Random used to shuffle candidate order
     (for order-independence testing); default order is deterministic.
     """
-    trace = ReductionTrace()
-    budget = {"branches": 16}
     mf = mf.normalized_rows()
-    summands = _reduce(mf, mf.potential().variables(), trace, order, budget)
-    return MFSum(summands), trace
+    potential = mf.potential()
+    summands, steps = _reduce(mf, potential.variables(), potential.is_zero(),
+                              order, {"branches": 16})
+    return MFSum(summands), ReductionTrace(steps)
 
 
-def _reduce(mf, potential_vars, trace, order, budget):
-    """potential_vars holds the variables of mf's potential; exclusions
-    and splits keep it, dropping rows may not, so a drop recomputes it."""
+def _reduce(mf, potential_vars, zero, order, budget):
+    """(summands, steps); potential_vars and zero (is the potential 0?)
+    describe mf's potential, which only a drop of rows can change."""
     mf, dropped = eliminate_contractible(mf)
+    pre = []
     if dropped:
-        trace.record("drop", rows=tuple(dropped))
-        potential_vars = mf.potential().variables()
+        pre.append(("drop", {"rows": tuple(dropped)}))
+        potential = mf.potential()
+        potential_vars, zero = potential.variables(), potential.is_zero()
 
     best = None
-    for (i, v, side) in _exclusion_candidates(mf, potential_vars, order):
+    for (i, v, side, d) in _exclusion_candidates(mf, potential_vars, order):
         if budget["branches"] <= 0 and best is not None:
             break
-        sub_trace = ReductionTrace()
         try:
             nxt = exclude_variable(mf, i, v, side, potential_vars)
         except (TriangularityViolation, VariableInPotential,
                 NotMonicInVariable):
             continue
-        budget["branches"] -= 1
-        d = mf.rows[i].b.degree_in(v) if side == "b" \
-            else mf.rows[i].a.degree_in(v)
-        sub_trace.record("exclude", row=i, var=v, side=side, power=d)
-        summands = _reduce(nxt, potential_vars, sub_trace, order, budget)
-        if all(not s.rows for s in summands):
-            trace.steps.extend(sub_trace.steps)
-            return summands
-        if best is None:
-            best = (sub_trace, summands)
+        if zero:
+            budget["branches"] -= 1
+        summands, sub = _reduce(nxt, potential_vars, zero, order, budget)
+        step = ("exclude", {"row": i, "var": v, "side": side, "power": d})
+        branch = summands, pre + [step] + sub
+        if not zero or all(not s.rows for s in summands):
+            return branch
+        best = best or branch
     if best is not None:
-        trace.steps.extend(best[0].steps)
-        return best[1]
+        return best
 
     for v in _splittable_variables(mf):
-        d, _ = mf.base.rule_for(v)
-        trace.record("split", var=v, power=d)
-        out = []
+        out, steps, sizes = [], [], []
         for copy in split_free_module(mf, v):
-            out.extend(_reduce(copy, potential_vars, trace, order, budget))
-            trace.record("pop")
-        return out
+            summands, sub = _reduce(copy, potential_vars, zero, order, budget)
+            out.extend(summands)
+            steps.extend(sub)
+            sizes.append(len(sub))
+        d, _ = mf.base.rule_for(v)
+        split = ("split", {"var": v, "power": d, "sizes": tuple(sizes)})
+        return out, pre + [split] + steps
 
-    return [mf]
+    return [mf], pre
 
 
 def replay(mf, trace):
     """Re-apply a recorded trace to the input factorization."""
-    stack = [mf.normalized_rows()]
-    done = []
-    for kind, info in trace.steps:
-        cur = stack.pop()
+    return MFSum(_replay(mf.normalized_rows(), iter(trace.steps)))
+
+
+def _replay(cur, steps):
+    for kind, info in steps:
         if kind == "drop":
-            rows = [r for j, r in enumerate(cur.rows)
-                    if j not in info["rows"]]
-            stack.append(cur.replace(rows=rows))
+            cur = cur.replace(rows=[r for j, r in enumerate(cur.rows)
+                                    if j not in info["rows"]])
         elif kind == "exclude":
-            stack.append(exclude_variable(cur, info["row"], info["var"],
-                                          info["side"]))
+            cur = exclude_variable(cur, info["row"], info["var"],
+                                   info["side"])
         elif kind == "split":
-            parts = list(split_free_module(cur, info["var"]))
-            stack.extend(reversed(parts))
-        elif kind == "pop":
-            done.append(cur)
+            out = []
+            for copy, size in zip(split_free_module(cur, info["var"]),
+                                  info["sizes"], strict=True):
+                out.extend(_replay(copy, itertools.islice(steps, size)))
+            return out
         else:
             raise ValueError("unknown step %r" % kind)
-    done.extend(reversed(stack))
-    return MFSum(done)
+    return [cur]
 
 
 def canonical_form(mf):
     """Monic-b rows (monic-a when b = 0), sorted, with variables relabeled
     by order of appearance; equality of canonical forms is decidable and
-    insensitive to the arbitrary names reduction happens to leave behind."""
+    insensitive to the arbitrary names reduction happens to leave behind.
+    Relabeling can cycle between namings; the least state of the cycle wins."""
+    seen = []
     cur = _normalize_rows(mf)
-    for _ in range(10):
-        nxt = _normalize_rows(_relabel(cur))
-        if nxt == cur:
-            break
-        cur = nxt
-    return cur
+    while cur not in seen:
+        seen.append(cur)
+        cur = _normalize_rows(_relabel(cur))
+    return min(seen[seen.index(cur):], key=_state_key)
+
+
+def _state_key(mf):
+    return (tuple(map(_row_key, mf.rows)),
+            tuple((var_key(v), d, p.sort_key()) for v, d, p in mf.base.rules))
+
+
+def _row_key(r):
+    return r.b.sort_key(), r.a.sort_key(), r.deg_a, r.deg_b
 
 
 def _normalize_rows(mf):
@@ -300,16 +297,13 @@ def _normalize_rows(mf):
             _, lc = row.a.leading()
             row = row.scaled(1 / lc)
         rows.append(row)
-    rows.sort(key=lambda r: (r.b.sort_key(), r.a.sort_key(),
-                             r.deg_a, r.deg_b))
+    rows.sort(key=_row_key)
     return mf.replace(rows=rows)
 
 
 def _relabel(mf):
     """Rename variables of each kind by first appearance in the sorted
     rows (b before a, monomials in decreasing order), then in the rules."""
-    from .poly import mono_sort_key
-
     order = []
     seen = set()
 

@@ -108,6 +108,14 @@ def test_crossing_outside_bracket_is_domain_error(command, tmp_path, capsys):
     assert err.startswith("error: %s: line 2: xplus" % path)
 
 
+def test_small_n_names_the_piece(tmp_path, capsys):
+    path = tmp_path / "kink2.moy"
+    path.write_text(KINK.replace("n 3", "n 2"))
+    assert main(["bracket", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: line 2: xplus needs n >= 3" % path)
+
+
 def test_infinite_dimension_message_ignores_hash_seed(tmp_path):
     # the search stops short on this diagram and homology names an
     # unbounded variable; which one must not depend on set iteration order
