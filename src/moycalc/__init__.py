@@ -16,8 +16,7 @@ from .mf import (ExplicitMF, KoszulMF, KoszulRow, MFSum, NotAFactorization,
                  verify_factorization)
 from .reduce import (NotMonicInVariable, ReductionTrace, ResidualVariable,
                      VariableInPotential, auto_reduce, canonical_form,
-                     eliminate_contractible, exclude_variable, replay,
-                     scale_row, split_free_module)
+                     exclude_variable, replay, scale_row, split_free_module)
 from .diagram import (ArityMismatch, Diagram, DiagramError, DuplicateUse,
                       KindMismatch, OrientationMismatch, ParseError,
                       UnsupportedN, build_primitive, crossing_complex, glue,

@@ -226,8 +226,7 @@ def _cmd_selftest(args):
 
 
 def _euler_of(text):
-    reduced, _ = auto_reduce(glue(parse_diagram(text)))
-    return euler_characteristic(graded_homology(reduced))
+    return euler_characteristic(graded_homology(glue(parse_diagram(text))))
 
 
 if __name__ == "__main__":

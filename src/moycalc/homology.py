@@ -4,14 +4,20 @@ Graded homology of a factorization with zero potential.
 A factorization with potential 0 is a 2-periodic complex; its homology
 splits into a parity-0 and a parity-1 part, each with a graded (Poincare)
 dimension recorded as a Laurent polynomial in q.
+
+graded_homology reduces each summand with rows once (auto_reduce) and
+reads every resulting piece: a piece without rows is its base module,
+placed by parity; a piece with rows is computed from its explicit complex,
+degree by degree.
 """
 
 from fractions import Fraction
 
 from .laurent import LaurentPoly
-from .mf import KoszulMF, MFSum
+from .mf import MFSum
 from .poly import Poly, mono_degree
-from .quotient import InfiniteDimension, echelon
+from .quotient import echelon
+from .reduce import auto_reduce
 
 
 class NonzeroPotential(ValueError):
@@ -67,26 +73,24 @@ def euler_characteristic(obj, signed=False):
 
 
 def _summand_homology(mf):
-    mf = mf.normalized_rows()
     if not mf.potential().is_zero():
         raise NonzeroPotential("potential is %s" % mf.potential())
-    if not mf.rows:
-        dims = mf.base.graded_dimension(mf.shift)
-        if mf.parity:
-            return HomologyResult(LaurentPoly(), dims)
-        return HomologyResult(dims, LaurentPoly())
-    try:
+    pieces = auto_reduce(mf)[0] if mf.rows else [mf]
+    total = HomologyResult()
+    for piece in pieces:
+        total = total + _piece_homology(piece)
+    return total
+
+
+def _piece_homology(mf):
+    """A reduced piece: its base module when no row is left, else the
+    explicit complex (InfiniteDimension over an infinite base)."""
+    if mf.rows:
         return _explicit_homology(mf)
-    except InfiniteDimension:
-        # the underlying module is infinite rank as given; simplify first
-        from .reduce import auto_reduce
-        total = HomologyResult()
-        for piece in auto_reduce(mf)[0]:
-            if piece.rows:
-                total = total + _explicit_homology(piece.normalized_rows())
-            else:
-                total = total + _summand_homology(piece)
-        return total
+    dims = mf.base.graded_dimension(mf.shift)
+    if mf.parity:
+        return HomologyResult(LaurentPoly(), dims)
+    return HomologyResult(dims, LaurentPoly())
 
 
 def _explicit_homology(mf):

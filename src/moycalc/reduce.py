@@ -6,6 +6,8 @@ translation trick, whose a-entry) is monic in a variable v absent from
 the potential can be deleted, passing to the quotient by that entry.
 Linear entries (power 1) are eliminated by outright substitution, so no
 rule lingers in the base; higher powers become quotient-ring rules.
+A row with a unit entry stays: K(1; b) is contractible, so the whole
+summand is zero, and its homology reads as zero.
 
 auto_reduce drives exclusions to a fixpoint and splits the base module
 along a rule where none is left.  Exclusions and splits keep the
@@ -15,10 +17,9 @@ Under a zero potential a greedy choice can dead-end, so the search
 backtracks depth-first to the first branch that reaches zero rows
 everywhere; after 16 exclusions it settles for first branches instead.
 
-A trace is a flat list of (kind, info) steps: drop (rows), exclude (row,
-var, side, power) and split (var, power, sizes), where a split is followed
-by its copies' steps, sizes[k] of them for copy k (the split tree in
-pre-order).
+A trace is a flat list of (kind, info) steps: exclude (row, var, side,
+power) and split (var, power, sizes), where a split is followed by its
+copies' steps, sizes[k] of them for copy k (the split tree in pre-order).
 """
 
 import itertools
@@ -115,35 +116,16 @@ def exclude_variable(mf, i, v, side=None, potential_vars=None):
     return KoszulMF(rows, base, mf.shift, mf.parity)
 
 
-def eliminate_contractible(mf):
-    """Drop every row with a nonzero rational-constant entry."""
-    nf = mf.base.normal_form
-    rows = []
-    dropped = []
-    for i, row in enumerate(mf.rows):
-        a, b = nf(row.a), nf(row.b)
-        if (a.is_constant() and not a.is_zero()) or \
-           (b.is_constant() and not b.is_zero()):
-            dropped.append(i)
-        else:
-            rows.append(row)
-    return mf.replace(rows=rows), dropped
-
-
 def split_free_module(mf, v):
     """Split along the rule basis 1, v, ..., v^{d-1} of the base module."""
     rule = mf.base.rule_for(v)
     if rule is None:
         raise ValueError("no rule with leader %s%d" % v)
     d, _ = rule
+    residual = _residual(mf, v)
+    if residual:
+        raise ResidualVariable(residual)
     nf = mf.base.normal_form
-    for i, row in enumerate(mf.rows):
-        if nf(row.a).degree_in(v) or nf(row.b).degree_in(v):
-            raise ResidualVariable("row %d still contains %s%d" % (i, *v))
-    for w, dw, p in mf.base.rules:
-        if w != v and p.degree_in(v):
-            raise ResidualVariable("rule on %s%d still contains %s%d"
-                                   % (w[0], w[1], *v))
     base = QuotientRing([r for r in mf.base.rules if r[0] != v])
     copies = [KoszulMF([r.mapped(nf) for r in mf.rows], base,
                        mf.shift + k * var_degree(v), mf.parity)
@@ -151,13 +133,31 @@ def split_free_module(mf, v):
     return MFSum(copies)
 
 
+def _residual(mf, v):
+    """Where v still occurs outside its own rule, as a message (a row's
+    normal form or another rule); None where v is free to split along."""
+    nf = mf.base.normal_form
+    for i, row in enumerate(mf.rows):
+        if nf(row.a).degree_in(v) or nf(row.b).degree_in(v):
+            return "row %d still contains %s%d" % (i, *v)
+    for w, _, p in mf.base.rules:
+        if w != v and p.degree_in(v):
+            return "rule on %s%d still contains %s%d" % (w[0], w[1], *v)
+    return None
+
+
 def _exclusion_candidates(mf, potential_vars, order=None):
-    """Feasible (row, var, side, power) in deterministic preference order."""
+    """Feasible (row, var, side, power) in deterministic preference order.
+
+    A rule's leader is never a candidate: the base cannot take a second
+    rule on it, nor substitute it away.
+    """
+    leaders = {w for w, _, _ in mf.base.rules}
     out = []
     for i, row in enumerate(mf.rows):
         variables = sorted(row.a.variables() | row.b.variables(), key=var_key)
         for v in variables:
-            if v in potential_vars:
+            if v in potential_vars or v in leaders:
                 continue
             for side, entry in (("b", row.b), ("a", row.a)):
                 data = _monic_data(entry, v)
@@ -171,15 +171,8 @@ def _exclusion_candidates(mf, potential_vars, order=None):
 def _splittable_variables(mf):
     if not mf.rows:
         return []
-    nf = mf.base.normal_form
-    out = []
-    for v, d, _ in mf.base.rules:
-        if any(nf(r.a).degree_in(v) or nf(r.b).degree_in(v) for r in mf.rows):
-            continue
-        if any(w != v and p.degree_in(v) for w, _, p in mf.base.rules):
-            continue
-        out.append(v)
-    return sorted(out, key=var_key)
+    return sorted((v for v, _, _ in mf.base.rules if not _residual(mf, v)),
+                  key=var_key)
 
 
 def auto_reduce(mf, order=None):
@@ -197,14 +190,7 @@ def auto_reduce(mf, order=None):
 
 def _reduce(mf, potential_vars, zero, order, budget):
     """(summands, steps); potential_vars and zero (is the potential 0?)
-    describe mf's potential, which only a drop of rows can change."""
-    mf, dropped = eliminate_contractible(mf)
-    pre = []
-    if dropped:
-        pre.append(("drop", {"rows": tuple(dropped)}))
-        potential = mf.potential()
-        potential_vars, zero = potential.variables(), potential.is_zero()
-
+    describe the potential, which no exclusion or split changes."""
     best = None
     for (i, v, side, d) in _exclusion_candidates(mf, potential_vars, order):
         if budget["branches"] <= 0 and best is not None:
@@ -218,7 +204,7 @@ def _reduce(mf, potential_vars, zero, order, budget):
             budget["branches"] -= 1
         summands, sub = _reduce(nxt, potential_vars, zero, order, budget)
         step = ("exclude", {"row": i, "var": v, "side": side, "power": d})
-        branch = summands, pre + [step] + sub
+        branch = summands, [step] + sub
         if not zero or all(not s.rows for s in summands):
             return branch
         best = best or branch
@@ -234,9 +220,9 @@ def _reduce(mf, potential_vars, zero, order, budget):
             sizes.append(len(sub))
         d, _ = mf.base.rule_for(v)
         split = ("split", {"var": v, "power": d, "sizes": tuple(sizes)})
-        return out, pre + [split] + steps
+        return out, [split] + steps
 
-    return [mf], pre
+    return [mf], []
 
 
 def replay(mf, trace):
@@ -246,10 +232,7 @@ def replay(mf, trace):
 
 def _replay(cur, steps):
     for kind, info in steps:
-        if kind == "drop":
-            cur = cur.replace(rows=[r for j, r in enumerate(cur.rows)
-                                    if j not in info["rows"]])
-        elif kind == "exclude":
+        if kind == "exclude":
             cur = exclude_variable(cur, info["row"], info["var"],
                                    info["side"])
         elif kind == "split":

@@ -48,6 +48,12 @@ def test_contractible_row_has_no_homology():
     assert euler_characteristic(h) == LaurentPoly()
 
 
+def test_reduction_keeps_a_contractible_row():
+    # K(1; 0) is contractible: reducing it must not leave its base behind
+    m = koszul_new(Poly.const(1), Poly(), deg_a=0, deg_b=0)
+    assert graded_homology(auto_reduce(m)[0]) == graded_homology(m)
+
+
 def test_translate_swaps_parities():
     for n in (3, 4):
         m = _loop(n)

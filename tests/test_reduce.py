@@ -116,6 +116,22 @@ def test_nonzero_potential_search_does_not_backtrack(monkeypatch):
     assert len(made) == 4
 
 
+def test_reduction_keeps_the_potential_of_a_unit_row():
+    m = koszul_new(Poly.const(1), v(X1), deg_a=0, deg_b=2)
+    reduced, _ = auto_reduce(m)
+    assert [s.potential() for s in reduced] == [v(X1)]
+
+
+def test_rule_leaders_are_no_exclusion_candidates():
+    # the base takes no second rule on a leader and cannot substitute it
+    for summand in auto_reduce(glue(parse_diagram(NESTED)))[0]:
+        leaders = {w for w, _, _ in summand.base.rules}
+        assert leaders and summand.rows
+        candidates = reduce_module._exclusion_candidates(
+            summand, summand.potential().variables())
+        assert not any(var in leaders for _, var, _, _ in candidates)
+
+
 def test_split_free_module():
     base = auto_reduce(_circle_mf(3))[0].summands[0].base
     (var, power, _), = base.rules
