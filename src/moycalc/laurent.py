@@ -61,6 +61,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative power")
         out = LaurentPoly.const(1)
         for _ in range(k):
             out = out * self

@@ -19,8 +19,8 @@ Crossing pieces (xplus/xminus) expand into their two planar resolutions
 with the skein coefficients before evaluation.
 """
 
-from .diagram import (CROSSINGS, DOUBLE_SLOTS, ROLES, Diagram, DiagramError,
-                      Piece, parse_diagram, refuse_crossings)
+from .diagram import (CROSSINGS, ROLES, Diagram, DiagramError, Piece,
+                      parse_diagram, refuse_crossings)
 from .laurent import LaurentPoly, quantum_integer
 
 VERTEX_KINDS = ("vin", "vout")
@@ -35,29 +35,32 @@ class StuckGraph(ValueError):
 
 
 class MOYGraph:
-    """Mutable closed graph: vertices, attached edges, and free loops.
+    """Mutable closed graph: vertices, the edges between their ports, and
+    free loops.
 
-    Edge endpoints are (vertex id, port).  Ports are "s0"/"s1" for the
-    single slots of a vertex and "d" for its double slot.
+    A port is (vertex id, "s0" | "s1" | "d"): the single slots and the
+    double slot of a vertex.  Each port carries exactly one edge, stored
+    once as succ[out-port] = in-port and pred[in-port] = out-port; an
+    edge is double when its ports are "d" and single otherwise.
     """
 
     def __init__(self, n):
         self.n = n
         self.vertices = {}      # vid -> "vin" | "vout"
-        self.edges = {}         # eid -> [kind, src, dst]
+        self.succ = {}          # out-port -> in-port
+        self.pred = {}          # in-port -> out-port
         self.loops_single = 0
         self.loops_double = 0
         self._next_vid = 0
-        self._next_eid = 0
 
     def copy(self):
         g = MOYGraph(self.n)
         g.vertices = dict(self.vertices)
-        g.edges = {e: list(v) for e, v in self.edges.items()}
+        g.succ = dict(self.succ)
+        g.pred = dict(self.pred)
         g.loops_single = self.loops_single
         g.loops_double = self.loops_double
         g._next_vid = self._next_vid
-        g._next_eid = self._next_eid
         return g
 
     def add_vertex(self, kind):
@@ -68,90 +71,57 @@ class MOYGraph:
         self.vertices[vid] = kind
         return vid
 
-    def add_edge(self, kind, src, dst):
-        eid = self._next_eid
-        self._next_eid += 1
-        self.edges[eid] = [kind, src, dst]
-        return eid
-
     def add_loop(self, kind):
         if kind == "single":
             self.loops_single += 1
         else:
             self.loops_double += 1
 
-    def edge_at(self, vid, port, end):
-        """The unique edge whose src (end=1) or dst (end=2) is (vid, port)."""
-        for eid, (_, src, dst) in self.edges.items():
-            if (src, dst)[end - 1] == (vid, port):
-                return eid
-        raise KeyError("no edge at %s of vertex %d port %s"
-                       % ("src dst".split()[end - 1], vid, port))
+    def splice(self, vids, stitches):
+        """Delete the vertices vids and reconnect the strands through them.
 
-    def out_edge(self, vid, port):
-        return self.edge_at(vid, port, 1)
-
-    def in_edge(self, vid, port):
-        return self.edge_at(vid, port, 2)
-
-    def join(self, ein, eout):
-        """Splice the edge ending at a removed vertex to the edge leaving
-        it.  Both endpoints' vertices must already be deleted."""
-        self.join_many([(ein, eout)])
-
-    def join_many(self, stitches):
-        """Apply several (ein, eout) splices at once.
-
-        Each stitch says: the edge ein now continues as eout.  Chains of
-        stitches compose; a cycle of stitches closes into a free loop.
+        A stitch (in-port, out-port) pairs two ports of deleted vertices:
+        the strand that enters at the in-port leaves at the out-port.
+        Chains of stitches compose, and a closed chain becomes a free
+        loop.  Every other edge at a deleted vertex goes.
         """
+        gone = set(vids)
         cont = dict(stitches)
-        eouts = set(cont.values())
-        consumed = set()
-        for e0 in sorted(cont):
-            if e0 in consumed or e0 in eouts:
+        links = []
+        seen = set()
+        for start in cont:
+            src = self.pred[start]
+            if src[0] in gone:
+                continue            # inside a chain, or on a closed one
+            dst = start
+            while dst in cont:
+                seen.add(dst)
+                dst = self.succ[cont[dst]]
+            links.append((src, dst))
+        for start in cont:
+            if start in seen:
                 continue
-            chain = [e0]
-            e = e0
-            while e in cont:
-                e = cont[e]
-                chain.append(e)
-            self.edges[e0][2] = self.edges[chain[-1]][2]
-            for mid in chain[1:]:
-                del self.edges[mid]
-                consumed.add(mid)
-            consumed.add(e0)
-        for e0 in sorted(cont):
-            if e0 in consumed:
-                continue
-            chain = [e0]
-            e = cont[e0]
-            while e != e0:
-                chain.append(e)
-                e = cont[e]
-            kind = self.edges[e0][0]
-            for mid in chain:
-                del self.edges[mid]
-                consumed.add(mid)
-            self.add_loop(kind)
-
-    def remove_vertices(self, vids):
-        for vid in vids:
+            dst = start
+            while dst not in seen:
+                seen.add(dst)
+                dst = self.succ[cont[dst]]
+            self.add_loop("double" if start[1] == "d" else "single")
+        for vid in gone:
             del self.vertices[vid]
-
-    def singles_between(self, w, v):
-        """Single edges from vertex w to vertex v, sorted by id."""
-        return sorted(eid for eid, (kind, src, dst) in self.edges.items()
-                      if kind == "single" and src and dst
-                      and src[0] == w and dst[0] == v)
+            for port in ("s0", "s1", "d"):
+                self.succ.pop((vid, port), None)
+                self.pred.pop((vid, port), None)
+        for src, dst in links:
+            self.succ[src] = dst
+            self.pred[dst] = src
 
     def __str__(self):
         parts = ["n=%d" % self.n]
         for vid in sorted(self.vertices):
             parts.append("vertex %d: %s" % (vid, self.vertices[vid]))
-        for eid in sorted(self.edges):
-            kind, src, dst = self.edges[eid]
-            parts.append("edge %d: %s %s -> %s" % (eid, kind, src, dst))
+        for src, dst in sorted(self.succ.items()):
+            parts.append("edge: %s %s -> %s" % (
+                "double" if src[1] == "d" else "single", src, dst))
         if self.loops_single:
             parts.append("single loops: %d" % self.loops_single)
         if self.loops_double:
@@ -182,7 +152,7 @@ class MOYGraph:
             elif p.kind == "wide":
                 win = g.add_vertex("vin")
                 wout = g.add_vertex("vout")
-                g.add_edge("double", (win, "d"), (wout, "d"))
+                g.succ[(win, "d")] = (wout, "d")
                 endpoint[(id(p), 0)] = (wout, "s0")
                 endpoint[(id(p), 1)] = (wout, "s1")
                 endpoint[(id(p), 2)] = (win, "s0")
@@ -201,15 +171,13 @@ class MOYGraph:
             for slot, name in enumerate(p.params):
                 if ROLES[p.kind][slot] != "out":
                     continue
-                kind = ("double" if slot in DOUBLE_SLOTS[p.kind]
-                        else "single")
                 q, qslot = consumer(diagram.class_of(name))
                 while is_wire(q):
                     visited.add(id(q))
                     out_slot = ROLES[q.kind].index("out")
                     q, qslot = consumer(diagram.class_of(q.params[out_slot]))
-                g.add_edge(kind, endpoint[(id(p), slot)],
-                           endpoint[(id(q), qslot)])
+                g.succ[endpoint[(id(p), slot)]] = endpoint[(id(q), qslot)]
+        g.pred = {dst: src for src, dst in g.succ.items()}
 
         # wire pieces never reached from a vertex form free loops
         for p in diagram.pieces:
@@ -229,6 +197,9 @@ class MOYGraph:
 
 # -- relation matching -------------------------------------------------------
 
+_OTHER = {"s0": "s1", "s1": "s0"}
+
+
 def _loop_value(graph):
     n = graph.n
     value = LaurentPoly({0: 1})
@@ -246,57 +217,42 @@ def _digon_matches(graph):
     """Relation (5): two parallel single edges vout w -> vin v."""
     out = []
     for w in sorted(graph.vertices):
-        if graph.vertices[w] != "vout":
-            continue
-        for v in sorted(graph.vertices):
-            if graph.vertices[v] != "vin":
-                continue
-            if len(graph.singles_between(w, v)) == 2:
+        if graph.vertices[w] == "vout":
+            v = graph.succ[(w, "s0")][0]
+            if graph.succ[(w, "s1")][0] == v:
                 out.append((w, v))
     return out
 
 
 def _apply_digon(graph, match):
     w, v = match
-    e1, e2 = graph.singles_between(w, v)
-    ein = graph.in_edge(w, "d")
-    eout = graph.out_edge(v, "d")
-    del graph.edges[e1]
-    del graph.edges[e2]
-    graph.remove_vertices((w, v))
-    graph.join(ein, eout)
-    return quantum_integer(2)
+    g = graph.copy()
+    g.splice((w, v), [((w, "d"), (v, "d"))])
+    return [(quantum_integer(2), g)]
 
 
 def _bigon_matches(graph):
-    """Relation (6): double edge vin v -> vout w plus one single w -> v."""
+    """Relation (6): double edge vin v -> vout w plus one single w -> v.
+
+    A match (v, w, back) names the back edge by its out-port at w.
+    """
     out = []
     for v in sorted(graph.vertices):
         if graph.vertices[v] != "vin":
             continue
-        dbl = graph.out_edge(v, "d")
-        dst = graph.edges[dbl][2]
-        w = dst[0]
-        if graph.vertices.get(w) != "vout" or dst[1] != "d":
-            continue
-        for back in graph.singles_between(w, v):
-            out.append((v, w, back))
+        w = graph.succ[(v, "d")][0]
+        for port in ("s0", "s1"):
+            if graph.succ[(w, port)][0] == v:
+                out.append((v, w, (w, port)))
     return out
 
 
 def _apply_bigon(graph, match):
     v, w, back = match
-    back_src_port = graph.edges[back][1][1]
-    back_dst_port = graph.edges[back][2][1]
-    other_in_port = "s1" if back_dst_port == "s0" else "s0"
-    other_out_port = "s1" if back_src_port == "s0" else "s0"
-    ein = graph.in_edge(v, other_in_port)
-    eout = graph.out_edge(w, other_out_port)
-    del graph.edges[graph.out_edge(v, "d")]
-    del graph.edges[back]
-    graph.remove_vertices((v, w))
-    graph.join(ein, eout)
-    return quantum_integer(graph.n - 1)
+    g = graph.copy()
+    g.splice((v, w), [((v, _OTHER[graph.succ[back][1]]),
+                       (w, _OTHER[back[1]]))])
+    return [(quantum_integer(graph.n - 1), g)]
 
 
 def _square_matches(graph):
@@ -304,55 +260,54 @@ def _square_matches(graph):
 
     Vertices p (vin), q (vout), r (vin), s (vout); double edges p -> q
     and r -> s; single edges q -> r and s -> p; one external single into
-    p and into r, one external single out of q and out of s.
+    p and into r, one external single out of q and out of s.  A match
+    (p, q, r, s, qr, sp) names the edges q -> r and s -> p by their
+    out-ports.
     """
     out = []
     for p in sorted(graph.vertices):
         if graph.vertices[p] != "vin":
             continue
-        dbl_pq = graph.out_edge(p, "d")
-        q, qport = graph.edges[dbl_pq][2]
-        if graph.vertices.get(q) != "vout" or qport != "d":
-            continue
-        for r in sorted(graph.vertices):
-            if r == p or graph.vertices[r] != "vin":
+        q = graph.succ[(p, "d")][0]
+        targets = sorted((graph.succ[(q, port)][0], (q, port))
+                         for port in ("s0", "s1"))
+        if targets[0][0] == targets[1][0]:
+            continue                # both singles of q go to one vertex
+        for r, qr in targets:
+            if r == p:
                 continue
-            qr = graph.singles_between(q, r)
-            if len(qr) != 1:
-                continue
-            dbl_rs = graph.out_edge(r, "d")
-            s, sport = graph.edges[dbl_rs][2]
-            if graph.vertices.get(s) != "vout" or sport != "d" or s == q:
-                continue
-            sp = graph.singles_between(s, p)
-            if len(sp) != 1:
-                continue
-            out.append((p, q, r, s, qr[0], sp[0]))
+            s = graph.succ[(r, "d")][0]
+            sp = [(s, port) for port in ("s0", "s1")
+                  if graph.succ[(s, port)][0] == p]
+            if len(sp) == 1:
+                out.append((p, q, r, s, qr, sp[0]))
     return out
 
 
 def _apply_square(graph, match):
-    """Returns [(coefficient, rewritten graph), ...] — a two-term sum."""
+    """A two-term sum: the square opens up one way or the other."""
     p, q, r, s, qr, sp = match
-    sp_in_port = graph.edges[sp][2][1]
-    qr_in_port = graph.edges[qr][2][1]
-    e_p = graph.in_edge(p, "s1" if sp_in_port == "s0" else "s0")
-    e_r = graph.in_edge(r, "s1" if qr_in_port == "s0" else "s0")
-    f_q = graph.out_edge(q, "s1" if graph.edges[qr][1][1] == "s0" else "s0")
-    f_s = graph.out_edge(s, "s1" if graph.edges[sp][1][1] == "s0" else "s0")
-
+    # the external in-ports of p and r, and out-ports of q and s
+    in_p = (p, _OTHER[graph.succ[sp][1]])
+    in_r = (r, _OTHER[graph.succ[qr][1]])
+    out_q = (q, _OTHER[qr[1]])
+    out_s = (s, _OTHER[sp[1]])
     terms = []
-    one = LaurentPoly({0: 1})
-    for coeff, pairs in ((one, ((e_r, f_q), (e_p, f_s))),
-                         (quantum_integer(graph.n - 2),
-                          ((e_p, f_q), (e_r, f_s)))):
+    for coeff, stitches in ((LaurentPoly({0: 1}),
+                             ((in_r, out_q), (in_p, out_s))),
+                            (quantum_integer(graph.n - 2),
+                             ((in_p, out_q), (in_r, out_s)))):
         g = graph.copy()
-        for eid in (graph.out_edge(p, "d"), graph.out_edge(r, "d"), qr, sp):
-            del g.edges[eid]
-        g.remove_vertices((p, q, r, s))
-        g.join_many(pairs)
+        g.splice((p, q, r, s), stitches)
         terms.append((coeff, g))
     return terms
+
+
+# relation name -> (matcher, apply); the order is the rewrite priority, and
+# every apply returns the rewritten graphs as [(coefficient, graph)]
+RELATIONS = {"digon": (_digon_matches, _apply_digon),
+             "bigon": (_bigon_matches, _apply_bigon),
+             "square": (_square_matches, _apply_square)}
 
 
 def bracket(graph, first_match=None):
@@ -361,48 +316,32 @@ def bracket(graph, first_match=None):
     first_match optionally forces the first rewrite, as a pair
     (relation name, match tuple) — used to compare rewrite paths.
     """
-    graph = graph.copy()
-    if not graph.vertices:
-        if graph.edges:
-            raise StuckGraph(graph)
-        return _loop_value(graph)
+    if first_match is None:
+        if not graph.vertices:
+            return _loop_value(graph)
+        first_match = _next_rewrite(graph)
+    name, match = first_match
+    total = LaurentPoly()
+    for coeff, g in RELATIONS[name][1](graph, match):
+        total = total + coeff * bracket(g)
+    return total
 
-    if first_match is not None:
-        name, match = first_match
-        return _apply(graph, name, match)
 
-    for name, matcher in (("digon", _digon_matches),
-                          ("bigon", _bigon_matches),
-                          ("square", _square_matches)):
+def _next_rewrite(graph):
+    for name, (matcher, _) in RELATIONS.items():
         matches = matcher(graph)
         if matches:
-            return _apply(graph, name, matches[0])
+            return name, matches[0]
     raise StuckGraph(graph)
-
-
-def _apply(graph, name, match):
-    if name == "digon":
-        return _apply_digon(graph, match) * bracket(graph)
-    if name == "bigon":
-        return _apply_bigon(graph, match) * bracket(graph)
-    if name == "square":
-        total = LaurentPoly()
-        for coeff, g in _apply_square(graph, match):
-            total = total + coeff * bracket(g)
-        return total
-    raise ValueError("unknown relation %r" % name)
 
 
 def all_path_values(graph):
     """Values along every rewrite path; confluence means one element."""
     if not graph.vertices:
         return {bracket(graph)}
-    out = set()
-    for name, matcher in (("digon", _digon_matches),
-                          ("bigon", _bigon_matches),
-                          ("square", _square_matches)):
-        for match in matcher(graph):
-            out.add(bracket(graph, first_match=(name, match)))
+    out = {bracket(graph, first_match=(name, match))
+           for name, (matcher, _) in RELATIONS.items()
+           for match in matcher(graph)}
     if not out:
         raise StuckGraph(graph)
     return out

@@ -20,6 +20,13 @@ def test_quantum_integer_recurrence():
         assert lhs == rhs
 
 
+def test_negative_power_raises():
+    assert quantum_integer(3) ** 0 == LaurentPoly({0: 1})
+    assert quantum_integer(2) ** 2 == quantum_integer(3) + 1
+    with pytest.raises(ValueError):
+        quantum_integer(3) ** -1
+
+
 def test_exact_div():
     for n in range(2, 9):
         prod = quantum_integer(n) * quantum_integer(n - 1)

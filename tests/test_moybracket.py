@@ -4,9 +4,11 @@ import pytest
 
 from moycalc.diagram import (DiagramError, ParseError, build_primitive, glue,
                              parse_diagram)
+from moycalc.homology import euler_characteristic, graded_homology
 from moycalc.laurent import LaurentPoly, quantum_integer
-from moycalc.moybracket import (MOYGraph, StuckGraph, all_path_values,
-                                bracket, bracket_text, expand_crossings)
+from moycalc.moybracket import (MOYGraph, StuckGraph, _square_matches,
+                                all_path_values, bracket, bracket_text,
+                                expand_crossings)
 
 CIRCLE = "n %d\narc x1 x2\nglue x1 x2\n"
 DCIRCLE = "n %d\ndline d1 d2\nglue d1 d2\n"
@@ -123,13 +125,72 @@ def test_reidemeister_two_invariance():
         assert bracket_text(r2 % n) == quantum_integer(n) ** 2
 
 
-def test_stuck_graph_raises():
-    # a lone double loop with a leftover single edge cannot appear from a
-    # valid diagram, so synthesize a vertexless graph with a stray edge
-    g = MOYGraph(3)
-    g.add_edge("single", None, None)
-    with pytest.raises(StuckGraph):
-        bracket(g)
+# the closure of (W1 W0)^3 on three strands, Wi a wide edge between strands
+# i and i+1: the smallest web on which no digon, bigon or square applies
+STUCK_WEB = """n 4
+arc x1 x2
+arc x3 x4
+arc x5 x6
+wide x7 x8 x9 x10
+wide x11 x12 x13 x14
+wide x15 x16 x17 x18
+wide x19 x20 x21 x22
+wide x23 x24 x25 x26
+wide x27 x28 x29 x30
+glue x4 x9
+glue x6 x10
+glue x2 x13
+glue x7 x14
+glue x12 x17
+glue x8 x18
+glue x11 x21
+glue x15 x22
+glue x20 x25
+glue x16 x26
+glue x19 x29
+glue x23 x30
+glue x27 x1
+glue x28 x3
+glue x24 x5
+"""
+
+# the closure of W1 W0 on three strands, where relation (7) applies
+SQUARE_WEB = """n %d
+arc x1 x2
+arc x3 x4
+arc x5 x6
+wide x7 x8 x9 x10
+wide x11 x12 x13 x14
+glue x4 x9
+glue x6 x10
+glue x2 x13
+glue x7 x14
+glue x11 x1
+glue x12 x3
+glue x8 x5
+"""
+
+
+def test_stuck_web_raises():
+    with pytest.raises(StuckGraph) as e:
+        bracket(_graph(STUCK_WEB))
+    message = str(e.value)
+    assert message.count("\nvertex ") == 12
+    assert "edge: double (0, 'd') -> (1, 'd')" in message
+
+
+def test_square_relation_matches_euler_characteristic():
+    # all_path_values rewrites the square first along some paths; every
+    # path must reach the euler characteristic of the homology
+    chis = {}
+    for n in (3, 4):
+        graph = _graph(SQUARE_WEB % n)
+        assert _square_matches(graph)
+        chis[n] = euler_characteristic(graded_homology(glue(parse_diagram(
+            SQUARE_WEB % n))))
+        assert all_path_values(graph) == {chis[n]}
+    assert chis[4] == LaurentPoly({-7: 1, -5: 3, -3: 6, -1: 8, 1: 8, 3: 6,
+                                   5: 3, 7: 1})
 
 
 def test_crossing_errors_carry_source_position():

@@ -1,0 +1,50 @@
+"""The benchmark's tracer rebinds program names and puts them back.
+
+``perfbench/tracing.py`` looks program functions up by name; renaming or
+removing one of them must fail here, not only in a traced benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    """Every name bound in a moycalc module or in a class defined there."""
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] != "moycalc" or module is None:
+            continue
+        for attr, value in vars(module).items():
+            out[(name, attr)] = value
+            if isinstance(value, type) and value.__module__ == name:
+                for key, member in vars(value).items():
+                    out[(name, attr, key)] = member
+    return out
+
+
+def test_tracer_restores_the_names_it_rebinds():
+    tracing = _load_tracing()
+    before = _bindings()
+    tracer = tracing.Tracer().install()
+    try:
+        during = _bindings()
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    rebound = {key for key in before if during[key] is not before[key]}
+    assert {("moycalc.moybracket", "bracket"),
+            ("moycalc.moybracket", "expand_crossings"),
+            ("moycalc.moybracket", "MOYGraph", "from_diagram")} <= rebound
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
