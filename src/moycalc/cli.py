@@ -19,7 +19,8 @@ from .diagram import DiagramError, glue, parse_diagram
 from .homology import NonzeroPotential, euler_characteristic, graded_homology
 from .laurent import LaurentDivisionError, LaurentPoly, quantum_integer
 from .mf import NotAFactorization, OddShift, ZeroScalar
-from .moybracket import MOYGraph, StuckGraph, all_path_values, bracket_text
+from .moybracket import (MOYGraph, StuckGraph, all_path_values, bracket_text,
+                         double_loop_value)
 from .poly import NonExactDivision
 from .quotient import InfiniteDimension, TriangularityViolation
 from .reduce import (NotMonicInVariable, ResidualVariable, VariableInPotential,
@@ -189,7 +190,7 @@ def _cmd_selftest(args):
     failures = 0
     for n in range(3, args.n_max + 1):
         qn = quantum_integer(n)
-        dval = (qn * quantum_integer(n - 1)).exact_div(quantum_integer(2))
+        dval = double_loop_value(n)
 
         def run(label, fn, expect):
             nonlocal failures

@@ -14,8 +14,13 @@ class LaurentPoly:
         clean = {}
         if terms:
             for e, c in terms.items():
+                if type(e) is not int or type(c) is not int:
+                    if int(e) != e or int(c) != c:
+                        raise ValueError("non-integral Laurent term %r: %r"
+                                         % (e, c))
+                    e, c = int(e), int(c)
                 if c:
-                    clean[int(e)] = int(c)
+                    clean[e] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):

@@ -15,15 +15,20 @@ graph by local relations until only free loops remain:
   (7)  the oriented square of four vertices expands into a two-term sum
        with coefficients 1 and [n-2].
 
-Crossing pieces (xplus/xminus) expand into their two planar resolutions
-with the skein coefficients before evaluation.
+Building a graph from a diagram is one splice: arcs and dlines are wires
+that the splice absorbs into the edges they carry, or counts as loops.
+A crossing piece (xplus/xminus) is built as its wide edge, and its arcs
+resolution is a splice of that vin/vout pair; bracket_text builds the
+graph once and sums the skein-weighted values of its 2^c resolutions.
 """
 
-from .diagram import (CROSSINGS, ROLES, Diagram, DiagramError, Piece,
-                      parse_diagram, refuse_crossings)
+from collections import Counter
+
+from .diagram import CROSSINGS, DiagramError, parse_diagram, refuse_crossings
 from .laurent import LaurentPoly, quantum_integer
 
-VERTEX_KINDS = ("vin", "vout")
+# the port at each parameter slot of a vin or vout piece
+VERTEX_PORTS = {"vin": ("s0", "s1", "d"), "vout": ("d", "s0", "s1")}
 
 
 class StuckGraph(ValueError):
@@ -64,18 +69,12 @@ class MOYGraph:
         return g
 
     def add_vertex(self, kind):
-        if kind not in VERTEX_KINDS:
+        if kind not in VERTEX_PORTS:
             raise ValueError("vertex kind must be vin or vout")
         vid = self._next_vid
         self._next_vid += 1
         self.vertices[vid] = kind
         return vid
-
-    def add_loop(self, kind):
-        if kind == "single":
-            self.loops_single += 1
-        else:
-            self.loops_double += 1
 
     def splice(self, vids, stitches):
         """Delete the vertices vids and reconnect the strands through them.
@@ -105,7 +104,10 @@ class MOYGraph:
             while dst not in seen:
                 seen.add(dst)
                 dst = self.succ[cont[dst]]
-            self.add_loop("double" if start[1] == "d" else "single")
+            if start[1] == "d":
+                self.loops_double += 1
+            else:
+                self.loops_single += 1
         for vid in gone:
             del self.vertices[vid]
             for port in ("s0", "s1", "d"):
@@ -134,65 +136,49 @@ class MOYGraph:
 
     @classmethod
     def from_diagram(cls, diagram):
-        if not diagram.is_closed():
-            raise DiagramError("bracket needs a closed diagram")
+        graph, _ = _build(diagram)
         refuse_crossings(diagram)
-        g = cls(diagram.n)
+        return graph
 
-        # a wide edge is a vin/vout pair joined by an internal double edge;
-        # arcs and dlines are wires, absorbed into the edges they carry
-        endpoint = {}     # (piece id, slot) -> (vid, port)
-        for p in diagram.pieces:
-            if p.kind in VERTEX_KINDS:
-                vid = g.add_vertex(p.kind)
-                ports = (("s0", "s1", "d") if p.kind == "vin"
-                         else ("d", "s0", "s1"))
-                for slot, port in enumerate(ports):
-                    endpoint[(id(p), slot)] = (vid, port)
-            elif p.kind == "wide":
-                win = g.add_vertex("vin")
-                wout = g.add_vertex("vout")
-                g.succ[(win, "d")] = (wout, "d")
-                endpoint[(id(p), 0)] = (wout, "s0")
-                endpoint[(id(p), 1)] = (wout, "s1")
-                endpoint[(id(p), 2)] = (win, "s0")
-                endpoint[(id(p), 3)] = (win, "s1")
 
-        def consumer(cls_name):
-            return diagram.classes[cls_name]["in"]
+def _build(diagram):
+    """The graph of a closed diagram, and the vin/vout pair of each crossing.
 
-        def is_wire(p):
-            return p.kind in ("arc", "dline")
-
-        visited = set()
-        for p in diagram.pieces:
-            if is_wire(p):
-                continue
-            for slot, name in enumerate(p.params):
-                if ROLES[p.kind][slot] != "out":
-                    continue
-                q, qslot = consumer(diagram.class_of(name))
-                while is_wire(q):
-                    visited.add(id(q))
-                    out_slot = ROLES[q.kind].index("out")
-                    q, qslot = consumer(diagram.class_of(q.params[out_slot]))
-                g.succ[endpoint[(id(p), slot)]] = endpoint[(id(q), qslot)]
-        g.pred = {dst: src for src, dst in g.succ.items()}
-
-        # wire pieces never reached from a vertex form free loops
-        for p in diagram.pieces:
-            if not is_wire(p) or id(p) in visited:
-                continue
-            kind = "double" if p.kind == "dline" else "single"
-            q = p
-            while True:
-                visited.add(id(q))
-                out_slot = ROLES[q.kind].index("out")
-                q, _ = consumer(diagram.class_of(q.params[out_slot]))
-                if id(q) in visited:
-                    break
-            g.add_loop(kind)
-        return g
+    A wide edge or a crossing is a vin/vout pair joined by an internal
+    double edge; its vertex ids are taken at its place in the piece order.
+    An arc or a dline is a wire: one port that both takes and gives its
+    edge, under an id of its own that add_vertex never hands out.  One
+    splice removes the wires and counts the loops they close.
+    """
+    if not diagram.is_closed():
+        raise DiagramError("bracket needs a closed diagram")
+    g = MOYGraph(diagram.n)
+    endpoint = {}     # (piece, slot) -> (vid, port)
+    pairs = {}        # crossing piece -> (vin, vout)
+    wires = []
+    for p in diagram.pieces:
+        if p.kind in VERTEX_PORTS:
+            vid = g.add_vertex(p.kind)
+            ports = [(vid, port) for port in VERTEX_PORTS[p.kind]]
+        elif p.kind in ("arc", "dline"):
+            wire = (-1 - len(wires), "s0" if p.kind == "arc" else "d")
+            g.vertices[wire[0]] = p.kind    # until the splice below
+            wires.append(wire)
+            ports = (wire, wire)
+        else:
+            win = g.add_vertex("vin")
+            wout = g.add_vertex("vout")
+            g.succ[(win, "d")] = (wout, "d")
+            ports = ((wout, "s0"), (wout, "s1"), (win, "s0"), (win, "s1"))
+            if p.kind in CROSSINGS:
+                pairs[p] = (win, wout)
+        for slot, port in enumerate(ports):
+            endpoint[(p, slot)] = port
+    for info in diagram.classes.values():
+        g.succ[endpoint[info["out"]]] = endpoint[info["in"]]
+    g.pred = {dst: src for src, dst in g.succ.items()}
+    g.splice([vid for vid, _ in wires], [(port, port) for port in wires])
+    return g, pairs
 
 
 # -- relation matching -------------------------------------------------------
@@ -200,17 +186,19 @@ class MOYGraph:
 _OTHER = {"s0": "s1", "s1": "s0"}
 
 
+def double_loop_value(n):
+    """[n][n-1]/[2], the value of a free double loop.
+
+    It is the quantum binomial [n choose 2]: the sum of q^(2(i+j)+2-2n)
+    over 0 <= i < j < n, built without a division.
+    """
+    return LaurentPoly(Counter(2 * (i + j) + 2 - 2 * n
+                               for j in range(n) for i in range(j)))
+
+
 def _loop_value(graph):
-    n = graph.n
-    value = LaurentPoly({0: 1})
-    for _ in range(graph.loops_single):
-        value = value * quantum_integer(n)
-    if graph.loops_double:
-        dval = (quantum_integer(n) * quantum_integer(n - 1)).exact_div(
-            quantum_integer(2))
-        for _ in range(graph.loops_double):
-            value = value * dval
-    return value
+    return (quantum_integer(graph.n) ** graph.loops_single
+            * double_loop_value(graph.n) ** graph.loops_double)
 
 
 def _digon_matches(graph):
@@ -352,42 +340,45 @@ def all_path_values(graph):
 def expand_crossings(diagram):
     """Resolve the xplus/xminus pieces of a parsed diagram.
 
-    Returns [(coeff, pieces)], one piece list per resolution; pieces are
-    shared across the resolutions.  xplus a b c d / xminus a b c d use
-    the wide-edge convention: a, b outgoing on top, c, d incoming on the
-    bottom.  Each crossing expands into its oriented-arcs and wide-edge
-    resolutions:
+    Returns [(coeff, arcs)], one pair per resolution, where arcs is the
+    tuple of crossing pieces resolved into arcs; the others are resolved
+    into wide edges.  xplus a b c d / xminus a b c d use the wide-edge
+    convention: a, b outgoing on top, c, d incoming on the bottom.  Each
+    crossing expands into its oriented-arcs resolution (arcs c -> a and
+    d -> b) and its wide-edge resolution:
 
       xplus  = q^(n-1) * arcs - q^n * wide
       xminus = q^(1-n) * arcs - q^(-n) * wide
 
-    The wide piece or the first arc takes the crossing's place, and the
-    second arc goes after the last piece, in crossing order.  The graph's
-    vertex ids follow this order, and they decide the rewrite order.
+    Arcs come before wide, with the first crossing outermost.
     """
     n = diagram.n
-    results = [(LaurentPoly({0: 1}), diagram.pieces)]
-    for i, p in enumerate(diagram.pieces):
+    results = [(LaurentPoly({0: 1}), ())]
+    for p in diagram.pieces:
         if p.kind not in CROSSINGS:
             continue
-        a, b, c, d = p.params
-        arcs = (Piece("arc", (c, a), p.line), Piece("arc", (d, b), p.line))
-        wide = (Piece("wide", p.params, p.line),)
-        if p.kind == "xplus":
-            coeffs = (LaurentPoly({n - 1: 1}), LaurentPoly({n: -1}))
-        else:
-            coeffs = (LaurentPoly({1 - n: 1}), LaurentPoly({-n: -1}))
-        results = [(coeff * c2, cur[:i] + [repl] + cur[i + 1:] + extra)
-                   for coeff, cur in results
-                   for c2, (repl, *extra) in zip(coeffs, (arcs, wide))]
+        sign = 1 if p.kind == "xplus" else -1
+        arcs = LaurentPoly({sign * (n - 1): 1})
+        wide = LaurentPoly({sign * n: -1})
+        results = [term for coeff, chosen in results
+                   for term in ((coeff * arcs, chosen + (p,)),
+                                (coeff * wide, chosen))]
     return results
 
 
 def bracket_text(text):
-    """Parse diagram source (crossings allowed) and evaluate the bracket."""
+    """Parse diagram source (crossings allowed) and evaluate the bracket.
+
+    The graph is built once; a resolution splices its arc crossings on a
+    copy, each strand leaving a crossing's vout at the port of its vin.
+    """
     d = parse_diagram(text)
+    graph, pairs = _build(d)
     total = LaurentPoly()
-    for coeff, pieces in expand_crossings(d):
-        graph = MOYGraph.from_diagram(Diagram(d.n, pieces, d.merges))
-        total = total + coeff * bracket(graph)
+    for coeff, arcs in expand_crossings(d):
+        g = graph.copy()
+        g.splice([v for p in arcs for v in pairs[p]],
+                 [((pairs[p][0], port), (pairs[p][1], port))
+                  for p in arcs for port in ("s0", "s1")])
+        total = total + coeff * bracket(g)
     return total

@@ -15,6 +15,7 @@ staircase-basis check below and with the homology ranks.
 from fractions import Fraction
 from itertools import product
 
+from .laurent import LaurentPoly
 from .poly import Poly, var_degree, var_key
 
 class TriangularityViolation(ValueError):
@@ -190,7 +191,6 @@ class QuotientRing:
 
     def graded_dimension(self, shift=0):
         """Graded dimension of the monomial basis, as a LaurentPoly in q."""
-        from .laurent import LaurentPoly
         out = LaurentPoly({shift: 1})
         for v, d, _ in self.rules:
             w = var_degree(v)

@@ -1,5 +1,7 @@
 """Laurent polynomials in q and quantum integers."""
 
+from fractions import Fraction
+
 import pytest
 
 from moycalc.laurent import LaurentDivisionError, LaurentPoly, quantum_integer
@@ -25,6 +27,14 @@ def test_negative_power_raises():
     assert quantum_integer(2) ** 2 == quantum_integer(3) + 1
     with pytest.raises(ValueError):
         quantum_integer(3) ** -1
+
+
+def test_non_integral_terms_raise():
+    for terms in ({0: Fraction(1, 2)}, {Fraction(1, 2): 3}, {1: 2.7}):
+        with pytest.raises(ValueError, match="non-integral"):
+            LaurentPoly(terms)
+    # integral values of other types are still accepted
+    assert LaurentPoly({Fraction(4, 2): 3.0}) == LaurentPoly({2: 3})
 
 
 def test_exact_div():

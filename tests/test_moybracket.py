@@ -1,5 +1,8 @@
 """Graph bracket: loop values, local rewrites, crossings."""
 
+import itertools
+import random
+
 import pytest
 
 from moycalc.diagram import (DiagramError, ParseError, build_primitive, glue,
@@ -56,32 +59,20 @@ def test_expand_crossings_coefficients():
     n = 3
     out = expand_crossings(parse_diagram("n 3\nxplus x1 x2 x3 x4\n"
                                          "glue x1 x3\nglue x2 x4\n"))
-    assert len(out) == 2
-    coeffs = sorted(str(c) for c, _ in out)
-    assert str(LaurentPoly({n - 1: 1})) in coeffs
-    assert str(LaurentPoly({n: -1})) in coeffs
-    resolutions = [[(p.kind, p.params) for p in pieces] for _, pieces in out]
-    assert [("arc", ("x3", "x1")), ("arc", ("x4", "x2"))] in resolutions
-    assert [("wide", ("x1", "x2", "x3", "x4"))] in resolutions
+    # each resolution names the crossings it resolves into arcs
+    assert [(c, [p.line for p in arcs]) for c, arcs in out] == [
+        (LaurentPoly({n - 1: 1}), [2]), (LaurentPoly({n: -1}), [])]
 
 
 def test_expand_crossings_piece_order():
-    # the wide piece or first arc takes the crossing's place; second arcs
-    # follow the last piece, in crossing order
+    # arcs before wide, with the first crossing outermost
     out = expand_crossings(parse_diagram(
         "n 3\nxplus x1 x2 x3 x4\narc x5 x6\nxminus x7 x8 x9 x10\n"))
     assert [c for c, _ in out] == [
         LaurentPoly({0: 1}), LaurentPoly({-1: -1}), LaurentPoly({1: -1}),
         LaurentPoly({0: 1})]
-    assert [" ".join(repr(p) for p in pieces) for _, pieces in out] == [
-        "arc(x3, x1) arc(x5, x6) arc(x9, x7) arc(x4, x2) arc(x10, x8)",
-        "arc(x3, x1) arc(x5, x6) wide(x7, x8, x9, x10) arc(x4, x2)",
-        "wide(x1, x2, x3, x4) arc(x5, x6) arc(x9, x7) arc(x10, x8)",
-        "wide(x1, x2, x3, x4) arc(x5, x6) wide(x7, x8, x9, x10)"]
-    # resolutions share their pieces, and each keeps its crossing's line
-    assert out[0][1][1] is out[3][1][1]
-    assert out[0][1][0] is out[1][1][0]
-    assert [p.line for p in out[0][1]] == [2, 3, 4, 2, 4]
+    assert [[p.line for p in arcs] for _, arcs in out] == [
+        [2, 4], [2], [4], []]
 
 
 def test_crossings_have_no_factorization():
@@ -123,6 +114,92 @@ def test_reidemeister_two_invariance():
           "glue x5 x3\nglue x6 x4\n")
     for n in (3, 4):
         assert bracket_text(r2 % n) == quantum_integer(n) ** 2
+
+
+def _closure_text(n, strands, word):
+    """The closure of a braid word on strands, one arc per strand.
+
+    A letter (kind, i) is an xplus, xminus or wide piece between strands
+    i and i + 1, glued below the letters before it.
+    """
+    names = ("x%d" % k for k in itertools.count(1))
+    lines = ["n %d" % n]
+    tails, heads, glues = [], [], []
+    for _ in range(strands):
+        tails.append(next(names))
+        heads.append(next(names))
+        lines.append("arc %s %s" % (tails[-1], heads[-1]))
+    for kind, i in word:
+        a, b, c, d = (next(names) for _ in range(4))
+        lines.append("%s %s %s %s %s" % (kind, a, b, c, d))
+        glues += [(heads[i], c), (heads[i + 1], d)]
+        heads[i], heads[i + 1] = a, b
+    glues += zip(heads, tails)
+    lines += ["glue %s %s" % g for g in glues]
+    return "\n".join(lines) + "\n"
+
+
+def _written_out_sum(text):
+    """The skein sum with every resolution written out as source text.
+
+    Each crossing line becomes `arc c a` + `arc d b` or `wide a b c d`,
+    and each resolution is parsed and evaluated on its own.
+    """
+    lines = text.splitlines()
+    n = int(lines[0].split()[1])
+    crossings = [k for k, line in enumerate(lines)
+                 if line.split()[0] in ("xplus", "xminus")]
+    total = LaurentPoly()
+    for choice in itertools.product(("arcs", "wide"), repeat=len(crossings)):
+        coeff = LaurentPoly({0: 1})
+        out = list(lines)
+        for k, how in zip(crossings, choice):
+            kind, a, b, c, d = lines[k].split()
+            sign = 1 if kind == "xplus" else -1
+            if how == "arcs":
+                coeff = coeff * LaurentPoly({sign * (n - 1): 1})
+                out[k] = "arc %s %s\narc %s %s" % (c, a, d, b)
+            else:
+                coeff = coeff * LaurentPoly({sign * n: -1})
+                out[k] = "wide %s %s %s %s" % (a, b, c, d)
+        total = total + coeff * bracket(_graph("\n".join(out) + "\n"))
+    return total
+
+
+def test_bracket_text_matches_resolutions_written_out():
+    rng = random.Random(8)
+    for _ in range(40):
+        n = rng.randint(3, 5)
+        strands = rng.randint(2, 4)
+        word = [(rng.choice(("xplus", "xminus")), rng.randrange(strands - 1))
+                for _ in range(rng.randint(1, 5))]
+        text = _closure_text(n, strands, word)
+        try:
+            expected = _written_out_sum(text)
+        except StuckGraph:
+            with pytest.raises(StuckGraph):
+                bracket_text(text)
+        else:
+            assert bracket_text(text) == expected
+
+
+def test_reidemeister_three_invariance():
+    for n in (3, 4):
+        for kind in ("xplus", "xminus"):
+            left = [(kind, 0), (kind, 1), (kind, 0)]
+            right = [(kind, 1), (kind, 0), (kind, 1)]
+            assert (bracket_text(_closure_text(n, 3, left))
+                    == bracket_text(_closure_text(n, 3, right)))
+
+
+def test_figure_eight_is_symmetric_in_q():
+    # the closure of (s1 s2^-1)^2 is amphichiral with writhe 0
+    word = [("xplus", 0), ("xminus", 1)] * 2
+    for n in (3, 4):
+        value = bracket_text(_closure_text(n, 3, word))
+        assert value == LaurentPoly({-e: c for e, c in value.terms.items()})
+    assert value == LaurentPoly({-11: 1, -9: 1, -7: 1, -1: -1, 1: -1, 7: 1,
+                                 9: 1, 11: 1})
 
 
 # the closure of (W1 W0)^3 on three strands, Wi a wide edge between strands
