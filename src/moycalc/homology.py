@@ -11,8 +11,6 @@ placed by parity; a piece with rows is computed from its explicit complex,
 degree by degree.
 """
 
-from fractions import Fraction
-
 from .laurent import LaurentPoly
 from .mf import MFSum
 from .poly import Poly, mono_degree
@@ -121,11 +119,12 @@ def _module_basis(monos, gens):
 
 
 def _map_columns(mat, base, src_basis, tgt_index):
-    """Per source basis vector: the image as {target row: Fraction}."""
+    """Per source basis vector: the image as {target row: coefficient},
+    each an exact int or Fraction read from the normal forms' terms."""
     nf = base.normal_form
     columns = []
     for (mono, j), _ in src_basis:
-        m = Poly({mono: Fraction(1)})
+        m = Poly({mono: 1})
         col = {}
         for (i, jj), entry in mat.entries.items():
             if jj != j:
@@ -133,7 +132,7 @@ def _map_columns(mat, base, src_basis, tgt_index):
             image = nf(entry * m)
             for tmono, coeff in image.terms.items():
                 row = tgt_index[(tmono, i)]
-                col[row] = col.get(row, Fraction(0)) + coeff
+                col[row] = col.get(row, 0) + coeff
         columns.append({r: c for r, c in col.items() if c})
     return columns
 

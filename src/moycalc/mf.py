@@ -12,9 +12,7 @@ The translation functor <1> swaps the slots and negates both maps; on a
 single row it is realized as K(-b; -a){(deg b - deg a)/2}.
 """
 
-from fractions import Fraction
-
-from .poly import Poly
+from .poly import Poly, as_coeff, qdiv
 from .quotient import QuotientRing
 
 
@@ -62,10 +60,11 @@ class KoszulRow:
         return (self.deg_b - self.deg_a) // 2
 
     def scaled(self, c):
-        c = Fraction(c)
+        c = as_coeff(c)
         if not c:
             raise ZeroScalar("row scale factor must be nonzero")
-        return KoszulRow(self.a * c, self.b * (1 / c), self.deg_a, self.deg_b)
+        return KoszulRow(self.a * c, self.b * qdiv(1, c), self.deg_a,
+                         self.deg_b)
 
     def flipped(self):
         """The row of K(a;b)<1> = K(-b;-a){internal_shift}."""

@@ -1,5 +1,10 @@
 """
-Sparse multivariate polynomials over exact rationals.
+Sparse multivariate polynomials with exact rational coefficients.
+
+A coefficient is an ``int`` when it is integral and a ``Fraction`` with
+denominator > 1 otherwise; ``Poly`` normalizes to that form once, at
+construction, and refuses a ``float``.  Every division of coefficients
+goes through ``qdiv``, since ``/`` on two ints would give a float.
 
 Variables come in three kinds, each with a fixed even Z-degree:
 ``x`` and ``y`` variables have degree 2, ``z`` variables have degree 4.
@@ -20,6 +25,25 @@ VAR_DEGREE = {"x": 2, "y": 2, "z": 4}
 
 class NonExactDivision(ArithmeticError):
     """Raised when a multivariate division leaves a nonzero remainder."""
+
+
+def as_coeff(c):
+    """c in coefficient form: an int if integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError("coefficient must be an int or a Fraction, not %s"
+                    % type(c).__name__)
+
+
+def qdiv(a, b):
+    """The exact quotient a / b of two coefficients, in coefficient form."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return as_coeff(Fraction(a, b))
 
 
 def var_key(v):
@@ -77,18 +101,19 @@ def mono_str(mono):
 
 
 class Poly:
-    """Immutable sparse polynomial: map monomial -> nonzero Fraction."""
+    """Immutable sparse polynomial: map monomial -> nonzero coefficient,
+    an int or a non-integral Fraction (see the module docstring)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
         if terms:
-            for mono, coeff in terms.items():
-                if type(coeff) is not Fraction:
-                    coeff = Fraction(coeff)
-                if coeff:
-                    clean[mono] = coeff
+            for mono, c in terms.items():
+                if type(c) is not int:
+                    c = as_coeff(c)
+                if c:
+                    clean[mono] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -98,14 +123,14 @@ class Poly:
 
     @staticmethod
     def const(c):
-        c = Fraction(c)
+        c = as_coeff(c)
         return Poly({(): c}) if c else Poly()
 
     @staticmethod
     def var(v, e=1):
         if v[0] not in KINDS or v[1] < 1:
             raise ValueError("bad variable %r" % (v,))
-        return Poly({((v, e),): Fraction(1)}) if e else Poly.const(1)
+        return Poly({((v, e),): 1}) if e else Poly.const(1)
 
     # -- predicates / views ------------------------------------------
 
@@ -118,7 +143,7 @@ class Poly:
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant: %s" % self)
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def variables(self):
         out = set()
@@ -158,7 +183,7 @@ class Poly:
             exp = dict(mono)
             if exp.pop(v, 0) == e:
                 rest = tuple(sorted(exp.items(), key=lambda it: var_key(it[0])))
-                out[rest] = out.get(rest, Fraction(0)) + coeff
+                out[rest] = out.get(rest, 0) + coeff
         return Poly(out)
 
     def leading(self):
@@ -177,11 +202,11 @@ class Poly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly.const(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
+            out[mono] = out.get(mono, 0) + coeff
         return Poly(out)
 
     __radd__ = __add__
@@ -190,7 +215,7 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly.const(other)
         return self + (-other)
 
@@ -198,14 +223,14 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, Poly):
+            c = as_coeff(other)
             return Poly({m: co * c for m, co in self.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                out[m] = out.get(m, 0) + c1 * c2
         return Poly(out)
 
     __rmul__ = __mul__
@@ -265,7 +290,7 @@ class Poly:
             else:
                 exp[v] = e - 1
             m = tuple(sorted(exp.items(), key=lambda it: var_key(it[0])))
-            out[m] = out.get(m, Fraction(0)) + coeff * e
+            out[m] = out.get(m, 0) + coeff * e
         return Poly(out)
 
     def __str__(self):
@@ -313,7 +338,7 @@ def exact_div(num, den):
         m = mono_div(lm_r, lm_d)
         if m is None:
             raise NonExactDivision("remainder %s" % rem)
-        t = Poly({m: lc_r / lc_d})
+        t = Poly({m: qdiv(lc_r, lc_d)})
         quo = quo + t
         rem = rem - t * den
     return quo

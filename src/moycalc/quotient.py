@@ -12,11 +12,10 @@ That linear algebra is one sparse eliminator, ``echelon``, shared with the
 staircase-basis check below and with the homology ranks.
 """
 
-from fractions import Fraction
 from itertools import product
 
 from .laurent import LaurentPoly
-from .poly import Poly, var_degree, var_key
+from .poly import Poly, qdiv, var_degree, var_key
 
 class TriangularityViolation(ValueError):
     """A rule insertion or substitution would break the triangular shape."""
@@ -143,10 +142,10 @@ class QuotientRing:
                 target = (v, d, repl)
                 break
         if target is None:
-            result = Poly({mono: Fraction(1)})
+            result = Poly({mono: 1})
         elif mono in self._nf_stack:
             # the rewrite chain returned to this monomial: resolve exactly
-            result = self._reduce_graded_piece(Poly({mono: Fraction(1)}))
+            result = self._reduce_graded_piece(Poly({mono: 1}))
         else:
             self._nf_stack.add(mono)
             try:
@@ -156,7 +155,7 @@ class QuotientRing:
                     del mdict[v]
                 rest = tuple(sorted(mdict.items(),
                                     key=lambda it: var_key(it[0])))
-                result = self.normal_form(Poly({rest: Fraction(1)}) * repl)
+                result = self.normal_form(Poly({rest: 1}) * repl)
             finally:
                 self._nf_stack.discard(mono)
         self._nf_cache[mono] = result
@@ -313,17 +312,19 @@ def _relation_echelon(rules, variables, degree):
     for v, d, repl in rules:
         g = Poly.var(v, d) - repl
         for mult in _monomials_of_degree(variables, degree - g.degree()):
-            prod = Poly({mult: Fraction(1)}) * g
+            prod = Poly({mult: 1}) * g
             rows.append({col_index[m]: c for m, c in prod.terms.items()})
     reducible = sum(1 for m in columns if is_reducible(m))
     return columns, reducible, echelon(rows)
 
 
 def echelon(vectors):
-    """Row echelon form of sparse {column: nonzero Fraction} vectors.
+    """Row echelon form of sparse {column: nonzero coefficient} vectors,
+    whose entries are exact: ints or Fractions, never floats.
 
     Returns {lead: vector scaled to lead 1}, where a vector's lead is its
-    smallest nonzero column; the number of pivots is the rank.
+    smallest nonzero column; the number of pivots is the rank.  The scaling
+    divides with ``qdiv``, so pivot entries are in poly's coefficient form.
     """
     pivots = {}
     for vec in vectors:
@@ -331,7 +332,7 @@ def echelon(vectors):
         if vec:
             lead = min(vec)
             inv = vec[lead]
-            pivots[lead] = {j: c / inv for j, c in vec.items()}
+            pivots[lead] = {j: qdiv(c, inv) for j, c in vec.items()}
     return pivots
 
 

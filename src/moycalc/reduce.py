@@ -23,11 +23,10 @@ copies' steps, sizes[k] of them for copy k (the split tree in pre-order).
 """
 
 import itertools
-from fractions import Fraction
 
-from .poly import Poly, mono_sort_key, var_degree, var_key
+from .poly import Poly, mono_sort_key, qdiv, var_degree, var_key
 from .quotient import QuotientRing, TriangularityViolation
-from .mf import KoszulMF, MFSum, ZeroScalar
+from .mf import KoszulMF, MFSum
 
 
 class VariableInPotential(ValueError):
@@ -54,9 +53,6 @@ class ReductionTrace:
 
 def scale_row(mf, i, c):
     """Lemma-equiv rescaling: row i becomes (c*a; b/c)."""
-    c = Fraction(c)
-    if not c:
-        raise ZeroScalar("scale factor must be nonzero")
     rows = list(mf.rows)
     rows[i] = rows[i].scaled(c)
     return mf.replace(rows=rows)
@@ -278,7 +274,7 @@ def _normalize_rows(mf):
             row = row.scaled(lc)
         elif not row.a.is_zero():
             _, lc = row.a.leading()
-            row = row.scaled(1 / lc)
+            row = row.scaled(qdiv(1, lc))
         rows.append(row)
     rows.sort(key=_row_key)
     return mf.replace(rows=rows)

@@ -7,7 +7,7 @@ f_n(a+b, ab) = a^{n+1} + b^{n+1}.  Its two slots carry Z-degrees 2 and 4,
 matching the y/z variable kinds.
 """
 
-from .poly import Poly, exact_div
+from .poly import Poly, exact_div, qdiv
 from .quotient import QuotientRing, TriangularityViolation
 
 
@@ -82,5 +82,5 @@ def _monic_rule(p, v):
     if not c.is_constant() or c.is_zero():
         raise ReductionFailed("%s is not monic in %s%d" % (p, *v))
     c = c.constant_value()
-    repl = -(p * (1 / c) - Poly.var(v, d))
+    repl = -(p * qdiv(1, c) - Poly.var(v, d))
     return v, d, repl

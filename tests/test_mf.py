@@ -31,6 +31,16 @@ def test_row_shift_and_flip():
         KoszulRow(Poly(), Poly(), deg_a=1, deg_b=2)
 
 
+def test_scaled_round_trip_keeps_int_entries():
+    row = KoszulRow(2 * v(X1, 3), 6 * v(X1))
+    tripled = row.scaled(3)
+    assert tripled.a == 6 * v(X1, 3) and tripled.b == 2 * v(X1)
+    back = tripled.scaled(Fraction(1, 3))
+    assert back == row
+    for entry in (tripled.a, tripled.b, back.a, back.b):
+        assert all(type(c) is int for c in entry.terms.values())
+
+
 def test_two_row_tensor_block_matrices():
     a1, b1 = v(X1, 2), v(X1) * 2
     a2, b2 = v(X2, 2), v(X2)

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from moycalc.poly import (NonExactDivision, Poly, exact_div, mono_sort_key,
-                          partial_derivative)
+from moycalc.poly import (NonExactDivision, Poly, exact_div, mono_mul,
+                          mono_sort_key, partial_derivative)
 
 X1, X2, Y1, Z1 = ("x", 1), ("x", 2), ("y", 1), ("z", 1)
 
@@ -92,6 +92,15 @@ def test_exact_div_difference_quotient():
     assert q * (v(X1) - v(X2)) == p
 
 
+def test_exact_div_quotient_coefficients_obey_the_policy():
+    third = exact_div(v(X1), 3 * v(X1))
+    assert third == Fraction(1, 3)
+    assert type(third.terms[()]) is Fraction
+    q = exact_div(6 * v(X1) * v(X2), 3 * v(X1))
+    assert q.terms == {((X2, 1),): 2}
+    assert type(q.terms[((X2, 1),)]) is int
+
+
 def test_exact_div_failure():
     with pytest.raises(NonExactDivision):
         exact_div(v(X1) + Poly.const(1), v(X2))
@@ -112,3 +121,103 @@ def test_monomial_order_graded_lex():
 def test_str_deterministic():
     p = v(X2) + v(X1) + v(Z1)
     assert str(p) == "z1 + x1 + x2"
+
+
+def _obeys_policy(p):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
+
+
+def _fractions(p):
+    return {m: Fraction(c) for m, c in p.terms.items()}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_pow(a, e):
+    out = {(): Fraction(1)}
+    for _ in range(e):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_diff(a, var):
+    out = {}
+    for mono, c in a.items():
+        exp = dict(mono)
+        e = exp.pop(var, 0)
+        if e > 1:
+            exp[var] = e - 1
+        if e:
+            out = _ref_add(out, {tuple(sorted(exp.items())): c * e})
+    return out
+
+
+def _ref_substitute(a, var, b):
+    out = {}
+    for mono, c in a.items():
+        exp = dict(mono)
+        e = exp.pop(var, 0)
+        rest = {tuple(sorted(exp.items())): c}
+        out = _ref_add(out, _ref_mul(rest, _ref_pow(b, e)))
+    return out
+
+
+def test_coefficient_policy_property():
+    """Every result holds ints and non-integral Fractions only, and equals
+    the same computation done in Fraction arithmetic."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeffs = st.one_of(st.integers(-6, 6),
+                       st.fractions(min_value=-6, max_value=6,
+                                    max_denominator=4))
+    monos = st.tuples(st.integers(0, 2), st.integers(0, 2),
+                      st.integers(0, 1)).map(
+        lambda es: tuple((var, e) for var, e in zip((X1, X2, Z1), es) if e))
+    polys = st.dictionaries(monos, coeffs, max_size=4).map(Poly)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(polys, polys, coeffs, st.integers(0, 3))
+    def check(a, b, c, e):
+        fa, fb = _fractions(a), _fractions(b)
+        results = [
+            (a + b, _ref_add(fa, fb)),
+            (a - b, _ref_add(fa, {m: -x for m, x in fb.items()})),
+            (a * b, _ref_mul(fa, fb)),
+            (a * c, _ref_mul(fa, {(): Fraction(c)})),
+            (a ** e, _ref_pow(fa, e)),
+            (a.substitute({X1: b}), _ref_substitute(fa, X1, fb)),
+            (a.diff(X1), _ref_diff(fa, X1)),
+        ]
+        if not b.is_zero():
+            results.append((exact_div(a * b, b), fa))
+        for got, want in results:
+            assert _obeys_policy(got)
+            assert _fractions(got) == want
+
+    check()
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        Poly({(): 0.5})
+    with pytest.raises(TypeError):
+        Poly.const(0.5)
+    for combine in (lambda p: p + 0.5, lambda p: p - 0.5, lambda p: p * 0.5,
+                    lambda p: 0.5 * p):
+        with pytest.raises(TypeError):
+            combine(v(X1))

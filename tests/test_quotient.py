@@ -7,7 +7,7 @@ import pytest
 
 from moycalc.poly import Poly
 from moycalc.quotient import (InfiniteDimension, QuotientRing,
-                              TriangularityViolation)
+                              TriangularityViolation, echelon)
 from moycalc.laurent import LaurentPoly
 
 X1, Y1, Z1 = ("x", 1), ("y", 1), ("z", 1)
@@ -91,6 +91,12 @@ def test_graded_dimension_product():
     assert ring.graded_dimension() == LaurentPoly({0: 1, 2: 1, 4: 1, 6: 1})
     assert ring.graded_dimension(-3) == LaurentPoly(
         {-3: 1, -1: 1, 1: 1, 3: 1})
+
+
+def test_echelon_divides_by_the_pivot_exactly():
+    pivots = echelon([{0: 2, 1: 3, 2: 4}])
+    assert pivots == {0: {0: 1, 1: Fraction(3, 2), 2: 2}}
+    assert [type(c) for c in pivots[0].values()] == [int, Fraction, int]
 
 
 def test_basis_monomials_bounded():

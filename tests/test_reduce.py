@@ -1,18 +1,20 @@
 """Exclusion-based simplification: invariants, traces, canonical forms."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from moycalc.diagram import glue, parse_diagram
 from moycalc.homology import euler_characteristic, graded_homology
-from moycalc.mf import MFSum, koszul_new
+from moycalc.mf import KoszulMF, KoszulRow, MFSum, koszul_new
 from moycalc.poly import Poly
 from moycalc import reduce as reduce_module
 from moycalc.reduce import (NotMonicInVariable, VariableInPotential,
-                            _relabel, auto_reduce, canonical_form,
-                            exclude_variable, replay, scale_row,
-                            split_free_module)
+                            _normalize_rows, _relabel, auto_reduce,
+                            canonical_form, exclude_variable, replay,
+                            scale_row, split_free_module)
+from test_moybracket import SQUARE_WEB
 
 CIRCLE = "n %d\narc x1 x2\nglue x1 x2\n"
 DCIRCLE = "n %d\ndline d1 d2\nglue d1 d2\n"
@@ -30,6 +32,9 @@ NESTED = ("n 3\narc x1 x2\narc x3 x4\narc x5 x6\narc x7 x8\n"
           "glue x14 x19\nglue x9 x20\nglue x13 x1\nglue x17 x3\n"
           "glue x18 x5\nglue x10 x7\n")
 
+# criterion 8's seed-2024 item 85: its reduction has non-integral entries
+ITEM85 = "n 3\nwide x1 x2 x3 x4\nglue x1 x4\n"
+
 X1, X2 = ("x", 1), ("x", 2)
 
 
@@ -46,6 +51,14 @@ def test_scale_row_preserves_potential_and_class():
     s = scale_row(m, 0, 3)
     assert s.potential() == m.potential()
     assert canonical_form(s) == canonical_form(m)
+
+
+def test_normalize_rows_scales_a_zero_b_row_by_its_leading_coefficient():
+    a = 3 * v(X1, 2) + 6 * v(X1) * v(X2) + v(X2, 2)
+    row = _normalize_rows(KoszulMF([KoszulRow(a, Poly(), 4, 2)])).rows[0]
+    assert row.a == v(X1, 2) + 2 * v(X1) * v(X2) + Fraction(1, 3) * v(X2, 2)
+    assert row.b.is_zero()
+    assert [type(c) for _, c in row.a.sort_key()] == [int, int, Fraction]
 
 
 def test_exclude_refuses_potential_variable():
@@ -183,3 +196,17 @@ def test_auto_reduce_returns_mfsum():
     assert isinstance(out, MFSum)
     assert len(out) == 1
     assert out.summands[0].rows  # nothing excludable: x1 is in the potential
+
+
+def _obeys_policy(p):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
+
+
+@pytest.mark.parametrize("text", [SQUARE_WEB % 3, SQUARE_WEB % 4, ITEM85],
+                         ids=["square-n3", "square-n4", "item85"])
+def test_reduced_coefficients_obey_the_policy(text):
+    for summand in auto_reduce(glue(parse_diagram(text)))[0]:
+        entries = [p for row in summand.rows for p in (row.a, row.b)]
+        entries += [repl for _, _, repl in summand.base.rules]
+        assert all(map(_obeys_policy, entries))

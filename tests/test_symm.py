@@ -8,8 +8,8 @@ import pytest
 from moycalc.laurent import LaurentPoly
 from moycalc.poly import Poly, exact_div, partial_derivative
 from moycalc.quotient import QuotientRing
-from moycalc.symm import (jacobi_algebra, pi_poly, power_sum_at,
-                          power_sum_expand, uv_polys)
+from moycalc.symm import (_monic_rule, jacobi_algebra, pi_poly,
+                          power_sum_at, power_sum_expand, uv_polys)
 
 X1, X2, Y1, Z1 = ("x", 1), ("x", 2), ("y", 1), ("z", 1)
 
@@ -61,6 +61,14 @@ def test_uv_polys_telescope():
         want = (v(xs[0]) ** (n + 1) + v(xs[1]) ** (n + 1)
                 - v(xs[2]) ** (n + 1) - v(xs[3]) ** (n + 1))
         assert total == want
+
+
+def test_monic_rule_divides_by_the_leading_coefficient():
+    var, d, repl = _monic_rule(3 * v(Y1) ** 2 + 6 * v(Z1) + 2 * v(Y1), Y1)
+    assert (var, d) == (Y1, 2)
+    assert repl == -2 * v(Z1) - Fraction(2, 3) * v(Y1)
+    assert type(repl.terms[((Z1, 1),)]) is int
+    assert type(repl.terms[((Y1, 1),)]) is Fraction
 
 
 def test_jacobi_algebra_kills_partials():
