@@ -15,18 +15,21 @@ A parameter name marks exactly one edge end.  ``glue p q`` identifies
 two names, one an output use and one an input use, into an internal
 point.  Names left unglued form the boundary.  Gluing is substitution:
 every identified pair is realized by one polynomial variable shared by
-the two pieces that use it.
+the two pieces that use it.  A piece's factorization depends only on its
+kind and n: it is built once per (kind, n) over local variables, without
+division, and renamed into place.
 
 Crossings have no factorization here: only the bracket resolves them
 (moybracket.expand_crossings), and glue refuses them.
 """
 
+import functools
 import re
 
-from .poly import Poly, exact_div
+from .poly import Poly
 from .quotient import QuotientRing
 from .mf import KoszulMF, KoszulRow
-from .symm import pi_poly, power_sum_at, uv_polys
+from .symm import pi_poly, power_sum_at, slot_quotients, uv_polys
 
 ARITY = {"arc": 2, "wide": 4, "dline": 2, "vin": 3, "vout": 3,
          "xplus": 4, "xminus": 4}
@@ -247,7 +250,9 @@ def build_primitive(kind, n, params):
     """The factorization of one piece over explicit variables.
 
     params: per slot, a single variable for x-parameters or a (y, z)
-    variable pair for d-parameters.
+    variable pair for d-parameters.  The piece's template, built once per
+    (kind, n) and without division, is renamed into place, so identified
+    parameters (``arc x1 x1``) just merge variables.
     """
     if kind not in ARITY or kind in CROSSINGS:
         raise DiagramError("no factorization for piece kind %r" % kind)
@@ -255,65 +260,53 @@ def build_primitive(kind, n, params):
         raise ArityMismatch("%s takes %d parameters" % (kind, ARITY[kind]))
     if n < 2 or (kind != "arc" and n < 3):
         raise UnsupportedN("n too small for %s" % kind)
-
-    # Rows are built over distinct local variables and the actual
-    # parameters substituted afterwards: identified parameters would
-    # otherwise make the difference quotients 0/0.  Slot degrees are
-    # pinned because the substitution can cancel an entry to zero while
-    # the slot keeps its degree (the circle's x1 - x1, say).
+    rows, shift, slots = _template(kind, n)
     mapping = {}
-
-    def x(i):
-        local = ("x", i + 1)
-        mapping[local] = Poly.var(params[i])
-        return Poly.var(local)
-
-    def yz(i):
-        ly, lz = ("y", i + 1), ("z", i + 1)
-        mapping[ly] = Poly.var(params[i][0])
-        mapping[lz] = Poly.var(params[i][1])
-        return Poly.var(ly), Poly.var(lz)
-
-    def f(s1, s2):
-        return power_sum_at(n, s1, s2)
-
-    def row(a, b, deg_b):
-        if isinstance(a, tuple):
-            top, bottom = a
-            a = exact_div(top - bottom, b)
-        return KoszulRow(a, b, 2 * (n + 1) - deg_b, deg_b).mapped(
-            lambda p: p.substitute(mapping))
-
-    rows = []
-    shift = 0
-    if kind == "arc":
-        tail, head = x(0), x(1)
-        rows.append(row(pi_poly(n, ("x", 2), ("x", 1)), head - tail, 2))
-    elif kind == "wide":
-        u, v = uv_polys(n, (("x", 1), ("x", 2), ("x", 3), ("x", 4)))
-        for i in range(4):
-            x(i)
-        rows.append(row(u, x(0) + x(1) - x(2) - x(3), 2))
-        rows.append(row(v, x(0) * x(1) - x(2) * x(3), 4))
-        shift = -1
-    elif kind == "dline":
-        (y1, z1), (y2, z2) = yz(0), yz(1)
-        rows.append(row((f(y1, z1), f(y2, z1)), y1 - y2, 2))
-        rows.append(row((f(y2, z1), f(y2, z2)), z1 - z2, 4))
-    elif kind == "vin":
-        x1, x2 = x(0), x(1)
-        y3, z3 = yz(2)
-        rows.append(row((f(y3, z3), f(x1 + x2, z3)), y3 - x1 - x2, 2))
-        rows.append(row((f(x1 + x2, z3), f(x1 + x2, x1 * x2)),
-                        z3 - x1 * x2, 4))
-    elif kind == "vout":
-        y3, z3 = yz(0)
-        x1, x2 = x(1), x(2)
-        rows.append(row((f(x1 + x2, x1 * x2), f(y3, x1 * x2)),
-                        x1 + x2 - y3, 2))
-        rows.append(row((f(y3, x1 * x2), f(y3, z3)), x1 * x2 - z3, 4))
-        shift = -1
+    for local, actual in zip(slots, params):
+        if local[0] == "x":
+            mapping[local] = actual
+        else:
+            mapping.update(zip(local, actual))
+    rows = [r.mapped(lambda p: p.renamed(mapping)) for r in rows]
     return KoszulMF(rows, QuotientRing(), shift, 0)
+
+
+@functools.lru_cache(maxsize=64)
+def _template(kind, n):
+    """(rows, shift, slots) of one piece over local variables: slot i is
+    x_{i+1}, or (y_{i+1}, z_{i+1}) for a d-parameter.
+
+    Rows are built over distinct local variables and renamed afterwards,
+    because the difference quotients depend only on (kind, n).  Slot
+    degrees are pinned because renaming can cancel an entry to zero while
+    the slot keeps its degree (the circle's x1 - x1, say).
+    """
+    slots = tuple((("y", i + 1), ("z", i + 1)) if i in DOUBLE_SLOTS[kind]
+                  else ("x", i + 1) for i in range(ARITY[kind]))
+    local = [tuple(map(Poly.var, v)) if v[0] != "x" else Poly.var(v)
+             for v in slots]
+
+    def rows(a, b, c, d):
+        return (KoszulRow(a, b, 2 * n, 2), KoszulRow(c, d, 2 * n - 2, 4))
+
+    if kind == "arc":
+        tail, head = local
+        row = KoszulRow(pi_poly(n, ("x", 2), ("x", 1)), head - tail, 2 * n, 2)
+        return (row,), 0, slots
+    if kind == "wide":
+        x1, x2, x3, x4 = local
+        u, v = uv_polys(n, slots)
+        return rows(u, x1 + x2 - x3 - x4, v, x1 * x2 - x3 * x4), -1, slots
+    if kind == "dline":
+        (s, p), (t, q) = local
+    elif kind == "vin":
+        x1, x2, (s, p) = local
+        t, q = x1 + x2, x1 * x2
+    else:
+        (t, q), x1, x2 = local
+        s, p = x1 + x2, x1 * x2
+    u, v = slot_quotients(n, s, t, p, q)
+    return rows(u, s - t, v, p - q), -1 if kind == "vout" else 0, slots
 
 
 def class_variables(diagram):

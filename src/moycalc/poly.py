@@ -277,6 +277,19 @@ class Poly:
                 acc[m] = acc.get(m, 0) + c
         return Poly(acc)
 
+    def renamed(self, mapping):
+        """Rename variables; mapping: var -> var.  Names may coincide:
+        their exponents then add and their terms' coefficients merge."""
+        acc = {}
+        for mono, coeff in self.terms.items():
+            exp = {}
+            for v, e in mono:
+                w = mapping.get(v, v)
+                exp[w] = exp.get(w, 0) + e
+            m = tuple(sorted(exp.items(), key=lambda it: var_key(it[0])))
+            acc[m] = acc.get(m, 0) + coeff
+        return Poly(acc)
+
     def diff(self, v):
         """Formal partial derivative with respect to variable v."""
         out = {}

@@ -146,7 +146,8 @@ def _exclusion_candidates(mf, potential_vars, order=None):
     """Feasible (row, var, side, power) in deterministic preference order.
 
     A rule's leader is never a candidate: the base cannot take a second
-    rule on it, nor substitute it away.
+    rule on it, nor substitute it away.  Nor is a power d >= 2 of v when
+    a replacement has degree >= d in v: with_rule always refuses it.
     """
     leaders = {w for w, _, _ in mf.base.rules}
     out = []
@@ -161,7 +162,10 @@ def _exclusion_candidates(mf, potential_vars, order=None):
                     out.append((i, v, side, data[0]))
     if order is not None:
         order.shuffle(out)
-    return out
+    # refused after the shuffle, so that a seeded order draws as before
+    rules = mf.base.rules
+    return [c for c in out
+            if c[3] < 2 or all(p.degree_in(c[1]) < c[3] for _, _, p in rules)]
 
 
 def _splittable_variables(mf):
@@ -307,10 +311,9 @@ def _relabel(mf):
     for v in order:
         counters[v[0]] += 1
         var_map[v] = (v[0], counters[v[0]])
-    poly_map = {old: Poly.var(new) for old, new in var_map.items()}
 
     def sub(p):
-        return p.substitute(poly_map)
+        return p.renamed(var_map)
 
     rows = [r.mapped(sub) for r in mf.rows]
     rules = tuple(sorted(((var_map[v], d, sub(p))

@@ -4,10 +4,13 @@ and the Jacobi algebra of the two-variable potential.
 
 Throughout, f_n denotes the unique polynomial with
 f_n(a+b, ab) = a^{n+1} + b^{n+1}.  Its two slots carry Z-degrees 2 and 4,
-matching the y/z variable kinds.
+matching the y/z variable kinds.  The difference quotients of f_n, the
+entries of every piece's factorization, are sums of complete homogeneous
+polynomials h_j(a, b) = (a^{j+1} - b^{j+1})/(a - b), so they are built
+without dividing.
 """
 
-from .poly import Poly, exact_div, qdiv
+from .poly import Poly, qdiv
 from .quotient import QuotientRing, TriangularityViolation
 
 
@@ -31,24 +34,40 @@ def power_sum_expand(n, s1=("y", 1), s2=("z", 1)):
     return power_sum_at(n, Poly.var(s1), Poly.var(s2))
 
 
-def pi_poly(n, v1=("x", 1), v2=("x", 2)):
-    """pi = sum_{k=0}^{n} v1^k v2^{n-k}, so pi*(v1 - v2) = v1^{n+1} - v2^{n+1}."""
+def _h(j, a, b):
+    """The complete homogeneous h_j(a, b) = sum_{i=0}^{j} a^i b^{j-i};
+    0 for j < 0.  It is the quotient (a^{j+1} - b^{j+1})/(a - b)."""
     out = Poly()
-    for k in range(n + 1):
-        out = out + Poly.var(v1) ** k * Poly.var(v2) ** (n - k)
+    for i in range(j + 1):
+        out = out + a ** i * b ** (j - i)
     return out
 
 
-def uv_polys(n, xs=(("x", 1), ("x", 2), ("x", 3), ("x", 4))):
-    """The wide-edge difference quotients (u, v) over four x-variables."""
-    x1, x2, x3, x4 = (Poly.var(v) for v in xs)
-    s12, p12 = x1 + x2, x1 * x2
-    s34, p34 = x3 + x4, x3 * x4
-    u = exact_div(power_sum_at(n, s12, p12) - power_sum_at(n, s34, p12),
-                  s12 - s34)
-    v = exact_div(power_sum_at(n, s34, p12) - power_sum_at(n, s34, p34),
-                  p12 - p34)
+def pi_poly(n, v1=("x", 1), v2=("x", 2)):
+    """pi = h_n(v1, v2), so pi*(v1 - v2) = v1^{n+1} - v2^{n+1}."""
+    return _h(n, Poly.var(v1), Poly.var(v2))
+
+
+def slot_quotients(n, s, t, p, q):
+    """The difference quotients of f = f_n in each slot, at polynomials:
+    u = (f(s,p) - f(t,p))/(s - t) and v = (f(t,p) - f(t,q))/(p - q).
+
+    With f = sum_k c_k s^{n+1-2k} p^k, u = sum_k c_k p^k h_{n-2k}(s, t)
+    and v = sum_k c_k t^{n+1-2k} h_{k-1}(p, q): no division is needed.
+    """
+    u = v = Poly()
+    for mono, c in power_sum_expand(n).terms.items():
+        k = dict(mono).get(("z", 1), 0)
+        u = u + c * p ** k * _h(n - 2 * k, s, t)
+        v = v + c * t ** (n + 1 - 2 * k) * _h(k - 1, p, q)
     return u, v
+
+
+def uv_polys(n, xs=(("x", 1), ("x", 2), ("x", 3), ("x", 4))):
+    """The wide-edge difference quotients (u, v) over four x-variables:
+    the slot quotients at s, t = x1 + x2, x3 + x4 and p, q = x1x2, x3x4."""
+    x1, x2, x3, x4 = (Poly.var(v) for v in xs)
+    return slot_quotients(n, x1 + x2, x3 + x4, x1 * x2, x3 * x4)
 
 
 def jacobi_algebra(n, y=("y", 1), z=("z", 1)):

@@ -2,13 +2,16 @@
 
 import pytest
 
+from moycalc import diagram
 from moycalc.diagram import (ArityMismatch, CrossingComplex, DiagramError,
                              DuplicateUse, KindMismatch, OrientationMismatch,
                              ParseError, UnsupportedN, boundary_potential,
                              build_primitive, class_variables,
                              crossing_complex, glue, parse_diagram)
-from moycalc.mf import verify_factorization
-from moycalc.poly import Poly
+from moycalc.mf import KoszulMF, KoszulRow, verify_factorization
+from moycalc.poly import Poly, exact_div
+from moycalc.quotient import QuotientRing
+from moycalc.symm import pi_poly, power_sum_at
 
 
 def test_parse_basic_circle():
@@ -141,3 +144,98 @@ def test_wide_difference_quotient_rows():
     for i, sgn in ((1, 1), (2, 1), (3, -1), (4, -1)):
         expected = expected + Poly.var(("x", i), 4) * sgn
     assert pot == expected
+
+
+def _dividing_reference(kind, n, params):
+    """build_primitive the long way: difference quotients by exact_div
+    over distinct local variables, then the parameters substituted."""
+    mapping = {}
+
+    def x(i):
+        mapping[("x", i + 1)] = Poly.var(params[i])
+        return Poly.var(("x", i + 1))
+
+    def yz(i):
+        mapping[("y", i + 1)] = Poly.var(params[i][0])
+        mapping[("z", i + 1)] = Poly.var(params[i][1])
+        return Poly.var(("y", i + 1)), Poly.var(("z", i + 1))
+
+    def f(s1, s2):
+        return power_sum_at(n, s1, s2)
+
+    def row(top, bottom, b, deg_b):
+        a = top if bottom is None else exact_div(top - bottom, b)
+        return KoszulRow(a, b, 2 * (n + 1) - deg_b, deg_b).mapped(
+            lambda p: p.substitute(mapping))
+
+    if kind == "arc":
+        tail, head = x(0), x(1)
+        rows = [row(pi_poly(n, ("x", 2), ("x", 1)), None, head - tail, 2)]
+    elif kind == "wide":
+        x1, x2, x3, x4 = (x(i) for i in range(4))
+        s12, p12, s34, p34 = x1 + x2, x1 * x2, x3 + x4, x3 * x4
+        rows = [row(f(s12, p12), f(s34, p12), s12 - s34, 2),
+                row(f(s34, p12), f(s34, p34), p12 - p34, 4)]
+    elif kind == "dline":
+        (y1, z1), (y2, z2) = yz(0), yz(1)
+        rows = [row(f(y1, z1), f(y2, z1), y1 - y2, 2),
+                row(f(y2, z1), f(y2, z2), z1 - z2, 4)]
+    elif kind == "vin":
+        x1, x2 = x(0), x(1)
+        y3, z3 = yz(2)
+        rows = [row(f(y3, z3), f(x1 + x2, z3), y3 - x1 - x2, 2),
+                row(f(x1 + x2, z3), f(x1 + x2, x1 * x2), z3 - x1 * x2, 4)]
+    else:
+        y1, z1 = yz(0)
+        x2, x3 = x(1), x(2)
+        rows = [row(f(x2 + x3, x2 * x3), f(y1, x2 * x3), x2 + x3 - y1, 2),
+                row(f(y1, x2 * x3), f(y1, z1), x2 * x3 - z1, 4)]
+    shift = -1 if kind in ("wide", "vout") else 0
+    return KoszulMF(rows, QuotientRing(), shift, 0)
+
+
+def _set_partitions(k):
+    """Every way to identify k slots, as block numbers per slot."""
+    if k == 0:
+        return [()]
+    out = []
+    for head in _set_partitions(k - 1):
+        for block in range(max(head, default=-1) + 2):
+            out.append(head + (block,))
+    return out
+
+
+def _identified_params(kind):
+    """Parameters for every pattern of identified slots of one kind.
+
+    Block numbers map to indices out of order, so the renaming swaps
+    local names as well as merging them.
+    """
+    double = diagram.DOUBLE_SLOTS[kind]
+    singles = [i for i in range(diagram.ARITY[kind]) if i not in double]
+    index = (3, 1, 4, 2)
+    out = []
+    for xs in _set_partitions(len(singles)):
+        for ds in _set_partitions(len(double)):
+            params = [None] * diagram.ARITY[kind]
+            for slot, block in zip(singles, xs):
+                params[slot] = ("x", index[block])
+            for slot, block in zip(double, ds):
+                params[slot] = (("y", index[block]), ("z", index[block]))
+            out.append(tuple(params))
+    return out
+
+
+def test_primitive_matches_the_dividing_reference():
+    cases = [("arc", 2)] + [(kind, n)
+                            for kind in ("arc", "wide", "dline", "vin", "vout")
+                            for n in range(3, 7)]
+    assert len(_identified_params("wide")) == 15
+    diagram._template.cache_clear()
+    for cache in ("cold", "warm"):
+        for kind, n in cases:
+            for params in _identified_params(kind):
+                want = _dividing_reference(kind, n, params)
+                assert build_primitive(kind, n, params) == want, (
+                    cache, kind, n, params)
+    assert diagram._template.cache_info().hits > 0

@@ -70,6 +70,19 @@ def test_substitute():
     assert r == v(X1) * v(X2)
 
 
+def test_renamed_matches_substitute():
+    rng = random.Random(7)
+    maps = [{X1: X2, X2: X1}, {X1: X2}, {X2: X1, Y1: Z1}, {Z1: X1}]
+    for _ in range(40):
+        p = rand_poly(rng, [X1, X2, Y1, Z1])
+        for mapping in maps:
+            want = p.substitute({a: v(b) for a, b in mapping.items()})
+            assert p.renamed(mapping) == want
+    # coinciding names add exponents and merge coefficients, to zero here
+    p = v(X1) * v(X2) - v(X2) ** 2 + 3 * v(X1)
+    assert p.renamed({X2: X1}) == 3 * v(X1)
+
+
 def test_partial_derivative():
     p = v(X1) ** 3 * v(X2) + v(X2) ** 2
     assert partial_derivative(p, X1) == 3 * v(X1) ** 2 * v(X2)

@@ -9,6 +9,7 @@ from moycalc.diagram import glue, parse_diagram
 from moycalc.homology import euler_characteristic, graded_homology
 from moycalc.mf import KoszulMF, KoszulRow, MFSum, koszul_new
 from moycalc.poly import Poly
+from moycalc.quotient import TriangularityViolation
 from moycalc import reduce as reduce_module
 from moycalc.reduce import (NotMonicInVariable, VariableInPotential,
                             _normalize_rows, _relabel, auto_reduce,
@@ -143,6 +144,40 @@ def test_rule_leaders_are_no_exclusion_candidates():
         candidates = reduce_module._exclusion_candidates(
             summand, summand.potential().variables())
         assert not any(var in leaders for _, var, _, _ in candidates)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_left_out_candidates_are_refused_by_with_rule(n):
+    # walk the states the search can reach; every monic (row, var, side)
+    # past rule leaders and potential variables is either a candidate or
+    # an exclusion that raises
+    states = [glue(parse_diagram(SQUARE_WEB % n)).normalized_rows()]
+    visited = left_out = 0
+    while states and visited < 40:
+        mf = states.pop()
+        visited += 1
+        potential_vars = mf.potential().variables()
+        leaders = {w for w, _, _ in mf.base.rules}
+        kept = {c[:3] for c in reduce_module._exclusion_candidates(
+            mf, potential_vars)}
+        for i, row in enumerate(mf.rows):
+            for var in row.a.variables() | row.b.variables():
+                if var in potential_vars or var in leaders:
+                    continue
+                for side, entry in (("b", row.b), ("a", row.a)):
+                    if reduce_module._monic_data(entry, var) is None:
+                        continue
+                    if (i, var, side) not in kept:
+                        left_out += 1
+                        with pytest.raises(TriangularityViolation):
+                            exclude_variable(mf, i, var, side, potential_vars)
+                        continue
+                    try:
+                        states.append(exclude_variable(mf, i, var, side,
+                                                       potential_vars))
+                    except TriangularityViolation:
+                        pass
+    assert left_out > 0
 
 
 def test_split_free_module():

@@ -9,7 +9,8 @@ from moycalc.laurent import LaurentPoly
 from moycalc.poly import Poly, exact_div, partial_derivative
 from moycalc.quotient import QuotientRing
 from moycalc.symm import (_monic_rule, jacobi_algebra, pi_poly,
-                          power_sum_at, power_sum_expand, uv_polys)
+                          power_sum_at, power_sum_expand, slot_quotients,
+                          uv_polys)
 
 X1, X2, Y1, Z1 = ("x", 1), ("x", 2), ("y", 1), ("z", 1)
 
@@ -61,6 +62,19 @@ def test_uv_polys_telescope():
         want = (v(xs[0]) ** (n + 1) + v(xs[1]) ** (n + 1)
                 - v(xs[2]) ** (n + 1) - v(xs[3]) ** (n + 1))
         assert total == want
+
+
+def test_slot_quotients_telescope_at_polynomials():
+    # the division-free quotients times the slot differences give back
+    # the differences of f_n, at arguments that are not variables
+    s = v(X1) + 2 * v(X2)
+    t = v(Y1) - 3
+    p = v(X1) * v(X2) + v(Z1)
+    q = 2 * v(Z1) + v(Y1) ** 2
+    for n in range(3, 9):
+        u, f_v = slot_quotients(n, s, t, p, q)
+        assert u * (s - t) == power_sum_at(n, s, p) - power_sum_at(n, t, p)
+        assert f_v * (p - q) == power_sum_at(n, t, p) - power_sum_at(n, t, q)
 
 
 def test_monic_rule_divides_by_the_leading_coefficient():

@@ -46,5 +46,9 @@ def test_tracer_restores_the_names_it_rebinds():
     assert {("moycalc.moybracket", "bracket"),
             ("moycalc.moybracket", "expand_crossings"),
             ("moycalc.moybracket", "MOYGraph", "from_diagram")} <= rebound
+    assert {("moycalc.diagram", "power_sum_at"),
+            ("moycalc.diagram", "pi_poly"),
+            ("moycalc.diagram", "uv_polys"),
+            ("moycalc.reduce", "exclude_variable")} <= rebound
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
