@@ -246,73 +246,60 @@ class SparseMat:
         return self.mapped(Poly.__neg__)
 
     def __matmul__(self, other):
-        """Matrix product, cancelling products symbolically before expanding.
+        """Matrix product, expanding each distinct sum of products once.
 
-        Tensor-product differentials repeat a few distinct entry
-        polynomials across thousands of positions, and the off-diagonal
-        contributions of a square d1 @ d0 cancel in +/- pairs of identical
-        products.  Tracking each position as a signed multiset of (entry,
-        entry) symbols makes those cancellations free; only surviving
-        symbol sums (the diagonal, for an actual factorization) are
-        expanded, and equal sums expand only once.
+        Tensor-product differentials repeat a few distinct entries, up to
+        sign, across thousands of positions, and the off-diagonal sums of
+        a square d1 @ d0 cancel in +/- pairs of equal products.  So each
+        position first sums integer multiples of unordered pairs of
+        distinct entries (p and -p are one entry with a sign), and only
+        the sums that survive are expanded into polynomials, equal sums
+        once.
         """
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        registry = {}
-        canon = {}
-        keep = []
+        symbols = {}    # entry -> (sign, index into reps)
+        seen = {}       # id(entry) -> symbol; both matrices hold the entries
+        reps = []
 
         def symbol(p):
-            got = canon.get(id(p))
-            if got is not None:
-                return got
-            key = tuple(sorted(p.terms.items()))
-            hit = registry.get(key)
-            if hit is not None:
-                got = (1, hit)
-            else:
-                neg = tuple(sorted((-p).terms.items()))
-                hit = registry.get(neg)
-                if hit is not None:
-                    got = (-1, hit)
-                else:
-                    registry[key] = p
-                    got = (1, p)
-            canon[id(p)] = got
-            keep.append(p)
+            got = seen.get(id(p))
+            if got is None:
+                got = symbols.get(p)
+                if got is None:
+                    got = symbols[p] = (1, len(reps))
+                    symbols[-p] = (-1, len(reps))
+                    reps.append(p)
+                seen[id(p)] = got
             return got
 
         by_row = {}
         for (k, j), q in other.entries.items():
-            by_row.setdefault(k, []).append((j, symbol(q)))
+            by_row.setdefault(k, []).append((j, *symbol(q)))
         acc = {}
         for (i, k), p in self.entries.items():
-            sp, cp = symbol(p)
-            for j, (sq, cq) in by_row.get(k, ()):
-                pair = ((id(cp), id(cq)) if id(cp) <= id(cq)
-                        else (id(cq), id(cp)))
+            sp, a = symbol(p)
+            for j, sq, b in by_row.get(k, ()):
                 slot = acc.setdefault((i, j), {})
-                coeff = slot.get(pair, 0) + sp * sq
-                if coeff:
-                    slot[pair] = coeff
+                pair = (a, b) if a <= b else (b, a)
+                c = slot.get(pair, 0) + sp * sq
+                if c:
+                    slot[pair] = c
                 else:
                     del slot[pair]
 
-        polys = {id(p): p for _, p in registry.items()}
         expanded = {}
         entries = {}
         for pos, slot in acc.items():
             if not slot:
                 continue
             key = tuple(sorted(slot.items()))
-            value = expanded.get(key)
-            if value is None:
+            if key not in expanded:
                 value = Poly()
-                for (pa, pb), coeff in slot.items():
-                    value = value + polys[pa] * polys[pb] * coeff
+                for (a, b), c in key:
+                    value = value + reps[a] * reps[b] * c
                 expanded[key] = value
-            if not value.is_zero():
-                entries[pos] = value
+            entries[pos] = expanded[key]
         return SparseMat(self.nrows, other.ncols, entries)
 
     def mapped(self, fn):
@@ -364,7 +351,8 @@ class ExplicitMF:
         # the four blocks of each differential are disjoint and a Kronecker
         # product with an identity writes each entry to distinct positions,
         # so every position is assigned once and the entry objects are
-        # shared, which lets the product's identity-keyed symbol table hit
+        # shared, which lets the id-keyed memos of mapped,
+        # _check_homogeneity and the product hit
         ln0, ln1 = len(n0), len(n1)
         # d0 blocks: [[dM0 x I(n0), -I(m1) x dN1], [I(m0) x dN0, dM1 x I(n1)]]
         for (i, j), p in self.d0.entries.items():

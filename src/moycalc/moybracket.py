@@ -23,6 +23,7 @@ graph once and sums the skein-weighted values of its 2^c resolutions.
 """
 
 from collections import Counter
+from functools import lru_cache
 
 from .diagram import CROSSINGS, DiagramError, parse_diagram, refuse_crossings
 from .laurent import LaurentPoly, quantum_integer
@@ -196,9 +197,10 @@ def double_loop_value(n):
                                for j in range(n) for i in range(j)))
 
 
-def _loop_value(graph):
-    return (quantum_integer(graph.n) ** graph.loops_single
-            * double_loop_value(graph.n) ** graph.loops_double)
+@lru_cache(maxsize=256)
+def _loop_value(n, loops_single, loops_double):
+    return (quantum_integer(n) ** loops_single
+            * double_loop_value(n) ** loops_double)
 
 
 def _digon_matches(graph):
@@ -306,7 +308,8 @@ def bracket(graph, first_match=None):
     """
     if first_match is None:
         if not graph.vertices:
-            return _loop_value(graph)
+            return _loop_value(graph.n, graph.loops_single,
+                               graph.loops_double)
         first_match = _next_rewrite(graph)
     name, match = first_match
     total = LaurentPoly()

@@ -238,13 +238,11 @@ class Poly:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power")
-        out = Poly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
+        if e == 0:
+            return Poly.const(1)
+        out = self
+        for _ in range(e - 1):
+            out = out * self
         return out
 
     def __eq__(self, other):

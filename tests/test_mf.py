@@ -97,6 +97,45 @@ def _identity(n, sign=1):
     return SparseMat(n, n, {(i, i): one for i in range(n)})
 
 
+def _random_poly(rng):
+    return sum((v(rng.choice((X1, X2, Y1)), rng.randint(0, 2))
+                * rng.choice((1, -2, 3)) for _ in range(rng.randint(1, 3))),
+               Poly())
+
+
+def _random_sparse(rng, nrows, ncols, pool):
+    return SparseMat(nrows, ncols, {(i, j): rng.choice(pool)
+                                    for i in range(nrows)
+                                    for j in range(ncols)
+                                    if rng.random() < 0.6})
+
+
+def test_product_matches_a_dense_reference():
+    rng = random.Random(5)
+    cancelled = 0
+    for _ in range(30):
+        p, q = _random_poly(rng), _random_poly(rng)
+        # one object shared by many positions, and its negation
+        pool = (p, -p, q, Poly.const(2))
+        r, k, c = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = _random_sparse(rng, r, k, pool)
+        b = _random_sparse(rng, k, c, pool)
+        got = a @ b
+        assert (got.nrows, got.ncols) == (r, c)
+        for i in range(r):
+            for j in range(c):
+                pairs = [a[(i, t)] * b[(t, j)] for t in range(k)
+                         if (i, t) in a.entries and (t, j) in b.entries]
+                expected = sum(pairs, Poly())
+                assert got[(i, j)] == expected
+                if expected.is_zero():
+                    assert (i, j) not in got.entries
+                    cancelled += bool(pairs)
+    assert cancelled
+    with pytest.raises(ValueError):
+        SparseMat(2, 3) @ SparseMat(2, 3)
+
+
 def test_commutativity_holds_up_to_conjugation():
     rng = random.Random(11)
     for _ in range(10):
