@@ -12,8 +12,7 @@ from .laurent import LaurentPoly, quantum_integer
 from .symm import (ReductionFailed, jacobi_algebra, pi_poly,
                    power_sum_expand, uv_polys)
 from .mf import (ExplicitMF, KoszulMF, KoszulRow, MFSum, NotAFactorization,
-                 OddShift, ZeroScalar, koszul_new, potential,
-                 verify_factorization)
+                 OddShift, ZeroScalar, koszul_new, verify_factorization)
 from .reduce import (NotMonicInVariable, ReductionTrace, ResidualVariable,
                      VariableInPotential, auto_reduce, canonical_form,
                      exclude_variable, replay, scale_row, split_free_module)

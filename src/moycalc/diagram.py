@@ -98,7 +98,10 @@ class Piece:
 
 
 class Diagram:
-    """Validated diagram: pieces plus the merged parameter classes."""
+    """Validated diagram: pieces plus the merged parameter classes.
+
+    merges are (p, q, line) triples, one per glue statement.
+    """
 
     def __init__(self, n, pieces, merges=()):
         self.n = n
@@ -122,8 +125,8 @@ class Diagram:
         for p in self.pieces:
             for slot, name in enumerate(p.params):
                 if name in uses:
-                    raise DuplicateUse("parameter %r used more than once"
-                                       % name)
+                    raise DuplicateUse("line %d: parameter %r used more than "
+                                       "once" % (p.line, name))
                 uses[name] = (p, slot)
 
         glued = set()
@@ -136,13 +139,14 @@ class Diagram:
                 a = parent[a]
             return a
 
-        for a, b in self.merges:
+        for a, b, line in self.merges:
             for name in (a, b):
                 if name not in uses:
-                    raise DiagramError("glue of unknown parameter %r" % name)
+                    raise DiagramError("line %d: glue of unknown parameter %r"
+                                       % (line, name))
                 if name in glued:
-                    raise DuplicateUse("parameter %r glued more than once"
-                                       % name)
+                    raise DuplicateUse("line %d: parameter %r glued more than "
+                                       "once" % (line, name))
                 glued.add(name)
             roles = []
             kinds = []
@@ -152,11 +156,12 @@ class Diagram:
                 kinds.append("double" if slot in DOUBLE_SLOTS[p.kind]
                              else "single")
             if kinds[0] != kinds[1]:
-                raise KindMismatch("glue %s %s mixes single and double"
-                                   % (a, b))
+                raise KindMismatch("line %d: glue %s %s mixes single and "
+                                   "double" % (line, a, b))
             if set(roles) != {"in", "out"}:
                 raise OrientationMismatch(
-                    "glue %s %s does not join an output to an input" % (a, b))
+                    "line %d: glue %s %s does not join an output to an input"
+                    % (line, a, b))
             parent[find(a)] = find(b)
 
         classes = {}
@@ -218,7 +223,7 @@ def parse_diagram(text):
             if len(tokens) != 3:
                 raise ParseError("usage: glue <p> <q>", lineno, column)
             _check_ids(tokens[1:], raw, lineno)
-            merges.append((tokens[1], tokens[2]))
+            merges.append((tokens[1], tokens[2], lineno))
             continue
         if head not in ARITY:
             raise ParseError("unknown statement %r" % head, lineno, column)

@@ -4,9 +4,17 @@ Koszul matrix factorizations and their explicit 2-periodic form.
 A factorization is a pair of free graded modules (M0, M1) with maps
 d0: M0 -> M1 and d1: M1 -> M0 composing to omega*Id both ways.  The
 elementary block K(a; b) is (R -> R{(deg b - deg a)/2} -> R) with maps
-a and b; lists of rows tensor together with the sign convention
+a and b.  Rows tensor together, one at a time, by the block convention
 
-    d0 = [[dM0, -dN1], [dN0, dM1]],   d1 = [[dM1, dN1], [-dN0, dM0]].
+    d0 = [[dM0, -dN1], [dN0, dM1]],   d1 = [[dM1, dN1], [-dN0, dM0]],
+
+and the explicit form writes that iteration out as the Koszul complex on
+an exterior algebra.  A generator is a set S of rows, of degree
+shift + sum of the internal shifts (deg b_r - deg a_r)/2 over r in S; M0
+holds the sets with |S| = parity (mod 2), M1 the others, each ordered by
+the bitmask sum of 2^r over r in S.  In both maps row r sends S to
+S xor {r}, by a_r when r is added and by b_r when r is removed, with the
+Koszul sign (-1)^|{s in S : s < r}|.
 
 The translation functor <1> swaps the slots and negates both maps; on a
 single row it is realized as K(-b; -a){(deg b - deg a)/2}.
@@ -159,14 +167,42 @@ class KoszulMF:
         return out
 
     def to_explicit(self):
-        exp = _unit_explicit(self.base)
+        # a_r, -a_r, b_r and -b_r are one object each wherever they occur,
+        # which lets the id-keyed memos of mapped, _check_homogeneity and
+        # the product hit
+        nf = self.base.normal_form
+        signed = []
         for row in self.rows:
-            exp = exp.tensor(_row_explicit(row, self.base))
-        if self.parity:
-            exp = exp.translate()
-        if self.shift:
-            exp = exp.shifted(self.shift)
-        return exp.normalized()
+            a, b = nf(row.a), nf(row.b)
+            if self.parity:     # <1> negates both maps
+                a, b = -a, -b
+            signed.append(((a, -a), (b, -b)))
+        sets = range(1 << len(self.rows))
+        m0 = [s for s in sets if s.bit_count() % 2 == self.parity]
+        m1 = [s for s in sets if s.bit_count() % 2 != self.parity]
+
+        def degree(s):
+            return self.shift + sum(row.internal_shift
+                                    for r, row in enumerate(self.rows)
+                                    if s >> r & 1)
+
+        def differential(src, tgt):
+            # entries row by row: a product then fills one row of its result
+            # at a time, which measured faster than column order
+            column = {s: j for j, s in enumerate(src)}
+            entries = {}
+            for i, t in enumerate(tgt):
+                for r, (add, remove) in enumerate(signed):
+                    bit = 1 << r
+                    pair = add if t & bit else remove
+                    # t and its source t ^ bit agree below r
+                    odd_below = (t & (bit - 1)).bit_count() % 2
+                    entries[(i, column[t ^ bit])] = pair[odd_below]
+            return SparseMat(len(tgt), len(src), entries)
+
+        return ExplicitMF([degree(s) for s in m0], [degree(s) for s in m1],
+                          differential(m0, m1), differential(m1, m0),
+                          self.base)
 
     def __str__(self):
         body = ", ".join(str(r) for r in self.rows)
@@ -338,66 +374,8 @@ class ExplicitMF:
     def __setattr__(self, name, value):
         raise AttributeError("ExplicitMF is immutable")
 
-    def tensor(self, other):
-        base = self.base.merge(other.base)
-        m0, m1 = self.gens0, self.gens1
-        n0, n1 = other.gens0, other.gens1
-        gens0 = [a + b for a in m0 for b in n0] + [a + b for a in m1 for b in n1]
-        gens1 = [a + b for a in m1 for b in n0] + [a + b for a in m0 for b in n1]
-
-        entries0 = {}
-        entries1 = {}
-
-        # the four blocks of each differential are disjoint and a Kronecker
-        # product with an identity writes each entry to distinct positions,
-        # so every position is assigned once and the entry objects are
-        # shared, which lets the id-keyed memos of mapped,
-        # _check_homogeneity and the product hit
-        ln0, ln1 = len(n0), len(n1)
-        # d0 blocks: [[dM0 x I(n0), -I(m1) x dN1], [I(m0) x dN0, dM1 x I(n1)]]
-        for (i, j), p in self.d0.entries.items():
-            for t in range(ln0):
-                entries0[(i * ln0 + t, j * ln0 + t)] = p
-        for (i, j), p in other.d1.entries.items():
-            p = -p
-            for s in range(len(m1)):
-                entries0[(s * ln0 + i, len(m0) * ln0 + s * ln1 + j)] = p
-        for (i, j), p in other.d0.entries.items():
-            for s in range(len(m0)):
-                entries0[(len(m1) * ln0 + s * ln1 + i, s * ln0 + j)] = p
-        for (i, j), p in self.d1.entries.items():
-            for t in range(ln1):
-                entries0[(len(m1) * ln0 + i * ln1 + t,
-                          len(m0) * ln0 + j * ln1 + t)] = p
-        # d1 blocks: [[dM1 x I(n0), I(m0) x dN1], [-I(m1) x dN0, dM0 x I(n1)]]
-        for (i, j), p in self.d1.entries.items():
-            for t in range(ln0):
-                entries1[(i * ln0 + t, j * ln0 + t)] = p
-        for (i, j), p in other.d1.entries.items():
-            for s in range(len(m0)):
-                entries1[(s * ln0 + i, len(m1) * ln0 + s * ln1 + j)] = p
-        for (i, j), p in other.d0.entries.items():
-            p = -p
-            for s in range(len(m1)):
-                entries1[(len(m0) * ln0 + s * ln1 + i, s * ln0 + j)] = p
-        for (i, j), p in self.d0.entries.items():
-            for t in range(ln1):
-                entries1[(len(m0) * ln0 + i * ln1 + t,
-                          len(m1) * ln0 + j * ln1 + t)] = p
-
-        d0 = SparseMat(len(gens1), len(gens0), entries0)
-        d1 = SparseMat(len(gens0), len(gens1), entries1)
-        return ExplicitMF(gens0, gens1, d0, d1, base)
-
-    __matmul__ = tensor
-
     def translate(self):
         return ExplicitMF(self.gens1, self.gens0, -self.d1, -self.d0, self.base)
-
-    def shifted(self, m):
-        return ExplicitMF([g + m for g in self.gens0],
-                          [g + m for g in self.gens1],
-                          self.d0, self.d1, self.base)
 
     def normalized(self):
         if not self.base.rules:
@@ -411,22 +389,6 @@ class ExplicitMF:
                 and self.gens0 == other.gens0 and self.gens1 == other.gens1
                 and self.d0 == other.d0 and self.d1 == other.d1
                 and self.base == other.base)
-
-
-def _unit_explicit(base):
-    return ExplicitMF([0], [], SparseMat(0, 1), SparseMat(1, 0), base)
-
-
-def _row_explicit(row, base):
-    d0 = SparseMat(1, 1, {(0, 0): row.a})
-    d1 = SparseMat(1, 1, {(0, 0): row.b})
-    return ExplicitMF([0], [row.internal_shift], d0, d1, base)
-
-
-def potential(mf):
-    if isinstance(mf, KoszulMF):
-        return mf.potential()
-    return verify_factorization(mf)
 
 
 def verify_factorization(exp):

@@ -15,7 +15,7 @@ staircase-basis check below and with the homology ranks.
 from itertools import product
 
 from .laurent import LaurentPoly
-from .poly import Poly, qdiv, var_degree, var_key
+from .poly import Poly, mono_div, qdiv, var_degree, var_key
 
 class TriangularityViolation(ValueError):
     """A rule insertion or substitution would break the triangular shape."""
@@ -150,11 +150,7 @@ class QuotientRing:
             self._nf_stack.add(mono)
             try:
                 v, d, repl = target
-                mdict[v] -= d
-                if not mdict[v]:
-                    del mdict[v]
-                rest = tuple(sorted(mdict.items(),
-                                    key=lambda it: var_key(it[0])))
+                rest = mono_div(mono, ((v, d),))
                 result = self.normal_form(Poly({rest: 1}) * repl)
             finally:
                 self._nf_stack.discard(mono)

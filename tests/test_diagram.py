@@ -53,6 +53,21 @@ def test_semantic_errors():
         parse_diagram("n 3\nvin x1 x2\n")  # wrong arity is a parse error
 
 
+def test_semantic_errors_name_their_line():
+    head = "n 3\n# pieces\narc x1 x2\n"
+    with pytest.raises(DuplicateUse, match="line 4: parameter 'x2'"):
+        parse_diagram(head + "arc x2 x3\n")
+    with pytest.raises(DuplicateUse, match="line 6: parameter 'x2' glued"):
+        parse_diagram(head + "arc x3 x4\nglue x2 x3\nglue x2 x4\n")
+    with pytest.raises(KindMismatch, match="line 5: glue x2 d1"):
+        parse_diagram(head + "dline d1 d2\nglue x2 d1\n")
+    with pytest.raises(OrientationMismatch, match="line 5: glue x1 x3"):
+        parse_diagram(head + "arc x3 x4\nglue x1 x3\n")
+    with pytest.raises(DiagramError, match="line 4: glue of unknown "
+                                           "parameter 'x7'"):
+        parse_diagram(head + "glue x2 x7\n")
+
+
 def test_primitive_shifts_and_parities():
     n = 4
     expected = {"arc": 0, "wide": -1, "dline": 0, "vin": 0, "vout": -1}

@@ -205,3 +205,74 @@ def test_explicit_form_over_a_quotient_is_the_entrywise_normal_form():
     assert got == expected
     assert got != ExplicitMF(free.gens0, free.gens1, free.d0, free.d1, base)
     assert free.normalized() == free
+
+
+def _dense_reference(rows, base, shift, parity):
+    """(gens0, gens1, d0, d1) as dense lists, one row at a time by the block
+    formula d0 = [[dM0, -dN1], [dN0, dM1]], d1 = [[dM1, dN1], [-dN0, dM0]]
+    for N = K(a; b), then <parity>, {shift} and entrywise normal forms."""
+    zero = Poly()
+
+    def scalar(p, m):
+        return [[p if i == j else zero for j in range(m)] for i in range(m)]
+
+    def blocks(tl, tr, bl, br):
+        return ([l + r for l, r in zip(tl, tr)]
+                + [l + r for l, r in zip(bl, br)])
+
+    g0, g1 = [0], []
+    d0, d1 = [], [[]]      # d0 is len(g1) x len(g0), d1 is len(g0) x len(g1)
+    for row in rows:
+        m0, m1 = len(g0), len(g1)
+        d0, d1 = (blocks(d0, scalar(-row.b, m1), scalar(row.a, m0), d1),
+                  blocks(d1, scalar(row.b, m0), scalar(-row.a, m1), d0))
+        g0, g1 = (g0 + [g + row.internal_shift for g in g1],
+                  g1 + [g + row.internal_shift for g in g0])
+    if parity:
+        g0, g1 = g1, g0
+        d0, d1 = ([[-p for p in r] for r in d1], [[-p for p in r] for r in d0])
+    nf = base.normal_form
+    return ([g + shift for g in g0], [g + shift for g in g1],
+            [[nf(p) for p in r] for r in d0], [[nf(p) for p in r] for r in d1])
+
+
+_POOL = [KoszulRow(v(X1, 3), 2 * v(X1)),
+         KoszulRow(v(X2, 2), v(X2, 2) - v(X1, 2)),
+         KoszulRow(v(X1) * v(X2), -3 * v(X3, 2)),
+         KoszulRow(v(X3, 4) + v(X1, 4), v(Y1) - v(X2))]
+
+
+def _explicit_cases():
+    """0..4 rows, both parities, a nonzero shift and a base with one rule."""
+    ruled = QuotientRing().with_rule(X1, 3, v(X2, 3) - v(X1) * v(X3, 2))
+    for k in range(len(_POOL) + 1):
+        for parity in (0, 1):
+            for shift, base in ((0, QuotientRing()), (3, QuotientRing()),
+                                (-2, ruled)):
+                yield k, KoszulMF(_POOL[:k], base, shift, parity)
+
+
+def test_explicit_form_matches_the_block_formula():
+    cases = 0
+    for k, mf in _explicit_cases():
+        got = mf.to_explicit()
+        g0, g1, d0, d1 = _dense_reference(mf.rows, mf.base, mf.shift,
+                                          mf.parity)
+        assert (list(got.gens0), list(got.gens1)) == (g0, g1)
+        assert got.d0.to_lists() == d0 and got.d1.to_lists() == d1
+        assert (got.d0.nrows, got.d0.ncols) == (len(g1), len(g0))
+        assert got.base == mf.base
+        cases += 1
+    assert cases == 30
+    empty = KoszulMF((), QuotientRing(), 5, 1).to_explicit()
+    assert empty.gens0 == () and empty.gens1 == (5,)
+    assert (empty.d0.nrows, empty.d0.ncols) == (1, 0)
+
+
+def test_explicit_form_shares_entry_objects():
+    # the id-keyed memos of mapped, the product and _check_homogeneity rely
+    # on a_r, -a_r, b_r and -b_r being one object each across both matrices
+    for k, mf in _explicit_cases():
+        got = mf.to_explicit()
+        ids = {id(p) for mat in (got.d0, got.d1) for p in mat.entries.values()}
+        assert len(ids) <= 4 * k, (k, mf.parity, mf.base)
