@@ -171,8 +171,7 @@ class Diagram:
                 kind = "double" if slot in DOUBLE_SLOTS[p.kind] else "single"
                 role = ROLES[p.kind][slot]
                 info = classes.setdefault(cls, {"kind": kind, "in": None,
-                                                "out": None, "names": set()})
-                info["names"].add(name)
+                                                "out": None})
                 info[role] = (p, slot)
 
         self._find = find
@@ -200,19 +199,20 @@ def parse_diagram(text):
     pieces = []
     merges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        found = list(re.finditer(r"\S+", raw.split("#", 1)[0]))
+        if not found:
             continue
-        tokens = line.split()
-        head = tokens[0]
-        column = raw.index(head) + 1
+        tokens = [m.group() for m in found]
+        columns = [m.start() + 1 for m in found]
+        head, column = tokens[0], columns[0]
         if head == "n":
             if n is not None:
                 raise ParseError("duplicate n statement", lineno, column)
             if pieces or merges:
                 raise ParseError("n must be the first statement",
                                  lineno, column)
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if (len(tokens) != 2 or not tokens[1].isascii()
+                    or not tokens[1].isdigit()):
                 raise ParseError("usage: n <int>", lineno, column)
             n = int(tokens[1])
             continue
@@ -222,7 +222,7 @@ def parse_diagram(text):
         if head == "glue":
             if len(tokens) != 3:
                 raise ParseError("usage: glue <p> <q>", lineno, column)
-            _check_ids(tokens[1:], raw, lineno)
+            _check_ids(tokens[1:], columns[1:], lineno)
             merges.append((tokens[1], tokens[2], lineno))
             continue
         if head not in ARITY:
@@ -230,23 +230,23 @@ def parse_diagram(text):
         if len(tokens) != 1 + ARITY[head]:
             raise ParseError("%s takes %d parameters" % (head, ARITY[head]),
                              lineno, column)
-        _check_ids(tokens[1:], raw, lineno)
+        _check_ids(tokens[1:], columns[1:], lineno)
         for slot, name in enumerate(tokens[1:]):
             want = "d" if slot in DOUBLE_SLOTS[head] else "x"
             if not name.startswith(want):
                 raise ParseError("parameter %r should be a %s-identifier"
-                                 % (name, want), lineno, raw.index(name) + 1)
+                                 % (name, want), lineno, columns[slot + 1])
         pieces.append(Piece(head, tokens[1:], lineno))
     if n is None:
         raise ParseError("empty diagram: missing 'n <int>'", 1)
     return Diagram(n, pieces, merges)
 
 
-def _check_ids(tokens, raw, lineno):
-    for tok in tokens:
+def _check_ids(tokens, columns, lineno):
+    for tok, column in zip(tokens, columns):
         if not _ID.match(tok):
             raise ParseError("bad identifier %r (expected x<int> or d<int>)"
-                             % tok, lineno, raw.index(tok) + 1)
+                             % tok, lineno, column)
 
 
 # -- factorization builders --------------------------------------------------

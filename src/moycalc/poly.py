@@ -8,7 +8,11 @@ goes through ``qdiv``, since ``/`` on two ints would give a float.
 
 Variables come in three kinds, each with a fixed even Z-degree:
 ``x`` and ``y`` variables have degree 2, ``z`` variables have degree 4.
-A variable is a pair ``(kind, index)`` such as ``("x", 1)``.
+A variable is a pair ``(kind, index)`` such as ``("x", 1)``.  Variables
+order as plain tuples, so x1 < x2 < ... < y1 < ... < z1 only because the
+kinds are alphabetical; a new kind must keep them so.  A monomial is a
+tuple of (variable, exponent) pairs, variables strictly increasing and
+exponents positive, with ``()`` for 1; the ``mono_*`` functions own it.
 
 Monomials are compared in graded lexicographic order: first by weighted
 total degree, then lexicographically with x1 > x2 > ... > y1 > ... > z1 > ...
@@ -46,17 +50,22 @@ def qdiv(a, b):
     return as_coeff(Fraction(a, b))
 
 
-def var_key(v):
-    kind, index = v
-    return (KIND_RANK[kind], index)
-
-
 def var_degree(v):
     return VAR_DEGREE[v[0]]
 
 
 def var_name(v):
     return "%s%d" % v
+
+
+def _monomial(exp):
+    """The monomial of an exponent dict {variable: positive exponent}."""
+    return tuple(sorted(exp.items()))
+
+
+def mono_exponent(mono, v):
+    """The exponent of variable v in mono (0 if v does not occur)."""
+    return dict(mono).get(v, 0)
 
 
 def mono_degree(mono):
@@ -67,7 +76,7 @@ def mono_mul(m1, m2):
     exp = dict(m1)
     for v, e in m2:
         exp[v] = exp.get(v, 0) + e
-    return tuple(sorted(exp.items(), key=lambda it: var_key(it[0])))
+    return _monomial(exp)
 
 
 def mono_div(m1, m2):
@@ -81,13 +90,13 @@ def mono_div(m1, m2):
             exp.pop(v, None)
         else:
             exp[v] = r
-    return tuple(sorted(exp.items(), key=lambda it: var_key(it[0])))
+    return _monomial(exp)
 
 
 def mono_sort_key(mono):
-    # Graded lex.  Within one degree, a variable of smaller var_key with a
-    # higher exponent makes the monomial larger, so negate the key parts.
-    lex = tuple((-var_key(v)[0], -var_key(v)[1], e) for v, e in mono)
+    # Graded lex.  Within one degree, an earlier variable with a higher
+    # exponent makes the monomial larger, so negate the variable's rank.
+    lex = tuple((-KIND_RANK[kind], -index, e) for (kind, index), e in mono)
     return (mono_degree(mono), lex)
 
 
@@ -182,7 +191,7 @@ class Poly:
         for mono, coeff in self.terms.items():
             exp = dict(mono)
             if exp.pop(v, 0) == e:
-                rest = tuple(sorted(exp.items(), key=lambda it: var_key(it[0])))
+                rest = _monomial(exp)
                 out[rest] = out.get(rest, 0) + coeff
         return Poly(out)
 
@@ -284,7 +293,7 @@ class Poly:
             for v, e in mono:
                 w = mapping.get(v, v)
                 exp[w] = exp.get(w, 0) + e
-            m = tuple(sorted(exp.items(), key=lambda it: var_key(it[0])))
+            m = _monomial(exp)
             acc[m] = acc.get(m, 0) + coeff
         return Poly(acc)
 
@@ -300,7 +309,7 @@ class Poly:
                 exp.pop(v)
             else:
                 exp[v] = e - 1
-            m = tuple(sorted(exp.items(), key=lambda it: var_key(it[0])))
+            m = _monomial(exp)
             out[m] = out.get(m, 0) + coeff * e
         return Poly(out)
 

@@ -12,10 +12,9 @@ That linear algebra is one sparse eliminator, ``echelon``, shared with the
 staircase-basis check below and with the homology ranks.
 """
 
-from itertools import product
-
 from .laurent import LaurentPoly
-from .poly import Poly, mono_div, qdiv, var_degree, var_key
+from .poly import (Poly, mono_div, mono_exponent, mono_mul, mono_sort_key,
+                   qdiv, var_degree)
 
 class TriangularityViolation(ValueError):
     """A rule insertion or substitution would break the triangular shape."""
@@ -136,9 +135,8 @@ class QuotientRing:
         if cached is not None:
             return cached
         target = None
-        mdict = dict(mono)
         for v, d, repl in self.rules:
-            if mdict.get(v, 0) >= d:
+            if mono_exponent(mono, v) >= d:
                 target = (v, d, repl)
                 break
         if target is None:
@@ -170,7 +168,7 @@ class QuotientRing:
                 if v in varset and not repl.variables() <= varset:
                     varset |= repl.variables()
                     changed = True
-        variables = sorted(varset, key=var_key)
+        variables = sorted(varset)
         cache_key = (tuple(variables), degree)
         cached = self._pivot_cache.get(cache_key)
         if cached is None:
@@ -194,15 +192,14 @@ class QuotientRing:
 
     def basis_monomials(self, ambient=()):
         """All monomials below the staircase; ambient vars must be bounded."""
-        for v in sorted(ambient, key=var_key):
+        for v in sorted(ambient):
             if self.rule_for(v) is None:
                 raise InfiniteDimension("no bounding rule for %s%d" % v)
-        vs = [(v, d) for v, d, _ in self.rules]
-        out = []
-        for exps in product(*[range(d) for _, d in vs]):
-            mono = tuple(sorted(((v, e) for (v, _), e in zip(vs, exps) if e),
-                                key=lambda it: var_key(it[0])))
-            out.append(mono)
+        # the product of the rules' ranges, the last rule varying fastest
+        out = [()]
+        for v, d, _ in self.rules:
+            out = [mono_mul(m, ((v, e),)) if e else m
+                   for m in out for e in range(d)]
         return out
 
 
@@ -270,14 +267,14 @@ def _check_acyclic(rules):
                     comp.add(w)
                     queue.append(w)
         remaining -= comp
-        _verify_staircase([by_leader[v] for v in sorted(comp, key=var_key)])
+        _verify_staircase([by_leader[v] for v in sorted(comp)])
 
 
 def _verify_staircase(rules):
     """Check, degree by degree, that the monomials below the staircase of
     a closed rule system are a basis of the quotient."""
     leaders = {v: d for v, d, _ in rules}
-    variables = sorted(leaders, key=var_key)
+    variables = sorted(leaders)
     socle = sum(var_degree(v) * (d - 1) for v, d in leaders.items())
     top = socle + max(var_degree(v) for v in variables)
     for degree in range(1, top + 1):
@@ -292,17 +289,18 @@ def _relation_echelon(rules, variables, degree):
     """Echelon form of the multiples of the rule polynomials v^d - p that
     lie in one degree, over the monomials of that degree in ``variables``.
 
-    Columns put the reducible monomials (on or above the staircase) first;
-    returns (columns, number of reducible monomials, pivots).
+    Columns put the reducible monomials (on or above the staircase) first,
+    each group in decreasing monomial order; returns (columns, number of
+    reducible monomials, pivots).
     """
-    leaders = {v: d for v, d, _ in rules}
-
-    def is_reducible(mono):
-        return any(dict(mono).get(v, 0) >= d for v, d in leaders.items())
-
-    columns = sorted(_monomials_of_degree(variables, degree),
-                     key=lambda m: (not is_reducible(m),
-                                    [-k for k in _flat_key(m)]))
+    reducible, rest = [], []
+    for m in sorted(_monomials_of_degree(variables, degree),
+                    key=mono_sort_key, reverse=True):
+        if any(mono_exponent(m, v) >= d for v, d, _ in rules):
+            reducible.append(m)
+        else:
+            rest.append(m)
+    columns = reducible + rest
     col_index = {m: i for i, m in enumerate(columns)}
     rows = []
     for v, d, repl in rules:
@@ -310,8 +308,7 @@ def _relation_echelon(rules, variables, degree):
         for mult in _monomials_of_degree(variables, degree - g.degree()):
             prod = Poly({mult: 1}) * g
             rows.append({col_index[m]: c for m, c in prod.terms.items()})
-    reducible = sum(1 for m in columns if is_reducible(m))
-    return columns, reducible, echelon(rows)
+    return columns, len(reducible), echelon(rows)
 
 
 def echelon(vectors):
@@ -349,13 +346,6 @@ def reduce_vector(vec, pivots):
             else:
                 del vec[j]
     return vec
-
-
-def _flat_key(mono):
-    out = []
-    for v, e in mono:
-        out.extend((-var_key(v)[0], -var_key(v)[1], e))
-    return out
 
 
 def _monomials_of_degree(variables, degree):

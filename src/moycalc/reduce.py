@@ -23,8 +23,9 @@ copies' steps, sizes[k] of them for copy k (the split tree in pre-order).
 """
 
 import itertools
+from operator import itemgetter
 
-from .poly import Poly, mono_sort_key, qdiv, var_degree, var_key
+from .poly import Poly, mono_sort_key, qdiv, var_degree
 from .quotient import QuotientRing, TriangularityViolation
 from .mf import KoszulMF, MFSum
 
@@ -152,7 +153,7 @@ def _exclusion_candidates(mf, potential_vars, order=None):
     leaders = {w for w, _, _ in mf.base.rules}
     out = []
     for i, row in enumerate(mf.rows):
-        variables = sorted(row.a.variables() | row.b.variables(), key=var_key)
+        variables = sorted(row.a.variables() | row.b.variables())
         for v in variables:
             if v in potential_vars or v in leaders:
                 continue
@@ -171,8 +172,7 @@ def _exclusion_candidates(mf, potential_vars, order=None):
 def _splittable_variables(mf):
     if not mf.rows:
         return []
-    return sorted((v for v, _, _ in mf.base.rules if not _residual(mf, v)),
-                  key=var_key)
+    return sorted(v for v, _, _ in mf.base.rules if not _residual(mf, v))
 
 
 def auto_reduce(mf, order=None):
@@ -261,7 +261,7 @@ def canonical_form(mf):
 
 def _state_key(mf):
     return (tuple(map(_row_key, mf.rows)),
-            tuple((var_key(v), d, p.sort_key()) for v, d, p in mf.base.rules))
+            tuple((v, d, p.sort_key()) for v, d, p in mf.base.rules))
 
 
 def _row_key(r):
@@ -300,7 +300,7 @@ def _relabel(mf):
     for row in mf.rows:
         visit(row.b)
         visit(row.a)
-    for v, _, p in sorted(mf.base.rules, key=lambda r: var_key(r[0])):
+    for v, _, p in sorted(mf.base.rules, key=itemgetter(0)):
         if v not in seen:
             seen.add(v)
             order.append(v)
@@ -317,8 +317,7 @@ def _relabel(mf):
 
     rows = [r.mapped(sub) for r in mf.rows]
     rules = tuple(sorted(((var_map[v], d, sub(p))
-                          for v, d, p in mf.base.rules),
-                         key=lambda r: var_key(r[0])))
+                          for v, d, p in mf.base.rules), key=itemgetter(0)))
     if rows == list(mf.rows) and rules == mf.base.rules:
         return mf
     return KoszulMF(rows, QuotientRing(rules), mf.shift, mf.parity)

@@ -10,7 +10,7 @@ polynomials h_j(a, b) = (a^{j+1} - b^{j+1})/(a - b), so they are built
 without dividing.
 """
 
-from .poly import Poly, qdiv
+from .poly import Poly, mono_exponent, qdiv
 from .quotient import QuotientRing, TriangularityViolation
 
 
@@ -57,7 +57,7 @@ def slot_quotients(n, s, t, p, q):
     """
     u = v = Poly()
     for mono, c in power_sum_expand(n).terms.items():
-        k = dict(mono).get(("z", 1), 0)
+        k = mono_exponent(mono, ("z", 1))
         u = u + c * p ** k * _h(n - 2 * k, s, t)
         v = v + c * t ** (n + 1 - 2 * k) * _h(k - 1, p, q)
     return u, v

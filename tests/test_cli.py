@@ -91,6 +91,15 @@ def test_bad_diagram_is_domain_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["euler", "bracket"])
+def test_non_ascii_n_is_domain_error(command, tmp_path, capsys):
+    path = tmp_path / "sup.moy"
+    path.write_text("n \u00b2\narc x1 x2\nglue x2 x1\n", encoding="utf-8")
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: line 1, column 1: usage: n <int>" % path)
+
+
 def test_open_bracket_is_domain_error(tmp_path, capsys):
     path = tmp_path / "open.moy"
     path.write_text("n 3\nwide x1 x2 x3 x4\n")

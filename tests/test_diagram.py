@@ -35,6 +35,23 @@ def test_parse_errors_carry_position():
         parse_diagram("")
 
 
+def test_n_takes_ascii_digits_only():
+    for digit in ("\u00b2", "\u0663"):    # superscript two, Arabic-Indic three
+        with pytest.raises(ParseError, match="column 1: usage: n <int>"):
+            parse_diagram("n %s\narc x1 x2\nglue x2 x1\n" % digit)
+
+
+def test_parse_errors_point_at_the_token():
+    # the bad token's text also occurs earlier in the line
+    with pytest.raises(ParseError, match="column 12: parameter 'x1' should "
+                                         "be a d-identifier"):
+        parse_diagram("n 3\nvin x12 x2 x1\n")
+    with pytest.raises(ParseError, match="column 8: bad identifier 'x'"):
+        parse_diagram("n 3\narc x1 x\n")
+    with pytest.raises(ParseError, match="column 13: bad identifier 'x'"):
+        parse_diagram("n 3\n  glue  x1  x  # x\n")
+
+
 def test_semantic_errors():
     with pytest.raises(DuplicateUse):
         parse_diagram("n 3\narc x1 x1\n")

@@ -1,12 +1,16 @@
 """Sparse polynomial arithmetic, ordering, and exact division."""
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from moycalc.poly import (NonExactDivision, Poly, exact_div, mono_mul,
-                          mono_sort_key, partial_derivative)
+import moycalc
+from moycalc import quotient
+from moycalc.poly import (NonExactDivision, Poly, exact_div, mono_div,
+                          mono_mul, mono_sort_key, partial_derivative)
 
 X1, X2, Y1, Z1 = ("x", 1), ("x", 2), ("y", 1), ("z", 1)
 
@@ -234,3 +238,56 @@ def test_float_coefficients_are_refused():
                     lambda p: 0.5 * p):
         with pytest.raises(TypeError):
             combine(v(X1))
+
+
+def _is_monomial(mono):
+    variables = [var for var, _ in mono]
+    return (all(a < b for a, b in zip(variables, variables[1:]))
+            and all(type(e) is int and e > 0 for _, e in mono))
+
+
+def test_every_monomial_keeps_the_layout():
+    """Variables strictly increase as plain tuples and exponents are
+    positive, in every monomial the arithmetic and the quotient build.
+    Indices reach 12, so x2 < x10 tests the int ordering of indices."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    variables = st.tuples(st.sampled_from("xyz"), st.integers(1, 12))
+    exponents = st.dictionaries(variables, st.integers(1, 3), max_size=4)
+    monos = exponents.map(lambda exp: tuple(sorted(exp.items())))
+    polys = st.dictionaries(monos, st.integers(-3, 3), max_size=4).map(Poly)
+    # few targets, so that renamed variables often coincide
+    targets = st.sampled_from([X1, X2, ("x", 10), Y1, Z1])
+    renames = st.dictionaries(variables, targets, max_size=4)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(monos, monos, polys, polys, variables, renames,
+                      st.integers(0, 3), exponents, st.integers(0, 12))
+    def check(m1, m2, a, b, var, rename, e, bounds, degree):
+        product = mono_mul(m1, m2)
+        assert mono_div(product, m2) == m1
+        built = [product, mono_div(m1, m2) or ()]   # None: m2 does not divide
+        for p in (a.renamed(rename), a.diff(var), a.coefficient_in(var, e),
+                  a.substitute({var: b})):
+            built.extend(p.terms)
+        ring = quotient.QuotientRing()
+        for leader, d in bounds.items():    # leaders out of order
+            ring = ring.with_rule(leader, d, Poly())
+        basis = ring.basis_monomials()
+        assert len(set(basis)) == len(basis)
+        built.extend(basis)
+        built.extend(quotient._monomials_of_degree(sorted(bounds), degree))
+        for mono in built:
+            assert _is_monomial(mono), mono
+
+    check()
+
+
+def test_only_poly_reads_the_monomial_layout():
+    src = Path(moycalc.__file__).parent
+    pattern = re.compile(r"var_key|KIND_RANK|_flat_key|dict\(mono")
+    offenders = ["%s:%d" % (path.name, i)
+                 for path in sorted(src.glob("*.py")) if path.name != "poly.py"
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if pattern.search(line)]
+    assert not offenders

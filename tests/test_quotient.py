@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from moycalc.poly import Poly
+from moycalc import quotient
+from moycalc.poly import Poly, mono_exponent, mono_sort_key
 from moycalc.quotient import (InfiniteDimension, QuotientRing,
                               TriangularityViolation, echelon)
 from moycalc.laurent import LaurentPoly
@@ -104,6 +105,23 @@ def test_basis_monomials_bounded():
     assert len(ring.basis_monomials()) == 2
     with pytest.raises(InfiniteDimension):
         ring.basis_monomials(ambient={Z1})
+
+
+def test_relation_echelon_puts_reducible_columns_first():
+    rules = [(Z1, 2, v(Y1) ** 2 * v(Z1)), (Y1, 3, 2 * v(Y1) * v(Z1))]
+    variables = [X1, ("x", 2), Y1, Z1]
+    columns, reducible, _ = quotient._relation_echelon(rules, variables, 12)
+    assert set(columns) == set(quotient._monomials_of_degree(variables, 12))
+
+    def is_reducible(m):
+        return any(mono_exponent(m, w) >= d for w, d, _ in rules)
+
+    assert 0 < reducible < len(columns)
+    assert all(map(is_reducible, columns[:reducible]))
+    assert not any(map(is_reducible, columns[reducible:]))
+    for group in (columns[:reducible], columns[reducible:]):
+        keys = [mono_sort_key(m) for m in group]
+        assert keys == sorted(set(keys), reverse=True)
 
 
 def test_rewriting_cycle_falls_back_to_linear_algebra():
