@@ -262,6 +262,10 @@ class SparseMat:
         clean = {}
         if entries:
             for pos, p in entries.items():
+                i, j = pos
+                if not (0 <= i < nrows and 0 <= j < ncols):
+                    raise ValueError("position %r outside a %dx%d matrix"
+                                     % (pos, nrows, ncols))
                 if not p.is_zero():
                     clean[pos] = p
         object.__setattr__(self, "nrows", nrows)
@@ -291,6 +295,12 @@ class SparseMat:
         distinct entries (p and -p are one entry with a sign), and only
         the sums that survive are expanded into polynomials, equal sums
         once.
+
+        Both matrices are indexed by row once.  Each output row i then
+        counts its pair products in one dict keyed by a single int,
+        j * n^2 + lo * n + hi for column j and the unordered pair lo <= hi
+        of the n distinct entries; only the keys whose count is nonzero
+        are decoded into per-position sums.
         """
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
@@ -309,33 +319,37 @@ class SparseMat:
                 seen[id(p)] = got
             return got
 
-        by_row = {}
-        for (k, j), q in other.entries.items():
-            by_row.setdefault(k, []).append((j, *symbol(q)))
-        acc = {}
+        left = {}
         for (i, k), p in self.entries.items():
-            sp, a = symbol(p)
-            for j, sq, b in by_row.get(k, ()):
-                slot = acc.setdefault((i, j), {})
-                pair = (a, b) if a <= b else (b, a)
-                c = slot.get(pair, 0) + sp * sq
-                if c:
-                    slot[pair] = c
-                else:
-                    del slot[pair]
+            left.setdefault(i, []).append((k, *symbol(p)))
+        right = {}
+        for (k, j), q in other.entries.items():
+            right.setdefault(k, []).append((j, *symbol(q)))
+        n = len(reps)
+        nn = n * n
 
         expanded = {}
         entries = {}
-        for pos, slot in acc.items():
-            if not slot:
-                continue
-            key = tuple(sorted(slot.items()))
-            if key not in expanded:
-                value = Poly()
-                for (a, b), c in key:
-                    value = value + reps[a] * reps[b] * c
-                expanded[key] = value
-            entries[pos] = expanded[key]
+        for i, row in left.items():
+            acc = {}
+            for k, sp, a in row:
+                for j, sq, b in right.get(k, ()):
+                    key = j * nn + (a * n + b if a <= b else b * n + a)
+                    acc[key] = acc.get(key, 0) + sp * sq
+            slots = {}
+            for key, c in acc.items():
+                if c:
+                    j, pair = divmod(key, nn)
+                    slots.setdefault(j, []).append((pair, c))
+            for j, slot in slots.items():
+                key = tuple(sorted(slot))
+                if key not in expanded:
+                    value = Poly()
+                    for pair, c in key:
+                        a, b = divmod(pair, n)
+                        value = value + reps[a] * reps[b] * c
+                    expanded[key] = value
+                entries[(i, j)] = expanded[key]
         return SparseMat(self.nrows, other.ncols, entries)
 
     def mapped(self, fn):

@@ -1,5 +1,6 @@
 """Koszul rows, tensor products, and the explicit 2-periodic form."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -276,3 +277,149 @@ def test_explicit_form_shares_entry_objects():
         got = mf.to_explicit()
         ids = {id(p) for mat in (got.d0, got.d1) for p in mat.entries.values()}
         assert len(ids) <= 4 * k, (k, mf.parity, mf.base)
+
+
+def _distinct_polys(rng, count):
+    """count polynomials, no two equal up to sign."""
+    out, seen = [], set()
+    while len(out) < count:
+        p = _random_poly(rng) * rng.choice((1, 5, -7))
+        if p.is_zero() or p in seen:
+            continue
+        seen.update((p, -p))
+        out.append(p)
+    return out
+
+
+def _dense_product(a, b):
+    return [[sum((a[(i, t)] * b[(t, j)] for t in range(a.ncols)), Poly())
+             for j in range(b.ncols)] for i in range(a.nrows)]
+
+
+def test_product_matches_a_dense_reference_with_many_symbols():
+    rng = random.Random(41)
+    zero = Poly()
+    cancelled = 0
+    for _ in range(12):
+        base = _distinct_polys(rng, 48)
+        negated = [-p for p in base]    # equal to, not the same as, -p
+        order = itertools.cycle(rng.sample(range(48), 48))
+
+        def pick():
+            # every entry of base, or its negation, before any repeats
+            return rng.choice((base, negated))[next(order)]
+
+        r, k, c = rng.randint(7, 10), rng.randint(7, 10), rng.randint(7, 10)
+        empty_rows = set(rng.sample(range(r), 1))
+        empty_cols = set(rng.sample(range(c), 1))
+        empty_mid = set(rng.sample(range(k), 2))    # rows of b, none stored
+        a = {(i, t): pick() for i in range(r) for t in range(k)
+             if i not in empty_rows and rng.random() < 0.9}
+        b = {(t, j): pick() for t in range(k) for j in range(c)
+             if t not in empty_mid and j not in empty_cols
+             and rng.random() < 0.9}
+        a[(rng.randrange(r), rng.randrange(k))] = zero
+        # [a | a | e] @ [b ; -b ; f]: the first two blocks cancel entirely
+        e = {(i, t): pick() for i in range(r) for t in range(2)
+             if i not in empty_rows and rng.random() < 0.3}
+        f = {(t, j): pick() for t in range(2) for j in range(c)
+             if j not in empty_cols and rng.random() < 0.3}
+        left = SparseMat(r, 2 * k + 2, {
+            **a, **{(i, t + k): p for (i, t), p in a.items()},
+            **{(i, t + 2 * k): p for (i, t), p in e.items()}})
+        right = SparseMat(2 * k + 2, c, {
+            **b, **{(t + k, j): -p for (t, j), p in b.items()},
+            **{(t + 2 * k, j): p for (t, j), p in f.items()}})
+        used = list(left.entries.values()) + list(right.entries.values())
+        assert len({min(str(p), str(-p)) for p in used}) > 40
+        for lhs, rhs in ((SparseMat(r, k, a), SparseMat(k, c, b)),
+                         (left, right)):
+            got = lhs @ rhs
+            assert (got.nrows, got.ncols) == (lhs.nrows, rhs.ncols)
+            for i, row in enumerate(_dense_product(lhs, rhs)):
+                for j, expected in enumerate(row):
+                    assert got[(i, j)] == expected
+                    if expected.is_zero():
+                        assert (i, j) not in got.entries
+                        cancelled += any((i, t) in lhs.entries
+                                         and (t, j) in rhs.entries
+                                         for t in range(lhs.ncols))
+                    if i in empty_rows or j in empty_cols:
+                        assert expected.is_zero()
+        # [D1 | D2] @ [D2 ; -D1] is 0: each pair of entries meets in both
+        # orders, p*q against q*(-p)
+        m = 24
+        d1, d2 = base[:m], base[m:2 * m]
+        swap = (SparseMat(m, 2 * m, {**{(t, t): d1[t] for t in range(m)},
+                                     **{(t, m + t): d2[t] for t in range(m)}})
+                @ SparseMat(2 * m, m, {**{(t, t): d2[t] for t in range(m)},
+                                       **{(m + t, t): -d1[t]
+                                          for t in range(m)}}))
+        assert swap == SparseMat(m, m)
+    assert cancelled > 100
+    for k in (0, 3):
+        assert SparseMat(0, k) @ SparseMat(k, 0) == SparseMat(0, 0)
+    assert SparseMat(3, 0) @ SparseMat(0, 2) == SparseMat(3, 2)
+
+
+_VARS = (X1, X2, X3, Y1)
+_RULED = QuotientRing().with_rule(X1, 3, v(X2, 3) - v(X1) * v(X3, 2))
+
+
+def _monomial(rng, degree):
+    """A random monic monomial of weighted degree ``degree`` (all of
+    _VARS have degree 2)."""
+    out = Poly.const(1)
+    for _ in range(degree // 2):
+        out = out * v(rng.choice(_VARS))
+    return out
+
+
+def _homogeneous(rng, degree):
+    while True:
+        p = sum((_monomial(rng, degree) * rng.choice((1, -1, 2, -3))
+                 for _ in range(rng.randint(1, 3))), Poly())
+        if not p.is_zero():
+            return p
+
+
+def _random_koszul(rng, rows, base, parity):
+    # every row has deg a + deg b = 8, so the potential is homogeneous
+    entries = []
+    for _ in range(rows):
+        deg_a = 2 * rng.randint(1, 3)
+        entries.append(KoszulRow(_homogeneous(rng, deg_a),
+                                 _homogeneous(rng, 8 - deg_a), deg_a,
+                                 8 - deg_a))
+    return KoszulMF(entries, base, rng.randint(-3, 3), parity)
+
+
+def test_verify_factorization_at_scale():
+    rng = random.Random(17)
+    for rows in (6, 7, 8):
+        for parity in (0, 1):
+            for base in (QuotientRing(), _RULED):
+                m = _random_koszul(rng, rows, base, parity)
+                e = m.to_explicit()
+                assert len(e.gens0) == len(e.gens1) == 1 << (rows - 1)
+                assert verify_factorization(e) == m.potential()
+                which = rng.choice(("d0", "d1"))
+                mat = getattr(e, which)
+                pos = rng.choice(sorted(mat.entries))
+                entries = dict(mat.entries)
+                entries[pos] = entries[pos] + _monomial(
+                    rng, entries[pos].degree())
+                broken = SparseMat(mat.nrows, mat.ncols, entries)
+                d0, d1 = (broken, e.d1) if which == "d0" else (e.d0, broken)
+                with pytest.raises(NotAFactorization):
+                    verify_factorization(ExplicitMF(e.gens0, e.gens1, d0, d1,
+                                                    base))
+
+
+def test_sparse_mat_rejects_positions_outside_its_shape():
+    with pytest.raises(ValueError, match=r"\(5, 5\)"):
+        SparseMat(2, 2, {(0, 0): v(X1), (5, 5): v(X1)})
+    for pos in ((-1, 0), (0, -1), (2, 0), (0, 3)):
+        with pytest.raises(ValueError):
+            SparseMat(2, 3, {pos: Poly()})
+    assert SparseMat(2, 3, {(1, 2): v(X1)})[(1, 2)] == v(X1)
