@@ -9,6 +9,9 @@ rule lingers in the base; higher powers become quotient-ring rules.
 A row with a unit entry stays: K(1; b) is contractible, so the whole
 summand is zero, and its homology reads as zero.
 
+Rows are in normal form over the base: auto_reduce, replay and
+canonical_form normalize their input once, and every later step keeps it so.
+
 auto_reduce drives exclusions to a fixpoint and splits the base module
 along a rule where none is left.  Exclusions and splits keep the
 potential, and a summand without rows has potential 0, so under a nonzero
@@ -71,38 +74,39 @@ def _monic_data(p, v):
 
 
 def exclude_variable(mf, i, v, side=None, potential_vars=None):
-    """Remove row i, quotienting the base by its (monic in v) b-entry.
+    """Remove row i = (a; b), quotienting the base by its entry monic in v.
 
-    side "a" first rewrites the row by the translation functor so the
-    a-entry becomes the usable b-entry; side None tries b then a.
+    Side "b" uses b = c*v^d + (lower in v): v^d becomes v^d - b/c, by
+    substitution when d = 1 and as a rule otherwise.  Side "a" uses a; by
+    K(a; b) = K(-b; -a)<1>{(deg b - deg a)/2} the result then has shift
+    + (deg b - deg a)/2 and parity + 1.  Side None tries b then a.
     potential_vars, the variables of mf's potential, is computed when
     not given; exclusion leaves it unchanged, so a search passes it down.
     """
+    if side not in ("a", "b", None):
+        raise ValueError("side must be 'a', 'b' or None, not %r" % (side,))
+    if not 0 <= i < len(mf.rows):
+        raise ValueError("row %d out of range for %d rows" % (i, len(mf.rows)))
     if potential_vars is None:
         potential_vars = mf.potential().variables()
+    row = mf.rows[i]
     if side is None:
-        if _monic_data(mf.rows[i].b, v):
+        if _monic_data(row.b, v):
             side = "b"
-        elif _monic_data(mf.rows[i].a, v):
+        elif _monic_data(row.a, v):
             side = "a"
         else:
             raise NotMonicInVariable("row %d is not monic in %s%d" % (i, *v))
-    if side == "a":
-        mf = mf.flip_row(i)
-
-    row = mf.rows[i]
-    data = _monic_data(row.b, v)
+    entry = row.b if side == "b" else row.a
+    data = _monic_data(entry, v)
     if data is None:
-        raise NotMonicInVariable("entry %s is not monic in %s%d" % (row.b, *v))
+        raise NotMonicInVariable("entry %s is not monic in %s%d" % (entry, *v))
     d, c = data
     if v in potential_vars:
         raise VariableInPotential("potential contains %s%d" % v)
 
-    mf = scale_row(mf, i, c)  # makes b monic: b = v^d + p
-    row = mf.rows[i]
-    repl = -(row.b - Poly.var(v, d))
-    rows = [r for j, r in enumerate(mf.rows) if j != i]
-
+    repl = Poly.var(v, d) - entry * qdiv(1, c)
+    rows = mf.rows[:i] + mf.rows[i + 1:]
     if d == 1:
         base = mf.base.substitute(v, repl)
         rows = [r.mapped(lambda p: base.normal_form(p.substitute({v: repl})))
@@ -110,11 +114,15 @@ def exclude_variable(mf, i, v, side=None, potential_vars=None):
     else:
         base = mf.base.with_rule(v, d, repl)
         rows = [r.mapped(base.normal_form) for r in rows]
+    if side == "a":
+        return KoszulMF(rows, base, mf.shift + row.internal_shift,
+                        mf.parity + 1)
     return KoszulMF(rows, base, mf.shift, mf.parity)
 
 
 def split_free_module(mf, v):
-    """Split along the rule basis 1, v, ..., v^{d-1} of the base module."""
+    """Split along the rule basis 1, v, ..., v^{d-1} of the base module;
+    the copies share mf's rows, which must be in normal form."""
     rule = mf.base.rule_for(v)
     if rule is None:
         raise ValueError("no rule with leader %s%d" % v)
@@ -122,20 +130,17 @@ def split_free_module(mf, v):
     residual = _residual(mf, v)
     if residual:
         raise ResidualVariable(residual)
-    nf = mf.base.normal_form
     base = QuotientRing([r for r in mf.base.rules if r[0] != v])
-    copies = [KoszulMF([r.mapped(nf) for r in mf.rows], base,
-                       mf.shift + k * var_degree(v), mf.parity)
+    copies = [KoszulMF(mf.rows, base, mf.shift + k * var_degree(v), mf.parity)
               for k in range(d)]
     return MFSum(copies)
 
 
 def _residual(mf, v):
-    """Where v still occurs outside its own rule, as a message (a row's
-    normal form or another rule); None where v is free to split along."""
-    nf = mf.base.normal_form
+    """Where v still occurs outside its own rule, as a message (a row, in
+    normal form, or another rule); None where v is free to split along."""
     for i, row in enumerate(mf.rows):
-        if nf(row.a).degree_in(v) or nf(row.b).degree_in(v):
+        if row.a.degree_in(v) or row.b.degree_in(v):
             return "row %d still contains %s%d" % (i, *v)
     for w, _, p in mf.base.rules:
         if w != v and p.degree_in(v):
@@ -252,7 +257,7 @@ def canonical_form(mf):
     insensitive to the arbitrary names reduction happens to leave behind.
     Relabeling can cycle between namings; the least state of the cycle wins."""
     seen = []
-    cur = _normalize_rows(mf)
+    cur = _normalize_rows(mf.normalized_rows())
     while cur not in seen:
         seen.append(cur)
         cur = _normalize_rows(_relabel(cur))
@@ -269,10 +274,8 @@ def _row_key(r):
 
 
 def _normalize_rows(mf):
-    nf = mf.base.normal_form
     rows = []
     for row in mf.rows:
-        row = row.mapped(nf)
         if not row.b.is_zero():
             _, lc = row.b.leading()
             row = row.scaled(lc)

@@ -11,10 +11,11 @@ from moycalc.mf import KoszulMF, KoszulRow, MFSum, koszul_new
 from moycalc.poly import Poly
 from moycalc.quotient import TriangularityViolation
 from moycalc import reduce as reduce_module
-from moycalc.reduce import (NotMonicInVariable, VariableInPotential,
-                            _normalize_rows, _relabel, auto_reduce,
-                            canonical_form, exclude_variable, replay,
-                            scale_row, split_free_module)
+from moycalc.reduce import (NotMonicInVariable, ReductionTrace,
+                            VariableInPotential, _normalize_rows, _relabel,
+                            auto_reduce, canonical_form, exclude_variable,
+                            replay, scale_row, split_free_module)
+from test_acceptance import _random_diagram
 from test_moybracket import SQUARE_WEB
 
 CIRCLE = "n %d\narc x1 x2\nglue x1 x2\n"
@@ -36,7 +37,7 @@ NESTED = ("n 3\narc x1 x2\narc x3 x4\narc x5 x6\narc x7 x8\n"
 # criterion 8's seed-2024 item 85: its reduction has non-integral entries
 ITEM85 = "n 3\nwide x1 x2 x3 x4\nglue x1 x4\n"
 
-X1, X2 = ("x", 1), ("x", 2)
+X1, X2, Z1 = ("x", 1), ("x", 2), ("z", 1)
 
 
 def v(var, e=1):
@@ -81,16 +82,45 @@ def test_exclude_refuses_non_monic_entry():
         exclude_variable(m, 0, X2)
 
 
+def _two_linear_rows():
+    return (koszul_new(v(X1), v(Z1) - v(X1, 2))
+            @ koszul_new(v(X1), v(X1, 2) - v(Z1)))
+
+
 def test_exclude_linear_substitutes_without_rule():
     # zero potential; excluding z1 substitutes z1 -> x1^2 into the other row
-    Z1 = ("z", 1)
-    m = (koszul_new(v(X1), v(Z1) - v(X1, 2))
-         @ koszul_new(v(X1), v(X1, 2) - v(Z1)))
-    out = exclude_variable(m, 0, Z1)
+    out = exclude_variable(_two_linear_rows(), 0, Z1)
     assert len(out.rows) == 1
     assert out.base.rules == ()
     assert out.rows[0].a == v(X1)
     assert out.rows[0].b.is_zero()
+
+
+def test_exclude_rejects_a_negative_row_index():
+    m = _two_linear_rows()
+    assert len(exclude_variable(m, 1, Z1).rows) == 1
+    with pytest.raises(ValueError, match="row -1 out of range for 2 rows"):
+        exclude_variable(m, -1, Z1)
+
+
+def test_exclude_rejects_a_row_index_past_the_last_row():
+    with pytest.raises(ValueError, match="row 2 out of range for 2 rows"):
+        exclude_variable(_two_linear_rows(), 2, Z1)
+
+
+def test_replay_of_a_foreign_trace_names_the_missing_row():
+    # a step recorded on a two-row factorization, replayed on one row
+    step = ("exclude", {"row": 1, "var": Z1, "side": "b", "power": 1})
+    m = koszul_new(v(X1), v(X1, 2) - v(Z1))
+    with pytest.raises(ValueError, match="row 1 out of range for 1 rows"):
+        replay(m, ReductionTrace([step]))
+
+
+@pytest.mark.parametrize("side", ["c", "B", ""])
+def test_exclude_rejects_an_unknown_side(side):
+    with pytest.raises(ValueError, match="side must be") as caught:
+        exclude_variable(_two_linear_rows(), 0, Z1, side)
+    assert caught.type is ValueError
 
 
 def test_auto_reduce_circle_and_trace_replay():
@@ -113,6 +143,14 @@ def test_replay_follows_splits(text):
     replayed = replay(mf, trace)
     assert ([canonical_form(s) for s in replayed]
             == [canonical_form(s) for s in reduced])
+
+
+def test_replay_reproduces_auto_reduce_exactly():
+    rng = random.Random(2024)   # criterion 8's corpus, first 40 diagrams
+    for text in [_random_diagram(rng) for _ in range(40)] + [NESTED]:
+        mf = glue(parse_diagram(text))
+        reduced, trace = auto_reduce(mf)
+        assert replay(mf, trace) == reduced, text
 
 
 def test_nonzero_potential_search_does_not_backtrack(monkeypatch):
@@ -178,6 +216,49 @@ def test_left_out_candidates_are_refused_by_with_rule(n):
                     except TriangularityViolation:
                         pass
     assert left_out > 0
+
+
+def _is_normal(mf):
+    nf = mf.base.normal_form
+    return all(nf(p) == p for row in mf.rows for p in (row.a, row.b))
+
+
+@pytest.mark.parametrize("text", [SQUARE_WEB % 3, SQUARE_WEB % 4, NESTED],
+                         ids=["square-n3", "square-n4", "nested"])
+def test_side_a_exclusion_matches_the_flipped_row(text):
+    # walk the states exclusions and splits reach from the input; side "a"
+    # must equal side "b" on the row flipped by the translation functor,
+    # and every state handed on keeps its rows in normal form
+    states = [glue(parse_diagram(text)).normalized_rows()]
+    visited = compared = splits = 0
+    while states and visited < 40:
+        mf = states.pop()
+        visited += 1
+        potential_vars = mf.potential().variables()
+        for i, row in enumerate(mf.rows):
+            for var in sorted(row.a.variables() | row.b.variables()):
+                if (reduce_module._monic_data(row.a, var) is None
+                        and reduce_module._monic_data(row.b, var) is None):
+                    continue
+                results = []
+                for m, side in ((mf, "a"), (mf.flip_row(i), "b"), (mf, "b")):
+                    try:
+                        results.append(exclude_variable(m, i, var, side,
+                                                        potential_vars))
+                    except ValueError as exc:
+                        results.append(type(exc))
+                assert results[0] == results[1]
+                compared += 1
+                made = [r for r in (results[0], results[2])
+                        if isinstance(r, KoszulMF)]
+                assert all(map(_is_normal, made))
+                states += made
+        for var in reduce_module._splittable_variables(mf):
+            copies = list(split_free_module(mf, var))
+            assert all(map(_is_normal, copies))
+            splits += 1
+            states.extend(copies)
+    assert compared > 0 and splits > 0
 
 
 def test_split_free_module():
