@@ -11,6 +11,8 @@ placed by parity; a piece with rows is computed from its explicit complex,
 degree by degree.
 """
 
+from collections import Counter
+
 from .laurent import LaurentPoly
 from .mf import MFSum
 from .poly import Poly, mono_degree
@@ -95,18 +97,14 @@ def _explicit_homology(mf):
     base = mf.base
     monos = base.basis_monomials(mf.ambient_variables())
     exp = mf.to_explicit()
-
     basis0 = _module_basis(monos, exp.gens0)
     basis1 = _module_basis(monos, exp.gens1)
-    index1 = {key: i for i, (key, _) in enumerate(basis1)}
-    index0 = {key: i for i, (key, _) in enumerate(basis0)}
-
-    cols0 = _map_columns(exp.d0, base, basis0, index1)  # M0 -> M1
-    cols1 = _map_columns(exp.d1, base, basis1, index0)  # M1 -> M0
-
-    p0 = _graded_kernel_minus_image(basis0, cols0, basis1, cols1)
-    p1 = _graded_kernel_minus_image(basis1, cols1, basis0, cols0)
-    return HomologyResult(p0, p1)
+    out0, in1 = _graded_ranks(exp.d0, base, basis0, basis1)  # M0 -> M1
+    out1, in0 = _graded_ranks(exp.d1, base, basis1, basis0)  # M1 -> M0
+    # per degree: dimension - rank out of the module - rank into it
+    dim0, dim1 = (LaurentPoly(Counter(deg for _, deg in basis))
+                  for basis in (basis0, basis1))
+    return HomologyResult(dim0 - out0 - in0, dim1 - out1 - in1)
 
 
 def _module_basis(monos, gens):
@@ -118,51 +116,30 @@ def _module_basis(monos, gens):
     return out
 
 
-def _map_columns(mat, base, src_basis, tgt_index):
-    """Per source basis vector: the image as {target row: coefficient},
-    each an exact int or Fraction read from the normal forms' terms."""
-    nf = base.normal_form
-    columns = []
-    for (mono, j), _ in src_basis:
+def _graded_ranks(mat, base, src_basis, tgt_basis):
+    """Ranks of mat restricted to each source degree and to each target
+    degree, as two series: the rank in degree t is the coefficient of q^t.
+
+    A basis vector's image is {target row: coefficient}, each an exact int
+    or Fraction read from the normal forms' terms.
+    """
+    tgt_index = {key: i for i, (key, _) in enumerate(tgt_basis)}
+    by_col = {}
+    for (i, j), entry in mat.entries.items():
+        by_col.setdefault(j, []).append((i, entry))
+    by_src, by_tgt = {}, {}
+    for (mono, j), deg in src_basis:
         m = Poly({mono: 1})
         col = {}
-        for (i, jj), entry in mat.entries.items():
-            if jj != j:
-                continue
-            image = nf(entry * m)
-            for tmono, coeff in image.terms.items():
+        for i, entry in by_col.get(j, ()):
+            for tmono, coeff in base.normal_form(entry * m).terms.items():
                 row = tgt_index[(tmono, i)]
                 col[row] = col.get(row, 0) + coeff
-        columns.append({r: c for r, c in col.items() if c})
-    return columns
+        col = {r: c for r, c in col.items() if c}
+        if col:
+            by_src.setdefault(deg, []).append(col)
+            by_tgt.setdefault(tgt_basis[next(iter(col))][1], []).append(col)
+    return tuple(LaurentPoly({t: len(echelon(cols))
+                              for t, cols in group.items()})
+                 for group in (by_src, by_tgt))
 
-
-def _graded_kernel_minus_image(basis_src, cols_out, basis_in, cols_in):
-    """Poincare series of ker(out) / im(in), degree by degree."""
-    degrees = sorted({deg for _, deg in basis_src})
-    out = LaurentPoly()
-    for t in degrees:
-        dim_t = sum(1 for _, deg in basis_src if deg == t)
-        rank_out = _rank_at(cols_out, basis_src, basis_in, t, source=True)
-        rank_in = _rank_at(cols_in, basis_in, basis_src, t, source=False)
-        h = dim_t - rank_out - rank_in
-        if h:
-            out = out + LaurentPoly({t: h})
-    return out
-
-
-def _rank_at(cols, src_basis, tgt_basis, t, source):
-    """Rank of the map restricted by degree: columns of source degree t
-    (source=True) or columns whose image lands in degree t (source=False)."""
-    picked = []
-    for j, col in enumerate(cols):
-        if not col:
-            continue
-        if source:
-            if src_basis[j][1] == t:
-                picked.append(col)
-        else:
-            tdeg = tgt_basis[next(iter(col))][1]
-            if tdeg == t:
-                picked.append(col)
-    return len(echelon(picked))

@@ -3,8 +3,10 @@ Laurent-polynomial evaluator for closed planar trivalent graphs.
 
 A graph has trivalent vertices of two kinds — vin (two single edges in,
 one double edge out) and vout (one double edge in, two single edges out)
-— joined by oriented single and double edges.  Evaluation rewrites the
-graph by local relations until only free loops remain:
+— joined by oriented single and double edges.  Evaluation splices one
+private copy of the graph by local relations until only free loops remain
+(a relation only describes its rewrite; each term but the last of a sum
+is spliced and evaluated on a copy of its own):
 
   (3)  disjoint pieces multiply;
   (4)  free single loop = [n];
@@ -216,9 +218,7 @@ def _digon_matches(graph):
 
 def _apply_digon(graph, match):
     w, v = match
-    g = graph.copy()
-    g.splice((w, v), [((w, "d"), (v, "d"))])
-    return [(quantum_integer(2), g)]
+    return (w, v), [(quantum_integer(2), [((w, "d"), (v, "d"))])]
 
 
 def _bigon_matches(graph):
@@ -239,10 +239,9 @@ def _bigon_matches(graph):
 
 def _apply_bigon(graph, match):
     v, w, back = match
-    g = graph.copy()
-    g.splice((v, w), [((v, _OTHER[graph.succ[back][1]]),
-                       (w, _OTHER[back[1]]))])
-    return [(quantum_integer(graph.n - 1), g)]
+    return (v, w), [(quantum_integer(graph.n - 1),
+                     [((v, _OTHER[graph.succ[back][1]]),
+                       (w, _OTHER[back[1]]))])]
 
 
 def _square_matches(graph):
@@ -282,40 +281,41 @@ def _apply_square(graph, match):
     in_r = (r, _OTHER[graph.succ[qr][1]])
     out_q = (q, _OTHER[qr[1]])
     out_s = (s, _OTHER[sp[1]])
-    terms = []
-    for coeff, stitches in ((LaurentPoly({0: 1}),
-                             ((in_r, out_q), (in_p, out_s))),
-                            (quantum_integer(graph.n - 2),
-                             ((in_p, out_q), (in_r, out_s)))):
-        g = graph.copy()
-        g.splice((p, q, r, s), stitches)
-        terms.append((coeff, g))
-    return terms
+    return (p, q, r, s), [(LaurentPoly({0: 1}),
+                           ((in_r, out_q), (in_p, out_s))),
+                          (quantum_integer(graph.n - 2),
+                           ((in_p, out_q), (in_r, out_s)))]
 
 
 # relation name -> (matcher, apply); the order is the rewrite priority, and
-# every apply returns the rewritten graphs as [(coefficient, graph)]
+# every apply describes its rewrite without making it, as (removed vertex
+# ids, [(coefficient, stitches)]) for MOYGraph.splice
 RELATIONS = {"digon": (_digon_matches, _apply_digon),
              "bigon": (_bigon_matches, _apply_bigon),
              "square": (_square_matches, _apply_square)}
 
 
 def bracket(graph, first_match=None):
-    """Evaluate a closed graph to a LaurentPoly.
+    """Evaluate a closed graph to a LaurentPoly; graph is left unchanged.
 
     first_match optionally forces the first rewrite, as a pair
     (relation name, match tuple) — used to compare rewrite paths.
     """
-    if first_match is None:
-        if not graph.vertices:
-            return _loop_value(graph.n, graph.loops_single,
-                               graph.loops_double)
-        first_match = _next_rewrite(graph)
-    name, match = first_match
-    total = LaurentPoly()
-    for coeff, g in RELATIONS[name][1](graph, match):
-        total = total + coeff * bracket(g)
-    return total
+    graph = graph.copy()
+    total, coeff = LaurentPoly(), LaurentPoly({0: 1})
+    while graph.vertices:
+        name, match = first_match or _next_rewrite(graph)
+        first_match = None
+        vids, terms = RELATIONS[name][1](graph, match)
+        for c, stitches in terms[:-1]:
+            g = graph.copy()
+            g.splice(vids, stitches)
+            total = total + coeff * c * bracket(g)
+        c, stitches = terms[-1]
+        graph.splice(vids, stitches)
+        coeff = coeff * c
+    return total + coeff * _loop_value(graph.n, graph.loops_single,
+                                       graph.loops_double)
 
 
 def _next_rewrite(graph):

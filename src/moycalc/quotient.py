@@ -64,19 +64,21 @@ class QuotientRing:
     # -- construction --------------------------------------------------
 
     def _check_replacement(self, v, d, repl, against):
+        name = "%s%d^%d" % (v[0], v[1], d)
         if not repl.is_homogeneous():
-            raise TriangularityViolation("replacement for %s^%d not homogeneous"
-                                         % (v, d))
+            raise TriangularityViolation(
+                "replacement for %s not homogeneous" % name)
         if not repl.is_zero() and repl.degree() != d * var_degree(v):
             raise TriangularityViolation(
-                "replacement for %s^%d has wrong degree" % (v, d))
+                "replacement for %s has wrong degree" % name)
         if repl.degree_in(v) >= d:
             raise TriangularityViolation(
-                "replacement for %s^%d contains its own leader" % (v, d))
+                "replacement for %s contains its own leader" % name)
         for w, dw, _ in against:
             if w != v and repl.degree_in(w) >= dw:
                 raise TriangularityViolation(
-                    "replacement for %s^%d reducible by rule on %s" % (v, d, w))
+                    "replacement for %s reducible by rule on %s%d"
+                    % (name, w[0], w[1]))
 
     def with_rule(self, v, d, repl):
         """Extend by the rule v^d -> repl (repl is normalized first)."""
@@ -160,14 +162,7 @@ class QuotientRing:
         degree = p.degree()
         # only variables reachable from p through rule replacements matter;
         # rules on other leaders can never fire while reducing p
-        varset = set(p.variables())
-        changed = True
-        while changed:
-            changed = False
-            for v, _, repl in self.rules:
-                if v in varset and not repl.variables() <= varset:
-                    varset |= repl.variables()
-                    changed = True
+        varset = _reach(p.variables(), self.rules)
         variables = sorted(varset)
         cache_key = (tuple(variables), degree)
         cached = self._pivot_cache.get(cache_key)
@@ -212,62 +207,38 @@ def _check_acyclic(rules):
     so normal forms are canonical.  A rule may mention its own leader
     below its power; that is just monicity.
 
-    Cyclic dependencies can break that basis property silently.  A cycle
-    whose rules only involve leader variables spans a finite-dimensional
-    closed subsystem, and the basis property there is decidable: it is
-    checked degree by degree by linear algebra (and the result memoized).
-    Any other cycle is rejected.
+    Cyclic dependencies can break that basis property silently.  Every
+    leader on a cycle is checked on its closure, the variables its
+    replacement reaches: a closure of leaders only is a finite-dimensional
+    closed subsystem, whose basis property is checked degree by degree by
+    linear algebra.  A closure with any other variable is rejected.
     """
-    leaders = {v: d for v, d, _ in rules}
-    graph = {v: (p.variables() & set(leaders)) - {v} for v, _, p in rules}
-
-    # leaders lying on a directed cycle, by depth-first search
-    cyclic = set()
-    done = set()
-    for start in graph:
-        if start in done:
-            continue
-        stack = [(start, iter(graph[start]))]
-        path = [start]
-        on_path = {start}
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if nxt in on_path:
-                    cyclic.update(path[path.index(nxt):])
-                elif nxt not in done:
-                    stack.append((nxt, iter(graph[nxt])))
-                    path.append(nxt)
-                    on_path.add(nxt)
-                    break
-            else:
-                stack.pop()
-                path.pop()
-                on_path.discard(node)
-                done.add(node)
-    if not cyclic:
-        return
-
     by_leader = {v: (v, d, p) for v, d, p in rules}
-    remaining = set(cyclic)
-    while remaining:
-        # close the component under replacement variables
-        comp = {remaining.pop()}
-        queue = list(comp)
-        while queue:
-            v = queue.pop()
-            for w in by_leader[v][2].variables():
-                if w == v:
-                    continue
-                if w not in leaders:
-                    raise TriangularityViolation(
-                        "cyclic rules through unbounded variable %s%d"
-                        % w)
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        remaining -= comp
-        _verify_staircase([by_leader[v] for v in sorted(comp)])
+    checked = set()
+    for v, _, p in rules:
+        reach = frozenset(_reach(p.variables() - {v}, rules))
+        if v not in reach or reach in checked:
+            continue
+        unbounded = sorted(reach - by_leader.keys())
+        if unbounded:
+            raise TriangularityViolation(
+                "cyclic rules through unbounded variable %s%d" % unbounded[0])
+        checked.add(reach)
+        _verify_staircase([by_leader[w] for w in sorted(reach)])
+
+
+def _reach(variables, rules):
+    """The variables closed under the replacements of the rules on them."""
+    replacement = {v: p for v, _, p in rules}
+    reach = set(variables)
+    queue = list(reach)
+    while queue:
+        w = queue.pop()
+        if w in replacement:
+            new = replacement[w].variables() - reach
+            reach |= new
+            queue.extend(new)
+    return reach
 
 
 def _verify_staircase(rules):

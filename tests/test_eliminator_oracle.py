@@ -1,4 +1,5 @@
-"""The sparse eliminator against sympy: normal forms, ranks, staircases.
+"""The sparse eliminator against sympy: normal forms, ranks, staircases,
+and the ranks of explicit homology.
 
 sympy is a test-only oracle; these tests are skipped without it.
 """
@@ -8,14 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from moycalc.poly import Poly
-from moycalc.quotient import (QuotientRing, TriangularityViolation, echelon,
-                              reduce_vector)
+from moycalc.homology import HomologyResult, _explicit_homology
+from moycalc.laurent import LaurentPoly
+from moycalc.mf import KoszulMF, KoszulRow, koszul_new
+from moycalc.poly import Poly, mono_degree, var_degree
+from moycalc.quotient import (QuotientRing, TriangularityViolation,
+                              _monomials_of_degree, echelon, reduce_vector)
 from moycalc.symm import jacobi_algebra
 
 sympy = pytest.importorskip("sympy")
 
-Y1, Y2, Z1 = ("y", 1), ("y", 2), ("z", 1)
+X1, X2, Y1, Y2, Z1 = ("x", 1), ("x", 2), ("y", 1), ("y", 2), ("z", 1)
 
 
 def v(name):
@@ -141,3 +145,101 @@ def test_broken_staircase_is_rejected():
         assert accepted == (quotient_dimension(ring) == 4), (a, b)
         verdicts.add(accepted)
     assert verdicts == {True, False}
+
+
+def dense_homology(mf):
+    """Both Poincare series of a finite-base factorization from dense sympy
+    ranks: per degree t of M_k, dim - rank of the columns of degree t out
+    of M_k - rank of the rows of degree t into M_k."""
+    monos = mf.base.basis_monomials(mf.ambient_variables())
+    exp = mf.to_explicit()
+    bases = [[(mono, j, mono_degree(mono) + g)
+              for j, g in enumerate(gens) for mono in monos]
+             for gens in (exp.gens0, exp.gens1)]
+
+    def matrix(mat, src, tgt):
+        index = {(mono, i): r for r, (mono, i, _) in enumerate(tgt)}
+        out = sympy.zeros(len(tgt), len(src))
+        for c, (mono, j, _) in enumerate(src):
+            for (i, jj), entry in mat.entries.items():
+                if jj != j:
+                    continue
+                image = mf.base.normal_form(entry * Poly({mono: 1}))
+                for tmono, coeff in image.terms.items():
+                    out[index[(tmono, i)], c] += rational(coeff)
+        return out
+
+    d0 = matrix(exp.d0, bases[0], bases[1])
+    d1 = matrix(exp.d1, bases[1], bases[0])
+    series = []
+    for basis, out_map, in_map in ((bases[0], d0, d1), (bases[1], d1, d0)):
+        terms = {}
+        for t in {deg for _, _, deg in basis}:
+            at = [r for r, (_, _, deg) in enumerate(basis) if deg == t]
+            terms[t] = (len(at) - out_map[:, at].rank()
+                        - in_map[at, :].rank())
+        series.append(LaurentPoly(terms))
+    return HomologyResult(*series)
+
+
+def random_residue(rng):
+    """A zero-potential factorization with rows over a finite base: either
+    the cyclic ring, or monic rules whose replacements use earlier
+    variables only."""
+    if rng.random() < 0.25:
+        base, variables = cyclic_ring(), [Y1, Z1]
+    else:
+        variables = rng.sample([X1, X2, Y1, Z1], rng.randint(1, 2))
+        base = QuotientRing()
+        for k, var in enumerate(variables):
+            d = rng.randint(1, 3)
+            base = base.with_rule(var, d, random_form(
+                rng, base, variables[:k], d * var_degree(var)))
+    rows = []
+    total = rng.choice((2, 4, 6))     # deg a + deg b, the same in every row
+    for _ in range(rng.randint(1, 2)):
+        da = rng.choice(range(0, total + 1, 2))
+        db = total - da
+        a = random_form(rng, base, variables, da)
+        b = random_form(rng, base, variables, db)
+        kind = rng.random()
+        if kind < 0.3:
+            rows.append(KoszulRow(a, Poly(), da, db))
+        elif kind < 0.5:
+            rows.append(KoszulRow(Poly(), b, da, db))
+        elif kind < 0.8:
+            # a pair whose products cancel
+            rows += [KoszulRow(a, b, da, db), KoszulRow(-a, b, da, db)]
+        elif base.normal_form(a * b).is_zero():
+            rows.append(KoszulRow(a, b, da, db))
+    mf = KoszulMF(rows, base, shift=rng.randint(-2, 2),
+                  parity=rng.randint(0, 1))
+    assert mf.potential().is_zero()
+    return mf
+
+
+def random_form(rng, base, variables, degree):
+    """A random homogeneous normal form of the given degree."""
+    return base.normal_form(Poly({
+        mono: rng.choice((-2, -1, 1, 2))
+        for mono in _monomials_of_degree(sorted(variables), degree)
+        if rng.random() < 0.5}))
+
+
+def test_explicit_homology_matches_dense_ranks():
+    # K(0; x1) over Q[x1]/(x1^3): ker x1 = (x1^2) and R/(x1), one each
+    m = koszul_new(Poly(), v(X1), QuotientRing().with_rule(X1, 3, Poly()),
+                   deg_a=0, deg_b=2)
+    h = _explicit_homology(m)
+    assert h.total_dimension() == 2
+    assert h == dense_homology(m)
+    rng = random.Random("explicit-homology")
+    nonzero = 0
+    for _ in range(40):
+        m = random_residue(rng)
+        if not m.rows:
+            continue
+        h = _explicit_homology(m)
+        assert h == dense_homology(m), m
+        nonzero += h.total_dimension() != 0
+    assert nonzero >= 20

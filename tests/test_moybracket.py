@@ -9,9 +9,9 @@ from moycalc.diagram import (DiagramError, ParseError, build_primitive, glue,
                              parse_diagram)
 from moycalc.homology import euler_characteristic, graded_homology
 from moycalc.laurent import LaurentPoly, quantum_integer
-from moycalc.moybracket import (MOYGraph, StuckGraph, _square_matches,
-                                all_path_values, bracket, bracket_text,
-                                expand_crossings)
+from moycalc.moybracket import (RELATIONS, MOYGraph, StuckGraph,
+                                _square_matches, all_path_values, bracket,
+                                bracket_text, expand_crossings)
 
 CIRCLE = "n %d\narc x1 x2\nglue x1 x2\n"
 DCIRCLE = "n %d\ndline d1 d2\nglue d1 d2\n"
@@ -283,3 +283,24 @@ def test_crossing_errors_carry_source_position():
     with pytest.raises(ParseError) as e:
         bracket_text("n 3\nxplus x1 x2 d3 x4\n")
     assert (e.value.line, e.value.column) == (2, 13)
+
+
+def test_bracket_leaves_its_graph_unchanged():
+    # bracket splices a private copy in place; the caller's graph must not
+    # see it, whichever path the rewrites take
+    for text in (SQUARE_WEB % 4, THETA % 4):
+        graph = _graph(text)
+
+        def state():
+            return (str(graph), sorted(graph.vertices), dict(graph.pred),
+                    graph.loops_single, graph.loops_double)
+
+        before = state()
+        value = bracket(graph)
+        assert state() == before
+        for name, (matcher, _) in RELATIONS.items():
+            for match in matcher(graph):
+                assert bracket(graph, (name, match)) == value
+                assert state() == before
+        assert all_path_values(graph) == {value}
+        assert state() == before

@@ -1,7 +1,11 @@
 """Triangular quotient rings: rules, normal forms, graded dimensions."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -134,3 +138,37 @@ def test_rewriting_cycle_falls_back_to_linear_algebra():
     p = nf(v(Z1) ** 4)
     assert nf(p) == p
     assert ring.graded_dimension().evaluate_at_one() == 6
+
+
+def test_replacement_messages_name_the_variable():
+    with pytest.raises(TriangularityViolation,
+                       match=r"^replacement for x1\^2 not homogeneous$"):
+        QuotientRing().with_rule(X1, 2, v(Y1) + v(Z1))
+    with pytest.raises(TriangularityViolation,
+                       match=r"^replacement for x1\^2 has wrong degree$"):
+        QuotientRing().with_rule(X1, 2, v(Y1))
+
+
+def test_unbounded_cycle_message_ignores_hash_seed():
+    # y1 and y2 reach each other through x1, x2, x3 and x4, none of which
+    # is bounded; the message must name the least of them on every run
+    script = (
+        "from moycalc.poly import Poly\n"
+        "from moycalc.quotient import QuotientRing, TriangularityViolation\n"
+        "x = [None] + [Poly.var(('x', i)) for i in range(1, 5)]\n"
+        "y1, y2 = Poly.var(('y', 1)), Poly.var(('y', 2))\n"
+        "ring = QuotientRing().with_rule(('y', 1), 2,\n"
+        "                                y2 * (x[1] + x[2] + x[4]))\n"
+        "try:\n"
+        "    ring.with_rule(('y', 2), 2, y1 * (x[1] + x[3]))\n"
+        "except TriangularityViolation as e:\n"
+        "    print(e)\n")
+    src = str(Path(quotient.__file__).resolve().parents[1])
+    messages = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        messages.add(run.stdout)
+    assert messages == {"cyclic rules through unbounded variable x1\n"}
