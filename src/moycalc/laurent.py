@@ -79,6 +79,8 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))   # equal to that int
         return hash(frozenset(self.terms.items()))
 
     def shifted(self, m):

@@ -6,25 +6,35 @@ one double edge out) and vout (one double edge in, two single edges out)
 — joined by oriented single and double edges.  Evaluation splices one
 private copy of the graph by local relations until only free loops remain
 (a relation only describes its rewrite; each term but the last of a sum
-is spliced and evaluated on a copy of its own):
+is spliced and walked on a copy of its own):
 
   (3)  disjoint pieces multiply;
   (4)  free single loop = [n];
-       free double loop = [n][n-1]/[2];
+       free double loop = D = [n][n-1]/[2];
   (5)  two parallel single edges vout -> vin collapse, factor [2];
   (6)  a double edge vin -> vout with one single edge returning
        collapses to a single edge, factor [n-1];
   (7)  the oriented square of four vertices expands into a two-term sum
        with coefficients 1 and [n-2].
 
+Every leaf of the rewrite tree is then worth
+
+  ±q^k [2]^a [n-1]^b [n-2]^c [n]^ls D^ld,
+
+so the walk multiplies no polynomials: it counts the leaves by their
+exponent tuples (k, a, b, c, ls, ld), and the value is the sum over the
+distinct tuples, each multiplied out once from powers cached per n.
+
 Building a graph from a diagram is one splice: arcs and dlines are wires
 that the splice absorbs into the edges they carry, or counts as loops.
 A crossing piece (xplus/xminus) is built as its wide edge, and its arcs
 resolution is a splice of that vin/vout pair; bracket_text builds the
-graph once and sums the skein-weighted values of its 2^c resolutions.
+graph once, walks each of its 2^c resolutions on one copy with the
+skein's ±q^k as the leaves' start, and evaluates the counted leaves of
+all of them together.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 
 from .diagram import CROSSINGS, DiagramError, parse_diagram, refuse_crossings
@@ -199,10 +209,19 @@ def double_loop_value(n):
                                for j in range(n) for i in range(j)))
 
 
-@lru_cache(maxsize=256)
-def _loop_value(n, loops_single, loops_double):
-    return (quantum_integer(n) ** loops_single
-            * double_loop_value(n) ** loops_double)
+# the factors of a leaf, q^k [2]^a [n-1]^b [n-2]^c [n]^ls D^ld, by their
+# index in its exponents (k, a, b, c, ls, ld); an applier names the factor
+# of each term by its index, or by None for the coefficient 1
+TWO, N_MINUS_1, N_MINUS_2, LOOP, DOUBLE_LOOP = range(1, 6)
+
+
+@lru_cache(maxsize=512)
+def _power(n, slot, e):
+    """The factor at index slot of a leaf's exponents, to the power e."""
+    if slot == DOUBLE_LOOP:
+        return double_loop_value(n) ** e
+    return quantum_integer({TWO: 2, N_MINUS_1: n - 1, N_MINUS_2: n - 2,
+                            LOOP: n}[slot]) ** e
 
 
 def _digon_matches(graph):
@@ -218,7 +237,7 @@ def _digon_matches(graph):
 
 def _apply_digon(graph, match):
     w, v = match
-    return (w, v), [(quantum_integer(2), [((w, "d"), (v, "d"))])]
+    return (w, v), [(TWO, [((w, "d"), (v, "d"))])]
 
 
 def _bigon_matches(graph):
@@ -239,9 +258,8 @@ def _bigon_matches(graph):
 
 def _apply_bigon(graph, match):
     v, w, back = match
-    return (v, w), [(quantum_integer(graph.n - 1),
-                     [((v, _OTHER[graph.succ[back][1]]),
-                       (w, _OTHER[back[1]]))])]
+    return (v, w), [(N_MINUS_1, [((v, _OTHER[graph.succ[back][1]]),
+                                  (w, _OTHER[back[1]]))])]
 
 
 def _square_matches(graph):
@@ -281,15 +299,13 @@ def _apply_square(graph, match):
     in_r = (r, _OTHER[graph.succ[qr][1]])
     out_q = (q, _OTHER[qr[1]])
     out_s = (s, _OTHER[sp[1]])
-    return (p, q, r, s), [(LaurentPoly({0: 1}),
-                           ((in_r, out_q), (in_p, out_s))),
-                          (quantum_integer(graph.n - 2),
-                           ((in_p, out_q), (in_r, out_s)))]
+    return (p, q, r, s), [(None, ((in_r, out_q), (in_p, out_s))),
+                          (N_MINUS_2, ((in_p, out_q), (in_r, out_s)))]
 
 
 # relation name -> (matcher, apply); the order is the rewrite priority, and
 # every apply describes its rewrite without making it, as (removed vertex
-# ids, [(coefficient, stitches)]) for MOYGraph.splice
+# ids, [(factor index, stitches)]) for MOYGraph.splice
 RELATIONS = {"digon": (_digon_matches, _apply_digon),
              "bigon": (_bigon_matches, _apply_bigon),
              "square": (_square_matches, _apply_square)}
@@ -301,21 +317,50 @@ def bracket(graph, first_match=None):
     first_match optionally forces the first rewrite, as a pair
     (relation name, match tuple) — used to compare rewrite paths.
     """
-    graph = graph.copy()
-    total, coeff = LaurentPoly(), LaurentPoly({0: 1})
+    leaves = Counter()
+    _count_leaves(graph.copy(), leaves, 1, [0, 0, 0, 0], first_match)
+    return _evaluate(graph.n, leaves)
+
+
+def _count_leaves(graph, leaves, sign, exps, first_match=None):
+    """Rewrite graph in place down to free loops, adding sign to leaves[t]
+    for the exponent tuple t of every leaf.
+
+    exps holds the exponents (k, a, b, c) reached so far and is updated in
+    place.  Each term but the last of a sum is walked, in full, on a copy.
+    """
     while graph.vertices:
         name, match = first_match or _next_rewrite(graph)
         first_match = None
         vids, terms = RELATIONS[name][1](graph, match)
-        for c, stitches in terms[:-1]:
+        for slot, stitches in terms[:-1]:
             g = graph.copy()
             g.splice(vids, stitches)
-            total = total + coeff * c * bracket(g)
-        c, stitches = terms[-1]
+            branch = list(exps)
+            if slot:
+                branch[slot] += 1
+            _count_leaves(g, leaves, sign, branch)
+        slot, stitches = terms[-1]
         graph.splice(vids, stitches)
-        coeff = coeff * c
-    return total + coeff * _loop_value(graph.n, graph.loops_single,
-                                       graph.loops_double)
+        if slot:
+            exps[slot] += 1
+    leaves[(*exps, graph.loops_single, graph.loops_double)] += sign
+
+
+def _evaluate(n, leaves):
+    """The sum of count * q^k [2]^a [n-1]^b [n-2]^c [n]^ls D^ld over the
+    counted leaves, multiplying out each distinct (a, b, c, ls, ld) once."""
+    shifts = defaultdict(Counter)
+    for (k, *powers), count in leaves.items():
+        shifts[tuple(powers)][k] += count
+    total = LaurentPoly()
+    for powers, terms in shifts.items():
+        value = LaurentPoly(terms)
+        for slot, e in enumerate(powers, 1):
+            if e:
+                value = value * _power(n, slot, e)
+        total = total + value
+    return total
 
 
 def _next_rewrite(graph):
@@ -356,32 +401,32 @@ def expand_crossings(diagram):
     Arcs come before wide, with the first crossing outermost.
     """
     n = diagram.n
-    results = [(LaurentPoly({0: 1}), ())]
+    results = [(0, 1, ())]      # (k, sign, arcs) of a coefficient sign * q^k
     for p in diagram.pieces:
         if p.kind not in CROSSINGS:
             continue
-        sign = 1 if p.kind == "xplus" else -1
-        arcs = LaurentPoly({sign * (n - 1): 1})
-        wide = LaurentPoly({sign * n: -1})
-        results = [term for coeff, chosen in results
-                   for term in ((coeff * arcs, chosen + (p,)),
-                                (coeff * wide, chosen))]
-    return results
+        s = 1 if p.kind == "xplus" else -1
+        results = [term for k, sign, chosen in results
+                   for term in ((k + s * (n - 1), sign, chosen + (p,)),
+                                (k + s * n, -sign, chosen))]
+    return [(LaurentPoly({k: sign}), chosen) for k, sign, chosen in results]
 
 
 def bracket_text(text):
     """Parse diagram source (crossings allowed) and evaluate the bracket.
 
     The graph is built once; a resolution splices its arc crossings on a
-    copy, each strand leaving a crossing's vout at the port of its vin.
+    copy, each strand leaving a crossing's vout at the port of its vin,
+    and walks that copy with its skein coefficient ±q^k as the start.
     """
     d = parse_diagram(text)
     graph, pairs = _build(d)
-    total = LaurentPoly()
+    leaves = Counter()
     for coeff, arcs in expand_crossings(d):
+        (k, sign), = coeff.terms.items()
         g = graph.copy()
         g.splice([v for p in arcs for v in pairs[p]],
                  [((pairs[p][0], port), (pairs[p][1], port))
                   for p in arcs for port in ("s0", "s1")])
-        total = total + coeff * bracket(g)
-    return total
+        _count_leaves(g, leaves, sign, [k, 0, 0, 0])
+    return _evaluate(d.n, leaves)

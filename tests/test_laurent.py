@@ -37,6 +37,16 @@ def test_non_integral_terms_raise():
     assert LaurentPoly({Fraction(4, 2): 3.0}) == LaurentPoly({2: 3})
 
 
+def test_constants_hash_like_their_ints():
+    # equal values must hash alike, or a set or dict keeps both
+    for c in (0, 3, -2):
+        assert LaurentPoly.const(c) == c
+        assert hash(LaurentPoly.const(c)) == hash(c)
+        assert len({c, LaurentPoly.const(c)}) == 1
+    assert LaurentPoly() == 0 and len({0, LaurentPoly()}) == 1
+    assert hash(LaurentPoly({1: 2})) == hash(LaurentPoly({1: 2}))
+
+
 def test_exact_div():
     for n in range(2, 9):
         prod = quantum_integer(n) * quantum_integer(n - 1)

@@ -9,9 +9,10 @@ from moycalc.diagram import (DiagramError, ParseError, build_primitive, glue,
                              parse_diagram)
 from moycalc.homology import euler_characteristic, graded_homology
 from moycalc.laurent import LaurentPoly, quantum_integer
-from moycalc.moybracket import (RELATIONS, MOYGraph, StuckGraph,
-                                _square_matches, all_path_values, bracket,
-                                bracket_text, expand_crossings)
+from moycalc.moybracket import (N_MINUS_1, N_MINUS_2, RELATIONS, TWO,
+                                MOYGraph, StuckGraph, _square_matches,
+                                all_path_values, bracket, bracket_text,
+                                expand_crossings)
 
 CIRCLE = "n %d\narc x1 x2\nglue x1 x2\n"
 DCIRCLE = "n %d\ndline d1 d2\nglue d1 d2\n"
@@ -304,3 +305,158 @@ def test_bracket_leaves_its_graph_unchanged():
                 assert state() == before
         assert all_path_values(graph) == {value}
         assert state() == before
+
+
+def _word(spec):
+    """A braid word from letters like "+0" (xplus) and "-1" (xminus)."""
+    return [("xplus" if letter[0] == "+" else "xminus", int(letter[1:]))
+            for letter in spec.split()]
+
+
+# bracket_text of braid closures drawn at random, as computed before the
+# walk counted its leaves: (n, strands, word, value), None when stuck
+PINNED = [
+    (5, 2, "+0 -0 +0 +0", "1 + q^2 + 2*q^4 + 3*q^6 + 4*q^8 + 4*q^10 + "
+     "4*q^12 + 3*q^14 + 2*q^16 + q^18"),
+    (4, 3, "+1 -0 +0 +0 -1 +0", "q^-3 + q^-1 + q + q^3"),
+    (4, 2, "-0 -0 +0 +0",
+     "q^-6 + 2*q^-4 + 3*q^-2 + 4 + 3*q^2 + 2*q^4 + q^6"),
+    (3, 3, "+0 -0 -0 -1 +1", "q^-4 + 2*q^-2 + 3 + 2*q^2 + q^4"),
+    (5, 3, "-0 +0 +0 -1 -0 -0", "q^-4 + q^-2 + 1 + q^2 + q^4"),
+    (4, 3, "-1 +1 -1 -0 +0 -1 +1",
+     "q^-6 + 2*q^-4 + 3*q^-2 + 4 + 3*q^2 + 2*q^4 + q^6"),
+    (3, 3, "+0 -1 +0 +0 -1 -0 +1", None),
+    (5, 2, "+0 -0 +0 -0 -0 +0 -0", "q^-4 + q^-2 + 1 + q^2 + q^4"),
+    (5, 4, "+2 -0 +0 -2 -0 -2", "q^-8 + 2*q^-6 + 3*q^-4 + 4*q^-2 + 5 + "
+     "4*q^2 + 3*q^4 + 2*q^6 + q^8"),
+    (3, 4, "+2 -2 -0 -0 -1 -0 +0", "q^-12 + 3*q^-10 + 5*q^-8 + 6*q^-6 + "
+     "5*q^-4 + 4*q^-2 + 2 + q^2"),
+]
+
+PINNED_STUCK = (
+    "no relation applies; residual graph:\nn=3\nvertex 0: vin\n"
+    "vertex 1: vout\nvertex 2: vin\nvertex 3: vout\nvertex 6: vin\n"
+    "vertex 7: vout\nvertex 8: vin\nvertex 9: vout\nvertex 10: vin\n"
+    "vertex 11: vout\nvertex 12: vin\nvertex 13: vout\n"
+    "edge: double (0, 'd') -> (1, 'd')\n"
+    "edge: single (1, 's0') -> (6, 's0')\n"
+    "edge: single (1, 's1') -> (2, 's0')\n"
+    "edge: double (2, 'd') -> (3, 'd')\n"
+    "edge: single (3, 's0') -> (6, 's1')\n"
+    "edge: single (3, 's1') -> (8, 's1')\n"
+    "edge: double (6, 'd') -> (7, 'd')\n"
+    "edge: single (7, 's0') -> (10, 's0')\n"
+    "edge: single (7, 's1') -> (8, 's0')\n"
+    "edge: double (8, 'd') -> (9, 'd')\n"
+    "edge: single (9, 's0') -> (10, 's1')\n"
+    "edge: single (9, 's1') -> (12, 's1')\n"
+    "edge: double (10, 'd') -> (11, 'd')\n"
+    "edge: single (11, 's0') -> (0, 's0')\n"
+    "edge: single (11, 's1') -> (12, 's0')\n"
+    "edge: double (12, 'd') -> (13, 'd')\n"
+    "edge: single (13, 's0') -> (0, 's1')\n"
+    "edge: single (13, 's1') -> (2, 's1')")
+
+
+def test_pinned_braid_closure_values():
+    for n, strands, spec, value in PINNED:
+        text = _closure_text(n, strands, _word(spec))
+        if value is None:
+            with pytest.raises(StuckGraph) as e:
+                bracket_text(text)
+            assert str(e.value) == PINNED_STUCK
+        else:
+            assert str(bracket_text(text)) == value
+
+
+_FACTORS = {None: lambda n: LaurentPoly({0: 1}),
+            TWO: lambda n: quantum_integer(2),
+            N_MINUS_1: lambda n: quantum_integer(n - 1),
+            N_MINUS_2: lambda n: quantum_integer(n - 2)}
+
+
+def _direct(graph, first_match=None):
+    """The bracket multiplied out along every path: each term of a rewrite
+    is spliced on a copy and its factor multiplies the copy's value."""
+    n = graph.n
+    if not graph.vertices:
+        return (quantum_integer(n) ** graph.loops_single
+                * _double_loop_value(n) ** graph.loops_double)
+    if first_match is None:
+        first_match = next(((name, match)
+                            for name, (matcher, _) in RELATIONS.items()
+                            for match in matcher(graph)), None)
+        if first_match is None:
+            raise StuckGraph(graph)
+    name, match = first_match
+    vids, terms = RELATIONS[name][1](graph, match)
+    total = LaurentPoly()
+    for slot, stitches in terms:
+        g = graph.copy()
+        g.splice(vids, stitches)
+        total = total + _FACTORS[slot](n) * _direct(g)
+    return total
+
+
+def _outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except StuckGraph as e:
+        return "stuck: %s" % e
+
+
+def test_bracket_matches_a_direct_evaluation():
+    rng = random.Random(40)
+    texts = [SQUARE_WEB % 3, SQUARE_WEB % 4, THETA % 3, THETA % 5]
+    for _ in range(40):
+        n = rng.randint(3, 5)
+        strands = rng.randint(2, 4)
+        word = [("wide", rng.randrange(strands - 1))
+                for _ in range(rng.randint(2, 8))]
+        texts.append(_closure_text(n, strands, word))
+    stuck = 0
+    for text in texts:
+        graph = _graph(text)
+        assert _outcome(bracket, graph) == _outcome(_direct, graph)
+        paths = {}
+        for name, (matcher, _) in RELATIONS.items():
+            for match in matcher(graph):
+                value = _outcome(bracket, graph, (name, match))
+                assert value == _outcome(_direct, graph, (name, match))
+                paths[name, match] = value
+        if any(isinstance(v, str) for v in paths.values()):
+            stuck += 1
+            with pytest.raises(StuckGraph):
+                all_path_values(graph)
+        else:
+            assert all_path_values(graph) == set(paths.values())
+    assert stuck == 1
+
+
+def test_bracket_text_copies_once_per_resolution(monkeypatch):
+    # one copy of the built graph per resolution, walked in place, and one
+    # more for the first term of each square
+    copies, squares = [], []
+    copy = MOYGraph.copy
+    matcher, apply = RELATIONS["square"]
+
+    def counted_copy(graph):
+        copies.append(graph)
+        return copy(graph)
+
+    def counted_apply(graph, match):
+        squares.append(match)
+        return apply(graph, match)
+
+    monkeypatch.setattr(MOYGraph, "copy", counted_copy)
+    monkeypatch.setitem(RELATIONS, "square", (matcher, counted_apply))
+    for n, strands, spec, value in PINNED:
+        if value is None:
+            continue
+        text = _closure_text(n, strands, _word(spec))
+        before = len(squares)
+        copies.clear()
+        bracket_text(text)
+        resolutions = len(expand_crossings(parse_diagram(text)))
+        assert len(copies) == resolutions + len(squares) - before
+    assert squares
