@@ -28,10 +28,25 @@ distinct tuples, each multiplied out once from powers cached per n.
 Building a graph from a diagram is one splice: arcs and dlines are wires
 that the splice absorbs into the edges they carry, or counts as loops.
 A crossing piece (xplus/xminus) is built as its wide edge, and its arcs
-resolution is a splice of that vin/vout pair; bracket_text builds the
-graph once, walks each of its 2^c resolutions on one copy with the
-skein's ±q^k as the leaves' start, and evaluates the counted leaves of
-all of them together.
+resolution is a splice of that vin/vout pair.  bracket_text builds the
+graph once and takes its 2^c resolutions from a depth-first resolution
+tree in the order of expand_crossings: the arcs branch of a crossing
+splices its pair on a copy of its parent, and the wide branch, the
+parent's last use, takes the parent itself, so 2^c - 1 copies make all
+2^c resolutions.
+
+Many resolutions are the same graph under other vertex ids.  Every
+choice the walk makes reads only the order of the ids, their kinds, the
+edges' ports and the loop counts: the matchers scan the ids in sorted
+order, a square orders its two candidates by id, and a splice deletes
+vertices but never makes one.  So two resolutions with equal
+order-relative keys (_resolution_key: the loop counts, then per vertex
+in id order its out-edges as ranks) make the same rewrites and reach the
+same leaves.  Only the first resolution with each key is walked, from
+(q^0, +1); every resolution adds its skein start ±q^k to its key, and
+each key's leaves are shifted by its starts before all are evaluated
+together.  The sharing is exact, not a heuristic, and it lives only as
+long as one bracket_text call.
 """
 
 from collections import Counter, defaultdict
@@ -155,7 +170,8 @@ class MOYGraph:
 
 
 def _build(diagram):
-    """The graph of a closed diagram, and the vin/vout pair of each crossing.
+    """The graph of a closed diagram, and the vin/vout pair of each crossing
+    in piece order.
 
     A wide edge or a crossing is a vin/vout pair joined by an internal
     double edge; its vertex ids are taken at its place in the piece order.
@@ -163,11 +179,14 @@ def _build(diagram):
     edge, under an id of its own that add_vertex never hands out.  One
     splice removes the wires and counts the loops they close.
     """
-    if not diagram.is_closed():
-        raise DiagramError("bracket needs a closed diagram")
+    uses = [diagram.classes[cls][role] for cls, _, role in diagram.boundary()]
+    if uses:
+        p, slot = min(uses, key=lambda use: (use[0].line, use[1]))
+        raise DiagramError("line %d: %s %s is not glued; bracket needs a "
+                           "closed diagram" % (p.line, p.kind, p.params[slot]))
     g = MOYGraph(diagram.n)
     endpoint = {}     # (piece, slot) -> (vid, port)
-    pairs = {}        # crossing piece -> (vin, vout)
+    pairs = []        # (vin, vout) of each crossing
     wires = []
     for p in diagram.pieces:
         if p.kind in VERTEX_PORTS:
@@ -184,7 +203,7 @@ def _build(diagram):
             g.succ[(win, "d")] = (wout, "d")
             ports = ((wout, "s0"), (wout, "s1"), (win, "s0"), (win, "s1"))
             if p.kind in CROSSINGS:
-                pairs[p] = (win, wout)
+                pairs.append((win, wout))
         for slot, port in enumerate(ports):
             endpoint[(p, slot)] = port
     for info in diagram.classes.values():
@@ -226,13 +245,11 @@ def _power(n, slot, e):
 
 def _digon_matches(graph):
     """Relation (5): two parallel single edges vout w -> vin v."""
-    out = []
     for w in sorted(graph.vertices):
         if graph.vertices[w] == "vout":
             v = graph.succ[(w, "s0")][0]
             if graph.succ[(w, "s1")][0] == v:
-                out.append((w, v))
-    return out
+                yield w, v
 
 
 def _apply_digon(graph, match):
@@ -245,15 +262,13 @@ def _bigon_matches(graph):
 
     A match (v, w, back) names the back edge by its out-port at w.
     """
-    out = []
     for v in sorted(graph.vertices):
         if graph.vertices[v] != "vin":
             continue
         w = graph.succ[(v, "d")][0]
         for port in ("s0", "s1"):
             if graph.succ[(w, port)][0] == v:
-                out.append((v, w, (w, port)))
-    return out
+                yield v, w, (w, port)
 
 
 def _apply_bigon(graph, match):
@@ -271,7 +286,6 @@ def _square_matches(graph):
     (p, q, r, s, qr, sp) names the edges q -> r and s -> p by their
     out-ports.
     """
-    out = []
     for p in sorted(graph.vertices):
         if graph.vertices[p] != "vin":
             continue
@@ -287,8 +301,7 @@ def _square_matches(graph):
             sp = [(s, port) for port in ("s0", "s1")
                   if graph.succ[(s, port)][0] == p]
             if len(sp) == 1:
-                out.append((p, q, r, s, qr, sp[0]))
-    return out
+                yield p, q, r, s, qr, sp[0]
 
 
 def _apply_square(graph, match):
@@ -303,7 +316,8 @@ def _apply_square(graph, match):
                           (N_MINUS_2, ((in_p, out_q), (in_r, out_s)))]
 
 
-# relation name -> (matcher, apply); the order is the rewrite priority, and
+# relation name -> (matcher, apply); the order is the rewrite priority.  A
+# matcher yields its matches in the order of their first vertex id, and
 # every apply describes its rewrite without making it, as (removed vertex
 # ids, [(factor index, stitches)]) for MOYGraph.splice
 RELATIONS = {"digon": (_digon_matches, _apply_digon),
@@ -364,10 +378,10 @@ def _evaluate(n, leaves):
 
 
 def _next_rewrite(graph):
+    """The first match of the first relation that has one."""
     for name, (matcher, _) in RELATIONS.items():
-        matches = matcher(graph)
-        if matches:
-            return name, matches[0]
+        for match in matcher(graph):
+            return name, match
     raise StuckGraph(graph)
 
 
@@ -412,21 +426,85 @@ def expand_crossings(diagram):
     return [(LaurentPoly({k: sign}), chosen) for k, sign, chosen in results]
 
 
+def _resolved(graph, pairs):
+    """Yield graph with the crossings of pairs, their (vin, vout) pairs,
+    resolved every way, in the order of expand_crossings: arcs before
+    wide, the first crossing outermost.
+
+    The arcs branch of a crossing splices its pair on a copy; the wide
+    branch, the last use of its parent, takes the parent itself.  A
+    yielded graph is the caller's to rewrite before the next is asked for.
+    """
+    if not pairs:
+        yield graph
+        return
+    (win, wout), rest = pairs[0], pairs[1:]
+    arcs = graph.copy()
+    arcs.splice((win, wout), [((win, port), (wout, port))
+                              for port in ("s0", "s1")])
+    yield from _resolved(arcs, rest)
+    yield from _resolved(graph, rest)
+
+
+def _resolution_key(graph):
+    """The graph up to an order-preserving renaming of its vertex ids.
+
+    A flat tuple of ints: the loop counts, then per vertex in id order
+    (the order the matchers scan) a vin's double-edge target as ~rank
+    (negative, so the key also spells each vertex's kind), or a vout's
+    s0 and s1 targets as rank * 2 + (port == "s1").  Equal keys mean the
+    walk makes the same rewrites on both graphs and reaches the same
+    leaves.
+    """
+    vids = sorted(graph.vertices)
+    rank = {v: i for i, v in enumerate(vids)}
+    succ = graph.succ
+    key = [graph.loops_single, graph.loops_double]
+    for v in vids:
+        if graph.vertices[v] == "vin":
+            key.append(~rank[succ[(v, "d")][0]])
+        else:
+            for port in ("s0", "s1"):
+                w, w_port = succ[(v, port)]
+                key.append(2 * rank[w] + (w_port == "s1"))
+    return tuple(key)
+
+
+def _bracket_leaves(diagram):
+    """The counted leaves of every resolution of a closed diagram.
+
+    Resolutions with equal keys are walked once: the first is walked from
+    (q^0, +1), and every resolution adds its skein start ±q^k to its key;
+    each key's leaves are then shifted by its starts.  The first stuck
+    resolution is the first of its key, so StuckGraph names the graph a
+    walk of every resolution would stop at.
+    """
+    graph, pairs = _build(diagram)
+    walked = {}                     # key -> its leaves, (exponents, count)
+    starts = defaultdict(Counter)   # key -> k -> summed sign of ±q^k
+    for (coeff, _), g in zip(expand_crossings(diagram),
+                             _resolved(graph, pairs), strict=True):
+        key = _resolution_key(g)
+        if key not in walked:
+            leaves = Counter()
+            _count_leaves(g, leaves, 1, [0, 0, 0, 0])
+            walked[key] = tuple(leaves.items())
+        (k, sign), = coeff.terms.items()
+        starts[key][k] += sign
+    total = Counter()
+    for key, leaves in walked.items():
+        for (k, *powers), count in leaves:
+            for k0, sign in starts[key].items():
+                total[(k + k0, *powers)] += sign * count
+    return total
+
+
 def bracket_text(text):
     """Parse diagram source (crossings allowed) and evaluate the bracket.
 
-    The graph is built once; a resolution splices its arc crossings on a
-    copy, each strand leaving a crossing's vout at the port of its vin,
-    and walks that copy with its skein coefficient ±q^k as the start.
+    The graph is built once, and its resolutions are walked as the leaves
+    of a resolution tree (_resolved), each distinct one once
+    (_bracket_leaves); all their leaves are evaluated together.
     """
     d = parse_diagram(text)
-    graph, pairs = _build(d)
-    leaves = Counter()
-    for coeff, arcs in expand_crossings(d):
-        (k, sign), = coeff.terms.items()
-        g = graph.copy()
-        g.splice([v for p in arcs for v in pairs[p]],
-                 [((pairs[p][0], port), (pairs[p][1], port))
-                  for p in arcs for port in ("s0", "s1")])
-        _count_leaves(g, leaves, sign, [k, 0, 0, 0])
-    return _evaluate(d.n, leaves)
+    return _evaluate(d.n, _bracket_leaves(d))

@@ -329,8 +329,8 @@ def test_criterion_10():
         assert bracket(circle) == qn
         assert bracket(dcircle) == _double_loop_value(n)
         # theta along two genuinely different first rewrites
-        digons = _digon_matches(theta)
-        bigons = _bigon_matches(theta)
+        digons = list(_digon_matches(theta))
+        bigons = list(_bigon_matches(theta))
         assert digons and bigons
         theta_value = qn * quantum_integer(n - 1)
         assert bracket(theta, ("digon", digons[0])) == theta_value

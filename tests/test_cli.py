@@ -108,6 +108,17 @@ def test_open_bracket_is_domain_error(tmp_path, capsys):
     assert err.startswith("error: %s: " % path) and "closed" in err
 
 
+def test_open_bracket_names_the_first_unglued_parameter(tmp_path, capsys):
+    # the first in source order, not in name order (x10 sorts before x9)
+    path = tmp_path / "open2.moy"
+    path.write_text("n 3\narc x1 x2\nglue x2 x1\narc x9 x10\n"
+                    "wide x5 x6 x7 x8\nglue x6 x7\n")
+    assert main(["bracket", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: line 4: arc x9 is not glued; "
+                          "bracket needs a closed diagram" % path)
+
+
 @pytest.mark.parametrize("command", ["euler", "build"])
 def test_crossing_outside_bracket_is_domain_error(command, tmp_path, capsys):
     path = tmp_path / "kink.moy"

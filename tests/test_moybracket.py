@@ -2,17 +2,20 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from moycalc.diagram import (DiagramError, ParseError, build_primitive, glue,
-                             parse_diagram)
+from moycalc.diagram import (CROSSINGS, DiagramError, ParseError,
+                             build_primitive, glue, parse_diagram)
 from moycalc.homology import euler_characteristic, graded_homology
 from moycalc.laurent import LaurentPoly, quantum_integer
+from moycalc import moybracket
 from moycalc.moybracket import (N_MINUS_1, N_MINUS_2, RELATIONS, TWO,
-                                MOYGraph, StuckGraph, _square_matches,
-                                all_path_values, bracket, bracket_text,
-                                expand_crossings)
+                                MOYGraph, StuckGraph, _bracket_leaves, _build,
+                                _count_leaves, _resolution_key,
+                                _square_matches, all_path_values, bracket,
+                                bracket_text, expand_crossings)
 
 CIRCLE = "n %d\narc x1 x2\nglue x1 x2\n"
 DCIRCLE = "n %d\ndline d1 d2\nglue d1 d2\n"
@@ -263,7 +266,7 @@ def test_square_relation_matches_euler_characteristic():
     chis = {}
     for n in (3, 4):
         graph = _graph(SQUARE_WEB % n)
-        assert _square_matches(graph)
+        assert next(_square_matches(graph), None)
         chis[n] = euler_characteristic(graded_homology(glue(parse_diagram(
             SQUARE_WEB % n))))
         assert all_path_values(graph) == {chis[n]}
@@ -434,8 +437,9 @@ def test_bracket_matches_a_direct_evaluation():
 
 
 def test_bracket_text_copies_once_per_resolution(monkeypatch):
-    # one copy of the built graph per resolution, walked in place, and one
-    # more for the first term of each square
+    # one copy per arcs branch of the resolution tree, 2^c - 1 of them (the
+    # all-wide resolution is the built graph itself), walked in place, and
+    # one more for the first term of each square walked
     copies, squares = [], []
     copy = MOYGraph.copy
     matcher, apply = RELATIONS["square"]
@@ -458,5 +462,97 @@ def test_bracket_text_copies_once_per_resolution(monkeypatch):
         copies.clear()
         bracket_text(text)
         resolutions = len(expand_crossings(parse_diagram(text)))
-        assert len(copies) == resolutions + len(squares) - before
+        assert len(copies) == resolutions - 1 + len(squares) - before
     assert squares
+
+
+def _every_resolution_walked(diagram):
+    """The leaves of every resolution, each spliced on its own copy of the
+    built graph and walked from its skein start: no tree, no sharing."""
+    graph, pairs = _build(diagram)
+    pair_of = dict(zip((p for p in diagram.pieces if p.kind in CROSSINGS),
+                       pairs))
+    leaves = Counter()
+    for coeff, arcs in expand_crossings(diagram):
+        (k, sign), = coeff.terms.items()
+        g = graph.copy()
+        g.splice([v for p in arcs for v in pair_of[p]],
+                 [((pair_of[p][0], port), (pair_of[p][1], port))
+                  for p in arcs for port in ("s0", "s1")])
+        _count_leaves(g, leaves, sign, [k, 0, 0, 0])
+    return leaves
+
+
+def test_shared_walks_count_the_leaves_of_every_resolution():
+    texts = [_closure_text(n, strands, _word(spec))
+             for n, strands, spec, _ in PINNED]
+    rng = random.Random(18)
+    for _ in range(40):
+        strands = rng.randint(2, 4)
+        word = [(rng.choice(("xplus", "xminus", "wide")),
+                 rng.randrange(strands - 1))
+                for _ in range(rng.randint(2, 7))]
+        texts.append(_closure_text(rng.randint(3, 5), strands, word))
+    stuck = 0
+    for text in texts:
+        d = parse_diagram(text)
+        expected = _outcome(_every_resolution_walked, d)
+        assert _outcome(_bracket_leaves, d) == expected
+        stuck += isinstance(expected, str)
+    assert stuck >= 2
+
+
+def test_sigma_power_walks_one_graph_per_arcs_count(monkeypatch):
+    # a resolution of the closure of s1^c is, up to vertex ids, fixed by how
+    # many of its crossings are arcs
+    walks = []
+    depth = [0]
+    count_leaves = moybracket._count_leaves
+
+    def counted(graph, *args):
+        if not depth[0]:
+            walks.append(_resolution_key(graph))
+        depth[0] += 1
+        try:
+            count_leaves(graph, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(moybracket, "_count_leaves", counted)
+    for c in range(1, 7):
+        walks.clear()
+        bracket_text(_closure_text(4, 2, [("xplus", 0)] * c))
+        assert len(walks) == len(set(walks)) == c + 1
+
+
+def _relabeled(graph, vid):
+    """graph with every vertex id v renamed vid(v)."""
+    g = MOYGraph(graph.n)
+    g.vertices = {vid(v): kind for v, kind in graph.vertices.items()}
+    g.succ = {(vid(v), port): (vid(w), w_port)
+              for (v, port), (w, w_port) in graph.succ.items()}
+    g.pred = {dst: src for src, dst in g.succ.items()}
+    g.loops_single = graph.loops_single
+    g.loops_double = graph.loops_double
+    return g
+
+
+def test_resolution_key_is_order_relative():
+    # on the theta the swapped singles go to two ports of one vertex
+    for text in (SQUARE_WEB % 4, THETA % 4):
+        graph = _graph(text)
+        key = _resolution_key(graph)
+        assert _resolution_key(_relabeled(graph, lambda v: 3 * v + 7)) == key
+        assert _resolution_key(_relabeled(graph, lambda v: -v)) != key
+
+        w = next(v for v, kind in graph.vertices.items() if kind == "vout")
+        swapped = graph.copy()
+        a, b = swapped.succ[(w, "s0")], swapped.succ[(w, "s1")]
+        swapped.succ[(w, "s0")], swapped.succ[(w, "s1")] = b, a
+        swapped.pred[a], swapped.pred[b] = (w, "s1"), (w, "s0")
+        assert _resolution_key(swapped) != key
+
+        for loops in ("loops_single", "loops_double"):
+            looped = graph.copy()
+            setattr(looped, loops, getattr(looped, loops) + 1)
+            assert _resolution_key(looped) != key
