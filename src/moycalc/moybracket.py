@@ -28,12 +28,7 @@ distinct tuples, each multiplied out once from powers cached per n.
 Building a graph from a diagram is one splice: arcs and dlines are wires
 that the splice absorbs into the edges they carry, or counts as loops.
 A crossing piece (xplus/xminus) is built as its wide edge, and its arcs
-resolution is a splice of that vin/vout pair.  bracket_text builds the
-graph once and takes its 2^c resolutions from a depth-first resolution
-tree in the order of expand_crossings: the arcs branch of a crossing
-splices its pair on a copy of its parent, and the wide branch, the
-parent's last use, takes the parent itself, so 2^c - 1 copies make all
-2^c resolutions.
+resolution is a splice of that vin/vout pair.
 
 Many resolutions are the same graph under other vertex ids.  Every
 choice the walk makes reads only the order of the ids, their kinds, the
@@ -42,11 +37,31 @@ order, a square orders its two candidates by id, and a splice deletes
 vertices but never makes one.  So two resolutions with equal
 order-relative keys (_resolution_key: the loop counts, then per vertex
 in id order its out-edges as ranks) make the same rewrites and reach the
-same leaves.  Only the first resolution with each key is walked, from
-(q^0, +1); every resolution adds its skein start ±q^k to its key, and
-each key's leaves are shifted by its starts before all are evaluated
-together.  The sharing is exact, not a heuristic, and it lives only as
-long as one bracket_text call.
+same leaves.
+
+bracket_text builds the graph once and resolves its crossings one level
+at a time, in piece order, without ever building all 2^c resolutions.
+A partial state, with the first d crossings resolved, is keyed by its
+order-relative key followed by the ranks of the d-th and later
+crossings' vin ids; those ids are the same in every state of the level,
+so equal keys mean the same graph with the same crossings still to
+resolve, and the same subtree of resolutions below.  Each level maps a
+key to one representative graph and a Counter of skein starts {k: sign}
+summed over every way of reaching it.  A state's arcs child splices the
+crossing's pair on a copy, and its starts gain ±(n-1) in k; the wide
+child is the state's own graph, its key the parent's with the
+crossing's rank dropped, and its starts gain ±n in k and flip sign.
+On the last level each distinct resolution is walked from (q^0, +1) the
+moment its key first appears, and only its leaves are kept; each key's
+leaves are shifted by its starts before all are evaluated together.
+
+A parent's arcs child comes before its wide child, and the parents of a
+level come in the order of their smallest resolution prefix (arcs before
+wide, the first crossing outermost); so does each key's first
+appearance.  Hence the walks, and the graph a StuckGraph names, are the
+first resolution of each key in the order of expand_crossings, exactly
+as if every resolution were built and walked.  The sharing is exact,
+not a heuristic, and it lives only as long as one bracket_text call.
 """
 
 from collections import Counter, defaultdict
@@ -426,35 +441,16 @@ def expand_crossings(diagram):
     return [(LaurentPoly({k: sign}), chosen) for k, sign, chosen in results]
 
 
-def _resolved(graph, pairs):
-    """Yield graph with the crossings of pairs, their (vin, vout) pairs,
-    resolved every way, in the order of expand_crossings: arcs before
-    wide, the first crossing outermost.
-
-    The arcs branch of a crossing splices its pair on a copy; the wide
-    branch, the last use of its parent, takes the parent itself.  A
-    yielded graph is the caller's to rewrite before the next is asked for.
-    """
-    if not pairs:
-        yield graph
-        return
-    (win, wout), rest = pairs[0], pairs[1:]
-    arcs = graph.copy()
-    arcs.splice((win, wout), [((win, port), (wout, port))
-                              for port in ("s0", "s1")])
-    yield from _resolved(arcs, rest)
-    yield from _resolved(graph, rest)
-
-
-def _resolution_key(graph):
+def _resolution_key(graph, pending=()):
     """The graph up to an order-preserving renaming of its vertex ids.
 
     A flat tuple of ints: the loop counts, then per vertex in id order
     (the order the matchers scan) a vin's double-edge target as ~rank
     (negative, so the key also spells each vertex's kind), or a vout's
-    s0 and s1 targets as rank * 2 + (port == "s1").  Equal keys mean the
-    walk makes the same rewrites on both graphs and reaches the same
-    leaves.
+    s0 and s1 targets as rank * 2 + (port == "s1"), then the rank of
+    each vin id in pending.  Equal keys mean the walk makes the same
+    rewrites on both graphs and reaches the same leaves, and resolving
+    the pending crossings, pending[i] in both, keeps the keys equal.
     """
     vids = sorted(graph.vertices)
     rank = {v: i for i, v in enumerate(vids)}
@@ -467,34 +463,59 @@ def _resolution_key(graph):
             for port in ("s0", "s1"):
                 w, w_port = succ[(v, port)]
                 key.append(2 * rank[w] + (w_port == "s1"))
+    key.extend(rank[v] for v in pending)
     return tuple(key)
+
+
+def _walked(graph):
+    """The counted leaves of graph, walked in place from (q^0, +1)."""
+    leaves = Counter()
+    _count_leaves(graph, leaves, 1, [0, 0, 0, 0])
+    return leaves
 
 
 def _bracket_leaves(diagram):
     """The counted leaves of every resolution of a closed diagram.
 
-    Resolutions with equal keys are walked once: the first is walked from
-    (q^0, +1), and every resolution adds its skein start ±q^k to its key;
-    each key's leaves are then shifted by its starts.  The first stuck
-    resolution is the first of its key, so StuckGraph names the graph a
-    walk of every resolution would stop at.
+    The crossings are resolved level by level in piece order, and equal
+    partial states are merged: a level maps each key to its first graph
+    and its summed skein starts {k: sign}.  The last level walks each
+    distinct resolution once, when its key first appears, and keeps its
+    leaves, which are then shifted by the key's starts.  Keys appear in
+    the order of their first resolution in expand_crossings, so
+    StuckGraph names the graph a walk of every resolution would stop at.
     """
     graph, pairs = _build(diagram)
-    walked = {}                     # key -> its leaves, (exponents, count)
-    starts = defaultdict(Counter)   # key -> k -> summed sign of ±q^k
-    for (coeff, _), g in zip(expand_crossings(diagram),
-                             _resolved(graph, pairs), strict=True):
-        key = _resolution_key(g)
-        if key not in walked:
-            leaves = Counter()
-            _count_leaves(g, leaves, 1, [0, 0, 0, 0])
-            walked[key] = tuple(leaves.items())
-        (k, sign), = coeff.terms.items()
-        starts[key][k] += sign
+    n = diagram.n
+    crossings = [p for p in diagram.pieces if p.kind in CROSSINGS]
+    pending = [win for win, _ in pairs]
+    level = {_resolution_key(graph, pending):
+             (graph if pairs else _walked(graph), Counter({0: 1}))}
+    for p, (win, wout) in zip(crossings, pairs):
+        del pending[0]
+        last = not pending
+        s = 1 if p.kind == "xplus" else -1
+        stitches = [((win, port), (wout, port)) for port in ("s0", "s1")]
+        merged = {}
+        for key, (g, starts) in level.items():
+            arcs = g.copy()
+            arcs.splice((win, wout), stitches)
+            at = len(key) - len(pending) - 1    # this crossing's rank
+            for child, child_key, shift, flip in (
+                    (arcs, _resolution_key(arcs, pending), s * (n - 1), 1),
+                    (g, key[:at] + key[at + 1:], s * n, -1)):
+                state = merged.get(child_key)
+                if state is None:
+                    state = merged[child_key] = (
+                        _walked(child) if last else child, Counter())
+                acc = state[1]
+                for k, sign in starts.items():
+                    acc[k + shift] += flip * sign
+        level = merged
     total = Counter()
-    for key, leaves in walked.items():
-        for (k, *powers), count in leaves:
-            for k0, sign in starts[key].items():
+    for leaves, starts in level.values():
+        for (k, *powers), count in leaves.items():
+            for k0, sign in starts.items():
                 total[(k + k0, *powers)] += sign * count
     return total
 
@@ -502,9 +523,10 @@ def _bracket_leaves(diagram):
 def bracket_text(text):
     """Parse diagram source (crossings allowed) and evaluate the bracket.
 
-    The graph is built once, and its resolutions are walked as the leaves
-    of a resolution tree (_resolved), each distinct one once
-    (_bracket_leaves); all their leaves are evaluated together.
+    The graph is built once, its crossings are resolved level by level
+    with equal partial states merged, and each distinct resolution is
+    walked once (_bracket_leaves); all their leaves are evaluated
+    together.
     """
     d = parse_diagram(text)
     return _evaluate(d.n, _bracket_leaves(d))

@@ -436,10 +436,10 @@ def test_bracket_matches_a_direct_evaluation():
     assert stuck == 1
 
 
-def test_bracket_text_copies_once_per_resolution(monkeypatch):
-    # one copy per arcs branch of the resolution tree, 2^c - 1 of them (the
-    # all-wide resolution is the built graph itself), walked in place, and
-    # one more for the first term of each square walked
+@pytest.fixture
+def counted_copies(monkeypatch):
+    """The graphs MOYGraph.copy is called on, and the square matches
+    applied: a walk copies its graph once for the first term of each."""
     copies, squares = [], []
     copy = MOYGraph.copy
     matcher, apply = RELATIONS["square"]
@@ -454,16 +454,56 @@ def test_bracket_text_copies_once_per_resolution(monkeypatch):
 
     monkeypatch.setattr(MOYGraph, "copy", counted_copy)
     monkeypatch.setitem(RELATIONS, "square", (matcher, counted_apply))
+    return copies, squares
+
+
+def _state_keys(diagram, depth):
+    """The key of every partial state with the first depth crossings
+    resolved, each spliced on its own copy of the built graph, in the
+    order of its choices (arcs before wide, the first crossing outermost).
+    """
+    graph, pairs = _build(diagram)
+    pending = [win for win, _ in pairs[depth:]]
+    keys = []
+    for choice in itertools.product((True, False), repeat=depth):
+        arcs = [pair for pair, a in zip(pairs, choice) if a]
+        g = graph.copy()
+        g.splice([v for pair in arcs for v in pair],
+                 [((win, port), (wout, port))
+                  for win, wout in arcs for port in ("s0", "s1")])
+        keys.append(_resolution_key(g, pending))
+    return keys
+
+
+def test_bracket_text_copies_once_per_partial_state(counted_copies):
+    # one copy per distinct partial state, with 0..c-1 crossings resolved,
+    # for its arcs branch (its wide branch takes the state's own graph),
+    # and one more for the first term of each square walked
+    copies, squares = counted_copies
     for n, strands, spec, value in PINNED:
         if value is None:
             continue
         text = _closure_text(n, strands, _word(spec))
+        d = parse_diagram(text)
+        states = sum(len(set(_state_keys(d, depth)))
+                     for depth in range(len(_word(spec))))
         before = len(squares)
         copies.clear()
         bracket_text(text)
-        resolutions = len(expand_crossings(parse_diagram(text)))
-        assert len(copies) == resolutions - 1 + len(squares) - before
+        assert len(copies) == states + len(squares) - before
+        assert states < 2 ** len(_word(spec)) - 1
     assert squares
+
+
+def test_sigma_power_copies_one_graph_per_state(counted_copies):
+    # at depth d the closure of s1^c has d + 1 partial states, one per
+    # count of arcs crossings, so its c levels copy c(c+1)/2 graphs
+    copies, squares = counted_copies
+    for c in range(1, 8):
+        copies.clear()
+        squares.clear()
+        bracket_text(_closure_text(4, 2, [("xplus", 0)] * c))
+        assert len(copies) - len(squares) == c * (c + 1) // 2
 
 
 def _every_resolution_walked(diagram):
@@ -502,9 +542,10 @@ def test_shared_walks_count_the_leaves_of_every_resolution():
     assert stuck >= 2
 
 
-def test_sigma_power_walks_one_graph_per_arcs_count(monkeypatch):
-    # a resolution of the closure of s1^c is, up to vertex ids, fixed by how
-    # many of its crossings are arcs
+@pytest.fixture
+def counted_walks(monkeypatch):
+    """The keys of the graphs _count_leaves is called on from outside
+    itself: one per walk of a resolution."""
     walks = []
     depth = [0]
     count_leaves = moybracket._count_leaves
@@ -519,10 +560,46 @@ def test_sigma_power_walks_one_graph_per_arcs_count(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(moybracket, "_count_leaves", counted)
+    return walks
+
+
+def test_sigma_power_walks_one_graph_per_arcs_count(counted_walks):
+    # a resolution of the closure of s1^c is, up to vertex ids, fixed by how
+    # many of its crossings are arcs
+    walks = counted_walks
     for c in range(1, 7):
         walks.clear()
         bracket_text(_closure_text(4, 2, [("xplus", 0)] * c))
         assert len(walks) == len(set(walks)) == c + 1
+
+
+def test_walks_follow_the_distinct_resolution_keys(counted_walks):
+    # one walk per distinct key of the resolutions spliced each on its own
+    # copy, in the order of their first appearance; a stuck diagram stops
+    # at the walk that raises
+    walks = counted_walks
+    words = [(n, strands, _word(spec)) for n, strands, spec, _ in PINNED]
+    rng = random.Random(19)
+    for _ in range(40):
+        strands = rng.randint(2, 4)
+        words.append((rng.randint(3, 5), strands,
+                      [(rng.choice(("xplus", "xminus", "wide")),
+                        rng.randrange(strands - 1))
+                       for _ in range(rng.randint(1, 7))]))
+    stuck = 0
+    for n, strands, word in words:
+        d = parse_diagram(_closure_text(n, strands, word))
+        crossings = sum(kind in CROSSINGS for kind, _ in word)
+        distinct = list(dict.fromkeys(_state_keys(d, crossings)))
+        walks.clear()
+        try:
+            _bracket_leaves(d)
+        except StuckGraph:
+            stuck += 1
+            assert walks == distinct[:len(walks)]
+        else:
+            assert walks == distinct
+    assert stuck >= 1
 
 
 def _relabeled(graph, vid):
@@ -556,3 +633,18 @@ def test_resolution_key_is_order_relative():
             looped = graph.copy()
             setattr(looped, loops, getattr(looped, loops) + 1)
             assert _resolution_key(looped) != key
+
+
+def test_resolution_key_ranks_the_pending_vins():
+    # a pending crossing is named by its vin's rank, so the same graph with
+    # other crossings still to resolve keys apart, under any order-preserving
+    # renaming alike
+    graph = _graph(SQUARE_WEB % 4)
+    vins = sorted(v for v, kind in graph.vertices.items() if kind == "vin")
+    assert _resolution_key(graph, ()) == _resolution_key(graph)
+    keys = {_resolution_key(graph, pending)
+            for pending in ((), vins[:1], vins[1:], vins, vins[::-1])}
+    assert len(keys) == 5
+    renamed = _relabeled(graph, lambda v: 3 * v + 7)
+    assert (_resolution_key(renamed, [3 * v + 7 for v in vins[::-1]])
+            == _resolution_key(graph, vins[::-1]))
