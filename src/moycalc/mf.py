@@ -20,7 +20,7 @@ The translation functor <1> swaps the slots and negates both maps; on a
 single row it is realized as K(-b; -a){(deg b - deg a)/2}.
 """
 
-from .poly import Poly, as_coeff, qdiv
+from .poly import Poly, as_coeff, mono_degree, qdiv
 from .quotient import QuotientRing
 
 
@@ -42,16 +42,13 @@ class KoszulRow:
     __slots__ = ("a", "b", "deg_a", "deg_b")
 
     def __init__(self, a, b, deg_a=None, deg_b=None):
-        if deg_a is None:
-            deg_a = a.degree() if not a.is_zero() else 0
-        if deg_b is None:
-            deg_b = b.degree() if not b.is_zero() else 0
-        if not a.is_homogeneous() or not b.is_homogeneous():
+        # each entry's term degrees, read once for homogeneity and degree
+        degs_a = {mono_degree(m) for m in a.terms}
+        degs_b = {mono_degree(m) for m in b.terms}
+        if len(degs_a) > 1 or len(degs_b) > 1:
             raise ValueError("row entries must be homogeneous")
-        if not a.is_zero() and a.degree() != deg_a:
-            raise ValueError("wrong degree for a")
-        if not b.is_zero() and b.degree() != deg_b:
-            raise ValueError("wrong degree for b")
+        deg_a = _slot_degree(degs_a, deg_a, "a")
+        deg_b = _slot_degree(degs_b, deg_b, "b")
         if (deg_b - deg_a) % 2:
             raise OddShift("internal shift (%d - %d)/2 is not an integer"
                            % (deg_b, deg_a))
@@ -90,6 +87,17 @@ class KoszulRow:
         return "(%s ; %s)" % (self.a, self.b)
 
     __repr__ = __str__
+
+
+def _slot_degree(degrees, pinned, slot):
+    """The degree of a slot whose entry has the term degrees given (at
+    most one): the pinned degree if any, else the entry's, 0 for 0."""
+    if not degrees:
+        return 0 if pinned is None else pinned
+    (degree,) = degrees
+    if pinned is not None and degree != pinned:
+        raise ValueError("wrong degree for %s" % slot)
+    return degree
 
 
 class ZeroScalar(ValueError):
@@ -286,26 +294,53 @@ class SparseMat:
         return self.mapped(Poly.__neg__)
 
     def __matmul__(self, other):
-        """Matrix product, expanding each distinct sum of products once.
-
-        Tensor-product differentials repeat a few distinct entries, up to
-        sign, across thousands of positions, and the off-diagonal sums of
-        a square d1 @ d0 cancel in +/- pairs of equal products.  So each
-        position first sums integer multiples of unordered pairs of
-        distinct entries (p and -p are one entry with a sign), and only
-        the sums that survive are expanded into polynomials, equal sums
-        once.
-
-        Both matrices are indexed by row once.  Each output row i then
-        counts its pair products in one dict keyed by a single int,
-        j * n^2 + lo * n + hi for column j and the unordered pair lo <= hi
-        of the n distinct entries; only the keys whose count is nonzero
-        are decoded into per-position sums.
-        """
+        """Matrix product (see _ProductTables)."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
+        return _ProductTables(self, other).product(0, 1)
+
+    def mapped(self, fn):
+        """Apply fn to every entry, once per distinct entry object."""
+        # the memo holds each entry, so its id cannot be reused meanwhile
+        memo = {}
+        out = {}
+        for pos, p in self.entries.items():
+            hit = memo.get(id(p))
+            if hit is None:
+                hit = memo[id(p)] = (p, fn(p))
+            out[pos] = hit[1]
+        return SparseMat(self.nrows, self.ncols, out)
+
+    def to_lists(self):
+        return [[self[(i, j)] for j in range(self.ncols)]
+                for i in range(self.nrows)]
+
+
+class _ProductTables:
+    """The one product kernel, over tables built once for several matrices.
+
+    Tensor-product differentials repeat a few distinct entries, up to
+    sign, across thousands of positions, and the off-diagonal sums of
+    a square d1 @ d0 cancel in +/- pairs of equal products.  So each
+    position first sums integer multiples of unordered pairs of
+    distinct entries (p and -p are one entry with a sign), and only
+    the sums that survive are expanded into polynomials, equal sums
+    once.
+
+    One symbol table numbers the distinct entries of all the matrices,
+    and each matrix is indexed by row once, so both squares of a
+    factorization share them and their expansions.  Each output row i
+    counts its pair products in one dict keyed by a single int,
+    j * n^2 + lo * n + hi for column j and the unordered pair lo <= hi
+    of the n distinct entries; only the keys whose count is nonzero are
+    decoded into per-position sums.
+    """
+
+    __slots__ = ("mats", "rows", "reps", "expanded")
+
+    def __init__(self, *mats):
         symbols = {}    # entry -> (sign, index into reps)
-        seen = {}       # id(entry) -> symbol; both matrices hold the entries
+        seen = {}       # id(entry) -> symbol; the matrices hold the entries
         reps = []
 
         def symbol(p):
@@ -319,18 +354,24 @@ class SparseMat:
                 seen[id(p)] = got
             return got
 
-        left = {}
-        for (i, k), p in self.entries.items():
-            left.setdefault(i, []).append((k, *symbol(p)))
-        right = {}
-        for (k, j), q in other.entries.items():
-            right.setdefault(k, []).append((j, *symbol(q)))
+        self.mats = mats
+        self.rows = []
+        for mat in mats:
+            index = {}
+            for (i, j), p in mat.entries.items():
+                index.setdefault(i, []).append((j, *symbol(p)))
+            self.rows.append(index)
+        self.reps = reps
+        self.expanded = {}
+
+    def product(self, x, y):
+        """mats[x] @ mats[y], whose shapes must match."""
+        reps, expanded = self.reps, self.expanded
+        right = self.rows[y]
         n = len(reps)
         nn = n * n
-
-        expanded = {}
         entries = {}
-        for i, row in left.items():
+        for i, row in self.rows[x].items():
             acc = {}
             for k, sp, a in row:
                 for j, sq, b in right.get(k, ()):
@@ -350,23 +391,7 @@ class SparseMat:
                         value = value + reps[a] * reps[b] * c
                     expanded[key] = value
                 entries[(i, j)] = expanded[key]
-        return SparseMat(self.nrows, other.ncols, entries)
-
-    def mapped(self, fn):
-        """Apply fn to every entry, once per distinct entry object."""
-        # the memo holds each entry, so its id cannot be reused meanwhile
-        memo = {}
-        out = {}
-        for pos, p in self.entries.items():
-            hit = memo.get(id(p))
-            if hit is None:
-                hit = memo[id(p)] = (p, fn(p))
-            out[pos] = hit[1]
-        return SparseMat(self.nrows, self.ncols, out)
-
-    def to_lists(self):
-        return [[self[(i, j)] for j in range(self.ncols)]
-                for i in range(self.nrows)]
+        return SparseMat(self.mats[x].nrows, self.mats[y].ncols, entries)
 
 
 class ExplicitMF:
@@ -411,8 +436,9 @@ def verify_factorization(exp):
     Raises NotAFactorization with the offending entry position otherwise.
     """
     nf = exp.base.normal_form
-    omega = _check_scalar(exp.d1 @ exp.d0, nf, "d1*d0")
-    omega2 = _check_scalar(exp.d0 @ exp.d1, nf, "d0*d1")
+    tables = _ProductTables(exp.d0, exp.d1)
+    omega = _check_scalar(tables.product(1, 0), nf, "d1*d0")
+    omega2 = _check_scalar(tables.product(0, 1), nf, "d0*d1")
     if len(exp.gens0) and len(exp.gens1) and omega != omega2:
         raise NotAFactorization("d1*d0 and d0*d1 disagree")
     _check_homogeneity(exp, omega if len(exp.gens0) and len(exp.gens1)

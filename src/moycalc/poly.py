@@ -69,10 +69,17 @@ def mono_exponent(mono, v):
 
 
 def mono_degree(mono):
-    return sum(var_degree(v) * e for v, e in mono)
+    d = 0
+    for (kind, _), e in mono:
+        d += VAR_DEGREE[kind] * e
+    return d
 
 
 def mono_mul(m1, m2):
+    if not m1:
+        return m2
+    if not m2:
+        return m1
     exp = dict(m1)
     for v, e in m2:
         exp[v] = exp.get(v, 0) + e
@@ -195,6 +202,24 @@ class Poly:
                 out[rest] = out.get(rest, 0) + coeff
         return Poly(out)
 
+    def monic_variables(self):
+        """{v: (power d, constant lead coeff c)} for every variable v with
+        self = c*v^d + lower-in-v, read in one pass over the terms.
+
+        The monomials are distinct, so the coefficient of v^d is a constant
+        exactly when the pure power v^d is the only term of v-degree d.
+        """
+        top = {}
+        for mono, coeff in self.terms.items():
+            pure = len(mono) == 1
+            for v, e in mono:
+                got = top.get(v)
+                if got is None or e > got[0]:
+                    top[v] = (e, coeff if pure else None)
+                elif e == got[0]:
+                    top[v] = (e, None)
+        return {v: data for v, data in top.items() if data[1] is not None}
+
     def leading(self):
         """(monomial, coefficient) of the leading term."""
         if not self.terms:
@@ -263,13 +288,19 @@ class Poly:
         return hash(frozenset(self.terms.items()))
 
     def substitute(self, mapping):
-        """Substitute variables by polynomials; mapping: var -> Poly."""
-        # each power of a replacement is expanded once, not once per term
+        """Substitute variables by polynomials; mapping: var -> Poly.
+
+        The substitution is simultaneous: every variable of a term is
+        replaced from the mapping, and no replacement is substituted into
+        again, so {x1: x2, x2: x1} swaps x1 and x2.  Each power of a
+        replacement is expanded once per call, and each term costs one
+        product: its kept monomial times each term of its substituted part.
+        """
         powers = {}
         acc = {}
         for mono, coeff in self.terms.items():
-            term = Poly({(): coeff})
             kept = []
+            part = None
             for v, e in mono:
                 if v not in mapping:
                     kept.append((v, e))
@@ -277,11 +308,14 @@ class Poly:
                 power = powers.get((v, e))
                 if power is None:
                     power = powers[(v, e)] = mapping[v] ** e
-                term = term * power
+                part = power if part is None else part * power
+            if part is None:
+                acc[mono] = acc.get(mono, 0) + coeff
+                continue
             kept = tuple(kept)
-            for m, c in term.terms.items():
+            for m, c in part.terms.items():
                 m = mono_mul(kept, m)
-                acc[m] = acc.get(m, 0) + c
+                acc[m] = acc.get(m, 0) + coeff * c
         return Poly(acc)
 
     def renamed(self, mapping):

@@ -64,13 +64,7 @@ def scale_row(mf, i, c):
 
 def _monic_data(p, v):
     """(power d, constant lead coeff c) if p = c*v^d + lower-in-v, else None."""
-    d = p.degree_in(v)
-    if d == 0:
-        return None
-    lead = p.coefficient_in(v, d)
-    if not lead.is_constant():
-        return None
-    return d, lead.constant_value()
+    return p.monic_variables().get(v)
 
 
 def exclude_variable(mf, i, v, side=None, potential_vars=None):
@@ -158,14 +152,13 @@ def _exclusion_candidates(mf, potential_vars, order=None):
     leaders = {w for w, _, _ in mf.base.rules}
     out = []
     for i, row in enumerate(mf.rows):
-        variables = sorted(row.a.variables() | row.b.variables())
-        for v in variables:
+        monic_b, monic_a = row.b.monic_variables(), row.a.monic_variables()
+        for v in sorted(monic_b.keys() | monic_a.keys()):
             if v in potential_vars or v in leaders:
                 continue
-            for side, entry in (("b", row.b), ("a", row.a)):
-                data = _monic_data(entry, v)
-                if data is not None:
-                    out.append((i, v, side, data[0]))
+            for side, monic in (("b", monic_b), ("a", monic_a)):
+                if v in monic:
+                    out.append((i, v, side, monic[v][0]))
     if order is not None:
         order.shuffle(out)
     # refused after the shuffle, so that a seeded order draws as before

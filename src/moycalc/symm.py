@@ -94,12 +94,11 @@ def jacobi_algebra(n, y=("y", 1), z=("z", 1)):
 
 def _monic_rule(p, v):
     """Read p = c*v^d + lower (in v) as the rule v^d -> -(p - c v^d)/c."""
-    d = p.degree_in(v)
-    if d == 0:
+    if v not in p.variables():
         raise ReductionFailed("%s does not involve %s%d" % (p, *v))
-    c = p.coefficient_in(v, d)
-    if not c.is_constant() or c.is_zero():
+    data = p.monic_variables().get(v)
+    if data is None:
         raise ReductionFailed("%s is not monic in %s%d" % (p, *v))
-    c = c.constant_value()
+    d, c = data
     repl = -(p * qdiv(1, c) - Poly.var(v, d))
     return v, d, repl

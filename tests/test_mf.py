@@ -32,6 +32,39 @@ def test_row_shift_and_flip():
         KoszulRow(Poly(), Poly(), deg_a=1, deg_b=2)
 
 
+@pytest.mark.parametrize("a, b, degs, error, message", [
+    # homogeneity is checked first, pinned degrees or not
+    (v(X1) + v(X1, 2), v(X1), {}, ValueError,
+     "row entries must be homogeneous"),
+    (v(X1), v(X1) + v(Y1, 2), {"deg_a": 4, "deg_b": 2}, ValueError,
+     "row entries must be homogeneous"),
+    # then a's pinned degree, then b's
+    (v(X1), v(X2), {"deg_a": 4, "deg_b": 6}, ValueError,
+     "wrong degree for a"),
+    (v(X1), v(X2), {"deg_b": 4}, ValueError, "wrong degree for b"),
+    # then the parity of the internal shift
+    (v(X1), Poly(), {"deg_b": 5}, OddShift,
+     "internal shift (5 - 2)/2 is not an integer"),
+    (Poly(), v(X1, 2), {"deg_a": 1}, OddShift,
+     "internal shift (4 - 1)/2 is not an integer"),
+], ids=["inhomogeneous", "inhomogeneous-pinned", "wrong-a", "wrong-b",
+        "odd-zero-b", "odd-zero-a"])
+def test_row_errors(a, b, degs, error, message):
+    with pytest.raises(ValueError) as info:
+        KoszulRow(a, b, **degs)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_row_zero_entry_takes_its_pinned_degree():
+    row = KoszulRow(Poly(), v(X1), deg_a=6)
+    assert (row.deg_a, row.deg_b, row.internal_shift) == (6, 2, -2)
+    row = KoszulRow(v(X1, 2), Poly(), deg_b=0)
+    assert (row.deg_a, row.deg_b, row.internal_shift) == (4, 0, -2)
+    # an unpinned zero entry has degree 0
+    assert KoszulRow(Poly(), Poly()).internal_shift == 0
+
+
 def test_scaled_round_trip_keeps_int_entries():
     row = KoszulRow(2 * v(X1, 3), 6 * v(X1))
     tripled = row.scaled(3)

@@ -74,6 +74,37 @@ def test_substitute():
     assert r == v(X1) * v(X2)
 
 
+def _substitute_reference(p, mapping):
+    # term by term in ring arithmetic: every variable is replaced at once
+    out = Poly()
+    for mono, coeff in p.terms.items():
+        term = Poly.const(coeff)
+        for var, e in mono:
+            term = term * (mapping[var] if var in mapping else v(var)) ** e
+        out = out + term
+    return out
+
+
+def test_substitute_two_variables_simultaneously():
+    rng = random.Random(11)
+    for _ in range(40):
+        p = rand_poly(rng, [X1, X2, Y1])
+        # each replacement mentions the other substituted variable
+        b = v(X1) * rand_poly(rng, [X1, X2, Y1]) + v(X2)
+        c = v(X2) * rand_poly(rng, [X2, Z1]) + v(X1)
+        mapping = {X1: b, X2: c}
+        assert p.substitute(mapping) == _substitute_reference(p, mapping)
+    # x1 -> x2 + x1 and x2 -> x1 together, not one after the other
+    p = v(X1) ** 2 * v(X2)
+    got = p.substitute({X1: v(X1) + v(X2), X2: v(X1)})
+    assert got == (v(X1) + v(X2)) ** 2 * v(X1)
+
+
+def test_mono_mul_by_the_unit_monomial():
+    for m in ((), ((X1, 2),), ((X1, 1), (Y1, 3), (Z1, 1))):
+        assert mono_mul(m, ()) == m == mono_mul((), m)
+
+
 def test_renamed_matches_substitute():
     rng = random.Random(7)
     maps = [{X1: X2, X2: X1}, {X1: X2}, {X2: X1, Y1: Z1}, {Z1: X1}]

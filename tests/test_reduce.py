@@ -218,6 +218,45 @@ def test_left_out_candidates_are_refused_by_with_rule(n):
     assert left_out > 0
 
 
+def _monic_reference(p, var):
+    # the definition spelled out: c*var^d + lower in var, c a constant
+    d = p.degree_in(var)
+    if d == 0:
+        return None
+    lead = p.coefficient_in(var, d)
+    return (d, lead.constant_value()) if lead.is_constant() else None
+
+
+def test_monic_table_matches_degree_and_coefficient():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    variables = (X1, X2, ("y", 1), Z1)
+    coeffs = st.one_of(st.integers(-4, 4),
+                       st.fractions(min_value=-4, max_value=4,
+                                    max_denominator=3))
+    monos = st.tuples(*[st.integers(0, 3)] * len(variables)).map(
+        lambda es: tuple((var, e) for var, e in zip(variables, es) if e))
+    polys = st.dictionaries(monos, coeffs, max_size=5).map(Poly)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(polys)
+    # x1's top power only in a mixed monomial
+    @hypothesis.example(v(X1, 2) * v(X2) + v(X1) + v(Z1))
+    # x1^2 shares its x1-degree with a mixed term
+    @hypothesis.example(3 * v(X1, 2) + v(X1, 2) * v(X2) - v(X2, 2))
+    # monic in x1 and x2 at once, over mixed terms of lower degree in each
+    @hypothesis.example(v(X1, 3) - 2 * v(X2, 3) + v(X1, 2) * v(X2, 2))
+    def check(p):
+        table = p.monic_variables()
+        assert table.keys() <= p.variables()
+        for var in variables:
+            want = _monic_reference(p, var)
+            assert table.get(var) == want
+            assert reduce_module._monic_data(p, var) == want
+
+    check()
+
+
 def _is_normal(mf):
     nf = mf.base.normal_form
     return all(nf(p) == p for row in mf.rows for p in (row.a, row.b))
