@@ -97,9 +97,12 @@ class QuotientRing:
         return QuotientRing(new_rules)
 
     def substitute(self, v, repl):
-        """Eliminate v entirely by substituting v -> repl in every rule."""
+        """Eliminate v entirely by substituting v -> repl in every rule;
+        the ring itself when no replacement contains v."""
         if self.rule_for(v) is not None:
             raise TriangularityViolation("cannot eliminate a leader variable")
+        if not any(p.degree_in(v) for _, _, p in self.rules):
+            return self
         out = QuotientRing()
         for w, d, p in self.rules:
             p2 = p.substitute({v: repl})

@@ -12,6 +12,21 @@ summand is zero, and its homology reads as zero.
 Rows are in normal form over the base: auto_reduce, replay and
 canonical_form normalize their input once, and every later step keeps it so.
 
+A power rule v^d -> repl (d >= 2) that must close a cycle through an
+unbounded variable is refused before any work on it.  Let the entry be
+c*v^d + (lower in v), normal over the base's rules, and r the variables
+that its variables other than v reach through those rules.  If v is in r
+and so is a non-leader u other than v, with_rule must refuse the rule:
+  1. v is no leader (with_rule refuses a second rule on it at once), so
+     repl = v^d - entry/c is normal already, and its variables other
+     than v are the entry's: from them the new rules reach all of r.
+  2. So v's closure under the new rules holds v, a cycle, and u, which is
+     still no leader: the rule on v is the only one added.
+  3. _check_acyclic rejects a cyclic closure with a non-leader, unless
+     with_rule has refused the rule before it gets there.
+A linear entry (d = 1) is substituted into the rules, where cancellation
+could undo the cycle, so it always takes the exact path.
+
 auto_reduce drives exclusions to a fixpoint and splits the base module
 along a rule where none is left.  Exclusions and splits keep the
 potential, and a summand without rows has potential 0, so under a nonzero
@@ -19,6 +34,11 @@ potential the search just takes the first feasible (row, variable, side).
 Under a zero potential a greedy choice can dead-end, so the search
 backtracks depth-first to the first branch that reaches zero rows
 everywhere; after 16 exclusions it settles for first branches instead.
+Commuting exclusions reach equal base rings along different branches, so
+one search keeps a transition table: (base rules, v, d, repl) maps to the
+resulting QuotientRing, or to the message of its refusal, which is raised
+again.  The table is made by auto_reduce and dropped when it returns;
+replay and direct callers of exclude_variable use none.
 
 A trace is a flat list of (kind, info) steps: exclude (row, var, side,
 power) and split (var, power, sizes), where a split is followed by its
@@ -29,7 +49,7 @@ import itertools
 from operator import itemgetter
 
 from .poly import Poly, mono_sort_key, qdiv, var_degree
-from .quotient import QuotientRing, TriangularityViolation
+from .quotient import QuotientRing, TriangularityViolation, _reach
 from .mf import KoszulMF, MFSum
 
 
@@ -67,7 +87,8 @@ def _monic_data(p, v):
     return p.monic_variables().get(v)
 
 
-def exclude_variable(mf, i, v, side=None, potential_vars=None):
+def exclude_variable(mf, i, v, side=None, potential_vars=None,
+                     table=None):
     """Remove row i = (a; b), quotienting the base by its entry monic in v.
 
     Side "b" uses b = c*v^d + (lower in v): v^d becomes v^d - b/c, by
@@ -76,6 +97,12 @@ def exclude_variable(mf, i, v, side=None, potential_vars=None):
     + (deg b - deg a)/2 and parity + 1.  Side None tries b then a.
     potential_vars, the variables of mf's potential, is computed when
     not given; exclusion leaves it unchanged, so a search passes it down.
+
+    mf's rows must be in normal form over its base.  A power rule that
+    closes a cycle through an unbounded variable is refused before any
+    normal form (see the module docstring for the proof).  table, a
+    search's transition table, holds the base rings of earlier steps and
+    their refusals; without it every base ring is computed afresh.
     """
     if side not in ("a", "b", None):
         raise ValueError("side must be 'a', 'b' or None, not %r" % (side,))
@@ -98,20 +125,55 @@ def exclude_variable(mf, i, v, side=None, potential_vars=None):
     d, c = data
     if v in potential_vars:
         raise VariableInPotential("potential contains %s%d" % v)
+    if d >= 2:
+        _refuse_unbounded_cycle(mf.base.rules, v, entry)
 
     repl = Poly.var(v, d) - entry * qdiv(1, c)
+    base = _transition(mf.base, v, d, repl, table)
     rows = mf.rows[:i] + mf.rows[i + 1:]
     if d == 1:
-        base = mf.base.substitute(v, repl)
         rows = [r.mapped(lambda p: base.normal_form(p.substitute({v: repl})))
                 for r in rows]
     else:
-        base = mf.base.with_rule(v, d, repl)
         rows = [r.mapped(base.normal_form) for r in rows]
     if side == "a":
         return KoszulMF(rows, base, mf.shift + row.internal_shift,
                         mf.parity + 1)
     return KoszulMF(rows, base, mf.shift, mf.parity)
+
+
+def _refuse_unbounded_cycle(rules, v, entry):
+    """Raise TriangularityViolation where with_rule must refuse v^d ->
+    v^d - entry/c, for an entry c*v^d + (lower in v) normal over the
+    rules (the d >= 2 refusal of the module docstring).  Returning proves
+    nothing: with_rule may still refuse the rule."""
+    reach = _reach(entry.variables() - {v}, rules)
+    if v not in reach:
+        return
+    unbounded = reach - {w for w, _, _ in rules} - {v}
+    if unbounded:
+        raise TriangularityViolation(
+            "cyclic rules through unbounded variable %s%d" % min(unbounded))
+
+
+def _transition(base, v, d, repl, table):
+    """base after v^d -> repl: v substituted away when d = 1, the rule
+    added otherwise; looked up in, or entered into, table when given."""
+    if table is None:
+        if d == 1:
+            return base.substitute(v, repl)
+        return base.with_rule(v, d, repl)
+    key = (base.rules, v, d, repl)
+    out = table.get(key)
+    if out is None:
+        try:
+            out = _transition(base, v, d, repl, None)
+        except TriangularityViolation as exc:
+            out = str(exc)
+        table[key] = out
+    if isinstance(out, str):
+        raise TriangularityViolation(out)
+    return out
 
 
 def split_free_module(mf, v):
@@ -182,25 +244,27 @@ def auto_reduce(mf, order=None):
     mf = mf.normalized_rows()
     potential = mf.potential()
     summands, steps = _reduce(mf, potential.variables(), potential.is_zero(),
-                              order, {"branches": 16})
+                              order, {"branches": 16}, {})
     return MFSum(summands), ReductionTrace(steps)
 
 
-def _reduce(mf, potential_vars, zero, order, budget):
+def _reduce(mf, potential_vars, zero, order, budget, table):
     """(summands, steps); potential_vars and zero (is the potential 0?)
-    describe the potential, which no exclusion or split changes."""
+    describe the potential, which no exclusion or split changes; table is
+    the search's transition table."""
     best = None
     for (i, v, side, d) in _exclusion_candidates(mf, potential_vars, order):
         if budget["branches"] <= 0 and best is not None:
             break
         try:
-            nxt = exclude_variable(mf, i, v, side, potential_vars)
+            nxt = exclude_variable(mf, i, v, side, potential_vars, table)
         except (TriangularityViolation, VariableInPotential,
                 NotMonicInVariable):
             continue
         if zero:
             budget["branches"] -= 1
-        summands, sub = _reduce(nxt, potential_vars, zero, order, budget)
+        summands, sub = _reduce(nxt, potential_vars, zero, order, budget,
+                                table)
         step = ("exclude", {"row": i, "var": v, "side": side, "power": d})
         branch = summands, [step] + sub
         if not zero or all(not s.rows for s in summands):
@@ -212,7 +276,8 @@ def _reduce(mf, potential_vars, zero, order, budget):
     for v in _splittable_variables(mf):
         out, steps, sizes = [], [], []
         for copy in split_free_module(mf, v):
-            summands, sub = _reduce(copy, potential_vars, zero, order, budget)
+            summands, sub = _reduce(copy, potential_vars, zero, order,
+                                    budget, table)
             out.extend(summands)
             steps.extend(sub)
             sizes.append(len(sub))

@@ -86,6 +86,7 @@ def test_substitute_variable():
     ring = QuotientRing().with_rule(Y1, 3, Poly())
     out = ring.substitute(Z1, v(Y1) ** 2)      # no z rule: nothing changes
     assert out.normal_form(v(Y1) ** 3).is_zero()
+    assert out is ring      # no replacement contains z1: nothing rebuilt
 
 
 def test_graded_dimension_product():

@@ -1,15 +1,17 @@
 """Exclusion-based simplification: invariants, traces, canonical forms."""
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from moycalc.diagram import glue, parse_diagram
 from moycalc.homology import euler_characteristic, graded_homology
 from moycalc.mf import KoszulMF, KoszulRow, MFSum, koszul_new
-from moycalc.poly import Poly
-from moycalc.quotient import TriangularityViolation
+from moycalc.poly import Poly, qdiv
+from moycalc.quotient import QuotientRing, TriangularityViolation
 from moycalc import reduce as reduce_module
 from moycalc.reduce import (NotMonicInVariable, ReductionTrace,
                             VariableInPotential, _normalize_rows, _relabel,
@@ -17,6 +19,8 @@ from moycalc.reduce import (NotMonicInVariable, ReductionTrace,
                             replay, scale_row, split_free_module)
 from test_acceptance import _random_diagram
 from test_moybracket import SQUARE_WEB
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 CIRCLE = "n %d\narc x1 x2\nglue x1 x2\n"
 DCIRCLE = "n %d\ndline d1 d2\nglue d1 d2\n"
@@ -37,7 +41,7 @@ NESTED = ("n 3\narc x1 x2\narc x3 x4\narc x5 x6\narc x7 x8\n"
 # criterion 8's seed-2024 item 85: its reduction has non-integral entries
 ITEM85 = "n 3\nwide x1 x2 x3 x4\nglue x1 x4\n"
 
-X1, X2, Z1 = ("x", 1), ("x", 2), ("z", 1)
+X1, X2, Y1, Y2, Z1 = ("x", 1), ("x", 2), ("y", 1), ("y", 2), ("z", 1)
 
 
 def v(var, e=1):
@@ -145,12 +149,98 @@ def test_replay_follows_splits(text):
             == [canonical_form(s) for s in reduced])
 
 
+def _load_workloads():
+    # the benchmark's corpora, read and not changed
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_replay_reproduces_auto_reduce_exactly():
+    # replay computes every base ring afresh, so it also checks the
+    # search's transition table; closed webs whose homology fails are kept
     rng = random.Random(2024)   # criterion 8's corpus, first 40 diagrams
-    for text in [_random_diagram(rng) for _ in range(40)] + [NESTED]:
+    workloads = _load_workloads()
+    closed = workloads.corpus(workloads.WORKLOADS["closed-webs"], 1, 40)
+    texts = [_random_diagram(rng) for _ in range(40)] + [NESTED]
+    for text in texts + [item.text for item in closed]:
         mf = glue(parse_diagram(text))
         reduced, trace = auto_reduce(mf)
         assert replay(mf, trace) == reduced, text
+
+
+def _walked_states(workload, items, per_item):
+    """(state, potential variables) that exclusions and splits reach from
+    the first items of a benchmark workload at seed 1, depth first."""
+    workloads = _load_workloads()
+    for item in workloads.corpus(workloads.WORKLOADS[workload], 1, items):
+        states = [glue(parse_diagram(item.text)).normalized_rows()]
+        potential_vars = states[0].potential().variables()
+        for _ in range(per_item):
+            if not states:
+                break
+            mf = states.pop()
+            yield mf, potential_vars
+            for i, var, side, _ in reduce_module._exclusion_candidates(
+                    mf, potential_vars):
+                try:
+                    states.append(exclude_variable(mf, i, var, side,
+                                                   potential_vars))
+                except TriangularityViolation:
+                    pass
+            for var in reduce_module._splittable_variables(mf):
+                states.extend(split_free_module(mf, var))
+
+
+def _refused(step):
+    try:
+        step()
+    except TriangularityViolation:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("workload,items,per_item",
+                         [("closed-webs", 12, 12), ("open-random", 20, 8)])
+def test_early_refusal_is_exactly_with_rules_refusal(workload, items,
+                                                     per_item):
+    # every power candidate: the check on the rules alone refuses it
+    # exactly when with_rule, after its normal form and acyclicity
+    # check, refuses the rule
+    checked = refused = 0
+    for mf, potential_vars in _walked_states(workload, items, per_item):
+        rules = mf.base.rules
+        for i, var, side, d in reduce_module._exclusion_candidates(
+                mf, potential_vars):
+            if d < 2:
+                continue
+            entry = mf.rows[i].b if side == "b" else mf.rows[i].a
+            _, c = reduce_module._monic_data(entry, var)
+            repl = Poly.var(var, d) - entry * qdiv(1, c)
+            early = _refused(lambda: reduce_module._refuse_unbounded_cycle(
+                rules, var, entry))
+            assert early == _refused(lambda: mf.base.with_rule(var, d, repl))
+            checked += 1
+            refused += early
+    assert 0 < refused < checked
+
+
+def test_transition_table_repeats_refusals_and_rings():
+    # substituting x1 -> y1 would turn y1^2 -> x1*y1 into y1^2 -> y1^2;
+    # x2^2 -> x2*y2 is a rule the base takes
+    base = QuotientRing().with_rule(Y1, 2, v(X1) * v(Y1))
+    mf = KoszulMF([KoszulRow(Poly(), v(X1) - v(Y1), 0, 2),
+                   KoszulRow(Poly(), v(X2, 2) - v(X2) * v(Y2), 0, 4)], base)
+    table = {}
+    for _ in range(2):
+        with pytest.raises(TriangularityViolation, match="its own leader"):
+            exclude_variable(mf, 0, X1, "b", table=table)
+    made = [exclude_variable(mf, 1, X2, "b", table=table) for _ in range(2)]
+    assert made[0] == made[1] == exclude_variable(mf, 1, X2, "b")
+    assert made[1].base is made[0].base
+    assert len(table) == 2
 
 
 def test_nonzero_potential_search_does_not_backtrack(monkeypatch):
