@@ -18,6 +18,13 @@ Koszul sign (-1)^|{s in S : s < r}|.
 
 The translation functor <1> swaps the slots and negates both maps; on a
 single row it is realized as K(-b; -a){(deg b - deg a)/2}.
+
+verify_factorization checks d1*d0 = omega*Id, and d0*d1 = omega*Id only
+where no theorem gives it: over a base without rules (Q[x, y, ...], an
+integral domain), square maps with d1*d0 = omega*Id and omega != 0 have
+d0*d1 = omega*Id (proof in its docstring).  Both squares are computed
+when the base has rules (it may have zero divisors), when omega = 0, or
+when the maps are not square.
 """
 
 from .poly import Poly, as_coeff, mono_degree, qdiv
@@ -161,7 +168,11 @@ class KoszulMF:
         return KoszulMF(rows, self.base, self.shift + delta, self.parity + 1)
 
     def normalized_rows(self):
-        """Normal-form every entry over the base."""
+        """Normal-form every entry over the base; without rules every
+        entry is normal already, so this is self and keeps its cached
+        potential."""
+        if not self.base.rules:
+            return self
         nf = self.base.normal_form
         return self.replace(rows=[r.mapped(nf) for r in self.rows])
 
@@ -188,11 +199,12 @@ class KoszulMF:
         sets = range(1 << len(self.rows))
         m0 = [s for s in sets if s.bit_count() % 2 == self.parity]
         m1 = [s for s in sets if s.bit_count() % 2 != self.parity]
-
-        def degree(s):
-            return self.shift + sum(row.internal_shift
-                                    for r, row in enumerate(self.rows)
-                                    if s >> r & 1)
+        # deg(S) = deg(S minus its lowest row) + that row's internal shift
+        shifts = [row.internal_shift for row in self.rows]
+        degree = [self.shift]
+        for s in sets[1:]:
+            low = s & -s
+            degree.append(degree[s ^ low] + shifts[low.bit_length() - 1])
 
         def differential(src, tgt):
             # entries row by row: a product then fills one row of its result
@@ -208,7 +220,7 @@ class KoszulMF:
                     entries[(i, column[t ^ bit])] = pair[odd_below]
             return SparseMat(len(tgt), len(src), entries)
 
-        return ExplicitMF([degree(s) for s in m0], [degree(s) for s in m1],
+        return ExplicitMF([degree[s] for s in m0], [degree[s] for s in m1],
                           differential(m0, m1), differential(m1, m0),
                           self.base)
 
@@ -310,10 +322,6 @@ class SparseMat:
                 hit = memo[id(p)] = (p, fn(p))
             out[pos] = hit[1]
         return SparseMat(self.nrows, self.ncols, out)
-
-    def to_lists(self):
-        return [[self[(i, j)] for j in range(self.ncols)]
-                for i in range(self.nrows)]
 
 
 class _ProductTables:
@@ -434,11 +442,22 @@ def verify_factorization(exp):
     """Return omega with d1*d0 = omega*Id = d0*d1, checking homogeneity.
 
     Raises NotAFactorization with the offending entry position otherwise.
+
+    d1*d0 is checked first.  d0*d1 is then computed only when the base
+    has rules, omega = 0 or the maps are not square; otherwise it equals
+    omega*Id: without rules the base is Q[x, y, ...], an integral domain,
+    and d1*d0 = omega*I_N gives det(d1)*det(d0) = omega^N != 0, so d0 is
+    invertible over the fraction field, d1 = omega*d0^-1 and
+    d0*d1 = omega*I_N.
     """
     nf = exp.base.normal_form
     tables = _ProductTables(exp.d0, exp.d1)
     omega = _check_scalar(tables.product(1, 0), nf, "d1*d0")
-    omega2 = _check_scalar(tables.product(0, 1), nf, "d0*d1")
+    if (not exp.base.rules and not omega.is_zero()
+            and len(exp.gens0) == len(exp.gens1)):
+        omega2 = omega
+    else:
+        omega2 = _check_scalar(tables.product(0, 1), nf, "d0*d1")
     if len(exp.gens0) and len(exp.gens1) and omega != omega2:
         raise NotAFactorization("d1*d0 and d0*d1 disagree")
     _check_homogeneity(exp, omega if len(exp.gens0) and len(exp.gens1)
@@ -483,8 +502,6 @@ def _check_homogeneity(exp, omega):
     for mat, src, tgt in ((exp.d0, exp.gens0, exp.gens1),
                           (exp.d1, exp.gens1, exp.gens0)):
         for (i, j), p in mat.entries.items():
-            if p.is_zero():
-                continue
             info = graded.get(id(p))
             if info is None:
                 info = graded[id(p)] = (p.is_homogeneous(), p.degree())

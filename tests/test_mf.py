@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,11 @@ Y1 = ("y", 1)
 
 def v(var, e=1):
     return Poly.var(var, e)
+
+
+def _lists(mat):
+    """mat as dense lists of rows."""
+    return [[mat[(i, j)] for j in range(mat.ncols)] for i in range(mat.nrows)]
 
 
 def test_row_shift_and_flip():
@@ -83,8 +89,8 @@ def test_two_row_tensor_block_matrices():
     e = m.to_explicit()
     assert e.gens0 == (0, -2)
     assert e.gens1 == (-1, -1)
-    assert e.d0.to_lists() == [[a1, -b2], [a2, b1]]
-    assert e.d1.to_lists() == [[b1, b2], [-a2, a1]]
+    assert _lists(e.d0) == [[a1, -b2], [a2, b1]]
+    assert _lists(e.d1) == [[b1, b2], [-a2, a1]]
     assert verify_factorization(e) == a1 * b1 + a2 * b2
 
 
@@ -293,7 +299,7 @@ def test_explicit_form_matches_the_block_formula():
         g0, g1, d0, d1 = _dense_reference(mf.rows, mf.base, mf.shift,
                                           mf.parity)
         assert (list(got.gens0), list(got.gens1)) == (g0, g1)
-        assert got.d0.to_lists() == d0 and got.d1.to_lists() == d1
+        assert _lists(got.d0) == d0 and _lists(got.d1) == d1
         assert (got.d0.nrows, got.d0.ncols) == (len(g1), len(g0))
         assert got.base == mf.base
         cases += 1
@@ -447,6 +453,89 @@ def test_verify_factorization_at_scale():
                 with pytest.raises(NotAFactorization):
                     verify_factorization(ExplicitMF(e.gens0, e.gens1, d0, d1,
                                                     base))
+
+
+def _reference_omega(e):
+    """omega if d1 @ d0 and d0 @ d1 are both omega*Id, else None."""
+    omega = None
+    for left, right in ((e.d1, e.d0), (e.d0, e.d1)):
+        square = left @ right
+        omega = square[(0, 0)] if omega is None else omega
+        if square != SparseMat(square.nrows, square.ncols,
+                               {(i, i): omega for i in range(square.nrows)}):
+            return None
+    return omega
+
+
+def _perturbed(rng, e, which):
+    """e with one entry of d0 or d1 plus a monomial of its degree: every
+    entry stays homogeneous of its degree, so only the squares decide."""
+    mat = getattr(e, which)
+    pos = rng.choice(sorted(mat.entries))
+    entries = dict(mat.entries)
+    entries[pos] = entries[pos] + _monomial(rng, entries[pos].degree())
+    broken = SparseMat(mat.nrows, mat.ncols, entries)
+    d0, d1 = (broken, e.d1) if which == "d0" else (e.d0, broken)
+    return ExplicitMF(e.gens0, e.gens1, d0, d1, e.base)
+
+
+def test_one_square_agrees_with_both_squares():
+    # without rules and with omega != 0, verify_factorization skips d0*d1;
+    # it must still accept and refuse exactly what checking both accepts
+    rng = random.Random(29)
+    verdicts = []
+    for rows in range(1, 9):
+        for parity in (0, 1):
+            m = _random_koszul(rng, rows, QuotientRing(), parity)
+            while m.potential().is_zero():
+                m = _random_koszul(rng, rows, QuotientRing(), parity)
+            e = m.to_explicit()
+            for case in (e, _perturbed(rng, e, "d0"),
+                         _perturbed(rng, e, "d1")):
+                expected = _reference_omega(case)
+                if expected is None:
+                    with pytest.raises(NotAFactorization):
+                        verify_factorization(case)
+                else:
+                    assert verify_factorization(case) == expected
+                verdicts.append(expected is None)
+            assert _reference_omega(e) == m.potential()
+    # every perturbed copy is refused but the 1-row ones: any pair of 1x1
+    # maps is a factorization
+    assert verdicts.count(True) == 2 * 2 * 7
+
+
+def test_both_squares_are_checked_where_the_theorem_does_not_hold():
+    # omega = 0: d1*d0 is 0 and only d0*d1 fails
+    one = Poly.const(1)
+    d0 = SparseMat(2, 2, {(1, 0): one})
+    d1 = SparseMat(2, 2, {(0, 0): one})
+    with pytest.raises(NotAFactorization, match=re.escape(
+            "d0*d1 has off-diagonal entry at (1, 0)")):
+        verify_factorization(ExplicitMF([0, 0], [0, 0], d0, d1))
+    # maps that are not square: d1*d0 = x1^2 is a 1x1 scalar, d0*d1 is not
+    d0 = SparseMat(2, 1, {(0, 0): v(X1), (1, 0): v(X2)})
+    d1 = SparseMat(1, 2, {(0, 0): v(X1)})
+    with pytest.raises(NotAFactorization, match=re.escape(
+            "d0*d1 has off-diagonal entry at (1, 0)")):
+        verify_factorization(ExplicitMF([0], [0, 0], d0, d1))
+    # a base with rules: x1^2 = 0 makes omega = x1 a zero divisor, and
+    # d1*d0 = x1*Id while d0*d1 is not
+    base = QuotientRing().with_rule(X1, 2, Poly())
+    d0 = SparseMat(2, 2, {(0, 0): v(X1), (0, 1): one, (1, 0): v(X1)})
+    d1 = SparseMat(2, 2, {(0, 1): one, (1, 0): v(X1)})
+    with pytest.raises(NotAFactorization, match=re.escape(
+            "d0*d1 has off-diagonal entry at (0, 1)")):
+        verify_factorization(ExplicitMF([0, -2], [-1, -1], d0, d1, base))
+
+
+def test_normalized_rows_is_self_only_without_rules():
+    rows = [KoszulRow(v(X1, 3), v(X1))]
+    free = KoszulMF(rows)
+    assert free.normalized_rows() is free
+    ruled = KoszulMF(rows, QuotientRing().with_rule(X1, 2, Poly()))
+    normal = ruled.normalized_rows()
+    assert normal.rows[0].a.is_zero() and normal.rows[0].b == v(X1)
 
 
 def test_sparse_mat_rejects_positions_outside_its_shape():

@@ -258,6 +258,27 @@ def test_nonzero_potential_search_does_not_backtrack(monkeypatch):
     assert len(made) == 4
 
 
+def test_rule_free_search_reuses_the_cached_potential(monkeypatch):
+    # without rules normalized_rows is the identity, so auto_reduce works
+    # on the caller's object and its cached potential
+    computed = []
+    potential = KoszulMF.potential
+
+    def counting(self):
+        if self._potential is None:
+            computed.append(self)
+        return potential(self)
+
+    monkeypatch.setattr(KoszulMF, "potential", counting)
+    m = glue(parse_diagram(ITEM31))
+    assert not m.base.rules
+    omega = m.potential()
+    assert not omega.is_zero()
+    auto_reduce(m)
+    assert m.potential() is omega
+    assert [s for s in computed if s == m] == [m]
+
+
 def test_reduction_keeps_the_potential_of_a_unit_row():
     m = koszul_new(Poly.const(1), v(X1), deg_a=0, deg_b=2)
     reduced, _ = auto_reduce(m)
