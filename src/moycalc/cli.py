@@ -85,9 +85,17 @@ def _build_parser():
     return parser
 
 
+def _read_text(args):
+    """The text of args.file, which must be UTF-8."""
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DiagramError("not UTF-8 text (%s)" % exc) from None
+
+
 def _read_diagram(args):
-    with open(args.file, encoding="utf-8") as fh:
-        return parse_diagram(fh.read())
+    return parse_diagram(_read_text(args))
 
 
 def _print_summand(mf, show_rows):
@@ -170,8 +178,7 @@ def _cmd_homology(args):
 
 
 def _cmd_bracket(args):
-    with open(args.file, encoding="utf-8") as fh:
-        value = bracket_text(fh.read())
+    value = bracket_text(_read_text(args))
     if args.json:
         print(json.dumps({"bracket": value.to_json()}, indent=2))
     else:

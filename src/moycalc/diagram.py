@@ -20,7 +20,7 @@ kind and n: it is built once per (kind, n) over local variables, without
 division, and renamed into place.
 
 Crossings have no factorization here: only the bracket resolves them
-(moybracket.expand_crossings), and glue refuses them.
+(moybracket.bracket_text), and glue refuses them.
 """
 
 import functools

@@ -187,8 +187,8 @@ class KoszulMF:
 
     def to_explicit(self):
         # a_r, -a_r, b_r and -b_r are one object each wherever they occur,
-        # which lets the id-keyed memos of mapped, _check_homogeneity and
-        # the product hit
+        # which lets the id-keyed memos of _check_homogeneity and the
+        # product hit
         nf = self.base.normal_form
         signed = []
         for row in self.rows:
@@ -303,25 +303,14 @@ class SparseMat:
         return self.entries.get(pos, Poly())
 
     def __neg__(self):
-        return self.mapped(Poly.__neg__)
+        return SparseMat(self.nrows, self.ncols,
+                         {pos: -p for pos, p in self.entries.items()})
 
     def __matmul__(self, other):
         """Matrix product (see _ProductTables)."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         return _ProductTables(self, other).product(0, 1)
-
-    def mapped(self, fn):
-        """Apply fn to every entry, once per distinct entry object."""
-        # the memo holds each entry, so its id cannot be reused meanwhile
-        memo = {}
-        out = {}
-        for pos, p in self.entries.items():
-            hit = memo.get(id(p))
-            if hit is None:
-                hit = memo[id(p)] = (p, fn(p))
-            out[pos] = hit[1]
-        return SparseMat(self.nrows, self.ncols, out)
 
 
 class _ProductTables:
@@ -423,13 +412,6 @@ class ExplicitMF:
 
     def translate(self):
         return ExplicitMF(self.gens1, self.gens0, -self.d1, -self.d0, self.base)
-
-    def normalized(self):
-        if not self.base.rules:
-            return self
-        nf = self.base.normal_form
-        return ExplicitMF(self.gens0, self.gens1,
-                          self.d0.mapped(nf), self.d1.mapped(nf), self.base)
 
     def __eq__(self, other):
         return (isinstance(other, ExplicitMF)

@@ -42,18 +42,26 @@ same leaves.
 bracket_text builds the graph once and resolves its crossings one level
 at a time, in piece order, without ever building all 2^c resolutions.
 A partial state, with the first d crossings resolved, is keyed by its
-order-relative key followed by the ranks of the d-th and later
-crossings' vin ids; those ids are the same in every state of the level,
-so equal keys mean the same graph with the same crossings still to
-resolve, and the same subtree of resolutions below.  Each level maps a
-key to one representative graph and a Counter of skein starts {k: sign}
-summed over every way of reaching it.  A state's arcs child splices the
-crossing's pair on a copy, and its starts gain ±(n-1) in k; the wide
-child is the state's own graph, its key the parent's with the
-crossing's rank dropped, and its starts gain ±n in k and flip sign.
-On the last level each distinct resolution is walked from (q^0, +1) the
-moment its key first appears, and only its leaves are kept; each key's
-leaves are shifted by its starts before all are evaluated together.
+plain order-relative key.  Each level maps a key to one representative
+graph and a Counter of skein starts {k: sign} summed over every way of
+reaching it.  A state's arcs child splices the crossing's pair on a
+copy, and its starts gain ±(n-1) in k; the wide child is the state's own
+graph under the parent's key, and its starts gain ±n in k and flip sign.
+After the last level each distinct resolution is walked once from
+(q^0, +1), and its leaves are shifted by its starts before all are
+evaluated together.
+
+The plain key is enough to merge on.  _build numbers the vertices in
+piece order, so every resolved crossing's ids lie below the ids of every
+crossing still to resolve, and a splice never makes a vertex.  At depth
+d a state's vertices are all the non-crossing vertices, the vertices of
+every crossing still to resolve, and the resolved crossings kept as
+wide edges.  Equal keys mean equal vertex counts, so two such states
+keep equally many resolved vertices.  Below the vin of a crossing still
+to resolve lie the same non-crossing and unresolved vertices in both and
+every kept resolved one, so it has the same rank in both: the same
+crossings are still to resolve at the same places, and the same subtree
+of resolutions lies below.
 
 A parent's arcs child comes before its wide child, and the parents of a
 level come in the order of their smallest resolution prefix (arcs before
@@ -441,16 +449,15 @@ def expand_crossings(diagram):
     return [(LaurentPoly({k: sign}), chosen) for k, sign, chosen in results]
 
 
-def _resolution_key(graph, pending=()):
+def _resolution_key(graph):
     """The graph up to an order-preserving renaming of its vertex ids.
 
     A flat tuple of ints: the loop counts, then per vertex in id order
     (the order the matchers scan) a vin's double-edge target as ~rank
     (negative, so the key also spells each vertex's kind), or a vout's
-    s0 and s1 targets as rank * 2 + (port == "s1"), then the rank of
-    each vin id in pending.  Equal keys mean the walk makes the same
-    rewrites on both graphs and reaches the same leaves, and resolving
-    the pending crossings, pending[i] in both, keeps the keys equal.
+    s0 and s1 targets as rank * 2 + (port == "s1").  Equal keys mean the
+    walk makes the same rewrites on both graphs and reaches the same
+    leaves.
     """
     vids = sorted(graph.vertices)
     rank = {v: i for i, v in enumerate(vids)}
@@ -463,15 +470,7 @@ def _resolution_key(graph, pending=()):
             for port in ("s0", "s1"):
                 w, w_port = succ[(v, port)]
                 key.append(2 * rank[w] + (w_port == "s1"))
-    key.extend(rank[v] for v in pending)
     return tuple(key)
-
-
-def _walked(graph):
-    """The counted leaves of graph, walked in place from (q^0, +1)."""
-    leaves = Counter()
-    _count_leaves(graph, leaves, 1, [0, 0, 0, 0])
-    return leaves
 
 
 def _bracket_leaves(diagram):
@@ -479,41 +478,37 @@ def _bracket_leaves(diagram):
 
     The crossings are resolved level by level in piece order, and equal
     partial states are merged: a level maps each key to its first graph
-    and its summed skein starts {k: sign}.  The last level walks each
-    distinct resolution once, when its key first appears, and keeps its
-    leaves, which are then shifted by the key's starts.  Keys appear in
-    the order of their first resolution in expand_crossings, so
-    StuckGraph names the graph a walk of every resolution would stop at.
+    and its summed skein starts {k: sign}.  Then each distinct resolution
+    is walked once, in the order its key first appeared, and its leaves
+    are shifted by its starts.  That is the order of its first resolution
+    in expand_crossings, so StuckGraph names the graph a walk of every
+    resolution would stop at.
     """
     graph, pairs = _build(diagram)
     n = diagram.n
     crossings = [p for p in diagram.pieces if p.kind in CROSSINGS]
-    pending = [win for win, _ in pairs]
-    level = {_resolution_key(graph, pending):
-             (graph if pairs else _walked(graph), Counter({0: 1}))}
+    level = {_resolution_key(graph): (graph, Counter({0: 1}))}
     for p, (win, wout) in zip(crossings, pairs):
-        del pending[0]
-        last = not pending
         s = 1 if p.kind == "xplus" else -1
         stitches = [((win, port), (wout, port)) for port in ("s0", "s1")]
         merged = {}
         for key, (g, starts) in level.items():
             arcs = g.copy()
             arcs.splice((win, wout), stitches)
-            at = len(key) - len(pending) - 1    # this crossing's rank
             for child, child_key, shift, flip in (
-                    (arcs, _resolution_key(arcs, pending), s * (n - 1), 1),
-                    (g, key[:at] + key[at + 1:], s * n, -1)):
+                    (arcs, _resolution_key(arcs), s * (n - 1), 1),
+                    (g, key, s * n, -1)):
                 state = merged.get(child_key)
                 if state is None:
-                    state = merged[child_key] = (
-                        _walked(child) if last else child, Counter())
+                    state = merged[child_key] = (child, Counter())
                 acc = state[1]
                 for k, sign in starts.items():
                     acc[k + shift] += flip * sign
         level = merged
     total = Counter()
-    for leaves, starts in level.values():
+    for g, starts in level.values():
+        leaves = Counter()
+        _count_leaves(g, leaves, 1, [0, 0, 0, 0])
         for (k, *powers), count in leaves.items():
             for k0, sign in starts.items():
                 total[(k + k0, *powers)] += sign * count

@@ -100,6 +100,16 @@ def test_non_ascii_n_is_domain_error(command, tmp_path, capsys):
     assert err.startswith("error: %s: line 1, column 1: usage: n <int>" % path)
 
 
+@pytest.mark.parametrize("command",
+                         ["build", "reduce", "euler", "homology", "bracket"])
+def test_non_utf8_file_is_domain_error(command, tmp_path, capsys):
+    path = tmp_path / "latin1.moy"
+    path.write_bytes(b"n 3\narc x1 x2\nglue x1 x2 \xff\n")
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: not UTF-8 text" % path)
+
+
 def test_open_bracket_is_domain_error(tmp_path, capsys):
     path = tmp_path / "open.moy"
     path.write_text("n 3\nwide x1 x2 x3 x4\n")
