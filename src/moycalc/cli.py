@@ -144,10 +144,15 @@ def _cmd_reduce(args):
 
 
 def _homology_doc(args):
-    diagram = _read_diagram(args)
+    return _homology_of(_read_text(args), args.signed_euler)
+
+
+def _homology_of(text, signed):
+    """(n, euler, homology, steps) of a closed diagram's text."""
+    diagram = parse_diagram(text)
     reduced, trace = auto_reduce(glue(diagram))
     hom = graded_homology(reduced)
-    euler = euler_characteristic(hom, signed=args.signed_euler)
+    euler = euler_characteristic(hom, signed=signed)
     return diagram.n, euler, hom, len(trace)
 
 
@@ -210,8 +215,9 @@ def _cmd_selftest(args):
             checks.append({"n": n, "check": label, "pass": ok,
                            "got": str(got), "want": str(expect)})
 
-        run("circle euler", lambda: _euler_of(CIRCLE % n), qn)
-        run("double circle euler", lambda: _euler_of(DCIRCLE % n), dval)
+        run("circle euler", lambda: _homology_of(CIRCLE % n, False)[1], qn)
+        run("double circle euler",
+            lambda: _homology_of(DCIRCLE % n, False)[1], dval)
         run("circle bracket", lambda: bracket_text(CIRCLE % n), qn)
         run("double circle bracket", lambda: bracket_text(DCIRCLE % n), dval)
         run("theta bracket", lambda: bracket_text(THETA % n),
@@ -220,7 +226,7 @@ def _cmd_selftest(args):
             lambda: all_path_values(
                 MOYGraph.from_diagram(parse_diagram(THETA % n))),
             {qn * quantum_integer(n - 1)})
-        run("theta euler", lambda: _euler_of(THETA % n),
+        run("theta euler", lambda: _homology_of(THETA % n, False)[1],
             qn * quantum_integer(n - 1))
     if args.json:
         print(json.dumps({"checks": checks, "failures": failures}, indent=2))
@@ -231,10 +237,6 @@ def _cmd_selftest(args):
                      c["got"], c["want"]))
         print("%d checks, %d failures" % (len(checks), failures))
     return 1 if failures else 0
-
-
-def _euler_of(text):
-    return euler_characteristic(graded_homology(glue(parse_diagram(text))))
 
 
 if __name__ == "__main__":

@@ -190,9 +190,6 @@ class Diagram:
                 out.append((cls, info["kind"], "in"))
         return out
 
-    def is_closed(self):
-        return not self.boundary()
-
 
 def parse_diagram(text):
     n = None

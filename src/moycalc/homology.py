@@ -45,10 +45,6 @@ class HomologyResult:
                 and self.poincare0 == other.poincare0
                 and self.poincare1 == other.poincare1)
 
-    def total_dimension(self):
-        return (self.poincare0.evaluate_at_one()
-                + self.poincare1.evaluate_at_one())
-
     def __str__(self):
         return "parity 0: %s\nparity 1: %s" % (self.poincare0, self.poincare1)
 

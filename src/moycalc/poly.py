@@ -153,14 +153,6 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant: %s" % self)
-        return self.terms.get((), 0)
-
     def variables(self):
         out = set()
         for mono in self.terms:
@@ -178,12 +170,6 @@ class Poly:
         degs = {mono_degree(m) for m in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_parts(self):
-        parts = {}
-        for mono, coeff in self.terms.items():
-            parts.setdefault(mono_degree(mono), {})[mono] = coeff
-        return {d: Poly(t) for d, t in sorted(parts.items())}
-
     def degree_in(self, v):
         d = 0
         for mono in self.terms:
@@ -191,16 +177,6 @@ class Poly:
                 if w == v and e > d:
                     d = e
         return d
-
-    def coefficient_in(self, v, e):
-        """The Poly coefficient of v^e (collecting over all other variables)."""
-        out = {}
-        for mono, coeff in self.terms.items():
-            exp = dict(mono)
-            if exp.pop(v, 0) == e:
-                rest = _monomial(exp)
-                out[rest] = out.get(rest, 0) + coeff
-        return Poly(out)
 
     def monic_variables(self):
         """{v: (power d, constant lead coeff c)} for every variable v with
@@ -371,10 +347,6 @@ class Poly:
         return " ".join(parts)
 
     __repr__ = __str__
-
-
-def partial_derivative(p, v):
-    return p.diff(v)
 
 
 def exact_div(num, den):

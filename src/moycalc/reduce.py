@@ -38,7 +38,7 @@ Commuting exclusions reach equal base rings along different branches, so
 one search keeps a transition table: (base rules, v, d, repl) maps to the
 resulting QuotientRing, or to the message of its refusal, which is raised
 again.  The table is made by auto_reduce and dropped when it returns;
-replay and direct callers of exclude_variable use none.
+replay and direct callers of exclude_variable get a fresh one per call.
 
 A trace is a flat list of (kind, info) steps: exclude (row, var, side,
 power) and split (var, power, sizes), where a split is followed by its
@@ -82,44 +82,32 @@ def scale_row(mf, i, c):
     return mf.replace(rows=rows)
 
 
-def _monic_data(p, v):
-    """(power d, constant lead coeff c) if p = c*v^d + lower-in-v, else None."""
-    return p.monic_variables().get(v)
-
-
-def exclude_variable(mf, i, v, side=None, potential_vars=None,
-                     table=None):
+def exclude_variable(mf, i, v, side, potential_vars=None, table=None):
     """Remove row i = (a; b), quotienting the base by its entry monic in v.
 
-    Side "b" uses b = c*v^d + (lower in v): v^d becomes v^d - b/c, by
-    substitution when d = 1 and as a rule otherwise.  Side "a" uses a; by
-    K(a; b) = K(-b; -a)<1>{(deg b - deg a)/2} the result then has shift
-    + (deg b - deg a)/2 and parity + 1.  Side None tries b then a.
-    potential_vars, the variables of mf's potential, is computed when
-    not given; exclusion leaves it unchanged, so a search passes it down.
+    side, "a" or "b", names the entry.  Side "b" uses b = c*v^d + (lower
+    in v): v^d becomes v^d - b/c, by substitution when d = 1 and as a rule
+    otherwise.  Side "a" uses a; by K(a; b) = K(-b; -a)<1>{(deg b - deg a)/2}
+    the result then has shift + (deg b - deg a)/2 and parity + 1.
+    potential_vars, the variables of mf's potential, is computed when not
+    given; exclusion leaves it unchanged, so a search passes it down.
 
     mf's rows must be in normal form over its base.  A power rule that
     closes a cycle through an unbounded variable is refused before any
     normal form (see the module docstring for the proof).  table, a
     search's transition table, holds the base rings of earlier steps and
-    their refusals; without it every base ring is computed afresh.
+    their refusals; without it the call uses a fresh table, so every base
+    ring is computed afresh.
     """
-    if side not in ("a", "b", None):
-        raise ValueError("side must be 'a', 'b' or None, not %r" % (side,))
+    if side not in ("a", "b"):
+        raise ValueError("side must be 'a' or 'b', not %r" % (side,))
     if not 0 <= i < len(mf.rows):
         raise ValueError("row %d out of range for %d rows" % (i, len(mf.rows)))
     if potential_vars is None:
         potential_vars = mf.potential().variables()
     row = mf.rows[i]
-    if side is None:
-        if _monic_data(row.b, v):
-            side = "b"
-        elif _monic_data(row.a, v):
-            side = "a"
-        else:
-            raise NotMonicInVariable("row %d is not monic in %s%d" % (i, *v))
     entry = row.b if side == "b" else row.a
-    data = _monic_data(entry, v)
+    data = entry.monic_variables().get(v)
     if data is None:
         raise NotMonicInVariable("entry %s is not monic in %s%d" % (entry, *v))
     d, c = data
@@ -129,7 +117,7 @@ def exclude_variable(mf, i, v, side=None, potential_vars=None,
         _refuse_unbounded_cycle(mf.base.rules, v, entry)
 
     repl = Poly.var(v, d) - entry * qdiv(1, c)
-    base = _transition(mf.base, v, d, repl, table)
+    base = _transition(mf.base, v, d, repl, {} if table is None else table)
     rows = mf.rows[:i] + mf.rows[i + 1:]
     if d == 1:
         rows = [r.mapped(lambda p: base.normal_form(p.substitute({v: repl})))
@@ -158,16 +146,13 @@ def _refuse_unbounded_cycle(rules, v, entry):
 
 def _transition(base, v, d, repl, table):
     """base after v^d -> repl: v substituted away when d = 1, the rule
-    added otherwise; looked up in, or entered into, table when given."""
-    if table is None:
-        if d == 1:
-            return base.substitute(v, repl)
-        return base.with_rule(v, d, repl)
+    added otherwise; looked up in, or entered into, table."""
     key = (base.rules, v, d, repl)
     out = table.get(key)
     if out is None:
         try:
-            out = _transition(base, v, d, repl, None)
+            out = (base.substitute(v, repl) if d == 1
+                   else base.with_rule(v, d, repl))
         except TriangularityViolation as exc:
             out = str(exc)
         table[key] = out

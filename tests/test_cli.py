@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import moycalc
+from moycalc import cli
 from moycalc.cli import main
+from moycalc.reduce import auto_reduce
 
 CIRCLE = "n 3\narc x1 x2\nglue x1 x2\n"
 KINK = "n 3\nxplus x1 x2 x3 x4\nglue x2 x3\nglue x1 x4\n"
@@ -76,6 +78,21 @@ def test_selftest_passes(capsys):
     assert main(["selftest", "--n-max", "4"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_selftest_euler_takes_the_euler_command_path(monkeypatch, capsys):
+    # one reduction per euler check (circle, double circle, theta), as
+    # `moycalc euler` makes, not a second path through graded_homology
+    calls = []
+
+    def counting(mf):
+        calls.append(mf)
+        return auto_reduce(mf)
+
+    monkeypatch.setattr(cli, "auto_reduce", counting)
+    assert main(["selftest", "--n-max", "3"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert len(calls) == 3
 
 
 def test_missing_file_is_domain_error(capsys):
@@ -148,20 +165,26 @@ def test_small_n_names_the_piece(tmp_path, capsys):
 
 def test_infinite_dimension_message_ignores_hash_seed(tmp_path):
     # the search stops short on this diagram and homology names an
-    # unbounded variable; which one must not depend on set iteration order
+    # unbounded variable; which one must not depend on set iteration order,
+    # and neither may the residual rows reduce prints
     path = tmp_path / "hard.moy"
     path.write_text("n 4\ndline d1 d2\ndline d3 d4\nwide x1 x2 x3 x4\n"
                     "glue x1 x4\nglue x2 x3\nglue d1 d2\nglue d3 d4\n")
     src = str(Path(moycalc.__file__).resolve().parents[1])
-    errs = set()
+    commands = (["euler"], ["reduce", "--show-rows"], ["homology", "--json"])
+    outputs = {command[0]: set() for command in commands}
     for seed in ("1", "3"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        run = subprocess.run([sys.executable, "-m", "moycalc.cli", "euler",
-                              str(path)], env=env, capture_output=True,
-                             text=True, timeout=120)
-        assert run.returncode == 1
-        errs.add(run.stderr)
-    assert len(errs) == 1 and "no bounding rule for" in errs.pop()
+        for command in commands:
+            run = subprocess.run(
+                [sys.executable, "-m", "moycalc.cli", *command, str(path)],
+                env=env, capture_output=True, text=True, timeout=120)
+            outputs[command[0]].add((run.returncode, run.stdout, run.stderr))
+    assert all(len(seen) == 1 for seen in outputs.values())
+    (code, _, err), = outputs["euler"]
+    assert code == 1 and "no bounding rule for" in err
+    (code, out, _), = outputs["reduce"]
+    assert code == 0 and "rule: " in out
 
 
 def test_usage_error_exits_two(capsys):

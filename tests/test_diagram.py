@@ -18,7 +18,7 @@ def test_parse_basic_circle():
     d = parse_diagram("# a loop\nn 4\narc x1 x2\nglue x1 x2\n")
     assert d.n == 4
     assert len(d.pieces) == 1
-    assert d.is_closed()
+    assert not d.boundary()
 
 
 def test_parse_errors_carry_position():

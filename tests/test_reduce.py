@@ -70,7 +70,7 @@ def test_normalize_rows_scales_a_zero_b_row_by_its_leading_coefficient():
 def test_exclude_refuses_potential_variable():
     m = koszul_new(v(X1, 3), v(X1))
     with pytest.raises(VariableInPotential):
-        exclude_variable(m, 0, X1)
+        exclude_variable(m, 0, X1, "b")
 
 
 def test_exclude_refuses_potential_variable_on_the_a_side():
@@ -83,7 +83,7 @@ def test_exclude_refuses_potential_variable_on_the_a_side():
 def test_exclude_refuses_non_monic_entry():
     m = koszul_new(v(X1) * v(X2), v(X1) * v(X2))
     with pytest.raises(NotMonicInVariable):
-        exclude_variable(m, 0, X2)
+        exclude_variable(m, 0, X2, "b")
 
 
 def _two_linear_rows():
@@ -93,7 +93,7 @@ def _two_linear_rows():
 
 def test_exclude_linear_substitutes_without_rule():
     # zero potential; excluding z1 substitutes z1 -> x1^2 into the other row
-    out = exclude_variable(_two_linear_rows(), 0, Z1)
+    out = exclude_variable(_two_linear_rows(), 0, Z1, "b")
     assert len(out.rows) == 1
     assert out.base.rules == ()
     assert out.rows[0].a == v(X1)
@@ -102,14 +102,14 @@ def test_exclude_linear_substitutes_without_rule():
 
 def test_exclude_rejects_a_negative_row_index():
     m = _two_linear_rows()
-    assert len(exclude_variable(m, 1, Z1).rows) == 1
+    assert len(exclude_variable(m, 1, Z1, "b").rows) == 1
     with pytest.raises(ValueError, match="row -1 out of range for 2 rows"):
-        exclude_variable(m, -1, Z1)
+        exclude_variable(m, -1, Z1, "b")
 
 
 def test_exclude_rejects_a_row_index_past_the_last_row():
     with pytest.raises(ValueError, match="row 2 out of range for 2 rows"):
-        exclude_variable(_two_linear_rows(), 2, Z1)
+        exclude_variable(_two_linear_rows(), 2, Z1, "b")
 
 
 def test_replay_of_a_foreign_trace_names_the_missing_row():
@@ -217,7 +217,7 @@ def test_early_refusal_is_exactly_with_rules_refusal(workload, items,
             if d < 2:
                 continue
             entry = mf.rows[i].b if side == "b" else mf.rows[i].a
-            _, c = reduce_module._monic_data(entry, var)
+            _, c = entry.monic_variables()[var]
             repl = Poly.var(var, d) - entry * qdiv(1, c)
             early = _refused(lambda: reduce_module._refuse_unbounded_cycle(
                 rules, var, entry))
@@ -314,7 +314,7 @@ def test_left_out_candidates_are_refused_by_with_rule(n):
                 if var in potential_vars or var in leaders:
                     continue
                 for side, entry in (("b", row.b), ("a", row.a)):
-                    if reduce_module._monic_data(entry, var) is None:
+                    if var not in entry.monic_variables():
                         continue
                     if (i, var, side) not in kept:
                         left_out += 1
@@ -334,8 +334,10 @@ def _monic_reference(p, var):
     d = p.degree_in(var)
     if d == 0:
         return None
-    lead = p.coefficient_in(var, d)
-    return (d, lead.constant_value()) if lead.is_constant() else None
+    # the coefficient of var^d, collected over the other variables
+    lead = Poly({tuple(f for f in mono if f[0] != var): c
+                 for mono, c in p.terms.items() if (var, d) in mono})
+    return (d, lead.terms[()]) if list(lead.terms) == [()] else None
 
 
 def test_monic_table_matches_degree_and_coefficient():
@@ -363,7 +365,6 @@ def test_monic_table_matches_degree_and_coefficient():
         for var in variables:
             want = _monic_reference(p, var)
             assert table.get(var) == want
-            assert reduce_module._monic_data(p, var) == want
 
     check()
 
@@ -387,8 +388,8 @@ def test_side_a_exclusion_matches_the_flipped_row(text):
         potential_vars = mf.potential().variables()
         for i, row in enumerate(mf.rows):
             for var in sorted(row.a.variables() | row.b.variables()):
-                if (reduce_module._monic_data(row.a, var) is None
-                        and reduce_module._monic_data(row.b, var) is None):
+                if (var not in row.a.monic_variables()
+                        and var not in row.b.monic_variables()):
                     continue
                 results = []
                 for m, side in ((mf, "a"), (mf.flip_row(i), "b"), (mf, "b")):
