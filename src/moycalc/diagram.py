@@ -17,7 +17,8 @@ point.  Names left unglued form the boundary.  Gluing is substitution:
 every identified pair is realized by one polynomial variable shared by
 the two pieces that use it.  A piece's factorization depends only on its
 kind and n: it is built once per (kind, n) over local variables, without
-division, and renamed into place.
+division, and renamed into place, its potential with it; glue adds the
+pieces' potentials (see the mf docstring).
 
 Crossings have no factorization here: only the bracket resolves them
 (moybracket.bracket_text), and glue refuses them.
@@ -262,53 +263,63 @@ def build_primitive(kind, n, params):
         raise ArityMismatch("%s takes %d parameters" % (kind, ARITY[kind]))
     if n < 2 or (kind != "arc" and n < 3):
         raise UnsupportedN("n too small for %s" % kind)
-    rows, shift, slots = _template(kind, n)
+    rows, shift, slots, potential = _template(kind, n)
     mapping = {}
     for local, actual in zip(slots, params):
         if local[0] == "x":
             mapping[local] = actual
         else:
             mapping.update(zip(local, actual))
-    rows = [r.mapped(lambda p: p.renamed(mapping)) for r in rows]
-    return KoszulMF(rows, QuotientRing(), shift, 0)
+
+    def rename(p):
+        return p.renamed(mapping)
+
+    return KoszulMF([r.mapped(rename) for r in rows], QuotientRing(), shift,
+                    0, rename(potential))
 
 
 @functools.lru_cache(maxsize=64)
 def _template(kind, n):
-    """(rows, shift, slots) of one piece over local variables: slot i is
-    x_{i+1}, or (y_{i+1}, z_{i+1}) for a d-parameter.
+    """(rows, shift, slots, potential) of one piece over local variables:
+    slot i is x_{i+1}, or (y_{i+1}, z_{i+1}) for a d-parameter.
 
     Rows are built over distinct local variables and renamed afterwards,
-    because the difference quotients depend only on (kind, n).  Slot
-    degrees are pinned because renaming can cancel an entry to zero while
-    the slot keeps its degree (the circle's x1 - x1, say).
+    because the difference quotients depend only on (kind, n); so is the
+    potential, multiplied out here once.  Slot degrees are pinned because
+    renaming can cancel an entry to zero while the slot keeps its degree
+    (the circle's x1 - x1, say).
     """
     slots = tuple((("y", i + 1), ("z", i + 1)) if i in DOUBLE_SLOTS[kind]
                   else ("x", i + 1) for i in range(ARITY[kind]))
     local = [tuple(map(Poly.var, v)) if v[0] != "x" else Poly.var(v)
              for v in slots]
 
-    def rows(a, b, c, d):
+    def pair(a, b, c, d):
         return (KoszulRow(a, b, 2 * n, 2), KoszulRow(c, d, 2 * n - 2, 4))
 
     if kind == "arc":
         tail, head = local
-        row = KoszulRow(pi_poly(n, ("x", 2), ("x", 1)), head - tail, 2 * n, 2)
-        return (row,), 0, slots
-    if kind == "wide":
+        rows = (KoszulRow(pi_poly(n, ("x", 2), ("x", 1)), head - tail,
+                          2 * n, 2),)
+        shift = 0
+    elif kind == "wide":
         x1, x2, x3, x4 = local
         u, v = uv_polys(n, slots)
-        return rows(u, x1 + x2 - x3 - x4, v, x1 * x2 - x3 * x4), -1, slots
-    if kind == "dline":
-        (s, p), (t, q) = local
-    elif kind == "vin":
-        x1, x2, (s, p) = local
-        t, q = x1 + x2, x1 * x2
+        rows = pair(u, x1 + x2 - x3 - x4, v, x1 * x2 - x3 * x4)
+        shift = -1
     else:
-        (t, q), x1, x2 = local
-        s, p = x1 + x2, x1 * x2
-    u, v = slot_quotients(n, s, t, p, q)
-    return rows(u, s - t, v, p - q), -1 if kind == "vout" else 0, slots
+        if kind == "dline":
+            (s, p), (t, q) = local
+        elif kind == "vin":
+            x1, x2, (s, p) = local
+            t, q = x1 + x2, x1 * x2
+        else:
+            (t, q), x1, x2 = local
+            s, p = x1 + x2, x1 * x2
+        u, v = slot_quotients(n, s, t, p, q)
+        rows = pair(u, s - t, v, p - q)
+        shift = -1 if kind == "vout" else 0
+    return rows, shift, slots, sum((r.a * r.b for r in rows), Poly())
 
 
 def class_variables(diagram):

@@ -19,6 +19,15 @@ Koszul sign (-1)^|{s in S : s < r}|.
 The translation functor <1> swaps the slots and negates both maps; on a
 single row it is realized as K(-b; -a){(deg b - deg a)/2}.
 
+The potential of the rows is omega = sum_r a_r*b_r, in normal form over
+the base.  It is linear in the rows: the tensor product of factorizations
+with potentials W_M and W_N has potential W_M + W_N (Khovanov-Rozansky,
+math/0401268), since its rows are both sides' rows.  Over a base without
+rules no normal form intervenes, so KoszulMF.tensor carries the sum of
+two known potentials instead of multiplying out the rows again, and a
+renaming of the variables, a ring homomorphism, carries the potential to
+its image (diagram.build_primitive).
+
 verify_factorization checks d1*d0 = omega*Id, and d0*d1 = omega*Id only
 where no theorem gives it: over a base without rules (Q[x, y, ...], an
 integral domain), square maps with d1*d0 = omega*Id and omega != 0 have
@@ -83,7 +92,12 @@ class KoszulRow:
         return KoszulRow(-self.b, -self.a, self.deg_b, self.deg_a)
 
     def mapped(self, fn):
-        return KoszulRow(fn(self.a), fn(self.b), self.deg_a, self.deg_b)
+        """The row of fn applied to both entries; the row itself when fn
+        returns both entries as they are."""
+        a, b = fn(self.a), fn(self.b)
+        if a is self.a and b is self.b:
+            return self
+        return KoszulRow(a, b, self.deg_a, self.deg_b)
 
     def __eq__(self, other):
         return (isinstance(other, KoszulRow)
@@ -112,16 +126,23 @@ class ZeroScalar(ValueError):
 
 
 class KoszulMF:
-    """rows tensored over a quotient base, with a shift {m} and parity <k>."""
+    """rows tensored over a quotient base, with a shift {m} and parity <k>.
+
+    potential, if given, is the potential as the caller already knows it
+    (see the module docstring); it must equal what potential() would
+    compute from the rows.  Without rows the potential is 0.
+    """
 
     __slots__ = ("rows", "base", "shift", "parity", "_potential")
 
-    def __init__(self, rows=(), base=None, shift=0, parity=0):
-        object.__setattr__(self, "rows", tuple(rows))
+    def __init__(self, rows=(), base=None, shift=0, parity=0, potential=None):
+        rows = tuple(rows)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "base", base or QuotientRing())
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "parity", parity % 2)
-        object.__setattr__(self, "_potential", None)
+        object.__setattr__(self, "_potential",
+                           Poly() if not rows else potential)
 
     def __setattr__(self, name, value):
         raise AttributeError("KoszulMF is immutable")
@@ -147,9 +168,16 @@ class KoszulMF:
         return self._potential
 
     def tensor(self, other):
+        """self (x) other; without rules on the merged base, a potential
+        that both sides know is carried as their sum."""
         base = self.base.merge(other.base)
+        potential = None
+        if (not base.rules and self._potential is not None
+                and other._potential is not None):
+            potential = self._potential + other._potential
         return KoszulMF(self.rows + other.rows, base,
-                        self.shift + other.shift, self.parity + other.parity)
+                        self.shift + other.shift, self.parity + other.parity,
+                        potential)
 
     __matmul__ = tensor
 

@@ -118,9 +118,15 @@ def mono_str(mono):
 
 class Poly:
     """Immutable sparse polynomial: map monomial -> nonzero coefficient,
-    an int or a non-integral Fraction (see the module docstring)."""
+    an int or a non-integral Fraction (see the module docstring).
 
-    __slots__ = ("terms",)
+    Because it never changes, a Poly keeps what it has computed about
+    itself: its monic table (``monic_variables``) and its powers
+    (``__pow__``), each made on first use and then shared with every
+    caller, so callers must not change them.  They live as long as the
+    Poly does."""
+
+    __slots__ = ("terms", "_monic", "_powers")
 
     def __init__(self, terms=None):
         clean = {}
@@ -185,6 +191,10 @@ class Poly:
         The monomials are distinct, so the coefficient of v^d is a constant
         exactly when the pure power v^d is the only term of v-degree d.
         """
+        try:
+            return self._monic
+        except AttributeError:
+            pass
         top = {}
         for mono, coeff in self.terms.items():
             pure = len(mono) == 1
@@ -194,7 +204,9 @@ class Poly:
                     top[v] = (e, coeff if pure else None)
                 elif e == got[0]:
                     top[v] = (e, None)
-        return {v: data for v, data in top.items() if data[1] is not None}
+        out = {v: data for v, data in top.items() if data[1] is not None}
+        object.__setattr__(self, "_monic", out)
+        return out
 
     def leading(self):
         """(monomial, coefficient) of the leading term."""
@@ -246,13 +258,21 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e):
+        """self^e, multiplied out once per object and exponent."""
         if e < 0:
             raise ValueError("negative power")
         if e == 0:
             return Poly.const(1)
-        out = self
-        for _ in range(e - 1):
-            out = out * self
+        if e == 1:
+            return self
+        try:
+            powers = self._powers
+        except AttributeError:
+            powers = {}
+            object.__setattr__(self, "_powers", powers)
+        out = powers.get(e)
+        if out is None:
+            out = powers[e] = self ** (e - 1) * self
         return out
 
     def __eq__(self, other):
@@ -269,10 +289,10 @@ class Poly:
         The substitution is simultaneous: every variable of a term is
         replaced from the mapping, and no replacement is substituted into
         again, so {x1: x2, x2: x1} swaps x1 and x2.  Each power of a
-        replacement is expanded once per call, and each term costs one
+        replacement is expanded once per replacement object (``__pow__``),
+        so across every call that substitutes it, and each term costs one
         product: its kept monomial times each term of its substituted part.
         """
-        powers = {}
         acc = {}
         for mono, coeff in self.terms.items():
             kept = []
@@ -281,9 +301,7 @@ class Poly:
                 if v not in mapping:
                     kept.append((v, e))
                     continue
-                power = powers.get((v, e))
-                if power is None:
-                    power = powers[(v, e)] = mapping[v] ** e
+                power = mapping[v] ** e
                 part = power if part is None else part * power
             if part is None:
                 acc[mono] = acc.get(mono, 0) + coeff

@@ -12,6 +12,19 @@ summand is zero, and its homology reads as zero.
 Rows are in normal form over the base: auto_reduce, replay and
 canonical_form normalize their input once, and every later step keeps it so.
 
+An exclusion v^d -> repl keeps every entry of v-degree < d as the same
+object, and so every row whose two entries both have v-degree < d: such
+an entry is its own normal form over the new base.  A polynomial is
+normal when none of its monomials is divisible by w^e for a rule
+w^e -> p, so normality depends only on the rules' (leader, power) pairs,
+and a normal polynomial is its own normal form.  The entry is normal over
+the old base, and
+  1. d = 1: the new base substitutes v into the replacements and keeps
+     the pairs.  An entry without v is unchanged by substituting v, and
+     is still normal.
+  2. d >= 2: the new base adds the pair (v, d).  No monomial of an entry
+     of v-degree < d is divisible by v^d, so it is still normal.
+
 A power rule v^d -> repl (d >= 2) that must close a cycle through an
 unbounded variable is refused before any work on it.  Let the entry be
 c*v^d + (lower in v), normal over the base's rules, and r the variables
@@ -92,12 +105,13 @@ def exclude_variable(mf, i, v, side, potential_vars=None, table=None):
     potential_vars, the variables of mf's potential, is computed when not
     given; exclusion leaves it unchanged, so a search passes it down.
 
-    mf's rows must be in normal form over its base.  A power rule that
-    closes a cycle through an unbounded variable is refused before any
-    normal form (see the module docstring for the proof).  table, a
-    search's transition table, holds the base rings of earlier steps and
-    their refusals; without it the call uses a fresh table, so every base
-    ring is computed afresh.
+    mf's rows must be in normal form over its base.  Entries of v-degree
+    < d, and rows of two such entries, are kept as the same objects; a
+    power rule that closes a cycle through an unbounded variable is
+    refused before any normal form (see the module docstring for both
+    proofs).  table, a search's transition table, holds the base rings
+    of earlier steps and their refusals; without it the call uses a fresh
+    table, so every base ring is computed afresh.
     """
     if side not in ("a", "b"):
         raise ValueError("side must be 'a' or 'b', not %r" % (side,))
@@ -118,12 +132,15 @@ def exclude_variable(mf, i, v, side, potential_vars=None, table=None):
 
     repl = Poly.var(v, d) - entry * qdiv(1, c)
     base = _transition(mf.base, v, d, repl, {} if table is None else table)
-    rows = mf.rows[:i] + mf.rows[i + 1:]
-    if d == 1:
-        rows = [r.mapped(lambda p: base.normal_form(p.substitute({v: repl})))
-                for r in rows]
-    else:
-        rows = [r.mapped(base.normal_form) for r in rows]
+
+    def rewrite(p):
+        # an entry of v-degree < d is normal over base as it is (the
+        # module docstring's kept-row rule)
+        if p.degree_in(v) < d:
+            return p
+        return base.normal_form(p.substitute({v: repl}) if d == 1 else p)
+
+    rows = [r.mapped(rewrite) for k, r in enumerate(mf.rows) if k != i]
     if side == "a":
         return KoszulMF(rows, base, mf.shift + row.internal_shift,
                         mf.parity + 1)

@@ -1,5 +1,7 @@
 """Diagram language: parsing, validation, gluing, crossing complexes."""
 
+import random
+
 import pytest
 
 from moycalc import diagram
@@ -12,6 +14,8 @@ from moycalc.mf import KoszulMF, KoszulRow, verify_factorization
 from moycalc.poly import Poly, exact_div
 from moycalc.quotient import QuotientRing
 from moycalc.symm import pi_poly, power_sum_at
+from test_acceptance import _random_diagram
+from test_reduce import _load_workloads
 
 
 def test_parse_basic_circle():
@@ -111,16 +115,38 @@ def test_primitive_rejects_bad_input():
         build_primitive("wide", 2, (("x", 1), ("x", 2), ("x", 3), ("x", 4)))
 
 
+def _rows_potential(mf):
+    """sum_r a_r*b_r, multiplied out from the rows."""
+    total = Poly()
+    for row in mf.rows:
+        total = total + row.a * row.b
+    return total
+
+
 def test_glued_potential_matches_boundary():
+    # glue carries the potential by linearity; it must be what the rows
+    # multiply out to, and the boundary potential
     texts = [
         "n 3\narc x1 x2\narc x3 x4\nglue x2 x3\n",
         "n 3\nvin x1 x2 d1\n",
         "n 4\nvin x1 x2 d1\nvout d2 x3 x4\nglue d1 d2\n",
         "n 3\nwide x1 x2 x3 x4\n",
+        "n 4\ndline d1 d2\nvout d3 x1 x2\nglue d1 d3\n",
+        "n 3\narc x1 x2\nglue x1 x2\n",
+        "n 5\ndline d1 d2\nglue d1 d2\n",
+        "n 3\nvin x1 x2 d1\ndline d2 d3\nvout d4 x3 x4\nglue d1 d3\n"
+        "glue d2 d4\nglue x3 x1\nglue x4 x2\n",
+        "n 4\nvout d1 x1 x2\nvin x3 x4 d2\nglue x1 x3\nglue d2 d1\n",
     ]
+    rng = random.Random(2024)   # criterion 8's corpus
+    texts += [_random_diagram(rng) for _ in range(100)]
+    workloads = _load_workloads()
+    texts += [item.text for item in workloads.corpus(
+        workloads.WORKLOADS["closed-webs"], 1, 84)]
     for text in texts:
         d = parse_diagram(text)
         mf = glue(d)
+        assert mf.potential() == _rows_potential(mf), text
         assert mf.potential() == boundary_potential(d), text
 
 
@@ -268,6 +294,8 @@ def test_primitive_matches_the_dividing_reference():
         for kind, n in cases:
             for params in _identified_params(kind):
                 want = _dividing_reference(kind, n, params)
-                assert build_primitive(kind, n, params) == want, (
+                got = build_primitive(kind, n, params)
+                assert got == want, (cache, kind, n, params)
+                assert got.potential() == _rows_potential(want), (
                     cache, kind, n, params)
     assert diagram._template.cache_info().hits > 0

@@ -227,6 +227,56 @@ def test_early_refusal_is_exactly_with_rules_refusal(workload, items,
     assert 0 < refused < checked
 
 
+def _exclude_reference(mf, i, var, side):
+    """exclude_variable that rewrites every other row: substitute (d = 1)
+    and normal form over the new base, with no row kept as it is."""
+    row = mf.rows[i]
+    entry = row.b if side == "b" else row.a
+    d, c = entry.monic_variables()[var]
+    repl = Poly.var(var, d) - entry * qdiv(1, c)
+    if d == 1:
+        base = mf.base.substitute(var, repl)
+
+        def rewrite(p):
+            return base.normal_form(p.substitute({var: repl}))
+    else:
+        base = mf.base.with_rule(var, d, repl)
+        rewrite = base.normal_form
+    rows = [KoszulRow(rewrite(r.a), rewrite(r.b), r.deg_a, r.deg_b)
+            for k, r in enumerate(mf.rows) if k != i]
+    if side == "a":
+        return KoszulMF(rows, base, mf.shift + row.internal_shift,
+                        mf.parity + 1)
+    return KoszulMF(rows, base, mf.shift, mf.parity)
+
+
+@pytest.mark.parametrize("workload,items,per_item",
+                         [("closed-webs", 12, 12), ("open-random", 20, 8)])
+def test_kept_rows_are_exact(workload, items, per_item):
+    # an entry of v-degree < d is kept as the same object, and so is a
+    # row of two such entries; every exclusion equals rewriting all rows
+    kept = rewritten = 0
+    for mf, potential_vars in _walked_states(workload, items, per_item):
+        for i, var, side, d in reduce_module._exclusion_candidates(
+                mf, potential_vars):
+            try:
+                got = exclude_variable(mf, i, var, side, potential_vars)
+            except TriangularityViolation:
+                continue
+            assert got == _exclude_reference(mf, i, var, side)
+            others = [r for k, r in enumerate(mf.rows) if k != i]
+            for old, new in zip(others, got.rows, strict=True):
+                low = [p.degree_in(var) < d for p in (old.a, old.b)]
+                assert low[0] <= (new.a is old.a)
+                assert low[1] <= (new.b is old.b)
+                if all(low):
+                    assert new is old
+                    kept += 1
+                else:
+                    rewritten += 1
+    assert kept and rewritten
+
+
 def test_transition_table_repeats_refusals_and_rings():
     # substituting x1 -> y1 would turn y1^2 -> x1*y1 into y1^2 -> y1^2;
     # x2^2 -> x2*y2 is a rule the base takes
@@ -259,14 +309,14 @@ def test_nonzero_potential_search_does_not_backtrack(monkeypatch):
 
 
 def test_rule_free_search_reuses_the_cached_potential(monkeypatch):
-    # without rules normalized_rows is the identity, so auto_reduce works
-    # on the caller's object and its cached potential
-    computed = []
+    # glue carries the potential by linearity, so no potential is
+    # multiplied out from rows; without rules normalized_rows is the
+    # identity, so auto_reduce reads the glued object's potential
+    computed, read = [], []
     potential = KoszulMF.potential
 
     def counting(self):
-        if self._potential is None:
-            computed.append(self)
+        (computed if self._potential is None else read).append(self)
         return potential(self)
 
     monkeypatch.setattr(KoszulMF, "potential", counting)
@@ -274,9 +324,12 @@ def test_rule_free_search_reuses_the_cached_potential(monkeypatch):
     assert not m.base.rules
     omega = m.potential()
     assert not omega.is_zero()
+    assert computed == []
+    read.clear()
     auto_reduce(m)
+    assert any(s is m for s in read)
     assert m.potential() is omega
-    assert [s for s in computed if s == m] == [m]
+    assert [s for s in computed if s == m] == []
 
 
 def test_reduction_keeps_the_potential_of_a_unit_row():
