@@ -213,6 +213,8 @@ def parse_diagram(text):
                     or not tokens[1].isdigit()):
                 raise ParseError("usage: n <int>", lineno, column)
             n = int(tokens[1])
+            if n < 2:
+                raise UnsupportedN("line %d: n must be >= 2" % lineno)
             continue
         if n is None:
             raise ParseError("the first statement must be 'n <int>'",

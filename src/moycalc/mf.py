@@ -28,12 +28,9 @@ two known potentials instead of multiplying out the rows again, and a
 renaming of the variables, a ring homomorphism, carries the potential to
 its image (diagram.build_primitive).
 
-verify_factorization checks d1*d0 = omega*Id, and d0*d1 = omega*Id only
-where no theorem gives it: over a base without rules (Q[x, y, ...], an
-integral domain), square maps with d1*d0 = omega*Id and omega != 0 have
-d0*d1 = omega*Id (proof in its docstring).  Both squares are computed
-when the base has rules (it may have zero divisors), when omega = 0, or
-when the maps are not square.
+verify_factorization reads a pair in to_explicit's block form once,
+entry by entry: the block form alone makes both squares omega*Id (proof
+in its docstring).  Any other pair is checked by computing both squares.
 """
 
 from .poly import Poly, as_coeff, mono_degree, qdiv
@@ -215,8 +212,8 @@ class KoszulMF:
 
     def to_explicit(self):
         # a_r, -a_r, b_r and -b_r are one object each wherever they occur,
-        # which lets the id-keyed memos of _check_homogeneity and the
-        # product hit
+        # so verify_factorization's block check compares equal entries by
+        # identity and reads each degree once from its id-keyed memo
         nf = self.base.normal_form
         signed = []
         for row in self.rows:
@@ -342,7 +339,9 @@ class SparseMat:
 
 
 class _ProductTables:
-    """The one product kernel, over tables built once for several matrices.
+    """The one product kernel, over tables built once for several matrices:
+    the general path of verify_factorization for matrices not in block
+    form, and the tests' reference.
 
     Tensor-product differentials repeat a few distinct entries, up to
     sign, across thousands of positions, and the off-diagonal sums of
@@ -453,21 +452,148 @@ def verify_factorization(exp):
 
     Raises NotAFactorization with the offending entry position otherwise.
 
-    d1*d0 is checked first.  d0*d1 is then computed only when the base
-    has rules, omega = 0 or the maps are not square; otherwise it equals
-    omega*Id: without rules the base is Q[x, y, ...], an integral domain,
-    and d1*d0 = omega*I_N gives det(d1)*det(d0) = omega^N != 0, so d0 is
-    invertible over the fraction field, d1 = omega*d0^-1 and
-    d0*d1 = omega*I_N.
+    A pair in the block form that KoszulMF.to_explicit writes is verified
+    by reading each stored entry once, with no matrix product.  Split off
+    the highest row r: the sets without r come first in bitmask order, so
+    square maps of size 2h are, in h x h blocks,
+
+        d0 = [[P, -b*I], [a*I, P']],   d1 = [[P', b*I], [-a*I, P]],
+
+    where (P, P') is the explicit form of the other rows and a, b are row
+    r's entries (both negated under parity 1).  The base is commutative,
+    so b*P' = P'*b, a*P = P*a and
+
+        d1*d0 = diag(P'P + ab, PP' + ab),   d0*d1 = diag(PP' + ab, P'P + ab):
+
+    both squares of (d0, d1) are omega*Id exactly when both squares of
+    (P, P') are (omega - ab)*Id.  The recursion ends at 1 x 1 maps [[x]]
+    and [[y]], whose squares are both xy.  So any pair of this form is a
+    factorization of omega = xy + the sum of ab over the levels, taken in
+    normal form, whatever its entries are.
+
+    Unrolled, entry (i, j) lies in the frame of level max(i, j).bit_length():
+    level 0 is the 1 x 1 corner, and level L >= 1, with h = 2^(L-1), is
+    the off-diagonal and lower right blocks of the leading 2h x 2h part.
+    Each off-diagonal block must be one scalar on its full diagonal (or
+    empty, for 0), with d1's scalars opposite to d0's.  Each lower right
+    block must equal the other map's upper left h x h block: each of its
+    entries equals the other map's entry at (i - h, j - h), and the two
+    blocks hold as many entries.
+
+    Homogeneity is read in the same pass.  At each level the generator
+    degrees at h + t, for t < h, must be the other slot's at t plus one
+    constant, as they are for to_explicit (row L's internal shift; the
+    corner is row 0).  Then a lower right entry has the homogeneity, the
+    degree and the map degree deg(entry) + deg(target) - deg(source) of
+    the entry it equals, so only the corner and the off-diagonal entries
+    are read, each distinct object once.  Their map degrees must agree,
+    and equal deg(omega)/2 when omega != 0.
+
+    Any other pair (hand-built, or with an entry changed), and one whose
+    degrees fail, takes the general path whole: both squares by
+    _ProductTables, then homogeneity of every entry.  So every refusal and
+    its message come from that path.
     """
+    omega = _block_omega(exp)
+    return _product_omega(exp) if omega is None else omega
+
+
+def _block_omega(exp):
+    """omega of a pair in to_explicit's block form whose entries have one
+    map degree (see verify_factorization), else None."""
+    size = len(exp.gens0)
+    if not size or size & (size - 1) or size != len(exp.gens1):
+        return None
+    gens0, gens1 = exp.gens0, exp.gens1
+    graded = {}
+    frames0 = _frames(exp.d0, exp.d1, gens0, gens1, graded, None)
+    frames1 = frames0 and _frames(exp.d1, exp.d0, gens1, gens0, graded,
+                                  frames0[4])
+    if not frames1:
+        return None
+    (upper0, lower0, inner0, off0, _), (upper1, lower1, inner1, off1,
+                                        degree) = frames0, frames1
+    x, y = exp.d0.entries.get((0, 0)), exp.d1.entries.get((0, 0))
+    omega = x * y if x is not None and y is not None else Poly()
+    below0 = below1 = 0     # entries of each map's upper left h x h block
+    for level in range(1, size.bit_length()):
+        h = 1 << (level - 1)
+        shifts = ({g - f for g, f in zip(gens1[h:2 * h], gens0)}
+                  | {g - f for g, f in zip(gens0[h:2 * h], gens1)})
+        below0 += inner0[level - 1] + off0[level - 1]
+        below1 += inner1[level - 1] + off1[level - 1]
+        if (len(shifts) != 1
+                or inner0[level] != below1 or inner1[level] != below0):
+            return None
+        scalars = (upper0[level], upper1[level], lower0[level], lower1[level])
+        if off0[level] + off1[level] != h * sum(s is not None
+                                                for s in scalars):
+            return None
+        for s, t in (scalars[:2], scalars[2:]):
+            if (s is None) != (t is None) or s is not None and s != -t:
+                return None
+        if lower0[level] is not None and upper1[level] is not None:
+            omega = omega + lower0[level] * upper1[level]
+    omega = exp.base.normal_form(omega)
+    if not omega.is_zero() and (not omega.is_homogeneous()
+                                or degree != omega.degree() // 2):
+        return None
+    return omega
+
+
+def _frames(mat, other, src, tgt, graded, expected):
+    """One pass over mat's entries for _block_omega.  Per level: the
+    scalar of the upper right and of the lower left block (None where
+    empty), the count of lower right entries, each of which must equal
+    other's entry h rows and columns back (the corner counts at level 0),
+    and the count of off-diagonal entries; then the one map degree of the
+    corner and off-diagonal entries, which must be expected unless that is
+    None.  None where any of this fails."""
+    levels = len(src).bit_length()
+    upper, lower = [None] * levels, [None] * levels
+    inner, off = [0] * levels, [0] * levels
+    mirror = other.entries
+    for (i, j), p in mat.entries.items():
+        level = (i if i > j else j).bit_length()
+        h = 1 << level >> 1
+        if level and i >= h and j >= h:
+            q = mirror.get((i - h, j - h))
+            if q is None or q is not p and q != p:
+                return None
+            inner[level] += 1
+            continue
+        degree = graded.get(id(p))
+        if degree is None:
+            if not p.is_homogeneous():
+                return None
+            degree = graded[id(p)] = p.degree()
+        degree += tgt[i] - src[j]
+        if degree != expected:
+            if expected is not None:
+                return None
+            expected = degree
+        if not level:
+            inner[0] += 1
+            continue
+        if i - j != (h if i >= h else -h):
+            return None
+        off[level] += 1
+        scalars = lower if i >= h else upper
+        s = scalars[level]
+        if s is None:
+            scalars[level] = p
+        elif s is not p and s != p:
+            return None
+    return upper, lower, inner, off, expected
+
+
+def _product_omega(exp):
+    """verify_factorization's general path: both squares by the product
+    kernel, then homogeneity."""
     nf = exp.base.normal_form
     tables = _ProductTables(exp.d0, exp.d1)
     omega = _check_scalar(tables.product(1, 0), nf, "d1*d0")
-    if (not exp.base.rules and not omega.is_zero()
-            and len(exp.gens0) == len(exp.gens1)):
-        omega2 = omega
-    else:
-        omega2 = _check_scalar(tables.product(0, 1), nf, "d0*d1")
+    omega2 = _check_scalar(tables.product(0, 1), nf, "d0*d1")
     if len(exp.gens0) and len(exp.gens1) and omega != omega2:
         raise NotAFactorization("d1*d0 and d0*d1 disagree")
     _check_homogeneity(exp, omega if len(exp.gens0) and len(exp.gens1)

@@ -66,8 +66,8 @@ def test_semantic_errors():
         parse_diagram("n 3\narc x1 x2\ndline d1 d2\nglue x2 d1\n")
     with pytest.raises(OrientationMismatch):
         parse_diagram("n 3\narc x1 x2\narc x3 x4\nglue x1 x3\n")
-    with pytest.raises(UnsupportedN):
-        parse_diagram("n 1\narc x1 x2\n")
+    with pytest.raises(UnsupportedN, match="^line 2: n must be >= 2$"):
+        parse_diagram("# header\nn 1\narc x1 x2\n")
     with pytest.raises(UnsupportedN):
         parse_diagram("n 2\ndline d1 d2\n")
     with pytest.raises(ParseError):

@@ -7,10 +7,15 @@ from fractions import Fraction
 
 import pytest
 
+from moycalc import mf as mf_module
+from moycalc.diagram import build_primitive, glue, parse_diagram
 from moycalc.poly import Poly
 from moycalc.quotient import QuotientRing
 from moycalc.mf import (ExplicitMF, KoszulMF, KoszulRow, NotAFactorization,
-                        OddShift, SparseMat, koszul_new, verify_factorization)
+                        OddShift, SparseMat, _block_omega, _product_omega,
+                        koszul_new, verify_factorization)
+from test_acceptance import _random_diagram
+from test_reduce import _load_workloads
 
 X1, X2, X3 = ("x", 1), ("x", 2), ("x", 3)
 Y1 = ("y", 1)
@@ -309,8 +314,9 @@ def test_explicit_form_matches_the_block_formula():
 
 
 def test_explicit_form_shares_entry_objects():
-    # the id-keyed memos of the product and _check_homogeneity rely on a_r,
-    # -a_r, b_r and -b_r being one object each across both matrices
+    # verify_factorization's block check compares equal entries by identity
+    # first and keys its degree memo by id: both pay off because a_r, -a_r,
+    # b_r and -b_r are one object each across both matrices
     for k, mf in _explicit_cases():
         got = mf.to_explicit()
         ids = {id(p) for mat in (got.d0, got.d1) for p in mat.entries.values()}
@@ -455,53 +461,86 @@ def test_verify_factorization_at_scale():
 
 
 def _reference_omega(e):
-    """omega if d1 @ d0 and d0 @ d1 are both omega*Id, else None."""
+    """omega if d1 @ d0 and d0 @ d1 are both omega*Id over e.base, every
+    entry taken in normal form, else None."""
+    nf = e.base.normal_form
     omega = None
     for left, right in ((e.d1, e.d0), (e.d0, e.d1)):
         square = left @ right
-        omega = square[(0, 0)] if omega is None else omega
-        if square != SparseMat(square.nrows, square.ncols,
-                               {(i, i): omega for i in range(square.nrows)}):
+        reduced = SparseMat(square.nrows, square.ncols,
+                            {pos: nf(p) for pos, p in square.entries.items()})
+        omega = reduced[(0, 0)] if omega is None else omega
+        if reduced != SparseMat(square.nrows, square.ncols,
+                                {(i, i): omega for i in range(square.nrows)}):
             return None
     return omega
 
 
-def _perturbed(rng, e, which):
-    """e with one entry of d0 or d1 plus a monomial of its degree: every
-    entry stays homogeneous of its degree, so only the squares decide."""
+def _perturbed(rng, e, which, how="add"):
+    """e with one entry of d0 or d1 plus a monomial of its degree, scaled,
+    dropped or negated: every entry stays homogeneous of its degree, so
+    only the squares decide."""
     mat = getattr(e, which)
     pos = rng.choice(sorted(mat.entries))
     entries = dict(mat.entries)
-    entries[pos] = entries[pos] + _monomial(rng, entries[pos].degree())
+    entry = entries.pop(pos)
+    if how == "add":
+        entries[pos] = entry + _monomial(rng, entry.degree())
+    elif how == "scale":
+        entries[pos] = entry * rng.choice((2, -3, Fraction(1, 2)))
+    elif how == "flip":
+        entries[pos] = -entry
     broken = SparseMat(mat.nrows, mat.ncols, entries)
     d0, d1 = (broken, e.d1) if which == "d0" else (e.d0, broken)
     return ExplicitMF(e.gens0, e.gens1, d0, d1, e.base)
 
 
-def test_one_square_agrees_with_both_squares():
-    # without rules and with omega != 0, verify_factorization skips d0*d1;
-    # it must still accept and refuse exactly what checking both accepts
+def _outcome(verify, e):
+    """("ok", omega) or ("refused", the NotAFactorization message)."""
+    try:
+        return "ok", verify(e)
+    except NotAFactorization as error:
+        return "refused", str(error)
+
+
+_HOWS = ("add", "scale", "drop", "flip")
+
+
+def test_block_path_agrees_with_both_squares():
+    # to_explicit's block form is verified without a product; the verdict,
+    # omega and every message must be those of both squares by the product
+    # kernel, which is also the path of whatever is not in block form
     rng = random.Random(29)
-    verdicts = []
-    for rows in range(1, 9):
+    hows = itertools.cycle(_HOWS)
+    refused = dict.fromkeys(_HOWS, 0)
+    for rows in range(1, 11):
         for parity in (0, 1):
-            m = _random_koszul(rng, rows, QuotientRing(), parity)
-            while m.potential().is_zero():
-                m = _random_koszul(rng, rows, QuotientRing(), parity)
-            e = m.to_explicit()
-            for case in (e, _perturbed(rng, e, "d0"),
-                         _perturbed(rng, e, "d1")):
-                expected = _reference_omega(case)
-                if expected is None:
-                    with pytest.raises(NotAFactorization):
-                        verify_factorization(case)
-                else:
-                    assert verify_factorization(case) == expected
-                verdicts.append(expected is None)
-            assert _reference_omega(e) == m.potential()
-    # every perturbed copy is refused but the 1-row ones: any pair of 1x1
-    # maps is a factorization
-    assert verdicts.count(True) == 2 * 2 * 7
+            for base in (QuotientRing(), _RULED):
+                m = _random_koszul(rng, rows, base, parity)
+                e = m.to_explicit()
+                for case in (e, e.translate()):
+                    omega = _block_omega(case)
+                    assert omega is not None, (rows, parity, base)
+                    assert omega == _reference_omega(case) == m.potential()
+                    assert verify_factorization(case) == omega
+                    how = next(hows)
+                    broken = _perturbed(rng, case, rng.choice(("d0", "d1")),
+                                        how)
+                    # the block path takes a pair only with the kernel's
+                    # omega; any other pair goes to the kernel itself
+                    got = _outcome(_product_omega, broken)
+                    block = _block_omega(broken)
+                    assert block is None or got == ("ok", block)
+                    if rows <= 4:
+                        expected = _reference_omega(broken)
+                        assert got[0] == ("ok" if expected is not None
+                                          else "refused")
+                        assert got[0] == "refused" or got[1] == expected
+                    # any pair of 1 x 1 maps is a factorization; every
+                    # larger perturbed pair is refused, whatever the change
+                    assert (got[0] == "ok") == (rows == 1), (rows, how)
+                    refused[how] += got[0] == "refused"
+    assert refused == dict.fromkeys(_HOWS, 9 * 2 * 2 * 2 // 4)
 
 
 def test_both_squares_are_checked_where_the_theorem_does_not_hold():
@@ -544,3 +583,54 @@ def test_sparse_mat_rejects_positions_outside_its_shape():
         with pytest.raises(ValueError):
             SparseMat(2, 3, {pos: Poly()})
     assert SparseMat(2, 3, {(1, 2): v(X1)})[(1, 2)] == v(X1)
+
+
+_PRIMITIVES = {
+    "arc": (X1, X2),
+    "wide": (X1, X2, ("x", 3), ("x", 4)),
+    "dline": ((("y", 1), ("z", 1)), (("y", 2), ("z", 2))),
+    "vin": (X1, X2, (("y", 3), ("z", 3))),
+    "vout": ((("y", 3), ("z", 3)), X1, X2),
+}
+
+
+def test_block_path_on_criterion_8_corpus_and_primitives():
+    rng = random.Random(2024)
+    mfs = [glue(parse_diagram(_random_diagram(rng))) for _ in range(100)]
+    mfs += [build_primitive(kind, n, params) for n in (3, 4, 5)
+            for kind, params in _PRIMITIVES.items()]
+    rng = random.Random(31)
+    hows = itertools.cycle(_HOWS)
+    for m in mfs:
+        e = m.to_explicit()
+        omega = _block_omega(e)
+        assert omega is not None and omega == m.potential(), m
+        assert _product_omega(e) == omega
+        # a map may have no entries (a zero b_r, say)
+        which = rng.choice([w for w in ("d0", "d1") if getattr(e, w).entries])
+        broken = _perturbed(rng, e, which, next(hows))
+        got = _outcome(_product_omega, broken)
+        block = _block_omega(broken)
+        assert block is None or got == ("ok", block)
+
+
+def test_explicit_forms_never_reach_the_product_kernel(monkeypatch):
+    # every to_explicit result takes the block path: a change to its
+    # generator order that lost the block form would fail here, not just
+    # make the open-random workload slower
+    def refuse(*mats):
+        raise AssertionError("verify_factorization built _ProductTables")
+
+    monkeypatch.setattr(mf_module, "_ProductTables", refuse)
+    workloads = _load_workloads()
+    for item in workloads.corpus(workloads.WORKLOADS["open-random"], 1, 40):
+        m = glue(parse_diagram(item.text))
+        assert verify_factorization(m.to_explicit()) == m.potential()
+    rng = random.Random(37)
+    for rows in range(1, 9):
+        for parity in (0, 1):
+            for base in (QuotientRing(), _RULED):
+                m = _random_koszul(rng, rows, base, parity)
+                assert verify_factorization(m.to_explicit()) == m.potential()
+    with pytest.raises(AssertionError, match="_ProductTables"):
+        verify_factorization(_perturbed(rng, m.to_explicit(), "d0"))
