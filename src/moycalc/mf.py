@@ -16,6 +16,15 @@ the bitmask sum of 2^r over r in S.  In both maps row r sends S to
 S xor {r}, by a_r when r is added and by b_r when r is removed, with the
 Koszul sign (-1)^|{s in S : s < r}|.
 
+KoszulMF.to_explicit builds the pair by that convention, one row at a
+time, from the single generator of the empty set: the sets without the
+new row come first, so the old d0 and d1 stay in the upper left blocks,
+are copied into the lower right ones as the same entry objects, and the
+row's a and -b (in d0), b and -a (in d1) are written once down the
+diagonals of the off-diagonal blocks, nothing where the entry is 0.
+Every block lies inside the new shape and no 0 is ever written, so the
+matrices take their entries without SparseMat's position and zero checks.
+
 The translation functor <1> swaps the slots and negates both maps; on a
 single row it is realized as K(-b; -a){(deg b - deg a)/2}.
 
@@ -211,43 +220,41 @@ class KoszulMF:
         return out
 
     def to_explicit(self):
-        # a_r, -a_r, b_r and -b_r are one object each wherever they occur,
-        # so verify_factorization's block check compares equal entries by
-        # identity and reads each degree once from its id-keyed memo
+        # (d0, d1) is the pair of the rows so far and (g0, g1) its degrees;
+        # each row K(a; b) turns it into (module docstring)
+        #     d0 = [[d0, -b*I], [a*I, d1]],   d1 = [[d1, b*I], [-a*I, d0]].
+        # No position leaves the new shape and no 0 is written, so
+        # _trusted skips SparseMat's checks; a_r, -a_r, b_r and -b_r stay
+        # one object each, which verify_factorization's block check
+        # compares by identity and grades by id.
         nf = self.base.normal_form
-        signed = []
+        # index[k] is k: positions share these int objects instead of
+        # holding a new int per entry above the interpreter's small ints
+        index = list(range(1 << len(self.rows) >> 1 or 1))
+        g0, g1 = [self.shift], []
+        d0, d1 = {}, {}
         for row in self.rows:
             a, b = nf(row.a), nf(row.b)
             if self.parity:     # <1> negates both maps
                 a, b = -a, -b
-            signed.append(((a, -a), (b, -b)))
-        sets = range(1 << len(self.rows))
-        m0 = [s for s in sets if s.bit_count() % 2 == self.parity]
-        m1 = [s for s in sets if s.bit_count() % 2 != self.parity]
-        # deg(S) = deg(S minus its lowest row) + that row's internal shift
-        shifts = [row.internal_shift for row in self.rows]
-        degree = [self.shift]
-        for s in sets[1:]:
-            low = s & -s
-            degree.append(degree[s ^ low] + shifts[low.bit_length() - 1])
-
-        def differential(src, tgt):
-            # entries row by row: a product then fills one row of its result
-            # at a time, which measured faster than column order
-            column = {s: j for j, s in enumerate(src)}
-            entries = {}
-            for i, t in enumerate(tgt):
-                for r, (add, remove) in enumerate(signed):
-                    bit = 1 << r
-                    pair = add if t & bit else remove
-                    # t and its source t ^ bit agree below r
-                    odd_below = (t & (bit - 1)).bit_count() % 2
-                    entries[(i, column[t ^ bit])] = pair[odd_below]
-            return SparseMat(len(tgt), len(src), entries)
-
-        return ExplicitMF([degree[s] for s in m0], [degree[s] for s in m1],
-                          differential(m0, m1), differential(m1, m0),
-                          self.base)
+            h0, h1 = len(g0), len(g1)
+            at0, at1 = index[h0:], index[h1:]   # at0[k] is h0 + k
+            lower0 = {(at1[i], at0[j]): p for (i, j), p in d1.items()}
+            lower1 = {(at0[i], at1[j]): p for (i, j), p in d0.items()}
+            d0.update(lower0)
+            d1.update(lower1)
+            if not a.is_zero():
+                d0.update(dict.fromkeys(zip(at1, index[:h0]), a))
+                d1.update(dict.fromkeys(zip(at0, index[:h1]), -a))
+            if not b.is_zero():
+                d0.update(dict.fromkeys(zip(index[:h1], at0), -b))
+                d1.update(dict.fromkeys(zip(index[:h0], at1), b))
+            s = row.internal_shift
+            g0, g1 = g0 + [g + s for g in g1], g1 + [g + s for g in g0]
+        if self.parity:     # <1> swaps the slots
+            g0, g1, d0, d1 = g1, g0, d1, d0
+        return ExplicitMF(g0, g1, _trusted(len(g1), len(g0), d0),
+                          _trusted(len(g0), len(g1), d1), self.base)
 
     def __str__(self):
         body = ", ".join(str(r) for r in self.rows)
@@ -328,14 +335,38 @@ class SparseMat:
         return self.entries.get(pos, Poly())
 
     def __neg__(self):
-        return SparseMat(self.nrows, self.ncols,
-                         {pos: -p for pos, p in self.entries.items()})
+        return _negated(self, {})
 
     def __matmul__(self, other):
         """Matrix product (see _ProductTables)."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         return _ProductTables(self, other).product(0, 1)
+
+
+def _trusted(nrows, ncols, entries):
+    """A SparseMat that takes entries as they are: the caller guarantees
+    every position lies inside nrows x ncols and every entry is nonzero,
+    the two things SparseMat.__init__ checks."""
+    mat = object.__new__(SparseMat)
+    object.__setattr__(mat, "nrows", nrows)
+    object.__setattr__(mat, "ncols", ncols)
+    object.__setattr__(mat, "entries", entries)
+    return mat
+
+
+def _negated(mat, memo):
+    """-mat, negating each distinct entry object once: memo maps the id of
+    an entry to its negation, and mat holds the entry, so the id stays
+    its own.  Matrices negated with one memo share their negated
+    entries as they shared the originals."""
+    entries = {}
+    for pos, p in mat.entries.items():
+        q = memo.get(id(p))
+        if q is None:
+            q = memo[id(p)] = -p
+        entries[pos] = q
+    return _trusted(mat.nrows, mat.ncols, entries)
 
 
 class _ProductTables:
@@ -438,7 +469,11 @@ class ExplicitMF:
         raise AttributeError("ExplicitMF is immutable")
 
     def translate(self):
-        return ExplicitMF(self.gens1, self.gens0, -self.d1, -self.d0, self.base)
+        # one memo for both maps, so an entry that both hold stays one
+        # object in the result
+        memo = {}
+        return ExplicitMF(self.gens1, self.gens0, _negated(self.d1, memo),
+                          _negated(self.d0, memo), self.base)
 
     def __eq__(self, other):
         return (isinstance(other, ExplicitMF)

@@ -248,10 +248,24 @@ class Poly:
         if not isinstance(other, Poly):
             c = as_coeff(other)
             return Poly({m: co * c for m, co in self.terms.items()})
+        # mono_mul inlined, with each left monomial's exponent dict made
+        # once and copied for each right term
         out = {}
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
+            if not m1:
+                for m2, c2 in right:
+                    out[m2] = out.get(m2, 0) + c1 * c2
+                continue
+            left = dict(m1)
+            for m2, c2 in right:
+                if m2:
+                    exp = left.copy()
+                    for v, e in m2:
+                        exp[v] = exp.get(v, 0) + e
+                    m = _monomial(exp)
+                else:
+                    m = m1
                 out[m] = out.get(m, 0) + c1 * c2
         return Poly(out)
 

@@ -281,19 +281,34 @@ def _dense_reference(rows, base, shift, parity):
 
 
 _POOL = [KoszulRow(v(X1, 3), 2 * v(X1)),
+         KoszulRow(v(X2) * v(Y1), Poly(), deg_b=0),
          KoszulRow(v(X2, 2), v(X2, 2) - v(X1, 2)),
+         # a is 0 over the ruled base of _explicit_cases, not without rules
+         KoszulRow(v(X1, 3) - v(X2, 3) + v(X1) * v(X3, 2), v(X1)),
          KoszulRow(v(X1) * v(X2), -3 * v(X3, 2)),
          KoszulRow(v(X3, 4) + v(X1, 4), v(Y1) - v(X2))]
 
 
 def _explicit_cases():
-    """0..4 rows, both parities, a nonzero shift and a base with one rule."""
+    """0..6 rows of _POOL, a b that is 0 and an a that the ruled base sends
+    to 0 among them, at both parities, a nonzero shift and a base with one
+    rule; then one random factorization each of 5..10 rows."""
     ruled = QuotientRing().with_rule(X1, 3, v(X2, 3) - v(X1) * v(X3, 2))
     for k in range(len(_POOL) + 1):
         for parity in (0, 1):
             for shift, base in ((0, QuotientRing()), (3, QuotientRing()),
                                 (-2, ruled)):
                 yield k, KoszulMF(_POOL[:k], base, shift, parity)
+    rng = random.Random(43)
+    for k in range(5, 11):
+        yield k, _random_koszul(rng, k, (QuotientRing(), ruled)[k % 2],
+                                k // 2 % 2)
+
+
+def _dense_entries(lists):
+    """The nonzero entries of a dense matrix, by position."""
+    return {(i, j): p for i, row in enumerate(lists)
+            for j, p in enumerate(row) if not p.is_zero()}
 
 
 def test_explicit_form_matches_the_block_formula():
@@ -303,11 +318,19 @@ def test_explicit_form_matches_the_block_formula():
         g0, g1, d0, d1 = _dense_reference(mf.rows, mf.base, mf.shift,
                                           mf.parity)
         assert (list(got.gens0), list(got.gens1)) == (g0, g1)
-        assert _lists(got.d0) == d0 and _lists(got.d1) == d1
         assert (got.d0.nrows, got.d0.ncols) == (len(g1), len(g0))
+        assert (got.d1.nrows, got.d1.ncols) == (len(g0), len(g1))
+        # to_explicit builds its matrices without SparseMat's checks: every
+        # stored position must lie inside the shape, every entry be nonzero
+        for mat in (got.d0, got.d1):
+            for (i, j), p in mat.entries.items():
+                assert 0 <= i < mat.nrows and 0 <= j < mat.ncols, (k, i, j)
+                assert not p.is_zero(), (k, i, j)
+        assert got.d0.entries == _dense_entries(d0)
+        assert got.d1.entries == _dense_entries(d1)
         assert got.base == mf.base
         cases += 1
-    assert cases == 30
+    assert cases == 48
     empty = KoszulMF((), QuotientRing(), 5, 1).to_explicit()
     assert empty.gens0 == () and empty.gens1 == (5,)
     assert (empty.d0.nrows, empty.d0.ncols) == (1, 0)
@@ -316,11 +339,14 @@ def test_explicit_form_matches_the_block_formula():
 def test_explicit_form_shares_entry_objects():
     # verify_factorization's block check compares equal entries by identity
     # first and keys its degree memo by id: both pay off because a_r, -a_r,
-    # b_r and -b_r are one object each across both matrices
+    # b_r and -b_r are one object each across both matrices, also after
+    # ExplicitMF.translate negates them
     for k, mf in _explicit_cases():
         got = mf.to_explicit()
-        ids = {id(p) for mat in (got.d0, got.d1) for p in mat.entries.values()}
-        assert len(ids) <= 4 * k, (k, mf.parity, mf.base)
+        for pair in (got, got.translate()):
+            ids = {id(p) for mat in (pair.d0, pair.d1)
+                   for p in mat.entries.values()}
+            assert len(ids) <= 4 * k, (k, mf.parity, mf.base)
 
 
 def _distinct_polys(rng, count):
@@ -495,6 +521,30 @@ def _perturbed(rng, e, which, how="add"):
     return ExplicitMF(e.gens0, e.gens1, d0, d1, e.base)
 
 
+def _stray(rng, e):
+    """e with one entry added to d0 or d1 at an empty position of an
+    off-diagonal block of the block form (see verify_factorization), off
+    that block's diagonal, homogeneous of the pair's map degree: only its
+    position breaks the block form.  The maps must be at least 4 x 4."""
+    which = rng.choice(("d0", "d1"))
+    mat = getattr(e, which)
+    src, tgt = (e.gens0, e.gens1) if which == "d0" else (e.gens1, e.gens0)
+    (i, j), p = next(iter(mat.entries.items()))
+    degree = p.degree() + tgt[i] - src[j]
+    while True:
+        h = 1 << rng.randrange(1, mat.nrows.bit_length() - 1)
+        t, u = rng.sample(range(h), 2)
+        i, j = rng.choice(((t, h + u), (h + t, u)))
+        if degree - tgt[i] + src[j] >= 0:
+            break
+    assert (i, j) not in mat.entries
+    entries = dict(mat.entries)
+    entries[(i, j)] = _monomial(rng, degree - tgt[i] + src[j])
+    broken = SparseMat(mat.nrows, mat.ncols, entries)
+    d0, d1 = (broken, e.d1) if which == "d0" else (e.d0, broken)
+    return ExplicitMF(e.gens0, e.gens1, d0, d1, e.base)
+
+
 def _outcome(verify, e):
     """("ok", omega) or ("refused", the NotAFactorization message)."""
     try:
@@ -513,6 +563,7 @@ def test_block_path_agrees_with_both_squares():
     rng = random.Random(29)
     hows = itertools.cycle(_HOWS)
     refused = dict.fromkeys(_HOWS, 0)
+    strays, stray_rng = 0, random.Random(47)
     for rows in range(1, 11):
         for parity in (0, 1):
             for base in (QuotientRing(), _RULED):
@@ -540,7 +591,18 @@ def test_block_path_agrees_with_both_squares():
                     # larger perturbed pair is refused, whatever the change
                     assert (got[0] == "ok") == (rows == 1), (rows, how)
                     refused[how] += got[0] == "refused"
+                    if rows >= 3:
+                        # an entry off the diagonal of an off-diagonal block
+                        # leaves the block path for the product kernel,
+                        # which refuses it
+                        broken = _stray(stray_rng, case)
+                        assert _block_omega(broken) is None
+                        got = _outcome(verify_factorization, broken)
+                        assert got == _outcome(_product_omega, broken)
+                        assert got[0] == "refused", (rows, got)
+                        strays += 1
     assert refused == dict.fromkeys(_HOWS, 9 * 2 * 2 * 2 // 4)
+    assert strays == 8 * 2 * 2 * 2
 
 
 def test_both_squares_are_checked_where_the_theorem_does_not_hold():
