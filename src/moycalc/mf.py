@@ -4,26 +4,9 @@ Koszul matrix factorizations and their explicit 2-periodic form.
 A factorization is a pair of free graded modules (M0, M1) with maps
 d0: M0 -> M1 and d1: M1 -> M0 composing to omega*Id both ways.  The
 elementary block K(a; b) is (R -> R{(deg b - deg a)/2} -> R) with maps
-a and b.  Rows tensor together, one at a time, by the block convention
-
-    d0 = [[dM0, -dN1], [dN0, dM1]],   d1 = [[dM1, dN1], [-dN0, dM0]],
-
-and the explicit form writes that iteration out as the Koszul complex on
-an exterior algebra.  A generator is a set S of rows, of degree
-shift + sum of the internal shifts (deg b_r - deg a_r)/2 over r in S; M0
-holds the sets with |S| = parity (mod 2), M1 the others, each ordered by
-the bitmask sum of 2^r over r in S.  In both maps row r sends S to
-S xor {r}, by a_r when r is added and by b_r when r is removed, with the
-Koszul sign (-1)^|{s in S : s < r}|.
-
-KoszulMF.to_explicit builds the pair by that convention, one row at a
-time, from the single generator of the empty set: the sets without the
-new row come first, so the old d0 and d1 stay in the upper left blocks,
-are copied into the lower right ones as the same entry objects, and the
-row's a and -b (in d0), b and -a (in d1) are written once down the
-diagonals of the off-diagonal blocks, nothing where the entry is 0.
-Every block lies inside the new shape and no 0 is ever written, so the
-matrices take their entries without SparseMat's position and zero checks.
+a and b.  Rows tensor together by the Khovanov-Rozansky block
+convention (math/0401268); KoszulMF.to_explicit writes the result out by
+_block_form, whose docstring states the layout.
 
 The translation functor <1> swaps the slots and negates both maps; on a
 single row it is realized as K(-b; -a){(deg b - deg a)/2}.
@@ -37,9 +20,9 @@ two known potentials instead of multiplying out the rows again, and a
 renaming of the variables, a ring homomorphism, carries the potential to
 its image (diagram.build_primitive).
 
-verify_factorization reads a pair in to_explicit's block form once,
-entry by entry: the block form alone makes both squares omega*Id (proof
-in its docstring).  Any other pair is checked by computing both squares.
+verify_factorization checks a pair in that layout by rebuilding it: the
+layout alone makes both squares omega*Id (proof in its docstring).  Any
+other pair is checked by computing both squares.
 """
 
 from .poly import Poly, as_coeff, mono_degree, qdiv
@@ -220,39 +203,27 @@ class KoszulMF:
         return out
 
     def to_explicit(self):
-        # (d0, d1) is the pair of the rows so far and (g0, g1) its degrees;
-        # each row K(a; b) turns it into (module docstring)
-        #     d0 = [[d0, -b*I], [a*I, d1]],   d1 = [[d1, b*I], [-a*I, d0]].
-        # No position leaves the new shape and no 0 is written, so
-        # _trusted skips SparseMat's checks; a_r, -a_r, b_r and -b_r stay
-        # one object each, which verify_factorization's block check
-        # compares by identity and grades by id.
+        """The explicit pair in _block_form's layout.  Row 0 is the corner;
+        <1> turns it into K(-b; -a) with its degrees swapped and leaves
+        every later row's level as it is."""
+        if not self.rows:
+            g0, g1 = [self.shift], []
+            if self.parity:
+                g0, g1 = g1, g0
+            return ExplicitMF(g0, g1, SparseMat(len(g1), len(g0)),
+                              SparseMat(len(g0), len(g1)), self.base)
         nf = self.base.normal_form
-        # index[k] is k: positions share these int objects instead of
-        # holding a new int per entry above the interpreter's small ints
-        index = list(range(1 << len(self.rows) >> 1 or 1))
-        g0, g1 = [self.shift], []
-        d0, d1 = {}, {}
-        for row in self.rows:
-            a, b = nf(row.a), nf(row.b)
-            if self.parity:     # <1> negates both maps
-                a, b = -a, -b
-            h0, h1 = len(g0), len(g1)
-            at0, at1 = index[h0:], index[h1:]   # at0[k] is h0 + k
-            lower0 = {(at1[i], at0[j]): p for (i, j), p in d1.items()}
-            lower1 = {(at0[i], at1[j]): p for (i, j), p in d0.items()}
-            d0.update(lower0)
-            d1.update(lower1)
-            if not a.is_zero():
-                d0.update(dict.fromkeys(zip(at1, index[:h0]), a))
-                d1.update(dict.fromkeys(zip(at0, index[:h1]), -a))
-            if not b.is_zero():
-                d0.update(dict.fromkeys(zip(index[:h1], at0), -b))
-                d1.update(dict.fromkeys(zip(index[:h0], at1), b))
-            s = row.internal_shift
-            g0, g1 = g0 + [g + s for g in g1], g1 + [g + s for g in g0]
-        if self.parity:     # <1> swaps the slots
-            g0, g1, d0, d1 = g1, g0, d1, d0
+        first = self.rows[0]
+        (a, na), (b, nb) = _signed(nf(first.a)), _signed(nf(first.b))
+        corner = (a, b)
+        c0, c1 = self.shift, self.shift + first.internal_shift
+        if self.parity:
+            corner, c0, c1 = (nb, na), c1, c0
+        levels = []
+        for row in self.rows[1:]:
+            (a, na), (b, nb) = _signed(nf(row.a)), _signed(nf(row.b))
+            levels.append((a, nb, na, b, row.internal_shift))
+        g0, g1, d0, d1 = _block_form(c0, c1, corner, levels)
         return ExplicitMF(g0, g1, _trusted(len(g1), len(g0), d0),
                           _trusted(len(g0), len(g1), d1), self.base)
 
@@ -367,6 +338,55 @@ def _negated(mat, memo):
             q = memo[id(p)] = -p
         entries[pos] = q
     return _trusted(mat.nrows, mat.ncols, entries)
+
+
+def _signed(p):
+    """(p, -p), or (None, None) for 0 or None."""
+    return (None, None) if p is None or p.is_zero() else (p, -p)
+
+
+def _block_form(c0, c1, corner, levels):
+    """gens0, gens1 and the entries of d0 and d1 of the explicit pair in
+    block form, None standing for 0 in corner and levels.
+
+    The pair starts as the 1 x 1 maps d0 = [[x]] and d1 = [[y]], for
+    corner (x, y), on generators of degrees c0 and c1.  Each level
+    (l, u, nl, nu, s) then turns the pair into, in blocks of its size,
+
+        d0 = [[d0, u*I], [l*I, d1]],   d1 = [[d1, nu*I], [nl*I, d0]],
+
+    the new generators of each slot taking the other slot's degrees plus
+    s.  For the rows K(a_r; b_r) of KoszulMF.to_explicit, row 0 is the
+    corner (a_0, b_0) and row r >= 1 the level (a_r, -b_r, -a_r, b_r,
+    internal shift).  Unrolled, that is the Koszul complex on an exterior
+    algebra: generator k of a slot is the set of rows r >= 1 with bit
+    r - 1 of k set, plus row 0 where the slot's parity asks for it.
+
+    Copied blocks keep the same entry objects, and positions share one
+    list of index ints, so a_r, -a_r, b_r and -b_r are one object each
+    and no position holds a new int above the interpreter's small ints.  No
+    position leaves the shape and no 0 is written, so the entries can go
+    to _trusted.
+    """
+    x, y = corner
+    index = list(range(1 << len(levels)))
+    g0, g1 = [c0], [c1]
+    d0 = {} if x is None else {(0, 0): x}
+    d1 = {} if y is None else {(0, 0): y}
+    for l, u, nl, nu, s in levels:
+        h = len(g0)
+        top, low = index[:h], index[h:]     # low[k] is h + k
+        lower0 = {(low[i], low[j]): p for (i, j), p in d1.items()}
+        lower1 = {(low[i], low[j]): p for (i, j), p in d0.items()}
+        for d, lower, left, right in ((d0, lower0, l, u),
+                                      (d1, lower1, nl, nu)):
+            d.update(lower)
+            if left is not None:
+                d.update(dict.fromkeys(zip(low, top), left))
+            if right is not None:
+                d.update(dict.fromkeys(zip(top, low), right))
+        g0, g1 = g0 + [g + s for g in g1], g1 + [g + s for g in g0]
+    return g0, g1, d0, d1
 
 
 class _ProductTables:
@@ -487,42 +507,30 @@ def verify_factorization(exp):
 
     Raises NotAFactorization with the offending entry position otherwise.
 
-    A pair in the block form that KoszulMF.to_explicit writes is verified
-    by reading each stored entry once, with no matrix product.  Split off
-    the highest row r: the sets without r come first in bitmask order, so
-    square maps of size 2h are, in h x h blocks,
+    A pair in _block_form's layout is verified with no matrix product:
+    _block_omega reads its corner (x, y) and each level's (l, u, nl, nu)
+    and shift at their positions, requires nl = -l and nu = -u, rebuilds
+    the pair by _block_form and requires it to be equal to the given one.
+    In h x h blocks a level is
 
-        d0 = [[P, -b*I], [a*I, P']],   d1 = [[P', b*I], [-a*I, P]],
+        d0 = [[P, u*I], [l*I, P']],   d1 = [[P', -u*I], [-l*I, P]],
 
-    where (P, P') is the explicit form of the other rows and a, b are row
-    r's entries (both negated under parity 1).  The base is commutative,
-    so b*P' = P'*b, a*P = P*a and
+    where (P, P') is the pair of the levels below.  The base is
+    commutative, so u*P' = P'*u, l*P = P*l and
 
-        d1*d0 = diag(P'P + ab, PP' + ab),   d0*d1 = diag(PP' + ab, P'P + ab):
+        d1*d0 = diag(P'P - lu, PP' - lu),   d0*d1 = diag(PP' - lu, P'P - lu):
 
     both squares of (d0, d1) are omega*Id exactly when both squares of
-    (P, P') are (omega - ab)*Id.  The recursion ends at 1 x 1 maps [[x]]
+    (P, P') are (omega + lu)*Id.  The recursion ends at 1 x 1 maps [[x]]
     and [[y]], whose squares are both xy.  So any pair of this form is a
-    factorization of omega = xy + the sum of ab over the levels, taken in
+    factorization of omega = xy - the sum of lu over the levels, taken in
     normal form, whatever its entries are.
 
-    Unrolled, entry (i, j) lies in the frame of level max(i, j).bit_length():
-    level 0 is the 1 x 1 corner, and level L >= 1, with h = 2^(L-1), is
-    the off-diagonal and lower right blocks of the leading 2h x 2h part.
-    Each off-diagonal block must be one scalar on its full diagonal (or
-    empty, for 0), with d1's scalars opposite to d0's.  Each lower right
-    block must equal the other map's upper left h x h block: each of its
-    entries equals the other map's entry at (i - h, j - h), and the two
-    blocks hold as many entries.
-
-    Homogeneity is read in the same pass.  At each level the generator
-    degrees at h + t, for t < h, must be the other slot's at t plus one
-    constant, as they are for to_explicit (row L's internal shift; the
-    corner is row 0).  Then a lower right entry has the homogeneity, the
-    degree and the map degree deg(entry) + deg(target) - deg(source) of
-    the entry it equals, so only the corner and the off-diagonal entries
-    are read, each distinct object once.  Their map degrees must agree,
-    and equal deg(omega)/2 when omega != 0.
+    Each new generator's degree is the other slot's plus the level's
+    shift, so a copied entry has the homogeneity and the map degree
+    deg(entry) + deg(target) - deg(source) of the entry it copies, and
+    -l, -u have those of l, u: only x, y, l and u are graded.  Their map
+    degrees must agree, and equal deg(omega)/2 when omega != 0.
 
     Any other pair (hand-built, or with an entry changed), and one whose
     degrees fail, takes the general path whole: both squares by
@@ -534,92 +542,45 @@ def verify_factorization(exp):
 
 
 def _block_omega(exp):
-    """omega of a pair in to_explicit's block form whose entries have one
-    map degree (see verify_factorization), else None."""
-    size = len(exp.gens0)
-    if not size or size & (size - 1) or size != len(exp.gens1):
-        return None
+    """omega of a pair in _block_form's layout whose entries have one map
+    degree (see verify_factorization), else None."""
     gens0, gens1 = exp.gens0, exp.gens1
-    graded = {}
-    frames0 = _frames(exp.d0, exp.d1, gens0, gens1, graded, None)
-    frames1 = frames0 and _frames(exp.d1, exp.d0, gens1, gens0, graded,
-                                  frames0[4])
-    if not frames1:
+    size = len(gens0)
+    if not size or size & (size - 1) or size != len(gens1):
         return None
-    (upper0, lower0, inner0, off0, _), (upper1, lower1, inner1, off1,
-                                        degree) = frames0, frames1
-    x, y = exp.d0.entries.get((0, 0)), exp.d1.entries.get((0, 0))
-    omega = x * y if x is not None and y is not None else Poly()
-    below0 = below1 = 0     # entries of each map's upper left h x h block
-    for level in range(1, size.bit_length()):
-        h = 1 << (level - 1)
-        shifts = ({g - f for g, f in zip(gens1[h:2 * h], gens0)}
-                  | {g - f for g, f in zip(gens0[h:2 * h], gens1)})
-        below0 += inner0[level - 1] + off0[level - 1]
-        below1 += inner1[level - 1] + off1[level - 1]
-        if (len(shifts) != 1
-                or inner0[level] != below1 or inner1[level] != below0):
+    e0, e1 = exp.d0.entries, exp.d1.entries
+    x, y = e0.get((0, 0)), e1.get((0, 0))
+    levels = []
+    # the entries the layout names, with the target and source degrees of
+    # their positions, and the products whose sum is omega
+    named = [(x, gens1[0], gens0[0]), (y, gens0[0], gens1[0])]
+    products = [(x, y)]
+    for k in range(size.bit_length() - 1):
+        h = 1 << k
+        l, u = e0.get((h, 0)), e0.get((0, h))
+        nl, nu = e1.get((h, 0)), e1.get((0, h))
+        if _signed(l) != (l, nl) or _signed(u) != (u, nu):
             return None
-        scalars = (upper0[level], upper1[level], lower0[level], lower1[level])
-        if off0[level] + off1[level] != h * sum(s is not None
-                                                for s in scalars):
-            return None
-        for s, t in (scalars[:2], scalars[2:]):
-            if (s is None) != (t is None) or s is not None and s != -t:
-                return None
-        if lower0[level] is not None and upper1[level] is not None:
-            omega = omega + lower0[level] * upper1[level]
-    omega = exp.base.normal_form(omega)
-    if not omega.is_zero() and (not omega.is_homogeneous()
-                                or degree != omega.degree() // 2):
-        return None
-    return omega
-
-
-def _frames(mat, other, src, tgt, graded, expected):
-    """One pass over mat's entries for _block_omega.  Per level: the
-    scalar of the upper right and of the lower left block (None where
-    empty), the count of lower right entries, each of which must equal
-    other's entry h rows and columns back (the corner counts at level 0),
-    and the count of off-diagonal entries; then the one map degree of the
-    corner and off-diagonal entries, which must be expected unless that is
-    None.  None where any of this fails."""
-    levels = len(src).bit_length()
-    upper, lower = [None] * levels, [None] * levels
-    inner, off = [0] * levels, [0] * levels
-    mirror = other.entries
-    for (i, j), p in mat.entries.items():
-        level = (i if i > j else j).bit_length()
-        h = 1 << level >> 1
-        if level and i >= h and j >= h:
-            q = mirror.get((i - h, j - h))
-            if q is None or q is not p and q != p:
-                return None
-            inner[level] += 1
-            continue
-        degree = graded.get(id(p))
-        if degree is None:
+        levels.append((l, u, nl, nu, gens0[h] - gens1[0]))
+        named += ((l, gens1[h], gens0[0]), (u, gens1[0], gens0[h]))
+        products.append((l, nu))
+    degrees = set()
+    for p, tgt, src in named:
+        if p is not None:
             if not p.is_homogeneous():
                 return None
-            degree = graded[id(p)] = p.degree()
-        degree += tgt[i] - src[j]
-        if degree != expected:
-            if expected is not None:
-                return None
-            expected = degree
-        if not level:
-            inner[0] += 1
-            continue
-        if i - j != (h if i >= h else -h):
-            return None
-        off[level] += 1
-        scalars = lower if i >= h else upper
-        s = scalars[level]
-        if s is None:
-            scalars[level] = p
-        elif s is not p and s != p:
-            return None
-    return upper, lower, inner, off, expected
+            degrees.add(p.degree() + tgt - src)
+    g0, g1, d0, d1 = _block_form(gens0[0], gens1[0], (x, y), levels)
+    if (len(degrees) > 1 or tuple(g0) != gens0 or tuple(g1) != gens1
+            or d0 != e0 or d1 != e1):
+        return None
+    omega = exp.base.normal_form(sum((p * q for p, q in products
+                                      if p is not None and q is not None),
+                                     Poly()))
+    if not omega.is_zero() and (not omega.is_homogeneous()
+                                or degrees != {omega.degree() // 2}):
+        return None
+    return omega
 
 
 def _product_omega(exp):

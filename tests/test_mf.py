@@ -337,9 +337,10 @@ def test_explicit_form_matches_the_block_formula():
 
 
 def test_explicit_form_shares_entry_objects():
-    # verify_factorization's block check compares equal entries by identity
-    # first and keys its degree memo by id: both pay off because a_r, -a_r,
-    # b_r and -b_r are one object each across both matrices, also after
+    # verify_factorization's block check compares the pair with its rebuilt
+    # block form as dicts, and dict equality takes identical entries as
+    # equal without comparing them: that pays off because a_r, -a_r, b_r
+    # and -b_r are one object each across both matrices, also after
     # ExplicitMF.translate negates them
     for k, mf in _explicit_cases():
         got = mf.to_explicit()
@@ -603,6 +604,56 @@ def test_block_path_agrees_with_both_squares():
                         strays += 1
     assert refused == dict.fromkeys(_HOWS, 9 * 2 * 2 * 2 // 4)
     assert strays == 8 * 2 * 2 * 2
+
+
+def test_block_path_refuses_a_shifted_generator_degree():
+    # the block check rebuilds the generator degrees from the corner and
+    # one shift per level, so a single shifted degree leaves the block
+    # path; the product kernel then gives the verdict
+    rng = random.Random(53)
+    refused = 0
+    for rows in range(2, 11):
+        for parity in (0, 1):
+            e = _random_koszul(rng, rows, _RULED, parity).to_explicit()
+            for case in (e, e.translate()):
+                slot = rng.choice(("gens0", "gens1"))
+                gens = list(getattr(case, slot))
+                gens[rng.randrange(len(gens))] += rng.choice((-2, -1, 1, 2))
+                g0, g1 = ((gens, case.gens1) if slot == "gens0"
+                          else (case.gens0, gens))
+                broken = ExplicitMF(g0, g1, case.d0, case.d1, case.base)
+                assert _block_omega(broken) is None, (rows, parity, slot)
+                got = _outcome(verify_factorization, broken)
+                assert got == _outcome(_product_omega, broken)
+                refused += got[0] == "refused"
+    # every generator meets a nonzero entry, whose map degree then differs
+    assert refused == 9 * 2 * 2
+
+
+def test_block_path_compares_entries_by_value():
+    # the block check compares the rebuilt entries with the pair's by
+    # equality: objects shared as to_explicit shares them only make it
+    # faster, so a pair whose every entry is a fresh equal Poly, built
+    # through SparseMat's checks, still takes the block path
+    def fresh(mat):
+        entries = {pos: Poly(p.terms) for pos, p in mat.entries.items()}
+        return SparseMat(mat.nrows, mat.ncols, entries)
+
+    rng = random.Random(59)
+    for rows in range(1, 9):
+        for parity in (0, 1):
+            for base in (QuotientRing(), _RULED):
+                e = _random_koszul(rng, rows, base, parity).to_explicit()
+                for case in (e, e.translate()):
+                    copy = ExplicitMF(case.gens0, case.gens1, fresh(case.d0),
+                                      fresh(case.d1), case.base)
+                    old = {id(p) for mat in (case.d0, case.d1)
+                           for p in mat.entries.values()}
+                    assert not old & {id(p) for mat in (copy.d0, copy.d1)
+                                      for p in mat.entries.values()}
+                    omega = _block_omega(case)
+                    assert omega is not None
+                    assert _block_omega(copy) == omega
 
 
 def test_both_squares_are_checked_where_the_theorem_does_not_hold():
