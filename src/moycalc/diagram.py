@@ -130,25 +130,18 @@ class Diagram:
                                        "once" % (p.line, name))
                 uses[name] = (p, slot)
 
-        glued = set()
-        parent = {}
-
-        def find(a):
-            parent.setdefault(a, a)
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        # a name is glued at most once, so its class is named by the
+        # second name of its glue, or by itself when it is not glued
+        second = {}
         for a, b, line in self.merges:
             for name in (a, b):
                 if name not in uses:
                     raise DiagramError("line %d: glue of unknown parameter %r"
                                        % (line, name))
-                if name in glued:
+                if name in second:
                     raise DuplicateUse("line %d: parameter %r glued more than "
                                        "once" % (line, name))
-                glued.add(name)
+                second[name] = b
             roles = []
             kinds = []
             for name in (a, b):
@@ -163,23 +156,22 @@ class Diagram:
                 raise OrientationMismatch(
                     "line %d: glue %s %s does not join an output to an input"
                     % (line, a, b))
-            parent[find(a)] = find(b)
 
         classes = {}
         for p in self.pieces:
             for slot, name in enumerate(p.params):
-                cls = find(name)
+                cls = second.get(name, name)
                 kind = "double" if slot in DOUBLE_SLOTS[p.kind] else "single"
                 role = ROLES[p.kind][slot]
                 info = classes.setdefault(cls, {"kind": kind, "in": None,
                                                 "out": None})
                 info[role] = (p, slot)
 
-        self._find = find
+        self._second = second
         self.classes = classes
 
     def class_of(self, name):
-        return self._find(name)
+        return self._second.get(name, name)
 
     def boundary(self):
         """Classes with an unmatched use, as (class, kind, role) triples."""

@@ -80,9 +80,10 @@ def _summand_homology(mf):
 
 def _piece_homology(mf):
     """A reduced piece: its base module when no row is left, else the
-    explicit complex (InfiniteDimension over an infinite base)."""
+    explicit complex; InfiniteDimension over an infinite base either way."""
     if mf.rows:
         return _explicit_homology(mf)
+    mf.base.require_bounded(mf.ambient_variables())
     dims = mf.base.graded_dimension(mf.shift)
     if mf.parity:
         return HomologyResult(LaurentPoly(), dims)

@@ -87,14 +87,17 @@ class QuotientRing:
         repl = self.normal_form(repl)
         new_rules = self.rules + ((v, d, repl),)
         self._check_replacement(v, d, repl, new_rules)
-        # the new rule must not make an existing replacement reducible
-        for w, dw, pw in self.rules:
-            if pw.degree_in(v) >= d:
-                raise TriangularityViolation(
-                    "rule %s%d^%d reducible by new rule on %s%d"
-                    % (w[0], w[1], dw, v[0], v[1]))
-        _check_acyclic(new_rules)
+        for w, dw, _ in self.rules_reducible_by(v, d):
+            raise TriangularityViolation(
+                "rule %s%d^%d reducible by new rule on %s%d"
+                % (w[0], w[1], dw, v[0], v[1]))
+        _check_acyclic(new_rules, (v,))
         return QuotientRing(new_rules)
+
+    def rules_reducible_by(self, v, d):
+        """The rules whose replacement has degree >= d in v: a new rule
+        v^d -> ... would make them reducible."""
+        return [rule for rule in self.rules if rule[2].degree_in(v) >= d]
 
     def substitute(self, v, repl):
         """Eliminate v entirely by substituting v -> repl in every rule;
@@ -120,7 +123,7 @@ class QuotientRing:
                         "conflicting rules on %s%d" % v)
             else:
                 rules.append((v, d, p))
-        _check_acyclic(rules)
+        _check_acyclic(rules, [v for v, _, _ in rules])
         return QuotientRing(rules)
 
     # -- normal forms ----------------------------------------------------
@@ -180,6 +183,12 @@ class QuotientRing:
 
     # -- dimension --------------------------------------------------------
 
+    def require_bounded(self, variables):
+        """Raise InfiniteDimension unless every variable leads a rule."""
+        for v in sorted(variables):
+            if self.rule_for(v) is None:
+                raise InfiniteDimension("no bounding rule for %s%d" % v)
+
     def graded_dimension(self, shift=0):
         """Graded dimension of the monomial basis, as a LaurentPoly in q."""
         out = LaurentPoly({shift: 1})
@@ -190,9 +199,7 @@ class QuotientRing:
 
     def basis_monomials(self, ambient=()):
         """All monomials below the staircase; ambient vars must be bounded."""
-        for v in sorted(ambient):
-            if self.rule_for(v) is None:
-                raise InfiniteDimension("no bounding rule for %s%d" % v)
+        self.require_bounded(ambient)
         # the product of the rules' ranges, the last rule varying fastest
         out = [()]
         for v, d, _ in self.rules:
@@ -201,7 +208,7 @@ class QuotientRing:
         return out
 
 
-def _check_acyclic(rules):
+def _check_acyclic(rules, leaders):
     """Guard the staircase-basis assumption of the rewrite system.
 
     When leader dependencies are acyclic (v's replacement never reaches
@@ -210,24 +217,51 @@ def _check_acyclic(rules):
     so normal forms are canonical.  A rule may mention its own leader
     below its power; that is just monicity.
 
-    Cyclic dependencies can break that basis property silently.  Every
-    leader on a cycle is checked on its closure, the variables its
-    replacement reaches: a closure of leaders only is a finite-dimensional
-    closed subsystem, whose basis property is checked degree by degree by
-    linear algebra.  A closure with any other variable is rejected.
+    Cyclic dependencies can break that basis property silently.  Each of
+    the given leaders on a cycle is checked on its closure (cyclic_closure):
+    a closure of leaders only is a finite-dimensional closed subsystem,
+    whose basis property is checked degree by degree by linear algebra.
+    A closure with any other variable is rejected.
+
+    merge checks every leader.  with_rule checks only its new leader v,
+    which reaches the same verdict and message as checking every leader,
+    because the rules before v's passed this check:
+      1. A new cycle must pass through v: v's rule adds the only new
+         edges, those from v to its replacement's variables.
+      2. Every leader on such a cycle has the same closure as v (each
+         reaches the other, so both reach the same variables), so it gets
+         the same verdict and the same message.
+      3. An accepted cyclic closure holds only leaders, so it cannot
+         contain v, which led no rule; v's rule leaves it as it was.
     """
     by_leader = {v: (v, d, p) for v, d, p in rules}
     checked = set()
-    for v, _, p in rules:
-        reach = frozenset(_reach(p.variables() - {v}, rules))
-        if v not in reach or reach in checked:
+    for v in leaders:
+        closure = cyclic_closure(rules, v, by_leader[v][2].variables())
+        if closure is None or closure in checked:
             continue
-        unbounded = sorted(reach - by_leader.keys())
-        if unbounded:
-            raise TriangularityViolation(
-                "cyclic rules through unbounded variable %s%d" % unbounded[0])
-        checked.add(reach)
-        _verify_staircase([by_leader[w] for w in sorted(reach)])
+        checked.add(closure)
+        _verify_staircase([by_leader[w] for w in sorted(closure)])
+
+
+def cyclic_closure(rules, v, variables):
+    """The closure of a replacement for v when it reaches back to v, else
+    None; raises TriangularityViolation when that closure holds a
+    non-leader other than v.
+
+    variables are the replacement's (or those of an entry monic in v);
+    the closure is what those other than v reach through the rules'
+    replacements.  rules need not hold v's own rule: reaching v adds only
+    the replacement's variables, which the closure holds already.
+    """
+    closure = frozenset(_reach(variables - {v}, rules))
+    if v not in closure:
+        return None
+    unbounded = closure - {w for w, _, _ in rules} - {v}
+    if unbounded:
+        raise TriangularityViolation(
+            "cyclic rules through unbounded variable %s%d" % min(unbounded))
+    return closure
 
 
 def _reach(variables, rules):

@@ -26,17 +26,16 @@ the old base, and
      of v-degree < d is divisible by v^d, so it is still normal.
 
 A power rule v^d -> repl (d >= 2) that must close a cycle through an
-unbounded variable is refused before any work on it.  Let the entry be
-c*v^d + (lower in v), normal over the base's rules, and r the variables
-that its variables other than v reach through those rules.  If v is in r
-and so is a non-leader u other than v, with_rule must refuse the rule:
+unbounded variable is refused before any work on it, by the check that
+with_rule makes on v: quotient.cyclic_closure, here called on the base's
+rules and the variables of the entry c*v^d + (lower in v), normal over
+those rules.  Where it refuses, with_rule must refuse the rule:
   1. v is no leader (with_rule refuses a second rule on it at once), so
      repl = v^d - entry/c is normal already, and its variables other
-     than v are the entry's: from them the new rules reach all of r.
-  2. So v's closure under the new rules holds v, a cycle, and u, which is
-     still no leader: the rule on v is the only one added.
-  3. _check_acyclic rejects a cyclic closure with a non-leader, unless
-     with_rule has refused the rule before it gets there.
+     than v are the entry's.
+  2. cyclic_closure reaches the same closure with or without v's rule,
+     so with_rule's call on the new rules and repl's variables refuses
+     too, unless with_rule has refused the rule before it gets there.
 A linear entry (d = 1) is substituted into the rules, where cancellation
 could undo the cycle, so it always takes the exact path.
 
@@ -62,7 +61,7 @@ import itertools
 from operator import itemgetter
 
 from .poly import Poly, mono_sort_key, qdiv, var_degree
-from .quotient import QuotientRing, TriangularityViolation, _reach
+from .quotient import QuotientRing, TriangularityViolation, cyclic_closure
 from .mf import KoszulMF, MFSum
 
 
@@ -128,7 +127,7 @@ def exclude_variable(mf, i, v, side, potential_vars=None, table=None):
     if v in potential_vars:
         raise VariableInPotential("potential contains %s%d" % v)
     if d >= 2:
-        _refuse_unbounded_cycle(mf.base.rules, v, entry)
+        cyclic_closure(mf.base.rules, v, entry.variables())
 
     repl = Poly.var(v, d) - entry * qdiv(1, c)
     base = _transition(mf.base, v, d, repl, {} if table is None else table)
@@ -145,20 +144,6 @@ def exclude_variable(mf, i, v, side, potential_vars=None, table=None):
         return KoszulMF(rows, base, mf.shift + row.internal_shift,
                         mf.parity + 1)
     return KoszulMF(rows, base, mf.shift, mf.parity)
-
-
-def _refuse_unbounded_cycle(rules, v, entry):
-    """Raise TriangularityViolation where with_rule must refuse v^d ->
-    v^d - entry/c, for an entry c*v^d + (lower in v) normal over the
-    rules (the d >= 2 refusal of the module docstring).  Returning proves
-    nothing: with_rule may still refuse the rule."""
-    reach = _reach(entry.variables() - {v}, rules)
-    if v not in reach:
-        return
-    unbounded = reach - {w for w, _, _ in rules} - {v}
-    if unbounded:
-        raise TriangularityViolation(
-            "cyclic rules through unbounded variable %s%d" % min(unbounded))
 
 
 def _transition(base, v, d, repl, table):
@@ -210,8 +195,9 @@ def _exclusion_candidates(mf, potential_vars, order=None):
     """Feasible (row, var, side, power) in deterministic preference order.
 
     A rule's leader is never a candidate: the base cannot take a second
-    rule on it, nor substitute it away.  Nor is a power d >= 2 of v when
-    a replacement has degree >= d in v: with_rule always refuses it.
+    rule on it, nor substitute it away.  Nor is a power d >= 2 of v that
+    would make a rule reducible (QuotientRing.rules_reducible_by):
+    with_rule always refuses it.
     """
     leaders = {w for w, _, _ in mf.base.rules}
     out = []
@@ -226,9 +212,8 @@ def _exclusion_candidates(mf, potential_vars, order=None):
     if order is not None:
         order.shuffle(out)
     # refused after the shuffle, so that a seeded order draws as before
-    rules = mf.base.rules
     return [c for c in out
-            if c[3] < 2 or all(p.degree_in(c[1]) < c[3] for _, _, p in rules)]
+            if c[3] < 2 or not mf.base.rules_reducible_by(c[1], c[3])]
 
 
 def _splittable_variables(mf):
@@ -260,8 +245,9 @@ def _reduce(mf, potential_vars, zero, order, budget, table):
             break
         try:
             nxt = exclude_variable(mf, i, v, side, potential_vars, table)
-        except (TriangularityViolation, VariableInPotential,
-                NotMonicInVariable):
+        except TriangularityViolation:
+            # a candidate is monic in v and v is outside the potential, so
+            # only the new base ring can refuse it
             continue
         if zero:
             budget["branches"] -= 1

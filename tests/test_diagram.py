@@ -87,6 +87,10 @@ def test_semantic_errors_name_their_line():
     with pytest.raises(DiagramError, match="line 4: glue of unknown "
                                            "parameter 'x7'"):
         parse_diagram(head + "glue x2 x7\n")
+    # a name glued to itself is glued twice, before its orientation counts
+    with pytest.raises(DuplicateUse, match="^line 4: parameter 'x1' glued "
+                                           "more than once$"):
+        parse_diagram(head + "glue x1 x1\n")
 
 
 def test_primitive_shifts_and_parities():

@@ -6,8 +6,9 @@ from moycalc.diagram import glue, parse_diagram
 from moycalc.homology import (HomologyResult, NonzeroPotential,
                               euler_characteristic, graded_homology)
 from moycalc.laurent import LaurentPoly, quantum_integer
-from moycalc.mf import MFSum, koszul_new
+from moycalc.mf import KoszulMF, MFSum, koszul_new
 from moycalc.poly import Poly
+from moycalc.quotient import InfiniteDimension, QuotientRing
 from moycalc.reduce import auto_reduce
 
 CIRCLE = "n %d\narc x1 x2\nglue x1 x2\n"
@@ -85,6 +86,13 @@ def test_homology_of_sum_adds():
 def test_nonzero_potential_rejected():
     with pytest.raises(NonzeroPotential):
         graded_homology(koszul_new(Poly.var(X1, 3), Poly.var(X1)))
+
+
+def test_row_free_piece_over_an_infinite_base_is_refused():
+    # Q[x1, x2]/(x1^2 - x2^2) is infinite-dimensional: x2 leads no rule
+    base = QuotientRing().with_rule(X1, 2, Poly.var(("x", 2), 2))
+    with pytest.raises(InfiniteDimension, match="^no bounding rule for x2$"):
+        graded_homology(KoszulMF((), base))
 
 
 def test_homology_stable_under_reduction():

@@ -11,8 +11,11 @@ from moycalc.diagram import glue, parse_diagram
 from moycalc.homology import euler_characteristic, graded_homology
 from moycalc.mf import KoszulMF, KoszulRow, MFSum, koszul_new
 from moycalc.poly import Poly, qdiv
-from moycalc.quotient import QuotientRing, TriangularityViolation
+from moycalc import quotient
+from moycalc.quotient import (QuotientRing, TriangularityViolation,
+                              cyclic_closure)
 from moycalc import reduce as reduce_module
+from moycalc.symm import jacobi_algebra
 from moycalc.reduce import (NotMonicInVariable, ReductionTrace,
                             VariableInPotential, _normalize_rows, _relabel,
                             auto_reduce, canonical_form, exclude_variable,
@@ -219,12 +222,93 @@ def test_early_refusal_is_exactly_with_rules_refusal(workload, items,
             entry = mf.rows[i].b if side == "b" else mf.rows[i].a
             _, c = entry.monic_variables()[var]
             repl = Poly.var(var, d) - entry * qdiv(1, c)
-            early = _refused(lambda: reduce_module._refuse_unbounded_cycle(
-                rules, var, entry))
+            early = _refused(lambda: cyclic_closure(rules, var,
+                                                    entry.variables()))
             assert early == _refused(lambda: mf.base.with_rule(var, d, repl))
             checked += 1
             refused += early
     assert 0 < refused < checked
+
+
+def _check_every_leader(rules, leaders):
+    """The acyclicity check on every leader's closure, whatever leaders
+    says: the reference that with_rule's check of its new leader must
+    match."""
+    by_leader = {v: (v, d, p) for v, d, p in rules}
+    checked = set()
+    for v, _, p in rules:
+        reach = frozenset(quotient._reach(p.variables() - {v}, rules))
+        if v not in reach or reach in checked:
+            continue
+        unbounded = sorted(reach - by_leader.keys())
+        if unbounded:
+            raise TriangularityViolation(
+                "cyclic rules through unbounded variable %s%d" % unbounded[0])
+        checked.add(reach)
+        quotient._verify_staircase([by_leader[w] for w in sorted(reach)])
+
+
+def _rules_or_refusal(step):
+    try:
+        return step().rules
+    except TriangularityViolation as exc:
+        return str(exc)
+
+
+def _ring_steps():
+    """Zero-argument ring operations: every with_rule or substitute that an
+    exclusion candidate of a walked state makes, merges of consecutive
+    walked bases, the Jacobi algebras and hand-built cycles."""
+    first = QuotientRing().with_rule(Y1, 3, 2 * v(Y1) * v(Z1))
+    cycle = first.with_rule(Z1, 2, v(Y1, 2) * v(Z1))
+    # each closes a cycle through the earlier leader y1: by a rule
+    # (accepted), by substitution (refused for its staircase at b = 1/2)
+    # and through the unbounded x1 (refused)
+    yield lambda: first.with_rule(Z1, 2, v(Y1, 2) * v(Z1))
+    for b in (Fraction(1, 2), 1):
+        acyclic = (QuotientRing().with_rule(Y1, 2, 2 * v(Y1) * v(X1))
+                   .with_rule(Y2, 2, b * v(Y1) * v(Y2)))
+        yield lambda acyclic=acyclic: acyclic.substitute(X1, v(Y2))
+    yield lambda: (QuotientRing().with_rule(Y1, 2, v(Y2) * (v(X1) + v(X2)))
+                   .with_rule(Y2, 2, v(Y1) * v(X2)))
+    # a rule that reaches an accepted cycle, and two cycles merged
+    yield lambda: cycle.with_rule(Y2, 2, v(Y1, 2))
+    for n in range(3, 7):
+        yield lambda n=n: jacobi_algebra(n)
+        yield lambda n=n: (jacobi_algebra(n, ("y", 3), ("z", 3))
+                           .merge(cycle))
+    for workload, items, per_item in (("closed-webs", 12, 12),
+                                      ("open-random", 20, 8)):
+        previous = QuotientRing()
+        for mf, potential_vars in _walked_states(workload, items, per_item):
+            base = mf.base
+            yield lambda base=base, previous=previous: base.merge(previous)
+            previous = base
+            for i, var, side, d in reduce_module._exclusion_candidates(
+                    mf, potential_vars):
+                entry = mf.rows[i].b if side == "b" else mf.rows[i].a
+                _, c = entry.monic_variables()[var]
+                repl = Poly.var(var, d) - entry * qdiv(1, c)
+                if d == 1:
+                    yield lambda base=base, var=var, repl=repl: (
+                        base.substitute(var, repl))
+                else:
+                    yield lambda base=base, var=var, d=d, repl=repl: (
+                        base.with_rule(var, d, repl))
+
+
+def test_new_leader_check_equals_the_check_on_every_leader(monkeypatch):
+    # with_rule looks only at its new leader's closure: every ring it,
+    # substitute and merge make, or the refusal they raise, is the one
+    # that checking every leader's closure gives
+    steps = list(_ring_steps())
+    got = [_rules_or_refusal(step) for step in steps]
+    monkeypatch.setattr(quotient, "_check_acyclic", _check_every_leader)
+    assert got == [_rules_or_refusal(step) for step in steps]
+    refusals = [out for out in got if isinstance(out, str)]
+    assert any("staircase" in out for out in refusals)
+    assert any("unbounded" in out for out in refusals)
+    assert len(refusals) < len(got)
 
 
 def _exclude_reference(mf, i, var, side):
