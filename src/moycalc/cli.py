@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .diagram import DiagramError, glue, parse_diagram
+from .diagram import DiagramError, glue, parse_diagram, require_closed
 from .homology import NonzeroPotential, euler_characteristic, graded_homology
 from .laurent import LaurentDivisionError, LaurentPoly, quantum_integer
 from .mf import NotAFactorization, OddShift, ZeroScalar
@@ -144,13 +144,16 @@ def _cmd_reduce(args):
 
 
 def _homology_doc(args):
-    return _homology_of(_read_text(args), args.signed_euler)
+    return _homology_of(_read_text(args), args.signed_euler, args.command)
 
 
-def _homology_of(text, signed):
-    """(n, euler, homology, steps) of a closed diagram's text."""
+def _homology_of(text, signed, command):
+    """(n, euler, homology, steps) of a closed diagram's text; command names
+    the caller in the error for an open diagram."""
     diagram = parse_diagram(text)
-    reduced, trace = auto_reduce(glue(diagram))
+    mf = glue(diagram)    # a crossing is refused first
+    require_closed(diagram, command)
+    reduced, trace = auto_reduce(mf)
     hom = graded_homology(reduced)
     euler = euler_characteristic(hom, signed=signed)
     return diagram.n, euler, hom, len(trace)
@@ -198,6 +201,9 @@ THETA = ("n %d\nvin x1 x2 d1\nvout d2 x3 x4\nglue d1 d2\n"
 
 
 def _cmd_selftest(args):
+    def euler(text):
+        return _homology_of(text, False, "selftest")[1]
+
     checks = []
     failures = 0
     for n in range(3, args.n_max + 1):
@@ -215,9 +221,8 @@ def _cmd_selftest(args):
             checks.append({"n": n, "check": label, "pass": ok,
                            "got": str(got), "want": str(expect)})
 
-        run("circle euler", lambda: _homology_of(CIRCLE % n, False)[1], qn)
-        run("double circle euler",
-            lambda: _homology_of(DCIRCLE % n, False)[1], dval)
+        run("circle euler", lambda: euler(CIRCLE % n), qn)
+        run("double circle euler", lambda: euler(DCIRCLE % n), dval)
         run("circle bracket", lambda: bracket_text(CIRCLE % n), qn)
         run("double circle bracket", lambda: bracket_text(DCIRCLE % n), dval)
         run("theta bracket", lambda: bracket_text(THETA % n),
@@ -226,7 +231,7 @@ def _cmd_selftest(args):
             lambda: all_path_values(
                 MOYGraph.from_diagram(parse_diagram(THETA % n))),
             {qn * quantum_integer(n - 1)})
-        run("theta euler", lambda: _homology_of(THETA % n, False)[1],
+        run("theta euler", lambda: euler(THETA % n),
             qn * quantum_integer(n - 1))
     if args.json:
         print(json.dumps({"checks": checks, "failures": failures}, indent=2))

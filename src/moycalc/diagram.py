@@ -354,6 +354,21 @@ def refuse_crossings(diagram):
                                "resolves crossings" % (p.line, p.kind))
 
 
+def require_closed(diagram, command):
+    """Raise at the first unglued parameter: command needs a closed diagram.
+
+    An open diagram's potential is never zero (its boundary terms lie in
+    distinct variables), so refusing it before any reduction refuses
+    nothing that could succeed.
+    """
+    uses = [diagram.classes[cls][role] for cls, _, role in diagram.boundary()]
+    if uses:
+        p, slot = min(uses, key=lambda use: (use[0].line, use[1]))
+        raise DiagramError(
+            "line %d: %s %s is not glued; %s needs a closed diagram"
+            % (p.line, p.kind, p.params[slot], command))
+
+
 def boundary_potential(diagram):
     """Signed sum of boundary potentials: out minus in."""
     assign = class_variables(diagram)

@@ -5,10 +5,13 @@ A factorization with potential 0 is a 2-periodic complex; its homology
 splits into a parity-0 and a parity-1 part, each with a graded (Poincare)
 dimension recorded as a Laurent polynomial in q.
 
-graded_homology reduces each summand with rows once (auto_reduce) and
-reads every resulting piece: a piece without rows is its base module,
-placed by parity; a piece with rows is computed from its explicit complex,
-degree by degree.
+graded_homology reads each summand exactly as it is given and never
+searches: auto_reduce is the one search, and its callers (the CLI, the
+README example) reduce first.  A summand without rows is its base module,
+placed by parity; a summand with rows is computed from its explicit
+complex, degree by degree.  Either raises InfiniteDimension over an
+infinite base, so an unreduced factorization over one (a glued loop, say)
+must be reduced first.
 """
 
 from collections import Counter
@@ -17,7 +20,6 @@ from .laurent import LaurentPoly
 from .mf import MFSum
 from .poly import Poly, mono_degree
 from .quotient import echelon
-from .reduce import auto_reduce
 
 
 class NonzeroPotential(ValueError):
@@ -56,7 +58,9 @@ def graded_homology(obj):
     summands = obj if isinstance(obj, MFSum) else MFSum([obj])
     total = HomologyResult()
     for mf in summands:
-        total = total + _summand_homology(mf)
+        if not mf.potential().is_zero():
+            raise NonzeroPotential("potential is %s" % mf.potential())
+        total = total + _piece_homology(mf)
     return total
 
 
@@ -68,19 +72,9 @@ def euler_characteristic(obj, signed=False):
     return h.poincare0 + h.poincare1
 
 
-def _summand_homology(mf):
-    if not mf.potential().is_zero():
-        raise NonzeroPotential("potential is %s" % mf.potential())
-    pieces = auto_reduce(mf)[0] if mf.rows else [mf]
-    total = HomologyResult()
-    for piece in pieces:
-        total = total + _piece_homology(piece)
-    return total
-
-
 def _piece_homology(mf):
-    """A reduced piece: its base module when no row is left, else the
-    explicit complex; InfiniteDimension over an infinite base either way."""
+    """A summand: its base module when it has no rows, else the explicit
+    complex; InfiniteDimension over an infinite base either way."""
     if mf.rows:
         return _explicit_homology(mf)
     mf.base.require_bounded(mf.ambient_variables())
@@ -106,17 +100,17 @@ def _explicit_homology(mf):
 
 def _module_basis(monos, gens):
     """Basis vectors ((mono, gen index), degree) of a free graded module."""
-    out = []
-    for j, gdeg in enumerate(gens):
-        for mono in monos:
-            out.append(((mono, j), mono_degree(mono) + gdeg))
-    return out
+    return [((mono, j), mono_degree(mono) + gdeg)
+            for j, gdeg in enumerate(gens) for mono in monos]
 
 
 def _graded_ranks(mat, base, src_basis, tgt_basis):
     """Ranks of mat restricted to each source degree and to each target
     degree, as two series: the rank in degree t is the coefficient of q^t.
 
+    mat has one degree (to_explicit's maps do), so the columns of one
+    source degree are exactly those of one target degree: each group is
+    ranked once, and its target degree is read from its first column.
     A basis vector's image is {target row: coefficient}, each an exact int
     or Fraction read from the normal forms' terms.
     """
@@ -124,7 +118,7 @@ def _graded_ranks(mat, base, src_basis, tgt_basis):
     by_col = {}
     for (i, j), entry in mat.entries.items():
         by_col.setdefault(j, []).append((i, entry))
-    by_src, by_tgt = {}, {}
+    by_src = {}
     for (mono, j), deg in src_basis:
         m = Poly({mono: 1})
         col = {}
@@ -135,8 +129,7 @@ def _graded_ranks(mat, base, src_basis, tgt_basis):
         col = {r: c for r, c in col.items() if c}
         if col:
             by_src.setdefault(deg, []).append(col)
-            by_tgt.setdefault(tgt_basis[next(iter(col))][1], []).append(col)
-    return tuple(LaurentPoly({t: len(echelon(cols))
-                              for t, cols in group.items()})
-                 for group in (by_src, by_tgt))
-
+    ranks = {deg: len(echelon(cols)) for deg, cols in by_src.items()}
+    return LaurentPoly(ranks), LaurentPoly({
+        tgt_basis[next(iter(by_src[deg][0]))][1]: rank
+        for deg, rank in ranks.items()})

@@ -75,7 +75,8 @@ not a heuristic, and it lives only as long as one bracket_text call.
 from collections import Counter, defaultdict
 from functools import lru_cache
 
-from .diagram import CROSSINGS, DiagramError, parse_diagram, refuse_crossings
+from .diagram import (CROSSINGS, parse_diagram, refuse_crossings,
+                      require_closed)
 from .laurent import LaurentPoly, quantum_integer
 
 # the port at each parameter slot of a vin or vout piece
@@ -202,11 +203,7 @@ def _build(diagram):
     edge, under an id of its own that add_vertex never hands out.  One
     splice removes the wires and counts the loops they close.
     """
-    uses = [diagram.classes[cls][role] for cls, _, role in diagram.boundary()]
-    if uses:
-        p, slot = min(uses, key=lambda use: (use[0].line, use[1]))
-        raise DiagramError("line %d: %s %s is not glued; bracket needs a "
-                           "closed diagram" % (p.line, p.kind, p.params[slot]))
+    require_closed(diagram, "bracket")
     g = MOYGraph(diagram.n)
     endpoint = {}     # (piece, slot) -> (vid, port)
     pairs = []        # (vin, vout) of each crossing

@@ -146,6 +146,25 @@ def test_open_bracket_names_the_first_unglued_parameter(tmp_path, capsys):
                           "bracket needs a closed diagram" % path)
 
 
+@pytest.mark.parametrize("command", ["euler", "homology"])
+def test_open_diagram_is_refused_with_its_line(command, tmp_path, monkeypatch,
+                                               capsys):
+    # an open diagram's potential is never zero, so it is refused before
+    # any search; a crossing is still named first
+    monkeypatch.setattr(cli, "auto_reduce",
+                        lambda mf: pytest.fail("open diagram was reduced"))
+    path = tmp_path / "open.moy"
+    path.write_text("n 3\narc x1 x2\n")
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: %s: line 2: arc x1 is not glued; %s needs a closed diagram\n"
+        % (path, command))
+    path.write_text("n 3\narc x5 x6\n" + KINK[len("n 3\n"):])
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: %s: line 3: xplus"
+                                              % path)
+
+
 @pytest.mark.parametrize("command", ["euler", "build"])
 def test_crossing_outside_bracket_is_domain_error(command, tmp_path, capsys):
     path = tmp_path / "kink.moy"

@@ -1,5 +1,5 @@
 """The sparse eliminator against sympy: normal forms, ranks, staircases,
-and the ranks of explicit homology.
+the ranks of explicit homology, and homology before and after reduction.
 
 sympy is a test-only oracle; these tests are skipped without it.
 """
@@ -10,12 +10,13 @@ from fractions import Fraction
 import pytest
 
 from moycalc.homology import (HomologyResult, _explicit_homology,
-                              euler_characteristic)
+                              euler_characteristic, graded_homology)
 from moycalc.laurent import LaurentPoly
 from moycalc.mf import KoszulMF, KoszulRow, koszul_new
 from moycalc.poly import Poly, mono_degree, var_degree
 from moycalc.quotient import (QuotientRing, TriangularityViolation,
                               _monomials_of_degree, echelon, reduce_vector)
+from moycalc.reduce import auto_reduce
 from moycalc.symm import jacobi_algebra
 
 sympy = pytest.importorskip("sympy")
@@ -244,3 +245,17 @@ def test_explicit_homology_matches_dense_ranks():
         assert h == dense_homology(m), m
         nonzero += euler_characteristic(h).evaluate_at_one() != 0
     assert nonzero >= 20
+
+
+def test_homology_stable_under_reduction():
+    # the search's pieces against the unreduced factorization, both read
+    # by graded_homology and by dense ranks, over finite bases
+    rng = random.Random("reduction-keeps-homology")
+    split = 0
+    for _ in range(60):
+        m = random_residue(rng)
+        reduced, trace = auto_reduce(m)
+        assert (graded_homology(m) == graded_homology(reduced)
+                == dense_homology(m)), m
+        split += any(kind == "split" for kind, _ in trace.steps)
+    assert split >= 20

@@ -2,14 +2,17 @@
 
 import pytest
 
+from moycalc import reduce as reduce_module
 from moycalc.diagram import glue, parse_diagram
 from moycalc.homology import (HomologyResult, NonzeroPotential,
                               euler_characteristic, graded_homology)
 from moycalc.laurent import LaurentPoly, quantum_integer
 from moycalc.mf import KoszulMF, MFSum, koszul_new
+from moycalc.moybracket import bracket_text
 from moycalc.poly import Poly
 from moycalc.quotient import InfiniteDimension, QuotientRing
 from moycalc.reduce import auto_reduce
+from test_reduce import _load_workloads
 
 CIRCLE = "n %d\narc x1 x2\nglue x1 x2\n"
 DCIRCLE = "n %d\ndline d1 d2\nglue d1 d2\n"
@@ -18,7 +21,9 @@ X1 = ("x", 1)
 
 
 def _loop(n, template=CIRCLE):
-    return glue(parse_diagram(template % n))
+    # graded_homology reads what it is given: reduce first, as the CLI does
+    (piece,), _ = auto_reduce(glue(parse_diagram(template % n)))
+    return piece
 
 
 def test_circle_homology():
@@ -68,7 +73,7 @@ def test_kunneth_for_disjoint_loops():
     n = 3
     two = ("n 3\narc x1 x2\nglue x1 x2\n"
            "arc x3 x4\nglue x3 x4\n")
-    h = graded_homology(glue(parse_diagram(two)))
+    h = graded_homology(auto_reduce(glue(parse_diagram(two)))[0])
     qn = quantum_integer(n)
     # parity 1 + parity 1 lands in parity 0
     assert h.poincare0 == qn * qn
@@ -95,11 +100,33 @@ def test_row_free_piece_over_an_infinite_base_is_refused():
         graded_homology(KoszulMF((), base))
 
 
-def test_homology_stable_under_reduction():
-    for text in (CIRCLE % 4, DCIRCLE % 4):
-        m = glue(parse_diagram(text))
-        reduced, _ = auto_reduce(m)
-        assert graded_homology(reduced) == graded_homology(m)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_closed_webs_homology_law(seed, monkeypatch):
+    # every reduced closed web either has its bracket as homology, all in
+    # the parity of its strand count, or raises InfiniteDimension; homology
+    # reads the pieces it is given and never searches again
+    workloads = _load_workloads()
+    items = workloads.corpus(workloads.WORKLOADS["closed-webs"], seed, 84)
+    reduced = [auto_reduce(glue(parse_diagram(item.text)))[0]
+               for item in items]
+
+    def no_search(*args):
+        raise AssertionError("graded_homology searched")
+
+    monkeypatch.setattr(reduce_module, "_reduce", no_search)
+    infinite = 0
+    for item, pieces in zip(items, reduced):
+        try:
+            h = graded_homology(pieces)
+        except InfiniteDimension:
+            infinite += 1
+            continue
+        strands = sum(line.startswith("arc ")
+                      for line in item.text.splitlines())
+        parts = (h.poincare0, h.poincare1)
+        assert parts[strands % 2] == bracket_text(item.text), item.text
+        assert parts[1 - strands % 2] == LaurentPoly(), item.text
+    assert infinite == 28
 
 
 def test_result_equality_and_str():

@@ -56,7 +56,6 @@ def test_tracer_restores_the_names_it_rebinds():
             ("moycalc.diagram", "power_sum_at"),
             ("moycalc.diagram", "uv_polys"),
             ("moycalc.homology", "_explicit_homology"),
-            ("moycalc.homology", "auto_reduce"),
             ("moycalc.homology", "graded_homology"),
             ("moycalc.laurent", "LaurentPoly", "__mul__"),
             ("moycalc.laurent", "LaurentPoly", "__rmul__"),
