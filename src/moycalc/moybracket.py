@@ -23,21 +23,41 @@ Every leaf of the rewrite tree is then worth
 
 so the walk multiplies no polynomials: it counts the leaves by their
 exponent tuples (k, a, b, c, ls, ld), and the value is the sum over the
-distinct tuples, each multiplied out once from powers cached per n.
+distinct tuples.  Each product [2]^a [n-1]^b [n-2]^c [n]^ls D^ld is
+multiplied out once per n, from powers cached per n.
 
 Building a graph from a diagram is one splice: arcs and dlines are wires
 that the splice absorbs into the edges they carry, or counts as loops.
 A crossing piece (xplus/xminus) is built as its wide edge, and its arcs
 resolution is a splice of that vin/vout pair.
 
-Many resolutions are the same graph under other vertex ids.  Every
-choice the walk makes reads only the order of the ids, their kinds, the
-edges' ports and the loop counts: the matchers scan the ids in sorted
-order, a square orders its two candidates by id, and a splice deletes
-vertices but never makes one.  So two resolutions with equal
+Many graphs a walk meets are the same graph under other vertex ids.
+Every choice the walk makes reads only the order of the ids, their
+kinds, the edges' ports and the loop counts: the matchers scan the ids
+in sorted order, a square orders its two candidates by id, and a splice
+deletes vertices but never makes one.  Take two graphs with equal
 order-relative keys (_resolution_key: the loop counts, then per vertex
-in id order its out-edges as ranks) make the same rewrites and reach the
-same leaves.
+in id order its out-edges as ranks), so that an order-preserving
+renaming of the ids maps one onto the other.  Both make the same
+rewrite, at vertices matched by the renaming, with the same factors.
+Each term splices matched vertices with matched stitches, so it counts
+the same loops and leaves two graphs that the same renaming, restricted
+to the vertices left, again maps onto each other: their keys are equal
+again.  By induction on the vertex count, two graphs with equal keys,
+resolutions or any graph a walk reaches, make the same rewrites and
+reach the same leaves, counted from the exponents each was reached with.
+
+So the walks of one bracket_text or bracket call share their sub-walks
+by key.  A walk returns the leaves of its graph counted from that graph,
+and looks every graph on its way up in a memo that lives for the call
+and dies with it.  A miss enters the graph with the exponents reached so
+far and the Counter that collects its leaves; a hit adds the stored
+leaves at the current exponents and ends that branch.  A graph is
+entered before its subtree is finished, but nothing in its subtree can
+hit it, since every rewrite deletes vertices and equal keys mean equal
+vertex counts.  The walk loops along single-term rewrites (digon, bigon)
+and recurses only into the terms of a sum but the last, as a walk
+without a memo does, so its depth does not grow.
 
 bracket_text builds the graph once and resolves its crossings one level
 at a time, in piece order, without ever building all 2^c resolutions.
@@ -47,9 +67,9 @@ graph and a Counter of skein starts {k: sign} summed over every way of
 reaching it.  A state's arcs child splices the crossing's pair on a
 copy, and its starts gain ±(n-1) in k; the wide child is the state's own
 graph under the parent's key, and its starts gain ±n in k and flip sign.
-After the last level each distinct resolution is walked once from
-(q^0, +1), and its leaves are shifted by its starts before all are
-evaluated together.
+After the last level each distinct resolution is walked once, under
+the key its level already holds, and its leaves are shifted by its
+starts before all are evaluated together.
 
 The plain key is enough to merge on.  _build numbers the vertices in
 piece order, so every resolved crossing's ids lie below the ids of every
@@ -66,10 +86,13 @@ of resolutions lies below.
 A parent's arcs child comes before its wide child, and the parents of a
 level come in the order of their smallest resolution prefix (arcs before
 wide, the first crossing outermost); so does each key's first
-appearance.  Hence the walks, and the graph a StuckGraph names, are the
-first resolution of each key in the order of expand_crossings, exactly
-as if every resolution were built and walked.  The sharing is exact,
-not a heuristic, and it lives only as long as one bracket_text call.
+appearance.  Hence the walks are of the first resolution of each key
+in the order of expand_crossings.  A stuck graph raises StuckGraph and
+ends the call; a memo hit is always a finished subtree, so it stuck
+nowhere, and the graph a StuckGraph names is the first stuck graph in
+expand_crossings order, exactly as if every resolution were built and
+walked without sharing.  The sharing is exact, not a heuristic, and it
+lives only as long as one call.
 """
 
 from collections import Counter, defaultdict
@@ -256,11 +279,16 @@ TWO, N_MINUS_1, N_MINUS_2, LOOP, DOUBLE_LOOP = range(1, 6)
 
 @lru_cache(maxsize=512)
 def _power(n, slot, e):
-    """The factor at index slot of a leaf's exponents, to the power e."""
+    """The factor at index slot of a leaf's exponents, to the power e >= 1,
+    by repeated squaring."""
+    if e > 1:
+        half = _power(n, slot, e // 2)
+        square = half * half
+        return square * _power(n, slot, 1) if e % 2 else square
     if slot == DOUBLE_LOOP:
-        return double_loop_value(n) ** e
+        return double_loop_value(n)
     return quantum_integer({TWO: 2, N_MINUS_1: n - 1, N_MINUS_2: n - 2,
-                            LOOP: n}[slot]) ** e
+                            LOOP: n}[slot])
 
 
 def _digon_matches(graph):
@@ -351,34 +379,87 @@ def bracket(graph, first_match=None):
     first_match optionally forces the first rewrite, as a pair
     (relation name, match tuple) — used to compare rewrite paths.
     """
-    leaves = Counter()
-    _count_leaves(graph.copy(), leaves, 1, [0, 0, 0, 0], first_match)
-    return _evaluate(graph.n, leaves)
+    leaves = _walk(graph.copy(), {}, first_match=first_match)
+    return _evaluate(graph.n, {(0, *powers): count
+                               for powers, count in leaves.items()})
 
 
-def _count_leaves(graph, leaves, sign, exps, first_match=None):
-    """Rewrite graph in place down to free loops, adding sign to leaves[t]
-    for the exponent tuple t of every leaf.
+def _walk(graph, memo, key=None, first_match=None):
+    """Rewrite graph in place down to free loops and return its leaves: a
+    Counter of their exponent tuples (a, b, c, ls, ld), with a, b and c
+    counted from graph.
 
-    exps holds the exponents (k, a, b, c) reached so far and is updated in
-    place.  Each term but the last of a sum is walked, in full, on a copy.
+    memo maps the key of every graph entered so far in one call to (acc,
+    base): that graph's leaves are those counted in acc, less base in a,
+    b and c.  key is graph's own, when the caller has it.  Each graph on
+    the way is looked up by its key: a hit adds the stored leaves at the
+    exponents reached so far and ends the walk; a miss enters the graph
+    with those exponents, since every leaf counted in acc from then on
+    lies below it.  A sum's last term is walked in place, collected in a
+    fresh Counter that joins acc at its offset when the walk ends; every
+    other term is walked, in full, on a copy.  The graph that first_match
+    is forced on is not entered: its leaves along another path need not
+    be those of its own walk, only their sum is.
     """
+    acc, exps = Counter(), (0, 0, 0)
+    outer = []          # (acc, exps) that each fresh Counter joins
     while graph.vertices:
+        if first_match is None:
+            if key is None:
+                key = _resolution_key(graph)
+            hit = memo.get(key)
+            if hit is not None:
+                _add(acc, exps, *hit)
+                break
+            memo[key] = (acc, exps)
+            key = None
         name, match = first_match or _next_rewrite(graph)
         first_match = None
         vids, terms = RELATIONS[name][1](graph, match)
-        for slot, stitches in terms[:-1]:
+        *others, (slot, stitches) = terms
+        for other_slot, other_stitches in others:
             g = graph.copy()
-            g.splice(vids, stitches)
-            branch = list(exps)
-            if slot:
-                branch[slot] += 1
-            _count_leaves(g, leaves, sign, branch)
-        slot, stitches = terms[-1]
+            g.splice(vids, other_stitches)
+            _add(acc, _raised(exps, other_slot), _walk(g, memo))
         graph.splice(vids, stitches)
-        if slot:
-            exps[slot] += 1
-    leaves[(*exps, graph.loops_single, graph.loops_double)] += sign
+        exps = _raised(exps, slot)
+        if others:
+            outer.append((acc, exps))
+            acc, exps = Counter(), (0, 0, 0)
+    else:
+        acc[(*exps, graph.loops_single, graph.loops_double)] += 1
+    while outer:
+        parent, offset = outer.pop()
+        _add(parent, offset, acc)
+        acc = parent
+    return acc
+
+
+def _raised(exps, slot):
+    """exps (a, b, c) with the exponent of the factor at slot raised by one
+    (None: the coefficient 1)."""
+    if not slot:
+        return exps
+    out = list(exps)
+    out[slot - 1] += 1
+    return tuple(out)
+
+
+def _add(acc, exps, leaves, base=(0, 0, 0)):
+    """Count into acc the leaves less base plus exps in a, b, c."""
+    da, db, dc = (e - b for e, b in zip(exps, base))
+    for (a, b, c, ls, ld), count in leaves.items():
+        acc[(a + da, b + db, c + dc, ls, ld)] += count
+
+
+@lru_cache(maxsize=512)
+def _product(n, powers):
+    """[2]^a [n-1]^b [n-2]^c [n]^ls D^ld for powers (a, b, c, ls, ld)."""
+    value = LaurentPoly({0: 1})
+    for slot, e in enumerate(powers, 1):
+        if e:
+            value = value * _power(n, slot, e)
+    return value
 
 
 def _evaluate(n, leaves):
@@ -389,11 +470,7 @@ def _evaluate(n, leaves):
         shifts[tuple(powers)][k] += count
     total = LaurentPoly()
     for powers, terms in shifts.items():
-        value = LaurentPoly(terms)
-        for slot, e in enumerate(powers, 1):
-            if e:
-                value = value * _power(n, slot, e)
-        total = total + value
+        total = total + LaurentPoly(terms) * _product(n, powers)
     return total
 
 
@@ -476,9 +553,10 @@ def _bracket_leaves(diagram):
     The crossings are resolved level by level in piece order, and equal
     partial states are merged: a level maps each key to its first graph
     and its summed skein starts {k: sign}.  Then each distinct resolution
-    is walked once, in the order its key first appeared, and its leaves
-    are shifted by its starts.  That is the order of its first resolution
-    in expand_crossings, so StuckGraph names the graph a walk of every
+    is walked once under that key, in the order its key first appeared,
+    with one memo shared by all the walks, and its leaves are shifted by
+    its starts.  That is the order of its first resolution in
+    expand_crossings, so StuckGraph names the graph a walk of every
     resolution would stop at.
     """
     graph, pairs = _build(diagram)
@@ -502,13 +580,12 @@ def _bracket_leaves(diagram):
                 for k, sign in starts.items():
                     acc[k + shift] += flip * sign
         level = merged
+    memo = {}
     total = Counter()
-    for g, starts in level.values():
-        leaves = Counter()
-        _count_leaves(g, leaves, 1, [0, 0, 0, 0])
-        for (k, *powers), count in leaves.items():
-            for k0, sign in starts.items():
-                total[(k + k0, *powers)] += sign * count
+    for key, (g, starts) in level.items():
+        for powers, count in _walk(g, memo, key).items():
+            for k, sign in starts.items():
+                total[(k, *powers)] += sign * count
     return total
 
 
@@ -517,8 +594,8 @@ def bracket_text(text):
 
     The graph is built once, its crossings are resolved level by level
     with equal partial states merged, and each distinct resolution is
-    walked once (_bracket_leaves); all their leaves are evaluated
-    together.
+    walked once, the walks sharing their sub-walks by key
+    (_bracket_leaves); all their leaves are evaluated together.
     """
     d = parse_diagram(text)
     return _evaluate(d.n, _bracket_leaves(d))

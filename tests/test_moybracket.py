@@ -3,6 +3,7 @@
 import itertools
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -13,7 +14,7 @@ from moycalc.laurent import LaurentPoly, quantum_integer
 from moycalc import moybracket
 from moycalc.moybracket import (N_MINUS_1, N_MINUS_2, RELATIONS, TWO,
                                 MOYGraph, StuckGraph, _bracket_leaves, _build,
-                                _count_leaves, _resolution_key,
+                                _next_rewrite, _resolution_key,
                                 _square_matches, all_path_values, bracket,
                                 bracket_text, expand_crossings)
 from moycalc.reduce import auto_reduce
@@ -511,6 +512,30 @@ def test_sigma_power_copies_one_graph_per_state(counted_copies):
         assert len(copies) - len(squares) == c * (c + 1) // 2
 
 
+def _count_leaves(graph, leaves, sign, exps):
+    """Rewrite graph in place down to free loops, adding sign to leaves[t]
+    for the exponent tuple t of every leaf: the walk without a memo.
+
+    exps holds the exponents (k, a, b, c) reached so far and is updated in
+    place.  Each term but the last of a sum is walked, in full, on a copy.
+    """
+    while graph.vertices:
+        name, match = _next_rewrite(graph)
+        vids, terms = RELATIONS[name][1](graph, match)
+        for slot, stitches in terms[:-1]:
+            g = graph.copy()
+            g.splice(vids, stitches)
+            branch = list(exps)
+            if slot:
+                branch[slot] += 1
+            _count_leaves(g, leaves, sign, branch)
+        slot, stitches = terms[-1]
+        graph.splice(vids, stitches)
+        if slot:
+            exps[slot] += 1
+    leaves[(*exps, graph.loops_single, graph.loops_double)] += sign
+
+
 def _every_resolution_walked(diagram):
     """The leaves of every resolution, each spliced on its own copy of the
     built graph and walked from its skein start: no tree, no sharing."""
@@ -547,24 +572,79 @@ def test_shared_walks_count_the_leaves_of_every_resolution():
     assert stuck >= 2
 
 
+def _load_workloads():
+    # test_reduce imports this module, so its loader is imported late
+    from test_reduce import _load_workloads
+    return _load_workloads()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_shared_walks_on_the_links_corpus(seed):
+    # the links benchmark's first 192 items: walks that share sub-walks by
+    # key count the leaves of every resolution walked on its own, and a
+    # stuck item names the same graph in the same message
+    workloads = _load_workloads()
+    stuck = 0
+    for item in workloads.corpus(workloads.WORKLOADS["links"], seed, 192):
+        d = parse_diagram(item.text)
+        expected = _outcome(_every_resolution_walked, d)
+        assert _outcome(_bracket_leaves, d) == expected, item.text
+        stuck += isinstance(expected, str)
+    assert stuck == 13
+
+
+def test_shared_walks_on_trivalent_closed_webs():
+    # the vin/vout and dline spellings of 40 closed-webs items: one
+    # resolution each, whose walk shares the terms of its squares by key
+    workloads = _load_workloads()
+    for item in workloads.corpus(workloads.WORKLOADS["closed-webs"], 1, 40):
+        header, (_, *trivalent) = _spellings(item.text)
+        for pieces, glues in trivalent:
+            d = parse_diagram("\n".join([header] + pieces + glues) + "\n")
+            expected = _outcome(_every_resolution_walked, d)
+            assert _outcome(_bracket_leaves, d) == expected, item.text
+
+
+def _two_power(e):
+    """[2]^e from the binomial theorem."""
+    return LaurentPoly({e - 2 * j: comb(e, j) for j in range(e + 1)})
+
+
+def test_long_wide_chains_do_not_recurse_per_rewrite():
+    # the closure of W0^k on two strands is [2]^(k-1) [n][n-1]; the walk
+    # loops along its digons, so 1500 wide edges raise no RecursionError,
+    # nor do they below two positive crossings, whose skein sum multiplies
+    # the value by (q^(n-1) - q^n [2])^2 = q^(2n+2)
+    for n in (3, 4, 5):
+        for k in (1, 2, 5, 40):
+            value = bracket_text(_closure_text(n, 2, [("wide", 0)] * k))
+            assert value == (_two_power(k - 1) * quantum_integer(n)
+                             * quantum_integer(n - 1))
+    chain = [("wide", 0)] * 1500
+    expected = _two_power(1499) * quantum_integer(3) * quantum_integer(2)
+    assert bracket_text(_closure_text(3, 2, chain)) == expected
+    twisted = _closure_text(3, 2, [("xplus", 0)] * 2 + chain)
+    assert bracket_text(twisted) == LaurentPoly({8: 1}) * expected
+
+
 @pytest.fixture
 def counted_walks(monkeypatch):
-    """The keys of the graphs _count_leaves is called on from outside
+    """The keys of the graphs moybracket._walk is called on from outside
     itself: one per walk of a resolution."""
     walks = []
     depth = [0]
-    count_leaves = moybracket._count_leaves
+    walk = moybracket._walk
 
-    def counted(graph, *args):
+    def counted(graph, *args, **kwargs):
         if not depth[0]:
             walks.append(_resolution_key(graph))
         depth[0] += 1
         try:
-            count_leaves(graph, *args)
+            return walk(graph, *args, **kwargs)
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(moybracket, "_count_leaves", counted)
+    monkeypatch.setattr(moybracket, "_walk", counted)
     return walks
 
 
