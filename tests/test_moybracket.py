@@ -481,35 +481,124 @@ def _state_keys(diagram, depth):
     return [_resolution_key(g) for g in _partial_states(diagram, depth)[0]]
 
 
+def _new_arcs_keys(diagram, crossings):
+    """How many keys first appear on their level as an arcs child.
+
+    At each depth _state_keys lists the arcs child of every state of the
+    level above, then its wide child, so a key's first index is even
+    when it first appears as an arcs child."""
+    new = 0
+    for depth in range(1, crossings + 1):
+        first = {}
+        for i, key in enumerate(_state_keys(diagram, depth)):
+            first.setdefault(key, i)
+        new += sum(i % 2 == 0 for i in first.values())
+    return new
+
+
 def test_bracket_text_copies_once_per_partial_state(counted_copies):
-    # one copy per distinct partial state, with 0..c-1 crossings resolved,
-    # for its arcs branch (its wide branch takes the state's own graph),
-    # and one more for the first term of each square walked
+    # one copy per key that first appears on its level as an arcs child
+    # (a wide child takes its parent's own graph, and an arcs child whose
+    # key the level already holds is never built), and one more for the
+    # first term of each square walked
     copies, squares = counted_copies
     for n, strands, spec, value in PINNED:
         if value is None:
             continue
         text = _closure_text(n, strands, _word(spec))
         d = parse_diagram(text)
-        states = sum(len(set(_state_keys(d, depth)))
-                     for depth in range(len(_word(spec))))
+        c = len(_word(spec))
+        states = sum(len(set(_state_keys(d, depth))) for depth in range(c))
+        new = _new_arcs_keys(d, c)
         before = len(squares)
         copies.clear()
         bracket_text(text)
-        assert len(copies) == states + len(squares) - before
-        assert states < 2 ** len(_word(spec)) - 1
+        assert len(copies) == new + len(squares) - before
+        assert new < states < 2 ** c - 1
     assert squares
 
 
 def test_sigma_power_copies_one_graph_per_state(counted_copies):
     # at depth d the closure of s1^c has d + 1 partial states, one per
-    # count of arcs crossings, so its c levels copy c(c+1)/2 graphs
+    # count of arcs crossings; only the all-arcs state's arcs child is new
+    # to its level, so its c levels copy c graphs, not c(c+1)/2
     copies, squares = counted_copies
     for c in range(1, 8):
         copies.clear()
         squares.clear()
         bracket_text(_closure_text(4, 2, [("xplus", 0)] * c))
-        assert len(copies) - len(squares) == c * (c + 1) // 2
+        assert len(copies) - len(squares) == c
+
+
+def _permuted_closures():
+    """Closures of one crossing letter, alone or beside one wide letter,
+    on 2-4 strands, with the top of strand i glued to the bottom of
+    strand perm[i] for every permutation perm."""
+    texts = []
+    for strands in (2, 3, 4):
+        rows = range(strands - 1)
+        words = [[(kind, i)] for kind in CROSSINGS for i in rows]
+        words += [[("xplus", i), ("wide", j)] for i in rows for j in rows]
+        words += [[("wide", j), ("xminus", i)] for i in rows for j in rows]
+        for word in words:
+            body = _closure_text(4, strands, word).splitlines()
+            closing = [line.split() for line in body[-strands:]]
+            for perm in itertools.permutations(range(strands)):
+                glues = ["glue %s %s" % (closing[i][1], closing[j][2])
+                         for i, j in enumerate(perm)]
+                texts.append("\n".join(body[:-strands] + glues) + "\n")
+    return texts
+
+
+def test_arcs_key_is_the_key_of_the_spliced_graph():
+    # on every partial state, the arcs child's key spliced on the parent's
+    # key equals the key of the parent's graph copied and spliced; the
+    # vin's key tail and its count of vertices above are fixed per level
+    workloads = _load_workloads()
+    texts = [item.text for seed in (1, 2) for item in
+             workloads.corpus(workloads.WORKLOADS["links"], seed, 192)]
+    texts += [_closure_text(n, strands, _word(spec))
+              for n, strands, spec, _ in PINNED]
+    rng = random.Random(31)
+    for _ in range(60):
+        strands = rng.randint(2, 4)
+        word = [(rng.choice(("xplus", "xminus", "wide")),
+                 rng.randrange(strands - 1))
+                for _ in range(rng.randint(1, 8))]
+        texts.append(_closure_text(rng.randint(3, 5), strands, word))
+    permuted = _permuted_closures()
+    cases = Counter()
+    for text in texts + permuted:
+        d = parse_diagram(text)
+        crossings = sum(p.kind in CROSSINGS for p in d.pieces)
+        for depth in range(crossings):
+            graphs, pairs = _partial_states(d, depth)
+            win, wout = pairs[depth]
+            fixed = set()
+            for g in graphs:
+                key = _resolution_key(g)
+                vids = sorted(g.vertices)
+                r = vids.index(win)
+                pos = 2 + sum(1 if g.vertices[v] == "vin" else 2
+                              for v in vids[:r])
+                fixed.add((len(key) - pos, len(vids) - r))
+                arcs = g.copy()
+                arcs.splice((win, wout), [((win, port), (wout, port))
+                                          for port in ("s0", "s1")])
+                assert moybracket._arcs_key(key, pos, r) == \
+                    _resolution_key(arcs), text
+                t0, t1 = key[pos + 1] - 2 * r, key[pos + 2] - 2 * r
+                cases["s0 -> s0"] += t0 == 0
+                cases["s1 -> s1"] += t1 == 1
+                cases["crossed"] += (t0, t1) == (1, 0)
+                cases["one-sided"] += (t0 == 1) != (t1 == 0)
+            assert len(fixed) == 1, text
+    assert all(cases[case] for case in
+               ("s0 -> s0", "s1 -> s1", "crossed", "one-sided")), cases
+    for text in permuted:
+        d = parse_diagram(text)
+        assert _outcome(_bracket_leaves, d) == \
+            _outcome(_every_resolution_walked, d), text
 
 
 def _count_leaves(graph, leaves, sign, exps):
@@ -625,6 +714,60 @@ def test_long_wide_chains_do_not_recurse_per_rewrite():
     assert bracket_text(_closure_text(3, 2, chain)) == expected
     twisted = _closure_text(3, 2, [("xplus", 0)] * 2 + chain)
     assert bracket_text(twisted) == LaurentPoly({8: 1}) * expected
+
+
+def test_walks_key_nothing_on_a_single_chain(monkeypatch):
+    # the closure of W0^1500 is one resolution with no square: no graph
+    # its walk reaches can meet another, so the level's key is the only one
+    keys = []
+    key = moybracket._resolution_key
+
+    def counted(graph):
+        keys.append(len(graph.vertices))
+        return key(graph)
+
+    monkeypatch.setattr(moybracket, "_resolution_key", counted)
+    expected = _two_power(1499) * quantum_integer(3) * quantum_integer(2)
+    assert bracket_text(_closure_text(3, 2, [("wide", 0)] * 1500)) == expected
+    assert len(keys) <= 1
+
+
+def test_keying_fewer_graphs_loses_no_hit(monkeypatch):
+    # a walk that keys only graphs another graph can meet makes exactly
+    # the rewrites of one that keys every graph it reaches; the terms of a
+    # square meet again on the wide-letter closures
+    workloads = _load_workloads()
+    texts = [item.text for item in
+             workloads.corpus(workloads.WORKLOADS["links"], 1, 192)]
+    texts += [_closure_text(n, strands, _word(spec))
+              for n, strands, spec, _ in PINNED]
+    rng = random.Random(32)
+    for _ in range(60):
+        strands = rng.randint(3, 4)
+        texts.append(_closure_text(
+            rng.randint(3, 5), strands,
+            [("wide", rng.randrange(strands - 1))
+             for _ in range(rng.randint(4, 10))]))
+    rewrites = []
+    walk, next_rewrite = moybracket._walk, moybracket._next_rewrite
+
+    def counted(graph):
+        rewrites[-1] += 1
+        return next_rewrite(graph)
+
+    def keying_all(graph, memo, sizes, limit, *args, **kwargs):
+        return walk(graph, memo, sizes, len(graph.vertices), *args, **kwargs)
+
+    monkeypatch.setattr(moybracket, "_next_rewrite", counted)
+    outcomes = []
+    for every in (False, True):
+        if every:
+            monkeypatch.setattr(moybracket, "_walk", keying_all)
+        rewrites.append(0)
+        outcomes.append([_outcome(_bracket_leaves, parse_diagram(text))
+                         for text in texts])
+    assert outcomes[0] == outcomes[1]
+    assert rewrites[0] == rewrites[1] > 0
 
 
 @pytest.fixture
