@@ -49,29 +49,15 @@ reach the same leaves, counted from the exponents each was reached with.
 
 So the walks of one bracket_text or bracket call share their sub-walks
 by key.  A walk returns the leaves of its graph counted from that graph,
-and keeps a memo that lives for the call and dies with it.  A miss
-enters the graph with the exponents reached so far and the Counter that
-collects its leaves; a hit adds the stored leaves at the current
-exponents and ends that branch.  A graph is entered before its subtree
-is finished, but nothing in its subtree can hit it, since every rewrite
-deletes vertices and equal keys mean equal vertex counts.  The walk
-loops along single-term rewrites (digon, bigon) and recurses only into
-the terms of a sum but the last, as a walk without a memo does, so its
-depth does not grow.
-
-A key is a pass over every vertex, so a walk keys only graphs that can
-meet another.  It looks a graph up only if a graph of as many vertices
-was entered, since no other entry can have its key.  It enters a graph
-only if it has at most limit vertices: the largest vertex count among
-the resolutions still to walk, raised inside a sum's copied term to
-that copy's count.  A graph reached after a graph X lies in X's own
-subtree, with fewer vertices than X; or in a term of a sum walked after
-the copied term that holds X, which starts from as many vertices as
-that copy; or in a later resolution's walk, with at most that
-resolution's count.  Limits only rise from a walk into its copied
-terms, so the last two counts are at most X's limit, and an X above its
-limit can never be hit.  A call on one graph without a sum (bracket on
-a chain of digons, say) keys nothing at all.
+and looks every graph on its way up in a memo that lives for the call
+and dies with it.  A miss enters the graph with the exponents reached so
+far and the Counter that collects its leaves; a hit adds the stored
+leaves at the current exponents and ends that branch.  A graph is
+entered before its subtree is finished, but nothing in its subtree can
+hit it, since every rewrite deletes vertices and equal keys mean equal
+vertex counts.  The walk loops along single-term rewrites (digon, bigon)
+and recurses only into the terms of a sum but the last, as a walk
+without a memo does, so its depth does not grow.
 
 bracket_text builds the graph once and resolves its crossings one level
 at a time, in piece order, without ever building all 2^c resolutions.
@@ -125,7 +111,6 @@ lives only as long as one call.
 
 from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import accumulate
 
 from .diagram import (CROSSINGS, parse_diagram, refuse_crossings,
                       require_closed)
@@ -408,48 +393,39 @@ def bracket(graph, first_match=None):
     first_match optionally forces the first rewrite, as a pair
     (relation name, match tuple) — used to compare rewrite paths.
     """
-    leaves = _walk(graph.copy(), {}, set(), 0, first_match=first_match)
+    leaves = _walk(graph.copy(), {}, first_match=first_match)
     return _evaluate(graph.n, {(0, *powers): count
                                for powers, count in leaves.items()})
 
 
-def _walk(graph, memo, sizes, limit, key=None, first_match=None):
+def _walk(graph, memo, key=None, first_match=None):
     """Rewrite graph in place down to free loops and return its leaves: a
     Counter of their exponent tuples (a, b, c, ls, ld), with a, b and c
     counted from graph.
 
     memo maps the key of every graph entered so far in one call to (acc,
     base): that graph's leaves are those counted in acc, less base in a,
-    b and c.  sizes holds the vertex counts of the graphs entered, and
-    limit is the largest vertex count a graph reached after this walk
-    can have.  key is graph's own, when the caller has it.  A graph on
-    the way is looked up by its key if a graph of its vertex count was
-    entered: a hit adds the stored leaves at the exponents reached so
-    far and ends the walk.  A miss enters the graph with those
-    exponents, if it has at most limit vertices, since every leaf counted
-    in acc from then on lies below it.  A sum's last term is walked in
-    place, collected in a fresh Counter that joins acc at its offset when
-    the walk ends; every other term is walked, in full, on a copy, whose
-    limit is raised to its own vertex count since the last term starts
-    from as many.  The graph that first_match is forced on is not
-    entered: its leaves along another path need not be those of its own
-    walk, only their sum is.
+    b and c.  key is graph's own, when the caller has it.  Each graph on
+    the way is looked up by its key: a hit adds the stored leaves at the
+    exponents reached so far and ends the walk; a miss enters the graph
+    with those exponents, since every leaf counted in acc from then on
+    lies below it.  A sum's last term is walked in place, collected in a
+    fresh Counter that joins acc at its offset when the walk ends; every
+    other term is walked, in full, on a copy.  The graph that first_match
+    is forced on is not entered: its leaves along another path need not
+    be those of its own walk, only their sum is.
     """
     acc, exps = Counter(), (0, 0, 0)
     outer = []          # (acc, exps) that each fresh Counter joins
     while graph.vertices:
         if first_match is None:
-            size = len(graph.vertices)
-            if size in sizes or size <= limit:
-                if key is None:
-                    key = _resolution_key(graph)
-                hit = memo.get(key)
-                if hit is not None:
-                    _add(acc, exps, *hit)
-                    break
-                if size <= limit:
-                    memo[key] = (acc, exps)
-                    sizes.add(size)
+            if key is None:
+                key = _resolution_key(graph)
+            hit = memo.get(key)
+            if hit is not None:
+                _add(acc, exps, *hit)
+                break
+            memo[key] = (acc, exps)
             key = None
         name, match = first_match or _next_rewrite(graph)
         first_match = None
@@ -458,8 +434,7 @@ def _walk(graph, memo, sizes, limit, key=None, first_match=None):
         for other_slot, other_stitches in others:
             g = graph.copy()
             g.splice(vids, other_stitches)
-            _add(acc, _raised(exps, other_slot),
-                 _walk(g, memo, sizes, max(limit, len(g.vertices))))
+            _add(acc, _raised(exps, other_slot), _walk(g, memo))
         graph.splice(vids, stitches)
         exps = _raised(exps, slot)
         if others:
@@ -586,18 +561,18 @@ def _resolution_key(graph):
     return tuple(key)
 
 
-def _arcs_key(key, pos, r):
+def _arcs_key(key, tail, r):
     """The key of a partial state's arcs child, from the state's key alone.
 
-    The crossing's vin has rank r and its entry at key[pos]; its vout,
-    at rank r + 1, follows with its s0 and s1 targets.  The splice drops
-    those three entries.  A single edge into the vin's s0 or s1 (2r or
-    2r + 1) goes on to where the vout's s0 or s1 leads, through the vin
-    once more if it leads back there; a chain that closes on the vin is
-    one single loop, and no other edge points into it.  Every rank above
-    r + 1 drops by two.
+    The crossing's vin has rank r and its entry begins the last tail
+    entries of the key; its vout, at rank r + 1, follows with its s0 and
+    s1 targets.  The splice drops those three entries.  A single edge into
+    the vin's s0 or s1 (2r or 2r + 1) goes on to where the vout's s0 or
+    s1 leads, through the vin once more if it leads back there; a chain
+    that closes on the vin is one single loop, and no other edge points
+    into it.  Every rank above r + 1 drops by two.
     """
-    a = 2 * r
+    a, pos = 2 * r, len(key) - tail
     t0, t1 = key[pos + 1], key[pos + 2]
     loops = (t0 == a) + (t1 == a + 1) + (t0 == a + 1 and t1 == a)
     # where a strand into the vin's s0 (a) or s1 (a + 1) leaves the pair
@@ -639,9 +614,7 @@ def _bracket_leaves(diagram):
         tail = len(above) + above.count("vout")
         merged = {}
         for key, (g, starts) in level.items():
-            # a key holds 3 entries per vin/vout pair after its 2 loop counts
-            arcs_key = _arcs_key(key, len(key) - tail,
-                                 (len(key) - 2) // 3 * 2 - len(above))
+            arcs_key = _arcs_key(key, tail, len(g.vertices) - len(above))
             if arcs_key not in merged:
                 arcs = g.copy()
                 arcs.splice((win, wout), stitches)
@@ -653,13 +626,10 @@ def _bracket_leaves(diagram):
                 for k, sign in starts.items():
                     acc[k + shift] = acc.get(k + shift, 0) + flip * sign
         level = merged
-    # the largest vertex count among the resolutions after each one
-    counts = [len(g.vertices) for g, _ in level.values()]
-    limits = list(accumulate(reversed(counts[1:] + [0]), max))[::-1]
-    memo, sizes = {}, set()
+    memo = {}
     total = Counter()
-    for (key, (g, starts)), limit in zip(level.items(), limits):
-        for powers, count in _walk(g, memo, sizes, limit, key).items():
+    for key, (g, starts) in level.items():
+        for powers, count in _walk(g, memo, key).items():
             for k, sign in starts.items():
                 total[(k, *powers)] += sign * count
     return total
