@@ -66,12 +66,14 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        """self^k, by repeated squaring."""
         if k < 0:
             raise ValueError("negative power")
-        out = LaurentPoly.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
+        if k <= 1:
+            return self if k else LaurentPoly.const(1)
+        half = self ** (k // 2)
+        square = half * half
+        return square * self if k % 2 else square
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -24,7 +24,7 @@ Every leaf of the rewrite tree is then worth
 so the walk multiplies no polynomials: it counts the leaves by their
 exponent tuples (k, a, b, c, ls, ld), and the value is the sum over the
 distinct tuples.  Each product [2]^a [n-1]^b [n-2]^c [n]^ls D^ld is
-multiplied out once per n, from powers cached per n.
+multiplied out once per n, each factor raised by LaurentPoly's ``**``.
 
 Building a graph from a diagram is one splice: arcs and dlines are wires
 that the splice absorbs into the edges they carry, or counts as loops.
@@ -55,9 +55,10 @@ far and the Counter that collects its leaves; a hit adds the stored
 leaves at the current exponents and ends that branch.  A graph is
 entered before its subtree is finished, but nothing in its subtree can
 hit it, since every rewrite deletes vertices and equal keys mean equal
-vertex counts.  The walk loops along single-term rewrites (digon, bigon)
-and recurses only into the terms of a sum but the last, as a walk
-without a memo does, so its depth does not grow.
+vertex counts: a key has 2 + 3 * #vin entries, and #vin = #vout.  The
+walk loops along single-term rewrites (digon, bigon) and recurses only
+into the terms of a sum but the last, as a walk without a memo does, so
+its depth does not grow.
 
 bracket_text builds the graph once and resolves its crossings one level
 at a time, in piece order, without ever building all 2^c resolutions.
@@ -109,6 +110,7 @@ walked without sharing.  The sharing is exact, not a heuristic, and it
 lives only as long as one call.
 """
 
+import itertools
 from collections import Counter, defaultdict
 from functools import lru_cache
 
@@ -145,7 +147,6 @@ class MOYGraph:
         self.pred = {}          # in-port -> out-port
         self.loops_single = 0
         self.loops_double = 0
-        self._next_vid = 0
 
     def copy(self):
         g = MOYGraph(self.n)
@@ -154,16 +155,7 @@ class MOYGraph:
         g.pred = dict(self.pred)
         g.loops_single = self.loops_single
         g.loops_double = self.loops_double
-        g._next_vid = self._next_vid
         return g
-
-    def add_vertex(self, kind):
-        if kind not in VERTEX_PORTS:
-            raise ValueError("vertex kind must be vin or vout")
-        vid = self._next_vid
-        self._next_vid += 1
-        self.vertices[vid] = kind
-        return vid
 
     def splice(self, vids, stitches):
         """Delete the vertices vids and reconnect the strands through them.
@@ -234,20 +226,22 @@ def _build(diagram):
     """The graph of a closed diagram, and the vin/vout pair of each crossing
     in piece order.
 
-    A wide edge or a crossing is a vin/vout pair joined by an internal
-    double edge; its vertex ids are taken at its place in the piece order.
-    An arc or a dline is a wire: one port that both takes and gives its
-    edge, under an id of its own that add_vertex never hands out.  One
+    The vertices are numbered 0, 1, ... in piece order; a wide edge or a
+    crossing is a vin/vout pair, numbered in turn and joined by an
+    internal double edge.  An arc or a dline is a wire: one port that
+    both takes and gives its edge, under a negative id of its own.  One
     splice removes the wires and counts the loops they close.
     """
     require_closed(diagram, "bracket")
     g = MOYGraph(diagram.n)
+    vids = itertools.count()
     endpoint = {}     # (piece, slot) -> (vid, port)
     pairs = []        # (vin, vout) of each crossing
     wires = []
     for p in diagram.pieces:
         if p.kind in VERTEX_PORTS:
-            vid = g.add_vertex(p.kind)
+            vid = next(vids)
+            g.vertices[vid] = p.kind
             ports = [(vid, port) for port in VERTEX_PORTS[p.kind]]
         elif p.kind in ("arc", "dline"):
             wire = (-1 - len(wires), "s0" if p.kind == "arc" else "d")
@@ -255,8 +249,8 @@ def _build(diagram):
             wires.append(wire)
             ports = (wire, wire)
         else:
-            win = g.add_vertex("vin")
-            wout = g.add_vertex("vout")
+            win, wout = next(vids), next(vids)
+            g.vertices[win], g.vertices[wout] = "vin", "vout"
             g.succ[(win, "d")] = (wout, "d")
             ports = ((wout, "s0"), (wout, "s1"), (win, "s0"), (win, "s1"))
             if p.kind in CROSSINGS:
@@ -289,20 +283,6 @@ def double_loop_value(n):
 # index in its exponents (k, a, b, c, ls, ld); an applier names the factor
 # of each term by its index, or by None for the coefficient 1
 TWO, N_MINUS_1, N_MINUS_2, LOOP, DOUBLE_LOOP = range(1, 6)
-
-
-@lru_cache(maxsize=512)
-def _power(n, slot, e):
-    """The factor at index slot of a leaf's exponents, to the power e >= 1,
-    by repeated squaring."""
-    if e > 1:
-        half = _power(n, slot, e // 2)
-        square = half * half
-        return square * _power(n, slot, 1) if e % 2 else square
-    if slot == DOUBLE_LOOP:
-        return double_loop_value(n)
-    return quantum_integer({TWO: 2, N_MINUS_1: n - 1, N_MINUS_2: n - 2,
-                            LOOP: n}[slot])
 
 
 def _digon_matches(graph):
@@ -411,22 +391,21 @@ def _walk(graph, memo, key=None, first_match=None):
     with those exponents, since every leaf counted in acc from then on
     lies below it.  A sum's last term is walked in place, collected in a
     fresh Counter that joins acc at its offset when the walk ends; every
-    other term is walked, in full, on a copy.  The graph that first_match
-    is forced on is not entered: its leaves along another path need not
-    be those of its own walk, only their sum is.
+    other term is walked, in full, on a copy.  first_match, when given,
+    is the rewrite made on graph itself; graph is entered all the same,
+    as no graph below it can hit it (the module docstring).
     """
     acc, exps = Counter(), (0, 0, 0)
     outer = []          # (acc, exps) that each fresh Counter joins
     while graph.vertices:
-        if first_match is None:
-            if key is None:
-                key = _resolution_key(graph)
-            hit = memo.get(key)
-            if hit is not None:
-                _add(acc, exps, *hit)
-                break
-            memo[key] = (acc, exps)
-            key = None
+        if key is None:
+            key = _resolution_key(graph)
+        hit = memo.get(key)
+        if hit is not None:
+            _add(acc, exps, *hit)
+            break
+        memo[key] = (acc, exps)
+        key = None
         name, match = first_match or _next_rewrite(graph)
         first_match = None
         vids, terms = RELATIONS[name][1](graph, match)
@@ -469,10 +448,13 @@ def _add(acc, exps, leaves, base=(0, 0, 0)):
 @lru_cache(maxsize=512)
 def _product(n, powers):
     """[2]^a [n-1]^b [n-2]^c [n]^ls D^ld for powers (a, b, c, ls, ld)."""
-    value = LaurentPoly({0: 1})
+    value = LaurentPoly.const(1)
     for slot, e in enumerate(powers, 1):
         if e:
-            value = value * _power(n, slot, e)
+            factor = (double_loop_value(n) if slot == DOUBLE_LOOP else
+                      quantum_integer({TWO: 2, N_MINUS_1: n - 1,
+                                       N_MINUS_2: n - 2, LOOP: n}[slot]))
+            value = value * factor ** e
     return value
 
 

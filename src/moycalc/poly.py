@@ -12,7 +12,8 @@ A variable is a pair ``(kind, index)`` such as ``("x", 1)``.  Variables
 order as plain tuples, so x1 < x2 < ... < y1 < ... < z1 only because the
 kinds are alphabetical; a new kind must keep them so.  A monomial is a
 tuple of (variable, exponent) pairs, variables strictly increasing and
-exponents positive, with ``()`` for 1; the ``mono_*`` functions own it.
+exponents positive, with ``()`` for 1; the ``mono_*`` functions and
+``monomials_of_degree`` own it, and no other module spells its pairs.
 
 Monomials are compared in graded lexicographic order: first by weighted
 total degree, then lexicographically with x1 > x2 > ... > y1 > ... > z1 > ...
@@ -61,6 +62,16 @@ def var_name(v):
 def _monomial(exp):
     """The monomial of an exponent dict {variable: positive exponent}."""
     return tuple(sorted(exp.items()))
+
+
+def mono_power(v, e):
+    """The monomial v^e, for e >= 0."""
+    return ((v, e),) if e else ()
+
+
+def mono_variables(mono):
+    """The variables of mono, in increasing order."""
+    return [v for v, _ in mono]
 
 
 def mono_exponent(mono, v):
@@ -152,7 +163,9 @@ class Poly:
     def var(v, e=1):
         if v[0] not in KINDS or v[1] < 1:
             raise ValueError("bad variable %r" % (v,))
-        return Poly({((v, e),): 1}) if e else Poly.const(1)
+        if e < 0:
+            raise ValueError("negative power")
+        return Poly({mono_power(v, e): 1})
 
     # -- predicates / views ------------------------------------------
 
@@ -379,6 +392,16 @@ class Poly:
         return " ".join(parts)
 
     __repr__ = __str__
+
+
+def monomials_of_degree(variables, degree):
+    """All monomials in variables, a sorted list, of weighted degree
+    exactly degree: the first variable's exponent varies slowest."""
+    if not variables:
+        return [()] if degree == 0 else []
+    v, w = variables[0], var_degree(variables[0])
+    return [mono_power(v, e) + m for e in range(degree // w + 1)
+            for m in monomials_of_degree(variables[1:], degree - e * w)]
 
 
 def exact_div(num, den):

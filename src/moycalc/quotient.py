@@ -13,8 +13,8 @@ staircase-basis check below and with the homology ranks.
 """
 
 from .laurent import LaurentPoly
-from .poly import (Poly, mono_div, mono_exponent, mono_mul, mono_sort_key,
-                   qdiv, var_degree)
+from .poly import (Poly, mono_div, mono_exponent, mono_mul, mono_power,
+                   mono_sort_key, monomials_of_degree, qdiv, var_degree)
 
 class TriangularityViolation(ValueError):
     """A rule insertion or substitution would break the triangular shape."""
@@ -156,7 +156,7 @@ class QuotientRing:
             self._nf_stack.add(mono)
             try:
                 v, d, repl = target
-                rest = mono_div(mono, ((v, d),))
+                rest = mono_div(mono, mono_power(v, d))
                 result = self.normal_form(Poly({rest: 1}) * repl)
             finally:
                 self._nf_stack.discard(mono)
@@ -203,7 +203,7 @@ class QuotientRing:
         # the product of the rules' ranges, the last rule varying fastest
         out = [()]
         for v, d, _ in self.rules:
-            out = [mono_mul(m, ((v, e),)) if e else m
+            out = [mono_mul(m, mono_power(v, e))
                    for m in out for e in range(d)]
         return out
 
@@ -302,7 +302,7 @@ def _relation_echelon(rules, variables, degree):
     reducible monomials, pivots).
     """
     reducible, rest = [], []
-    for m in sorted(_monomials_of_degree(variables, degree),
+    for m in sorted(monomials_of_degree(variables, degree),
                     key=mono_sort_key, reverse=True):
         if any(mono_exponent(m, v) >= d for v, d, _ in rules):
             reducible.append(m)
@@ -313,7 +313,7 @@ def _relation_echelon(rules, variables, degree):
     rows = []
     for v, d, repl in rules:
         g = Poly.var(v, d) - repl
-        for mult in _monomials_of_degree(variables, degree - g.degree()):
+        for mult in monomials_of_degree(variables, degree - g.degree()):
             prod = Poly({mult: 1}) * g
             rows.append({col_index[m]: c for m, c in prod.terms.items()})
     return columns, len(reducible), echelon(rows)
@@ -355,29 +355,3 @@ def reduce_vector(vec, pivots):
                 del vec[j]
     return vec
 
-
-def _monomials_of_degree(variables, degree):
-    """All monomials in the given variables with weighted degree exactly d."""
-    if degree < 0:
-        return []
-    out = []
-
-    def rec(i, remaining, acc):
-        if i == len(variables):
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        v = variables[i]
-        w = var_degree(v)
-        if i == len(variables) - 1:
-            if remaining % w == 0:
-                e = remaining // w
-                rec(i + 1, 0, acc + [(v, e)] if e else acc)
-            return
-        e = 0
-        while e * w <= remaining:
-            rec(i + 1, remaining - e * w, acc + [(v, e)] if e else acc)
-            e += 1
-
-    rec(0, degree, [])
-    return out

@@ -60,7 +60,7 @@ copies' steps, sizes[k] of them for copy k (the split tree in pre-order).
 import itertools
 from operator import itemgetter
 
-from .poly import Poly, mono_sort_key, qdiv, var_degree
+from .poly import Poly, mono_sort_key, mono_variables, qdiv, var_degree
 from .quotient import QuotientRing, TriangularityViolation, cyclic_closure
 from .mf import KoszulMF, MFSum
 
@@ -191,7 +191,7 @@ def _residual(mf, v):
     return None
 
 
-def _exclusion_candidates(mf, potential_vars, order=None):
+def _exclusion_candidates(mf, potential_vars):
     """Feasible (row, var, side, power) in deterministic preference order.
 
     A rule's leader is never a candidate: the base cannot take a second
@@ -209,9 +209,6 @@ def _exclusion_candidates(mf, potential_vars, order=None):
             for side, monic in (("b", monic_b), ("a", monic_a)):
                 if v in monic:
                     out.append((i, v, side, monic[v][0]))
-    if order is not None:
-        order.shuffle(out)
-    # refused after the shuffle, so that a seeded order draws as before
     return [c for c in out
             if c[3] < 2 or not mf.base.rules_reducible_by(c[1], c[3])]
 
@@ -222,25 +219,21 @@ def _splittable_variables(mf):
     return sorted(v for v, _, _ in mf.base.rules if not _residual(mf, v))
 
 
-def auto_reduce(mf, order=None):
-    """Reduce to a fixpoint; returns (MFSum, ReductionTrace).
-
-    order, if given, is a random.Random used to shuffle candidate order
-    (for order-independence testing); default order is deterministic.
-    """
+def auto_reduce(mf):
+    """Reduce to a fixpoint; returns (MFSum, ReductionTrace)."""
     mf = mf.normalized_rows()
     potential = mf.potential()
     summands, steps = _reduce(mf, potential.variables(), potential.is_zero(),
-                              order, {"branches": 16}, {})
+                              {"branches": 16}, {})
     return MFSum(summands), ReductionTrace(steps)
 
 
-def _reduce(mf, potential_vars, zero, order, budget, table):
+def _reduce(mf, potential_vars, zero, budget, table):
     """(summands, steps); potential_vars and zero (is the potential 0?)
     describe the potential, which no exclusion or split changes; table is
     the search's transition table."""
     best = None
-    for (i, v, side, d) in _exclusion_candidates(mf, potential_vars, order):
+    for (i, v, side, d) in _exclusion_candidates(mf, potential_vars):
         if budget["branches"] <= 0 and best is not None:
             break
         try:
@@ -251,8 +244,7 @@ def _reduce(mf, potential_vars, zero, order, budget, table):
             continue
         if zero:
             budget["branches"] -= 1
-        summands, sub = _reduce(nxt, potential_vars, zero, order, budget,
-                                table)
+        summands, sub = _reduce(nxt, potential_vars, zero, budget, table)
         step = ("exclude", {"row": i, "var": v, "side": side, "power": d})
         branch = summands, [step] + sub
         if not zero or all(not s.rows for s in summands):
@@ -264,8 +256,8 @@ def _reduce(mf, potential_vars, zero, order, budget, table):
     for v in _splittable_variables(mf):
         out, steps, sizes = [], [], []
         for copy in split_free_module(mf, v):
-            summands, sub = _reduce(copy, potential_vars, zero, order,
-                                    budget, table)
+            summands, sub = _reduce(copy, potential_vars, zero, budget,
+                                    table)
             out.extend(summands)
             steps.extend(sub)
             sizes.append(len(sub))
@@ -341,7 +333,7 @@ def _relabel(mf):
 
     def visit(p):
         for mono in sorted(p.terms, key=mono_sort_key, reverse=True):
-            for v, _ in mono:
+            for v in mono_variables(mono):
                 if v not in seen:
                     seen.add(v)
                     order.append(v)

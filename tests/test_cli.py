@@ -74,6 +74,48 @@ def test_bracket_handles_crossings(tmp_path, capsys):
     assert doc["bracket"] == {"2": -1, "4": -1, "6": -1}
 
 
+THETA = ("n 3\nvin x1 x2 d1\nvout d2 x3 x4\nglue d1 d2\nglue x3 x1\n"
+         "glue x4 x2\n")
+THETA_ROWS = [
+    "(x1^3 + 3*x1^2*x2 + x1^2*y3 + 3*x1*x2^2 + 2*x1*x2*y3 + x1*y3^2"
+    " - 4*x1*z3 + x2^3 + x2^2*y3 + x2*y3^2 - 4*x2*z3 + y3^3 - 4*y3*z3"
+    " ; -x1 - x2 + y3)",
+    "(-4*x1^2 - 6*x1*x2 - 4*x2^2 + 2*z3 ; -x1*x2 + z3)",
+    "(x1^3 - x1^2*x2 + x1^2*y3 - x1*x2^2 - 2*x1*x2*y3 + x1*y3^2 + x2^3"
+    " + x2^2*y3 + x2*y3^2 + y3^3 ; x1 + x2 - y3)",
+    "(2*x1*x2 - 4*y3^2 + 2*z3 ; x1*x2 - z3)"]
+JSON_DOCS = {
+    ("circle", "build"): {"n": 3, "rows": ["(4*x1^3 ; 0)"], "shift": 0,
+                        "parity": 0, "potential": "0"},
+    ("circle", "reduce"): {"n": 3, "steps": 1, "summands": [
+        {"rows": [], "rules": ["x1^3 -> 0"], "shift": -2, "parity": 1}]},
+    ("circle", "homology"): {"n": 3, "euler": {"-2": 1, "0": 1, "2": 1},
+                           "parity0": {},
+                           "parity1": {"-2": 1, "0": 1, "2": 1},
+                           "steps": 1},
+    ("theta", "build"): {"n": 3, "rows": THETA_ROWS, "shift": -1, "parity": 0,
+                       "potential": "0"},
+    ("theta", "reduce"): {"n": 3, "steps": 4, "summands": [
+        {"rows": [], "rules": ["x1^2 -> x1*y1 - y1^2", "y1^3 -> 0"],
+         "shift": -3, "parity": 0}]},
+    ("theta", "homology"): {"n": 3,
+                          "euler": {"-3": 1, "-1": 2, "1": 2, "3": 1},
+                          "parity0": {"-3": 1, "-1": 2, "1": 2, "3": 1},
+                          "parity1": {}, "steps": 4},
+}
+
+
+@pytest.mark.parametrize("web, command", sorted(JSON_DOCS))
+def test_json_output(web, command, tmp_path, capsys):
+    path = tmp_path / "web.moy"
+    path.write_text({"circle": CIRCLE, "theta": THETA}[web])
+    assert main([command, str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    doc = JSON_DOCS[(web, command)]
+    assert json.loads(out) == doc
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest", "--n-max", "4"]) == 0
     out = capsys.readouterr().out

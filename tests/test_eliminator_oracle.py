@@ -13,9 +13,9 @@ from moycalc.homology import (HomologyResult, _explicit_homology,
                               euler_characteristic, graded_homology)
 from moycalc.laurent import LaurentPoly
 from moycalc.mf import KoszulMF, KoszulRow, koszul_new
-from moycalc.poly import Poly, mono_degree, var_degree
-from moycalc.quotient import (QuotientRing, TriangularityViolation,
-                              _monomials_of_degree, echelon, reduce_vector)
+from moycalc.poly import Poly, mono_degree, monomials_of_degree, var_degree
+from moycalc.quotient import (QuotientRing, TriangularityViolation, echelon,
+                              reduce_vector)
 from moycalc.reduce import auto_reduce
 from moycalc.symm import jacobi_algebra
 
@@ -224,7 +224,7 @@ def random_form(rng, base, variables, degree):
     """A random homogeneous normal form of the given degree."""
     return base.normal_form(Poly({
         mono: rng.choice((-2, -1, 1, 2))
-        for mono in _monomials_of_degree(sorted(variables), degree)
+        for mono in monomials_of_degree(sorted(variables), degree)
         if rng.random() < 0.5}))
 
 

@@ -224,6 +224,23 @@ def test_verify_rejects_inhomogeneous_entries():
         verify_factorization(ExplicitMF([0], [0], d0, d1))
 
 
+def test_verify_rejects_a_zero_diagonal_entry():
+    # d1*d0 = diag(x1*x2, 0): constant where it is set, but not everywhere
+    d0 = SparseMat(2, 2, {(0, 0): v(X1)})
+    d1 = SparseMat(2, 2, {(0, 0): v(X2)})
+    with pytest.raises(NotAFactorization,
+                       match=r"^d1\*d0 has a zero diagonal entry$"):
+        verify_factorization(ExplicitMF([0, 4], [2, 6], d0, d1))
+
+
+def test_verify_rejects_an_inhomogeneous_potential():
+    # both squares are x1^2 + x1^3
+    d0 = SparseMat(1, 1, {(0, 0): v(X1)})
+    d1 = SparseMat(1, 1, {(0, 0): v(X1) + v(X1, 2)})
+    with pytest.raises(NotAFactorization, match="^inhomogeneous potential$"):
+        verify_factorization(ExplicitMF([0], [0], d0, d1))
+
+
 def test_flip_row_preserves_explicit_class():
     m = koszul_new(v(X1, 3), v(X1) * 2, deg_a=6, deg_b=2)
     f = m.flip_row(0)

@@ -10,7 +10,8 @@ import pytest
 import moycalc
 from moycalc import quotient
 from moycalc.poly import (NonExactDivision, Poly, exact_div, mono_degree,
-                          mono_div, mono_mul, mono_sort_key)
+                          mono_div, mono_mul, mono_sort_key,
+                          monomials_of_degree)
 
 X1, X2, Y1, Z1 = ("x", 1), ("x", 2), ("y", 1), ("z", 1)
 
@@ -270,6 +271,16 @@ def test_float_coefficients_are_refused():
             combine(v(X1))
 
 
+def test_negative_powers_are_refused():
+    # x1^-2 is no monomial: its degree would be -4, and times x1^2 it
+    # would leave x1^0 rather than 1
+    with pytest.raises(ValueError):
+        Poly.var(X1, -2)
+    with pytest.raises(ValueError):
+        v(X1) ** -1
+    assert Poly.var(X1, 0) == Poly.const(1)
+
+
 def _is_monomial(mono):
     variables = [var for var, _ in mono]
     return (all(a < b for a, b in zip(variables, variables[1:]))
@@ -305,7 +316,7 @@ def test_every_monomial_keeps_the_layout():
         basis = ring.basis_monomials()
         assert len(set(basis)) == len(basis)
         built.extend(basis)
-        built.extend(quotient._monomials_of_degree(sorted(bounds), degree))
+        built.extend(monomials_of_degree(sorted(bounds), degree))
         for mono in built:
             assert _is_monomial(mono), mono
 
@@ -314,7 +325,11 @@ def test_every_monomial_keeps_the_layout():
 
 def test_only_poly_reads_the_monomial_layout():
     src = Path(moycalc.__file__).parent
-    pattern = re.compile(r"var_key|KIND_RANK|_flat_key|dict\(mono")
+    # the layout's internals, a monomial literal ((v, e),) handed to a
+    # mono_* function or a Poly, or a loop over a monomial's pairs
+    pattern = re.compile(r"var_key|KIND_RANK|_flat_key|dict\(mono"
+                         r"|(mono_\w+\(|Poly\(\{).*\(\(\w+, \w+\),\)"
+                         r"|, _ in mono\b")
     offenders = ["%s:%d" % (path.name, i)
                  for path in sorted(src.glob("*.py")) if path.name != "poly.py"
                  for i, line in enumerate(path.read_text().splitlines(), 1)

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from moycalc import quotient
-from moycalc.poly import Poly, mono_exponent, mono_sort_key
+from moycalc.poly import (Poly, mono_exponent, mono_sort_key,
+                          monomials_of_degree)
 from moycalc.quotient import (InfiniteDimension, QuotientRing,
                               TriangularityViolation, echelon)
 from moycalc.laurent import LaurentPoly
@@ -116,7 +117,7 @@ def test_relation_echelon_puts_reducible_columns_first():
     rules = [(Z1, 2, v(Y1) ** 2 * v(Z1)), (Y1, 3, 2 * v(Y1) * v(Z1))]
     variables = [X1, ("x", 2), Y1, Z1]
     columns, reducible, _ = quotient._relation_echelon(rules, variables, 12)
-    assert set(columns) == set(quotient._monomials_of_degree(variables, 12))
+    assert set(columns) == set(monomials_of_degree(variables, 12))
 
     def is_reducible(m):
         return any(mono_exponent(m, w) >= d for w, d, _ in rules)
