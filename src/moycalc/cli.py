@@ -80,9 +80,20 @@ def _build_parser():
     p.add_argument("file")
 
     p = add("selftest", _cmd_selftest, help="consistency checks")
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--n-max", type=_n_max, default=6)
 
     return parser
+
+
+def _n_max(text):
+    """--n-max N: the checks run for n = 3..N, so N < 3 would check nothing."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if n < 3:
+        raise argparse.ArgumentTypeError("must be at least 3, not %d" % n)
+    return n
 
 
 def _read_text(args):

@@ -46,11 +46,29 @@ potential the search just takes the first feasible (row, variable, side).
 Under a zero potential a greedy choice can dead-end, so the search
 backtracks depth-first to the first branch that reaches zero rows
 everywhere; after 16 exclusions it settles for first branches instead.
-Commuting exclusions reach equal base rings along different branches, so
-one search keeps a transition table: (base rules, v, d, repl) maps to the
-resulting QuotientRing, or to the message of its refusal, which is raised
-again.  The table is made by auto_reduce and dropped when it returns;
-replay and direct callers of exclude_variable get a fresh one per call.
+The d copies of a split are one factorization shifted by k*deg v, and
+the search reduces copy 0 only, whenever the budget cannot tell the
+copies apart; copies 1..d-1 then take copy 0's steps and its summands
+with each shift raised by k*deg v, and the budget is charged what copy 0
+spent, once per copy.  This is exact:
+  1. The copies have the same rows, base and parity, and _reduce only
+     ever adds to a shift: a side-"a" exclusion adds internal_shift, and
+     a split adds k*deg v.
+  2. The budget is the only state the copies share, and copy k starts
+     with no more of it than copy 0.  It is read in one place: a node
+     that already holds a failed branch (best) decides whether to try
+     its next candidate.
+  3. Suppose copy 0's search never went on past a failed branch: each
+     node returned on its first accepted branch, ran out of candidates,
+     or stopped because the budget was spent.  Copy k spends the budget
+     at the same steps, so at each read it has no more left than copy 0
+     had, and stops there too.  It makes the same decisions, takes the
+     same steps, reaches the same summands (shifted) and spends the same
+     budget.
+budget["continued"] counts the nodes that went on past a failed branch,
+and a split's copies are shared only when copy 0 left it unchanged;
+otherwise each copy is reduced in turn.  A split step still lists every
+copy's steps, so replay re-runs each copy and checks the sharing.
 
 A trace is a flat list of (kind, info) steps: exclude (row, var, side,
 power) and split (var, power, sizes), where a split is followed by its
@@ -94,7 +112,7 @@ def scale_row(mf, i, c):
     return mf.replace(rows=rows)
 
 
-def exclude_variable(mf, i, v, side, potential_vars=None, table=None):
+def exclude_variable(mf, i, v, side, potential_vars=None):
     """Remove row i = (a; b), quotienting the base by its entry monic in v.
 
     side, "a" or "b", names the entry.  Side "b" uses b = c*v^d + (lower
@@ -108,9 +126,7 @@ def exclude_variable(mf, i, v, side, potential_vars=None, table=None):
     < d, and rows of two such entries, are kept as the same objects; a
     power rule that closes a cycle through an unbounded variable is
     refused before any normal form (see the module docstring for both
-    proofs).  table, a search's transition table, holds the base rings
-    of earlier steps and their refusals; without it the call uses a fresh
-    table, so every base ring is computed afresh.
+    proofs).
     """
     if side not in ("a", "b"):
         raise ValueError("side must be 'a' or 'b', not %r" % (side,))
@@ -130,7 +146,8 @@ def exclude_variable(mf, i, v, side, potential_vars=None, table=None):
         cyclic_closure(mf.base.rules, v, entry.variables())
 
     repl = Poly.var(v, d) - entry * qdiv(1, c)
-    base = _transition(mf.base, v, d, repl, {} if table is None else table)
+    base = (mf.base.substitute(v, repl) if d == 1
+            else mf.base.with_rule(v, d, repl))
 
     def rewrite(p):
         # an entry of v-degree < d is normal over base as it is (the
@@ -146,23 +163,6 @@ def exclude_variable(mf, i, v, side, potential_vars=None, table=None):
     return KoszulMF(rows, base, mf.shift, mf.parity)
 
 
-def _transition(base, v, d, repl, table):
-    """base after v^d -> repl: v substituted away when d = 1, the rule
-    added otherwise; looked up in, or entered into, table."""
-    key = (base.rules, v, d, repl)
-    out = table.get(key)
-    if out is None:
-        try:
-            out = (base.substitute(v, repl) if d == 1
-                   else base.with_rule(v, d, repl))
-        except TriangularityViolation as exc:
-            out = str(exc)
-        table[key] = out
-    if isinstance(out, str):
-        raise TriangularityViolation(out)
-    return out
-
-
 def split_free_module(mf, v):
     """Split along the rule basis 1, v, ..., v^{d-1} of the base module;
     the copies share mf's rows, which must be in normal form."""
@@ -174,9 +174,8 @@ def split_free_module(mf, v):
     if residual:
         raise ResidualVariable(residual)
     base = QuotientRing([r for r in mf.base.rules if r[0] != v])
-    copies = [KoszulMF(mf.rows, base, mf.shift + k * var_degree(v), mf.parity)
-              for k in range(d)]
-    return MFSum(copies)
+    return MFSum([KoszulMF(mf.rows, base, mf.shift + k * var_degree(v),
+                           mf.parity) for k in range(d)])
 
 
 def _residual(mf, v):
@@ -214,9 +213,8 @@ def _exclusion_candidates(mf, potential_vars):
 
 
 def _splittable_variables(mf):
-    if not mf.rows:
-        return []
-    return sorted(v for v, _, _ in mf.base.rules if not _residual(mf, v))
+    return sorted(v for v, _, _ in mf.base.rules
+                  if mf.rows and not _residual(mf, v))
 
 
 def auto_reduce(mf):
@@ -224,27 +222,30 @@ def auto_reduce(mf):
     mf = mf.normalized_rows()
     potential = mf.potential()
     summands, steps = _reduce(mf, potential.variables(), potential.is_zero(),
-                              {"branches": 16}, {})
+                              {"branches": 16, "continued": 0})
     return MFSum(summands), ReductionTrace(steps)
 
 
-def _reduce(mf, potential_vars, zero, budget, table):
+def _reduce(mf, potential_vars, zero, budget):
     """(summands, steps); potential_vars and zero (is the potential 0?)
-    describe the potential, which no exclusion or split changes; table is
-    the search's transition table."""
+    describe the potential, which no exclusion or split changes; budget
+    holds the branches left and the count of nodes that went on past a
+    failed branch."""
     best = None
     for (i, v, side, d) in _exclusion_candidates(mf, potential_vars):
-        if budget["branches"] <= 0 and best is not None:
-            break
+        if best is not None:
+            if budget["branches"] <= 0:
+                break
+            budget["continued"] += 1
         try:
-            nxt = exclude_variable(mf, i, v, side, potential_vars, table)
+            nxt = exclude_variable(mf, i, v, side, potential_vars)
         except TriangularityViolation:
             # a candidate is monic in v and v is outside the potential, so
             # only the new base ring can refuse it
             continue
         if zero:
             budget["branches"] -= 1
-        summands, sub = _reduce(nxt, potential_vars, zero, budget, table)
+        summands, sub = _reduce(nxt, potential_vars, zero, budget)
         step = ("exclude", {"row": i, "var": v, "side": side, "power": d})
         branch = summands, [step] + sub
         if not zero or all(not s.rows for s in summands):
@@ -254,16 +255,21 @@ def _reduce(mf, potential_vars, zero, budget, table):
         return best
 
     for v in _splittable_variables(mf):
-        out, steps, sizes = [], [], []
-        for copy in split_free_module(mf, v):
-            summands, sub = _reduce(copy, potential_vars, zero, budget,
-                                    table)
-            out.extend(summands)
-            steps.extend(sub)
-            sizes.append(len(sub))
-        d, _ = mf.base.rule_for(v)
-        split = ("split", {"var": v, "power": d, "sizes": tuple(sizes)})
-        return out, [split] + steps
+        first, *rest = split_free_module(mf, v)
+        left, continued = budget["branches"], budget["continued"]
+        summands, sub = _reduce(first, potential_vars, zero, budget)
+        copies = [(summands, sub)]
+        if budget["continued"] == continued:
+            # the budget cannot tell the copies apart (module docstring)
+            budget["branches"] -= len(rest) * (left - budget["branches"])
+            copies += [([s.shifted(k * var_degree(v)) for s in summands], sub)
+                       for k in range(1, len(rest) + 1)]
+        else:
+            copies += [_reduce(c, potential_vars, zero, budget) for c in rest]
+        sizes = tuple(len(sub) for _, sub in copies)
+        split = ("split", {"var": v, "power": len(copies), "sizes": sizes})
+        return ([s for summands, _ in copies for s in summands],
+                [split] + [step for _, sub in copies for step in sub])
 
     return [mf], []
 

@@ -122,6 +122,16 @@ def test_selftest_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("n_max", ["2", "0", "-4"])
+def test_selftest_refuses_a_bound_below_three(n_max, capsys):
+    # the checks run for n = 3..N, so a smaller N would check nothing
+    with pytest.raises(SystemExit) as e:
+        main(["selftest", "--n-max", n_max])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "--n-max: must be at least 3, not %s" % n_max in err
+
+
 def test_selftest_euler_takes_the_euler_command_path(monkeypatch, capsys):
     # one reduction per euler check (circle, double circle, theta), as
     # `moycalc euler` makes, not a second path through graded_homology

@@ -1,6 +1,7 @@
 """Exclusion-based simplification: invariants, traces, canonical forms."""
 
 import importlib.util
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +22,7 @@ from moycalc.reduce import (NotMonicInVariable, ReductionTrace,
                             auto_reduce, canonical_form, exclude_variable,
                             replay, scale_row, split_free_module)
 from test_acceptance import _random_diagram
-from test_moybracket import SQUARE_WEB
+from test_moybracket import SQUARE_WEB, _spellings
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -162,13 +163,17 @@ def _load_workloads():
 
 
 def test_replay_reproduces_auto_reduce_exactly():
-    # replay computes every base ring afresh, so it also checks the
-    # search's transition table; closed webs whose homology fails are kept
+    # replay re-runs every copy of a split, so it also checks the copies
+    # that the search shared; closed webs whose homology fails are kept
     rng = random.Random(2024)   # criterion 8's corpus, first 40 diagrams
     workloads = _load_workloads()
-    closed = workloads.corpus(workloads.WORKLOADS["closed-webs"], 1, 40)
+    closed = workloads.corpus(workloads.WORKLOADS["closed-webs"], 1, 84)
     texts = [_random_diagram(rng) for _ in range(40)] + [NESTED]
-    for text in texts + [item.text for item in closed]:
+    texts += [item.text for item in closed]
+    for item in closed[:40]:
+        header, (_, (pieces, glues), _) = _spellings(item.text)
+        texts.append("\n".join([header] + pieces + glues) + "\n")
+    for text in texts:
         mf = glue(parse_diagram(text))
         reduced, trace = auto_reduce(mf)
         assert replay(mf, trace) == reduced, text
@@ -361,20 +366,17 @@ def test_kept_rows_are_exact(workload, items, per_item):
     assert kept and rewritten
 
 
-def test_transition_table_repeats_refusals_and_rings():
+def test_exclusions_repeat_refusals_and_rings():
     # substituting x1 -> y1 would turn y1^2 -> x1*y1 into y1^2 -> y1^2;
     # x2^2 -> x2*y2 is a rule the base takes
     base = QuotientRing().with_rule(Y1, 2, v(X1) * v(Y1))
     mf = KoszulMF([KoszulRow(Poly(), v(X1) - v(Y1), 0, 2),
                    KoszulRow(Poly(), v(X2, 2) - v(X2) * v(Y2), 0, 4)], base)
-    table = {}
     for _ in range(2):
         with pytest.raises(TriangularityViolation, match="its own leader"):
-            exclude_variable(mf, 0, X1, "b", table=table)
-    made = [exclude_variable(mf, 1, X2, "b", table=table) for _ in range(2)]
+            exclude_variable(mf, 0, X1, "b")
+    made = [exclude_variable(mf, 1, X2, "b") for _ in range(2)]
     assert made[0] == made[1] == exclude_variable(mf, 1, X2, "b")
-    assert made[1].base is made[0].base
-    assert len(table) == 2
 
 
 def test_nonzero_potential_search_does_not_backtrack(monkeypatch):
@@ -594,6 +596,99 @@ def test_reduction_order_does_not_change_homology(monkeypatch):
                 patch.setattr(reduce_module, "_exclusion_candidates", shuffled)
                 reduced, _ = auto_reduce(mf)
             assert graded_homology(reduced) == baseline
+
+
+def _unshared_reduce(mf, potential_vars, zero, budget):
+    """reduce._reduce as it was before split copies were shared: every
+    copy of a split is searched in turn."""
+    best = None
+    for (i, var, side, d) in reduce_module._exclusion_candidates(
+            mf, potential_vars):
+        if budget["branches"] <= 0 and best is not None:
+            break
+        try:
+            nxt = exclude_variable(mf, i, var, side, potential_vars)
+        except TriangularityViolation:
+            continue
+        if zero:
+            budget["branches"] -= 1
+        summands, sub = _unshared_reduce(nxt, potential_vars, zero, budget)
+        step = ("exclude", {"row": i, "var": var, "side": side, "power": d})
+        branch = summands, [step] + sub
+        if not zero or all(not s.rows for s in summands):
+            return branch
+        best = best or branch
+    if best is not None:
+        return best
+    for var in reduce_module._splittable_variables(mf):
+        out, steps, sizes = [], [], []
+        for copy in split_free_module(mf, var):
+            summands, sub = _unshared_reduce(copy, potential_vars, zero,
+                                             budget)
+            out.extend(summands)
+            steps.extend(sub)
+            sizes.append(len(sub))
+        d, _ = mf.base.rule_for(var)
+        split = ("split", {"var": var, "power": d, "sizes": tuple(sizes)})
+        return out, [split] + steps
+    return [mf], []
+
+
+def test_shared_copies_equal_the_unshared_search(monkeypatch):
+    # candidates in an order seeded by the state, so that both searches
+    # see the same order wherever they meet the same state; a shared rng
+    # would drift, since the shared search asks for fewer candidate lists
+    # (the rows and rules enter by their degrees and term counts, which
+    # are much cheaper to spell than their polynomials)
+    candidates = reduce_module._exclusion_candidates
+
+    def shuffled(mf, potential_vars):
+        out = candidates(mf, potential_vars)
+        state = ([(r.deg_a, r.deg_b, len(r.a.terms), len(r.b.terms))
+                  for r in mf.rows],
+                 [(w, d, len(p.terms)) for w, d, p in mf.base.rules])
+        random.Random(repr((out, state, seed))).shuffle(out)
+        return out
+
+    # the copies of every split, and those of them the search reduced
+    split, search = split_free_module, reduce_module._reduce
+    copies_of, reduced = {}, set()
+    shared = each = 0
+
+    def recording_split(mf, var):
+        out = split(mf, var)
+        copies_of.update((id(c), out.summands) for c in out)
+        return out
+
+    def recording_search(mf, *args):
+        if id(mf) in copies_of:
+            reduced.add(id(mf))
+        return search(mf, *args)
+
+    monkeypatch.setattr(reduce_module, "_exclusion_candidates", shuffled)
+    workloads = _load_workloads()
+    for item in workloads.corpus(workloads.WORKLOADS["closed-webs"], 1, 84):
+        mf = glue(parse_diagram(item.text)).normalized_rows()
+        potential = mf.potential()
+        args = mf, potential.variables(), potential.is_zero()
+        for seed, branches in itertools.product(range(4), (2, 6, 16)):
+            want = {"branches": branches}
+            expected = _unshared_reduce(*args, want)
+            got = {"branches": branches, "continued": 0}
+            with monkeypatch.context() as patch:
+                patch.setattr(reduce_module, "split_free_module",
+                              recording_split)
+                patch.setattr(reduce_module, "_reduce", recording_search)
+                assert reduce_module._reduce(*args, got) == expected
+            assert got["branches"] == want["branches"], item.text
+        for copies in {id(c): c for c in copies_of.values()}.values():
+            ran = [id(c) in reduced for c in copies]
+            shared += ran == [True] + [False] * (len(copies) - 1)
+            each += all(ran)
+            assert ran[0] and ran[1] == all(ran)
+        copies_of.clear()
+        reduced.clear()
+    assert shared and each
 
 
 def test_theta_matches_digon_times_double_circle():
