@@ -21,7 +21,7 @@ from .laurent import LaurentDivisionError, LaurentPoly, quantum_integer
 from .mf import NotAFactorization, OddShift, ZeroScalar
 from .moybracket import (MOYGraph, StuckGraph, all_path_values, bracket_text,
                          double_loop_value)
-from .poly import NonExactDivision
+from .poly import MonomialOverflow, NonExactDivision
 from .quotient import InfiniteDimension, TriangularityViolation
 from .reduce import (NotMonicInVariable, ResidualVariable, VariableInPotential,
                      auto_reduce, canonical_form)
@@ -31,7 +31,7 @@ DOMAIN_ERRORS = (DiagramError, NonzeroPotential, LaurentDivisionError,
                  NotAFactorization, OddShift, ZeroScalar, StuckGraph,
                  NonExactDivision, InfiniteDimension, TriangularityViolation,
                  NotMonicInVariable, ResidualVariable, VariableInPotential,
-                 ReductionFailed, OSError)
+                 ReductionFailed, MonomialOverflow, OSError)
 
 
 def main(argv=None):

@@ -10,26 +10,67 @@ Variables come in three kinds, each with a fixed even Z-degree:
 ``x`` and ``y`` variables have degree 2, ``z`` variables have degree 4.
 A variable is a pair ``(kind, index)`` such as ``("x", 1)``.  Variables
 order as plain tuples, so x1 < x2 < ... < y1 < ... < z1 only because the
-kinds are alphabetical; a new kind must keep them so.  A monomial is a
-tuple of (variable, exponent) pairs, variables strictly increasing and
-exponents positive, with ``()`` for 1; the ``mono_*`` functions and
-``monomials_of_degree`` own it, and no other module spells its pairs.
+kinds are alphabetical; a new kind must keep them so.
+
+A monomial is one non-negative int of packed exponent fields, each W bits
+wide.  Field 0, the lowest W bits, holds the weighted degree.  Variable
+(kind, i) owns field 3(i - 1) + rank(kind) + 1, with x, y and z at ranks
+0, 1 and 2, and holds its exponent there.  The monomial 1 is ``UNIT``, 0.
+So a product of monomials is an integer sum, a degree is a mask, and an
+exponent is a shift and a mask.  A variable's field comes from its kind
+and index by arithmetic alone: there is no registry of variables, and W
+is one constant, not an option.  The ``mono_*`` functions,
+``monomials_of_degree`` and ``UNIT`` own the layout, and no other module
+reads or builds the int.
+
+No field carries into the next.  Every variable's weight is at least 2,
+so no exponent exceeds half the degree, and a monomial whose degree is
+below 2^(W-1) has every field below 2^(W-1).  The sum of two such
+monomials has every field below 2^W, and its degree reaches 2^(W-1)
+exactly when bit W - 1 is set; so does a renamed one, whose degree at
+most doubles.  Every function that returns a monomial, ``Poly``
+construction included, refuses a degree of 2^(W-1) or more with
+``MonomialOverflow``; nothing wraps.
+
+One helper, ``_fields``, decodes a monomial, stepping from its lowest set
+bit.  The per-term work does not call it: ``degree_in``,
+``monic_variables``, ``substitute``, ``renamed`` and ``diff`` go one
+variable at a time by shift and mask, and the variables that occur are
+read once from the bitwise or of the monomials (``Poly.variables``, kept
+with the Poly).
 
 Monomials are compared in graded lexicographic order: first by weighted
 total degree, then lexicographically with x1 > x2 > ... > y1 > ... > z1 > ...
 (earlier kind and lower index are "larger").  The order fixes leading
 terms for exact division and gives every polynomial one serialization.
+``mono_sort_key`` decodes a monomial to that order's (degree, lex) key.
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 KINDS = ("x", "y", "z")
 KIND_RANK = {"x": 0, "y": 1, "z": 2}
 VAR_DEGREE = {"x": 2, "y": 2, "z": 4}
 
+W = 32
+_MASK = (1 << W) - 1
+_LIMIT = 1 << (W - 1)
+UNIT = 0
+
 
 class NonExactDivision(ArithmeticError):
     """Raised when a multivariate division leaves a nonzero remainder."""
+
+
+class MonomialOverflow(OverflowError):
+    """A monomial's degree does not fit its packed field."""
+
+
+def _overflow(degree):
+    return MonomialOverflow("monomial degree %d is not below 2^%d"
+                            % (degree, W - 1))
 
 
 def as_coeff(c):
@@ -59,70 +100,80 @@ def var_name(v):
     return "%s%d" % v
 
 
-def _monomial(exp):
-    """The monomial of an exponent dict {variable: positive exponent}."""
-    return tuple(sorted(exp.items()))
+def _shift(v):
+    """The bit offset of variable v's field."""
+    return W * (3 * v[1] + KIND_RANK[v[0]] - 2)
+
+
+def _fields(mono):
+    """[(variable, bit offset, exponent)] for the nonzero fields of mono,
+    in field order.  Each step jumps to the field of the lowest set bit
+    left, so a run of empty fields costs one step."""
+    out = []
+    s = W
+    rest = mono >> W
+    while rest:
+        skip = ((rest & -rest).bit_length() - 1) // W * W
+        rest >>= skip
+        s += skip
+        f = s // W - 1
+        out.append(((KINDS[f % 3], f // 3 + 1), s, rest & _MASK))
+        rest >>= W
+        s += W
+    return out
 
 
 def mono_power(v, e):
     """The monomial v^e, for e >= 0."""
-    return ((v, e),) if e else ()
+    d = e * VAR_DEGREE[v[0]]
+    if d >= _LIMIT:
+        raise _overflow(d)
+    return (e << _shift(v)) + d
 
 
 def mono_variables(mono):
     """The variables of mono, in increasing order."""
-    return [v for v, _ in mono]
+    return sorted(v for v, _, _ in _fields(mono))
 
 
 def mono_exponent(mono, v):
     """The exponent of variable v in mono (0 if v does not occur)."""
-    return dict(mono).get(v, 0)
+    return mono >> _shift(v) & _MASK
 
 
 def mono_degree(mono):
-    d = 0
-    for (kind, _), e in mono:
-        d += VAR_DEGREE[kind] * e
-    return d
+    return mono & _MASK
 
 
 def mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exp = dict(m1)
-    for v, e in m2:
-        exp[v] = exp.get(v, 0) + e
-    return _monomial(exp)
+    m = m1 + m2
+    if m & _LIMIT:
+        raise _overflow(m & _MASK)
+    return m
 
 
 def mono_div(m1, m2):
     """m1 / m2, or None if m2 does not divide m1."""
-    exp = dict(m1)
-    for v, e in m2:
-        r = exp.get(v, 0) - e
-        if r < 0:
+    for _, s, e in _fields(m2):
+        if m1 >> s & _MASK < e:
             return None
-        if r == 0:
-            exp.pop(v, None)
-        else:
-            exp[v] = r
-    return _monomial(exp)
+    return m1 - m2
 
 
 def mono_sort_key(mono):
     # Graded lex.  Within one degree, an earlier variable with a higher
     # exponent makes the monomial larger, so negate the variable's rank.
-    lex = tuple((-KIND_RANK[kind], -index, e) for (kind, index), e in mono)
-    return (mono_degree(mono), lex)
+    lex = tuple(sorted(((-KIND_RANK[kind], -index, e)
+                        for (kind, index), _, e in _fields(mono)),
+                       reverse=True))
+    return (mono & _MASK, lex)
 
 
 def mono_str(mono):
     if not mono:
         return "1"
     parts = []
-    for v, e in mono:
+    for v, _, e in sorted(_fields(mono)):
         parts.append(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e))
     return "*".join(parts)
 
@@ -132,17 +183,21 @@ class Poly:
     an int or a non-integral Fraction (see the module docstring).
 
     Because it never changes, a Poly keeps what it has computed about
-    itself: its monic table (``monic_variables``) and its powers
-    (``__pow__``), each made on first use and then shared with every
-    caller, so callers must not change them.  They live as long as the
-    Poly does."""
+    itself: its variable set (``variables``), its monic table
+    (``monic_variables``) and its powers (``__pow__``), each made on first
+    use and then shared with every caller, so callers must not change
+    them.  They live as long as the Poly does."""
 
-    __slots__ = ("terms", "_monic", "_powers")
+    __slots__ = ("terms", "_variables", "_monic", "_powers")
 
     def __init__(self, terms=None):
         clean = {}
         if terms:
             for mono, c in terms.items():
+                # a sum of monomials below the limit sets this bit exactly
+                # when its degree reaches the limit (the module docstring)
+                if mono & _LIMIT:
+                    raise _overflow(mono & _MASK)
                 if type(c) is not int:
                     c = as_coeff(c)
                 if c:
@@ -157,7 +212,7 @@ class Poly:
     @staticmethod
     def const(c):
         c = as_coeff(c)
-        return Poly({(): c}) if c else Poly()
+        return Poly({UNIT: c}) if c else Poly()
 
     @staticmethod
     def var(v, e=1):
@@ -172,34 +227,42 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
+    def _occupied(self):
+        """The bitwise or of the monomials: a field is nonzero in it
+        exactly when it is nonzero in some monomial."""
+        return reduce(or_, self.terms, 0)
+
     def variables(self):
-        out = set()
-        for mono in self.terms:
-            for v, _ in mono:
-                out.add(v)
+        """The frozenset of variables that occur."""
+        try:
+            return self._variables
+        except AttributeError:
+            pass
+        out = frozenset(v for v, _, _ in _fields(self._occupied()))
+        object.__setattr__(self, "_variables", out)
         return out
 
     def degree(self):
         """Weighted total degree; None for the zero polynomial."""
         if not self.terms:
             return None
-        return max(mono_degree(m) for m in self.terms)
+        return max(mono & _MASK for mono in self.terms)
 
     def is_homogeneous(self):
-        degs = {mono_degree(m) for m in self.terms}
-        return len(degs) <= 1
+        return len({mono & _MASK for mono in self.terms}) <= 1
 
     def degree_in(self, v):
+        s = _shift(v)
         d = 0
         for mono in self.terms:
-            for w, e in mono:
-                if w == v and e > d:
-                    d = e
+            e = mono >> s & _MASK
+            if e > d:
+                d = e
         return d
 
     def monic_variables(self):
         """{v: (power d, constant lead coeff c)} for every variable v with
-        self = c*v^d + lower-in-v, read in one pass over the terms.
+        self = c*v^d + lower-in-v, read one variable at a time.
 
         The monomials are distinct, so the coefficient of v^d is a constant
         exactly when the pure power v^d is the only term of v-degree d.
@@ -208,16 +271,20 @@ class Poly:
             return self._monic
         except AttributeError:
             pass
-        top = {}
-        for mono, coeff in self.terms.items():
-            pure = len(mono) == 1
-            for v, e in mono:
-                got = top.get(v)
-                if got is None or e > got[0]:
-                    top[v] = (e, coeff if pure else None)
-                elif e == got[0]:
-                    top[v] = (e, None)
-        out = {v: data for v, data in top.items() if data[1] is not None}
+        terms = self.terms
+        out = {}
+        for v, s, _ in _fields(self._occupied()):
+            d = count = 0
+            for mono in terms:
+                e = mono >> s & _MASK
+                if e > d:
+                    d, count = e, 1
+                elif e == d:
+                    count += 1
+            if count == 1:    # is that one term the pure power v^d?
+                lead = terms.get((d << s) + d * VAR_DEGREE[v[0]])
+                if lead is not None:
+                    out[v] = (d, lead)
         object.__setattr__(self, "_monic", out)
         return out
 
@@ -230,9 +297,8 @@ class Poly:
 
     def sort_key(self):
         """Total-order key so polynomials can be sorted deterministically."""
-        items = sorted(self.terms.items(), key=lambda it: mono_sort_key(it[0]),
-                       reverse=True)
-        return tuple((mono_sort_key(m), c) for m, c in items)
+        return tuple(sorted(((mono_sort_key(m), c)
+                             for m, c in self.terms.items()), reverse=True))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -261,24 +327,12 @@ class Poly:
         if not isinstance(other, Poly):
             c = as_coeff(other)
             return Poly({m: co * c for m, co in self.terms.items()})
-        # mono_mul inlined, with each left monomial's exponent dict made
-        # once and copied for each right term
+        # mono_mul inlined: construction refuses a product past the limit
         out = {}
         right = other.terms.items()
         for m1, c1 in self.terms.items():
-            if not m1:
-                for m2, c2 in right:
-                    out[m2] = out.get(m2, 0) + c1 * c2
-                continue
-            left = dict(m1)
             for m2, c2 in right:
-                if m2:
-                    exp = left.copy()
-                    for v, e in m2:
-                        exp[v] = exp.get(v, 0) + e
-                    m = _monomial(exp)
-                else:
-                    m = m1
+                m = m1 + m2
                 out[m] = out.get(m, 0) + c1 * c2
         return Poly(out)
 
@@ -308,6 +362,8 @@ class Poly:
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {UNIT}:
+            return hash(self.terms.get(UNIT, 0))    # equal to that number
         return hash(frozenset(self.terms.items()))
 
     def substitute(self, mapping):
@@ -319,53 +375,66 @@ class Poly:
         replacement is expanded once per replacement object (``__pow__``),
         so across every call that substitutes it, and each term costs one
         product: its kept monomial times each term of its substituted part.
+        A Poly in none of the mapped variables is returned as it is.
         """
+        # each substituted v: its offset, v as a packed monomial, its value
+        occupied = self._occupied()
+        fields = [(s, (1 << s) + VAR_DEGREE[v[0]], p)
+                  for v, p in mapping.items()
+                  if occupied >> (s := _shift(v)) & _MASK]
+        if not fields:
+            return self
         acc = {}
         for mono, coeff in self.terms.items():
-            kept = []
+            kept = mono
             part = None
-            for v, e in mono:
-                if v not in mapping:
-                    kept.append((v, e))
-                    continue
-                power = mapping[v] ** e
-                part = power if part is None else part * power
+            for s, unit, p in fields:
+                e = mono >> s & _MASK
+                if e:
+                    kept -= e * unit
+                    power = p ** e
+                    part = power if part is None else part * power
             if part is None:
                 acc[mono] = acc.get(mono, 0) + coeff
                 continue
-            kept = tuple(kept)
             for m, c in part.terms.items():
-                m = mono_mul(kept, m)
+                m += kept
                 acc[m] = acc.get(m, 0) + coeff * c
         return Poly(acc)
 
     def renamed(self, mapping):
         """Rename variables; mapping: var -> var.  Names may coincide:
         their exponents then add and their terms' coefficients merge."""
+        # moving exponent e from v to t adds e * (t - v), with t and v as
+        # packed monomials
+        occupied = self._occupied()
+        moves = []
+        for v, t in mapping.items():
+            s = _shift(v)
+            if t != v and occupied >> s & _MASK:
+                moves.append((s, (1 << _shift(t)) + VAR_DEGREE[t[0]]
+                              - (1 << s) - VAR_DEGREE[v[0]]))
         acc = {}
         for mono, coeff in self.terms.items():
-            exp = {}
-            for v, e in mono:
-                w = mapping.get(v, v)
-                exp[w] = exp.get(w, 0) + e
-            m = _monomial(exp)
+            # every exponent is read from the monomial as given, so names
+            # that swap or coincide move simultaneously
+            m = mono
+            for s, step in moves:
+                e = mono >> s & _MASK
+                if e:
+                    m += e * step
             acc[m] = acc.get(m, 0) + coeff
         return Poly(acc)
 
     def diff(self, v):
         """Formal partial derivative with respect to variable v."""
+        s, unit = _shift(v), mono_power(v, 1)
         out = {}
         for mono, coeff in self.terms.items():
-            exp = dict(mono)
-            e = exp.get(v, 0)
-            if not e:
-                continue
-            if e == 1:
-                exp.pop(v)
-            else:
-                exp[v] = e - 1
-            m = _monomial(exp)
-            out[m] = out.get(m, 0) + coeff * e
+            e = mono >> s & _MASK
+            if e:
+                m = mono - unit
+                out[m] = out.get(m, 0) + coeff * e
         return Poly(out)
 
     def __str__(self):
@@ -397,8 +466,10 @@ class Poly:
 def monomials_of_degree(variables, degree):
     """All monomials in variables, a sorted list, of weighted degree
     exactly degree: the first variable's exponent varies slowest."""
+    if degree >= _LIMIT:
+        raise _overflow(degree)
     if not variables:
-        return [()] if degree == 0 else []
+        return [UNIT] if degree == 0 else []
     v, w = variables[0], var_degree(variables[0])
     return [mono_power(v, e) + m for e in range(degree // w + 1)
             for m in monomials_of_degree(variables[1:], degree - e * w)]

@@ -13,8 +13,9 @@ staircase-basis check below and with the homology ranks.
 """
 
 from .laurent import LaurentPoly
-from .poly import (Poly, mono_div, mono_exponent, mono_mul, mono_power,
-                   mono_sort_key, monomials_of_degree, qdiv, var_degree)
+from .poly import (UNIT, Poly, mono_div, mono_exponent, mono_mul,
+                   mono_power, mono_sort_key, monomials_of_degree, qdiv,
+                   var_degree)
 
 class TriangularityViolation(ValueError):
     """A rule insertion or substitution would break the triangular shape."""
@@ -201,7 +202,7 @@ class QuotientRing:
         """All monomials below the staircase; ambient vars must be bounded."""
         self.require_bounded(ambient)
         # the product of the rules' ranges, the last rule varying fastest
-        out = [()]
+        out = [UNIT]
         for v, d, _ in self.rules:
             out = [mono_mul(m, mono_power(v, e))
                    for m in out for e in range(d)]

@@ -13,7 +13,9 @@ from moycalc.homology import (HomologyResult, _explicit_homology,
                               euler_characteristic, graded_homology)
 from moycalc.laurent import LaurentPoly
 from moycalc.mf import KoszulMF, KoszulRow, koszul_new
-from moycalc.poly import Poly, mono_degree, monomials_of_degree, var_degree
+from moycalc.poly import (UNIT, Poly, mono_degree, mono_exponent, mono_mul,
+                          mono_power, mono_variables, monomials_of_degree,
+                          var_degree)
 from moycalc.quotient import (QuotientRing, TriangularityViolation, echelon,
                               reduce_vector)
 from moycalc.reduce import auto_reduce
@@ -36,8 +38,8 @@ def to_sympy(p, symbols):
     out = sympy.Integer(0)
     for mono, c in p.terms.items():
         term = rational(c)
-        for var, e in mono:
-            term *= symbols[var] ** e
+        for var in mono_variables(mono):
+            term *= symbols[var] ** mono_exponent(mono, var)
         out += term
     return out
 
@@ -57,8 +59,9 @@ def ideal(ring):
 def random_poly(rng, variables):
     terms = {}
     for _ in range(rng.randint(1, 5)):
-        mono = tuple((var, e) for var in variables
-                     if (e := rng.randint(0, 6)))
+        mono = UNIT
+        for var in variables:
+            mono = mono_mul(mono, mono_power(var, rng.randint(0, 6)))
         terms[mono] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     return Poly(terms)
 

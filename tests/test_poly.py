@@ -1,7 +1,10 @@
 """Sparse polynomial arithmetic, ordering, and exact division."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,9 +12,10 @@ import pytest
 
 import moycalc
 from moycalc import quotient
-from moycalc.poly import (NonExactDivision, Poly, exact_div, mono_degree,
-                          mono_div, mono_mul, mono_sort_key,
-                          monomials_of_degree)
+from moycalc.poly import (UNIT, W, MonomialOverflow, NonExactDivision, Poly,
+                          exact_div, mono_degree, mono_div, mono_exponent,
+                          mono_mul, mono_power, mono_sort_key, mono_variables,
+                          monomials_of_degree, var_degree)
 
 X1, X2, Y1, Z1 = ("x", 1), ("x", 2), ("y", 1), ("z", 1)
 
@@ -20,16 +24,24 @@ def v(name):
     return Poly.var(name)
 
 
+def packed(exponents):
+    """The monomial of (variable, exponent) pairs, built through poly."""
+    mono = UNIT
+    for var, e in exponents:
+        mono = mono_mul(mono, mono_power(var, e))
+    return mono
+
+
+def pairs(mono):
+    """mono's (variable, exponent) pairs, variables increasing."""
+    return [(var, mono_exponent(mono, var)) for var in mono_variables(mono)]
+
+
 def rand_poly(rng, variables, max_terms=4, max_exp=3):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        mono = []
-        for var in variables:
-            e = rng.randint(0, max_exp)
-            if e:
-                mono.append((var, e))
-        mono.sort(key=lambda it: (it[0][0], it[0][1]))
-        terms[tuple(mono)] = Fraction(rng.randint(-5, 5))
+        mono = packed([(var, rng.randint(0, max_exp)) for var in variables])
+        terms[mono] = Fraction(rng.randint(-5, 5))
     return Poly(terms)
 
 
@@ -37,7 +49,7 @@ def test_zero_and_constants():
     assert Poly().is_zero()
     assert Poly.const(0).is_zero()
     p = Poly.const(Fraction(3, 2))
-    assert p.terms == {(): Fraction(3, 2)}
+    assert p.terms == {UNIT: Fraction(3, 2)}
     assert (p - p).is_zero()
 
 
@@ -79,7 +91,7 @@ def _substitute_reference(p, mapping):
     out = Poly()
     for mono, coeff in p.terms.items():
         term = Poly.const(coeff)
-        for var, e in mono:
+        for var, e in pairs(mono):
             term = term * (mapping[var] if var in mapping else v(var)) ** e
         out = out + term
     return out
@@ -101,8 +113,8 @@ def test_substitute_two_variables_simultaneously():
 
 
 def test_mono_mul_by_the_unit_monomial():
-    for m in ((), ((X1, 2),), ((X1, 1), (Y1, 3), (Z1, 1))):
-        assert mono_mul(m, ()) == m == mono_mul((), m)
+    for m in (UNIT, packed([(X1, 2)]), packed([(X1, 1), (Y1, 3), (Z1, 1)])):
+        assert mono_mul(m, UNIT) == m == mono_mul(UNIT, m)
 
 
 def test_renamed_matches_substitute():
@@ -143,10 +155,10 @@ def test_exact_div_difference_quotient():
 def test_exact_div_quotient_coefficients_obey_the_policy():
     third = exact_div(v(X1), 3 * v(X1))
     assert third == Fraction(1, 3)
-    assert type(third.terms[()]) is Fraction
+    assert type(third.terms[UNIT]) is Fraction
     q = exact_div(6 * v(X1) * v(X2), 3 * v(X1))
-    assert q.terms == {((X2, 1),): 2}
-    assert type(q.terms[((X2, 1),)]) is int
+    assert q.terms == {mono_power(X2, 1): 2}
+    assert type(q.terms[mono_power(X2, 1)]) is int
 
 
 def test_exact_div_failure():
@@ -156,14 +168,14 @@ def test_exact_div_failure():
 
 def test_monomial_order_graded_lex():
     # degree first, then x1 > x2 > y1 > z1
-    x1 = ((X1, 1),)
-    x2 = ((X2, 1),)
-    z1 = ((Z1, 1),)
-    sq = ((X1, 2),)
+    x1 = mono_power(X1, 1)
+    x2 = mono_power(X2, 1)
+    z1 = mono_power(Z1, 1)
+    sq = mono_power(X1, 2)
     assert mono_sort_key(x1) > mono_sort_key(x2)
     assert mono_sort_key(sq) > mono_sort_key(x1)
     assert mono_sort_key(z1) > mono_sort_key(x1)     # deg 4 beats deg 2
-    assert mono_sort_key(sq) == mono_sort_key(((X1, 2),))
+    assert mono_sort_key(sq) == mono_sort_key(mono_mul(x1, x1))
 
 
 def test_str_deterministic():
@@ -176,8 +188,17 @@ def _obeys_policy(p):
                for c in p.terms.values())
 
 
+# The reference keeps its own monomials: frozensets of (variable, exponent)
+# pairs, read from each Poly through mono_variables and mono_exponent, so
+# that no reference product goes through poly's layout.
+
+def _ref_mono(exp):
+    """The reference monomial of an exponent dict {variable: exponent}."""
+    return frozenset((var, e) for var, e in exp.items() if e)
+
+
 def _fractions(p):
-    return {m: Fraction(c) for m, c in p.terms.items()}
+    return {frozenset(pairs(m)): Fraction(c) for m, c in p.terms.items()}
 
 
 def _ref_add(a, b):
@@ -191,13 +212,16 @@ def _ref_mul(a, b):
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = mono_mul(m1, m2)
+            exp = dict(m1)
+            for var, e in m2:
+                exp[var] = exp.get(var, 0) + e
+            m = _ref_mono(exp)
             out[m] = out.get(m, Fraction(0)) + c1 * c2
     return {m: c for m, c in out.items() if c}
 
 
 def _ref_pow(a, e):
-    out = {(): Fraction(1)}
+    out = {_ref_mono({}): Fraction(1)}
     for _ in range(e):
         out = _ref_mul(out, a)
     return out
@@ -211,7 +235,7 @@ def _ref_diff(a, var):
         if e > 1:
             exp[var] = e - 1
         if e:
-            out = _ref_add(out, {tuple(sorted(exp.items())): c * e})
+            out = _ref_add(out, {_ref_mono(exp): c * e})
     return out
 
 
@@ -220,14 +244,36 @@ def _ref_substitute(a, var, b):
     for mono, c in a.items():
         exp = dict(mono)
         e = exp.pop(var, 0)
-        rest = {tuple(sorted(exp.items())): c}
+        rest = {_ref_mono(exp): c}
         out = _ref_add(out, _ref_mul(rest, _ref_pow(b, e)))
     return out
 
 
+def _ref_renamed(a, mapping):
+    out = {}
+    for mono, c in a.items():
+        exp = {}
+        for var, e in mono:
+            target = mapping.get(var, var)
+            exp[target] = exp.get(target, 0) + e
+        out = _ref_add(out, {_ref_mono(exp): c})
+    return out
+
+
+def _ref_order_key(mono):
+    # graded lex from the pairs alone: degree first, then x1 > x2 > ...
+    # > y1 > ... > z1, an earlier variable with a higher exponent larger
+    weight = {"x": 2, "y": 2, "z": 4}
+    degree = sum(weight[kind] * e for (kind, _), e in mono)
+    lex = tuple((-"xyz".index(kind), -index, e)
+                for (kind, index), e in sorted(mono))
+    return degree, lex
+
+
 def test_coefficient_policy_property():
     """Every result holds ints and non-integral Fractions only, and equals
-    the same computation done in Fraction arithmetic."""
+    the same computation done in Fraction arithmetic on the reference's own
+    monomials; the monomial order equals a sort of the decoded pairs."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     coeffs = st.one_of(st.integers(-6, 6),
@@ -235,8 +281,10 @@ def test_coefficient_policy_property():
                                     max_denominator=4))
     monos = st.tuples(st.integers(0, 2), st.integers(0, 2),
                       st.integers(0, 1)).map(
-        lambda es: tuple((var, e) for var, e in zip((X1, X2, Z1), es) if e))
+        lambda es: packed(zip((X1, X2, Z1), es)))
     polys = st.dictionaries(monos, coeffs, max_size=4).map(Poly)
+    # x1 -> x2 meets x2 itself; x2 -> z1 raises the degree and meets z1
+    renames = [{X1: X2}, {X1: X2, X2: Z1}, {X1: X2, X2: X1}]
 
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(polys, polys, coeffs, st.integers(0, 3))
@@ -246,23 +294,29 @@ def test_coefficient_policy_property():
             (a + b, _ref_add(fa, fb)),
             (a - b, _ref_add(fa, {m: -x for m, x in fb.items()})),
             (a * b, _ref_mul(fa, fb)),
-            (a * c, _ref_mul(fa, {(): Fraction(c)})),
+            (a * c, _ref_mul(fa, {_ref_mono({}): Fraction(c)})),
             (a ** e, _ref_pow(fa, e)),
             (a.substitute({X1: b}), _ref_substitute(fa, X1, fb)),
             (a.diff(X1), _ref_diff(fa, X1)),
         ]
+        results.extend((a.renamed(mapping), _ref_renamed(fa, mapping))
+                       for mapping in renames)
         if not b.is_zero():
             results.append((exact_div(a * b, b), fa))
         for got, want in results:
             assert _obeys_policy(got)
             assert _fractions(got) == want
+        for p in (a, a * b):
+            got = [frozenset(pairs(m))
+                   for m in sorted(p.terms, key=mono_sort_key)]
+            assert got == sorted(_fractions(p), key=_ref_order_key)
 
     check()
 
 
 def test_float_coefficients_are_refused():
     with pytest.raises(TypeError):
-        Poly({(): 0.5})
+        Poly({UNIT: 0.5})
     with pytest.raises(TypeError):
         Poly.const(0.5)
     for combine in (lambda p: p + 0.5, lambda p: p - 0.5, lambda p: p * 0.5,
@@ -282,20 +336,28 @@ def test_negative_powers_are_refused():
 
 
 def _is_monomial(mono):
-    variables = [var for var, _ in mono]
-    return (all(a < b for a, b in zip(variables, variables[1:]))
-            and all(type(e) is int and e > 0 for _, e in mono))
+    found = pairs(mono)
+    variables = [var for var, _ in found]
+    return (type(mono) is int and mono >= 0
+            and all(a < b for a, b in zip(variables, variables[1:]))
+            and all(type(e) is int and 0 < e < 2 ** (W - 1) for _, e in found)
+            and mono_degree(mono) < 2 ** (W - 1)
+            and mono_degree(mono) == sum(var_degree(var) * e
+                                         for var, e in found)
+            and packed(found) == mono)
 
 
 def test_every_monomial_keeps_the_layout():
-    """Variables strictly increase as plain tuples and exponents are
-    positive, in every monomial the arithmetic and the quotient build.
-    Indices reach 12, so x2 < x10 tests the int ordering of indices."""
+    """In every monomial the arithmetic and the quotient build, the degree
+    field is the weighted sum of the decoded exponents, every field is
+    below the limit, and decoding then re-encoding gives the same int; the
+    decoded variables strictly increase as plain tuples.  Indices reach 12,
+    so x2 < x10 tests the int ordering of indices."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     variables = st.tuples(st.sampled_from("xyz"), st.integers(1, 12))
     exponents = st.dictionaries(variables, st.integers(1, 3), max_size=4)
-    monos = exponents.map(lambda exp: tuple(sorted(exp.items())))
+    monos = exponents.map(lambda exp: packed(exp.items()))
     polys = st.dictionaries(monos, st.integers(-3, 3), max_size=4).map(Poly)
     # few targets, so that renamed variables often coincide
     targets = st.sampled_from([X1, X2, ("x", 10), Y1, Z1])
@@ -307,7 +369,7 @@ def test_every_monomial_keeps_the_layout():
     def check(m1, m2, a, b, var, rename, bounds, degree):
         product = mono_mul(m1, m2)
         assert mono_div(product, m2) == m1
-        built = [product, mono_div(m1, m2) or ()]   # None: m2 does not divide
+        built = [product, mono_div(m1, m2) or UNIT]  # None: m2 does not divide
         for p in (a.renamed(rename), a.diff(var), a.substitute({var: b})):
             built.extend(p.terms)
         ring = quotient.QuotientRing()
@@ -323,15 +385,112 @@ def test_every_monomial_keeps_the_layout():
     check()
 
 
+# the spellings of the monomial layout that only poly may use: the
+# layout's internals, a monomial literal ((v, e),) handed to a mono_*
+# function or a Poly, a loop over a monomial's pairs, an empty-tuple
+# monomial, and the names of the packing internals
+LAYOUT = re.compile(r"var_key|KIND_RANK|_flat_key|dict\(mono"
+                    r"|(mono_\w+\(|Poly\(\{).*\(\(\w+, \w+\),\)"
+                    r"|, _ in mono\b"
+                    r"|[\[{]\(\)[\]:,]|mono_\w+\([^)]*(?<![\w)\]])\(\)"
+                    r"|\b(W|_MASK|_LIMIT|_shift|_fields|_occupied)\b")
+
+
 def test_only_poly_reads_the_monomial_layout():
     src = Path(moycalc.__file__).parent
-    # the layout's internals, a monomial literal ((v, e),) handed to a
-    # mono_* function or a Poly, or a loop over a monomial's pairs
-    pattern = re.compile(r"var_key|KIND_RANK|_flat_key|dict\(mono"
-                         r"|(mono_\w+\(|Poly\(\{).*\(\(\w+, \w+\),\)"
-                         r"|, _ in mono\b")
     offenders = ["%s:%d" % (path.name, i)
                  for path in sorted(src.glob("*.py")) if path.name != "poly.py"
                  for i, line in enumerate(path.read_text().splitlines(), 1)
-                 if pattern.search(line)]
+                 if LAYOUT.search(line)]
     assert not offenders
+
+
+@pytest.mark.parametrize("line", [
+    "out = [()]", "Poly({(): c})", "mono_mul(m, ())", "mono_div((), m)",
+    "mono_mul(m, ((v, e),))", "Poly({((v, 1),): 1})", "for v, _ in mono:",
+    "exp = dict(mono)", "KIND_RANK[kind]", "poly.W", "m >> s & _MASK",
+    "if m & _LIMIT:", "_shift(v)", "_fields(m)", "p._occupied()"])
+def test_the_layout_guard_refuses(line):
+    assert LAYOUT.search(line)
+
+
+@pytest.mark.parametrize("line", [
+    "by_col.get(j, ())", "def basis_monomials(self, ambient=()):",
+    "out = [UNIT]", "Poly()", "mono_mul(m, mono_power(v, e))",
+    "return row.internal_shift", "zeros = tuple()"])
+def test_the_layout_guard_passes(line):
+    assert not LAYOUT.search(line)
+
+
+def test_constants_hash_as_their_coefficient():
+    for c in (0, 3, -7, Fraction(3, 2), Fraction(-1, 3), Fraction(4, 2)):
+        p = Poly.const(c)
+        assert p == c and hash(p) == hash(c)
+        assert p in {c} and c in {p}
+    assert Poly() == 0 and hash(Poly()) == hash(0) and Poly() in {0}
+    assert {Poly.const(2): "two"}[2] == "two"
+    assert v(X1) not in {0, 1, Fraction(1, 2)}
+
+
+def test_overflow_is_refused_never_wrapped():
+    limit = 2 ** (W - 1)
+    # the first power of x1 at the limit, and the last one below it
+    with pytest.raises(MonomialOverflow):
+        Poly.var(X1, 2 ** (W - 2))
+    with pytest.raises(MonomialOverflow):
+        mono_power(Z1, 2 ** (W - 3))
+    top = Poly.var(X1, 2 ** (W - 2) - 1)
+    assert top.degree() == limit - 2
+    assert top * Poly.const(3) == 3 * top
+    with pytest.raises(MonomialOverflow):
+        top * v(X1)
+    with pytest.raises(MonomialOverflow):
+        mono_mul(mono_power(X1, 2 ** (W - 2) - 1), mono_power(Y1, 1))
+    with pytest.raises(MonomialOverflow):
+        monomials_of_degree([X1], limit)
+    # fields just below the limit keep their neighbours intact
+    m = mono_mul(mono_power(X1, 2 ** (W - 3)), mono_power(Y1, 2 ** (W - 3) - 1))
+    assert pairs(m) == [(X1, 2 ** (W - 3)), (Y1, 2 ** (W - 3) - 1)]
+    assert mono_degree(m) == limit - 2
+    half = Poly.var(X1, 2 ** (W - 3))           # degree 2^(W-2)
+    with pytest.raises(MonomialOverflow):
+        half ** 2
+    with pytest.raises(MonomialOverflow):
+        half * half
+    # substitute: in the power of a replacement, and in the kept monomial
+    # times the substituted part
+    quarter = Poly.var(Z1, 2 ** (W - 4))         # degree 2^(W-2)
+    with pytest.raises(MonomialOverflow):
+        (v(X1) ** 2).substitute({X1: quarter})
+    with pytest.raises(MonomialOverflow):
+        (v(X1) * Poly.var(X2, 2 ** (W - 3))).substitute({X1: quarter})
+    # renaming x to z doubles the degree of x's power
+    with pytest.raises(MonomialOverflow):
+        half.renamed({X1: Z1})
+    below = Poly.var(X1, 2 ** (W - 3) - 1).renamed({X1: Z1})
+    assert below == Poly.var(Z1, 2 ** (W - 3) - 1)
+    assert below.degree() == limit - 4
+
+
+def test_cli_reports_an_overflow_as_a_domain_error(tmp_path):
+    # at W = 32 no diagram of workable size reaches the limit (an arc's
+    # factorization has degree 2n, so n would be near 2^30); the child
+    # narrows the fields to 8 bits, where n = 70's arc, of degree 140,
+    # does.  A child process, so that nothing built at 8 bits outlives it.
+    path = tmp_path / "arc.moy"
+    path.write_text("n 70\narc x1 x2\n")
+    child = ("import sys\n"
+             "from moycalc import poly\n"
+             "poly.W, poly._MASK, poly._LIMIT = 8, (1 << 8) - 1, 1 << 7\n"
+             "from moycalc.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    src = Path(moycalc.__file__).parent.parent
+    done = subprocess.run([sys.executable, "-c", child, "build", str(path)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 1
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: %s: monomial degree " % path)
+    assert lines[0].endswith("is not below 2^7")

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from moycalc import quotient
-from moycalc.poly import (Poly, mono_exponent, mono_sort_key,
-                          monomials_of_degree)
+from moycalc.poly import (UNIT, Poly, mono_exponent, mono_mul, mono_power,
+                          mono_sort_key, monomials_of_degree)
 from moycalc.quotient import (InfiniteDimension, QuotientRing,
                               TriangularityViolation, echelon)
 from moycalc.laurent import LaurentPoly
@@ -53,12 +53,10 @@ def test_normal_form_is_ring_homomorphism():
     def rand():
         terms = {}
         for _ in range(rng.randint(1, 4)):
-            mono = []
+            mono = UNIT
             for var in (Y1, Z1):
-                e = rng.randint(0, 4)
-                if e:
-                    mono.append((var, e))
-            terms[tuple(sorted(mono))] = Fraction(rng.randint(-4, 4))
+                mono = mono_mul(mono, mono_power(var, rng.randint(0, 4)))
+            terms[mono] = Fraction(rng.randint(-4, 4))
         return Poly(terms)
 
     for _ in range(40):

@@ -11,7 +11,8 @@ import pytest
 from moycalc.diagram import glue, parse_diagram
 from moycalc.homology import euler_characteristic, graded_homology
 from moycalc.mf import KoszulMF, KoszulRow, MFSum, koszul_new
-from moycalc.poly import Poly, qdiv
+from moycalc.poly import (UNIT, Poly, mono_exponent, mono_mul, mono_power,
+                          mono_variables, qdiv)
 from moycalc import quotient
 from moycalc.quotient import (QuotientRing, TriangularityViolation,
                               cyclic_closure)
@@ -474,9 +475,22 @@ def _monic_reference(p, var):
     if d == 0:
         return None
     # the coefficient of var^d, collected over the other variables
-    lead = Poly({tuple(f for f in mono if f[0] != var): c
-                 for mono, c in p.terms.items() if (var, d) in mono})
-    return (d, lead.terms[()]) if list(lead.terms) == [()] else None
+    lead = Poly({_without(mono, var): c for mono, c in p.terms.items()
+                 if mono_exponent(mono, var) == d})
+    return (d, lead.terms[UNIT]) if list(lead.terms) == [UNIT] else None
+
+
+def _without(mono, var):
+    # mono with var's power struck out, rebuilt from its other variables
+    return _packed((w, mono_exponent(mono, w))
+                   for w in mono_variables(mono) if w != var)
+
+
+def _packed(exponents):
+    out = UNIT
+    for var, e in exponents:
+        out = mono_mul(out, mono_power(var, e))
+    return out
 
 
 def test_monic_table_matches_degree_and_coefficient():
@@ -487,7 +501,7 @@ def test_monic_table_matches_degree_and_coefficient():
                        st.fractions(min_value=-4, max_value=4,
                                     max_denominator=3))
     monos = st.tuples(*[st.integers(0, 3)] * len(variables)).map(
-        lambda es: tuple((var, e) for var, e in zip(variables, es) if e))
+        lambda es: _packed(zip(variables, es)))
     polys = st.dictionaries(monos, coeffs, max_size=5).map(Poly)
 
     @hypothesis.settings(max_examples=300, deadline=None)

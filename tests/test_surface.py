@@ -2,6 +2,7 @@
 the tests: a name only tests use is dead surface, or belongs in a test."""
 
 import ast
+import sys
 import tokenize
 from pathlib import Path
 
@@ -74,3 +75,21 @@ def test_every_definition_has_a_caller_outside_the_tests():
     assert not no_caller, "no caller outside the tests: %s" % no_caller
     now_used = sorted(KEPT.keys() - unused)
     assert not now_used, "in KEPT, but the program uses them: %s" % now_used
+
+
+def test_the_package_imports_only_the_standard_library():
+    # the pipeline is stdlib-only: an absolute import names a standard
+    # module or moycalc itself, and relative imports stay in the package
+    outside = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside |= {"%s: %s" % (path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names
+                        and name.split(".")[0] != "moycalc"}
+    assert not outside, sorted(outside)

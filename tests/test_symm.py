@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from moycalc.laurent import LaurentPoly
-from moycalc.poly import Poly, exact_div
+from moycalc.poly import Poly, exact_div, mono_power
 from moycalc.quotient import QuotientRing
 from moycalc.symm import (_monic_rule, jacobi_algebra, pi_poly,
                           power_sum_at, power_sum_expand, slot_quotients,
@@ -81,8 +81,8 @@ def test_monic_rule_divides_by_the_leading_coefficient():
     var, d, repl = _monic_rule(3 * v(Y1) ** 2 + 6 * v(Z1) + 2 * v(Y1), Y1)
     assert (var, d) == (Y1, 2)
     assert repl == -2 * v(Z1) - Fraction(2, 3) * v(Y1)
-    assert type(repl.terms[((Z1, 1),)]) is int
-    assert type(repl.terms[((Y1, 1),)]) is Fraction
+    assert type(repl.terms[mono_power(Z1, 1)]) is int
+    assert type(repl.terms[mono_power(Y1, 1)]) is Fraction
 
 
 def test_jacobi_algebra_kills_partials():
