@@ -6,7 +6,12 @@ d0: M0 -> M1 and d1: M1 -> M0 composing to omega*Id both ways.  The
 elementary block K(a; b) is (R -> R{(deg b - deg a)/2} -> R) with maps
 a and b.  Rows tensor together by the Khovanov-Rozansky block
 convention (math/0401268); KoszulMF.to_explicit writes the result out by
-_block_form, whose docstring states the layout.
+_block_form.  In that layout every entry has a closed form: position
+(i, j) is filled only on the diagonal, where the entry depends on the
+parity of i's popcount, and where i ^ j is a single bit 2^k, where it
+depends on bit k of i and on the parity of i's bits above k.
+_block_form's docstring states it and proves it equal to the recursive
+tensor layout.
 
 The translation functor <1> swaps the slots and negates both maps; on a
 single row it is realized as K(-b; -a){(deg b - deg a)/2}.
@@ -20,10 +25,14 @@ two known potentials instead of multiplying out the rows again, and a
 renaming of the variables, a ring homomorphism, carries the potential to
 its image (diagram.build_primitive).
 
-verify_factorization checks a pair in that layout by rebuilding it: the
-layout alone makes both squares omega*Id (proof in its docstring).  Any
-other pair is checked by computing both squares.
+verify_factorization checks a pair in that layout in place, class of
+positions by class, without building a second pair: the layout alone
+makes both squares omega*Id (proof in its docstring).  Any other pair is
+checked by computing both squares.
 """
+
+import functools
+from itertools import repeat
 
 from .poly import Poly, as_coeff, mono_degree, qdiv
 from .quotient import QuotientRing
@@ -362,31 +371,76 @@ def _block_form(c0, c1, corner, levels):
     algebra: generator k of a slot is the set of rows r >= 1 with bit
     r - 1 of k set, plus row 0 where the slot's parity asks for it.
 
-    Copied blocks keep the same entry objects, and positions share one
-    list of index ints, so a_r, -a_r, b_r and -b_r are one object each
-    and no position holds a new int above the interpreter's small ints.  No
-    position leaves the shape and no 0 is written, so the entries can go
-    to _trusted.
+    The entries have a closed form.  The diagonal (i, i) holds x in d0
+    and y in d1 where i has an even popcount, and the other way round
+    where it is odd.  Level k, of size h = 2^k, fills (i, i ^ h): with p
+    the parity of i's bits above k, d0 holds there u where bit k of i is
+    clear and l where it is set when p is even, nu and nl when p is odd;
+    d1 holds the other pair.  No other position is filled.  By induction
+    on the levels, this is the recursion above.  It holds for the 1 x 1
+    pair.  A level of size H = 2^m keeps each map's block on i, j < H,
+    where bit m is clear and nothing changes.  It fills the block on
+    i, j >= H with the other map, at i - H: setting bit m adds one to
+    i's popcount and to its parity above every level k < m, which swaps
+    x with y and (u, l) with (nu, nl), and that turns the other map's
+    closed form into this one's.  The off-diagonal blocks hold the
+    level's own entries at (i, i ^ H), with no bit of i above m.
+
+    Each map is filled once per position class of _layout, whose tuples
+    every call with as many levels shares, so a_r, -a_r, b_r and -b_r are
+    one object each and no position is copied.  No position leaves the
+    shape and no 0 is written, so the entries can go to _trusted.
     """
-    x, y = corner
-    index = list(range(1 << len(levels)))
-    g0, g1 = [c0], [c1]
-    d0 = {} if x is None else {(0, 0): x}
-    d1 = {} if y is None else {(0, 0): y}
-    for l, u, nl, nu, s in levels:
-        h = len(g0)
-        top, low = index[:h], index[h:]     # low[k] is h + k
-        lower0 = {(low[i], low[j]): p for (i, j), p in d1.items()}
-        lower1 = {(low[i], low[j]): p for (i, j), p in d0.items()}
-        for d, lower, left, right in ((d0, lower0, l, u),
-                                      (d1, lower1, nl, nu)):
-            d.update(lower)
-            if left is not None:
-                d.update(dict.fromkeys(zip(low, top), left))
-            if right is not None:
-                d.update(dict.fromkeys(zip(top, low), right))
-        g0, g1 = g0 + [g + s for g in g1], g1 + [g + s for g in g0]
+    classes = _layout(len(levels))
+    d0, d1 = {}, {}
+    for d, names in zip((d0, d1), _block_names(corner, levels)):
+        for cls, p in zip(classes, names):
+            if p is not None:
+                d.update(zip(cls, repeat(p)))
+    g0, g1 = _block_degrees(c0, c1, [level[4] for level in levels])
     return g0, g1, d0, d1
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(count):
+    """The position classes of the block layout with count levels, in the
+    order of _block_names: the diagonal at even and at odd popcount, then
+    for each level k, of size h = 2^k, the positions (i, i ^ h) with bit
+    k of i clear and then set, first where i's bits above k have even
+    parity and then where they have odd parity.  Only tuples of ints are
+    cached, never an entry."""
+    size = 1 << count
+    parity = [i.bit_count() & 1 for i in range(size)]
+    classes = [tuple((i, i) for i in range(size) if parity[i] == odd)
+               for odd in (0, 1)]
+    for k in range(count):
+        h = 1 << k
+        for odd in (0, 1):
+            for low in (0, h):
+                classes.append(tuple((i, i ^ h) for i in range(size)
+                                     if i & h == low
+                                     and parity[i >> k + 1] == odd))
+    return tuple(classes)
+
+
+def _block_names(corner, levels):
+    """The entries that d0 and d1 hold on each class of _layout, None for
+    0 (see _block_form)."""
+    x, y = corner
+    names0, names1 = [x, y], [y, x]
+    for l, u, nl, nu, _ in levels:
+        names0 += (u, l, nu, nl)
+        names1 += (nu, nl, u, l)
+    return names0, names1
+
+
+def _block_degrees(c0, c1, shifts):
+    """gens0 and gens1 of the block layout, as tuples: each level's new
+    generators of a slot take the other slot's degrees plus its shift."""
+    g0, g1 = [c0], [c1]
+    for s in shifts:
+        g0, g1 = g0 + [g + s for g in g1], g1 + [g + s for g in g0]
+    return tuple(g0), tuple(g1)
 
 
 class _ProductTables:
@@ -509,8 +563,13 @@ def verify_factorization(exp):
 
     A pair in _block_form's layout is verified with no matrix product:
     _block_omega reads its corner (x, y) and each level's (l, u, nl, nu)
-    and shift at their positions, requires nl = -l and nu = -u, rebuilds
-    the pair by _block_form and requires it to be equal to the given one.
+    and shift at their positions, requires nl = -l and nu = -u, and
+    requires the pair to equal the one _block_form builds from them,
+    without building it.  In _block_form's closed form, each map holds
+    one named entry on each position class of _layout and nothing
+    elsewhere; so each map must hold an entry equal to the named one at
+    every position of each class whose entry is not 0, and exactly as
+    many entries as those classes have positions.
     In h x h blocks a level is
 
         d0 = [[P, u*I], [l*I, P']],   d1 = [[P', -u*I], [-l*I, P]],
@@ -570,10 +629,21 @@ def _block_omega(exp):
             if not p.is_homogeneous():
                 return None
             degrees.add(p.degree() + tgt - src)
-    g0, g1, d0, d1 = _block_form(gens0[0], gens1[0], (x, y), levels)
-    if (len(degrees) > 1 or tuple(g0) != gens0 or tuple(g1) != gens1
-            or d0 != e0 or d1 != e1):
+    shifts = [level[4] for level in levels]
+    if (len(degrees) > 1
+            or _block_degrees(gens0[0], gens1[0], shifts) != (gens0, gens1)):
         return None
+    # each map must hold the named entry at every position of each class
+    # and nothing else: list.count compares by identity first and then by
+    # value, in C
+    classes = _layout(len(levels))
+    for entries, names in zip((e0, e1), _block_names((x, y), levels)):
+        filled = [(cls, p) for cls, p in zip(classes, names) if p is not None]
+        if len(entries) != sum(len(cls) for cls, _ in filled):
+            return None
+        for cls, p in filled:
+            if list(map(entries.get, cls)).count(p) != len(cls):
+                return None
     omega = exp.base.normal_form(sum((p * q for p, q in products
                                       if p is not None and q is not None),
                                      Poly()))

@@ -339,7 +339,10 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        """self^e, multiplied out once per object and exponent."""
+        """self^e, multiplied out once per object and exponent: every
+        power from the largest one cached below e up to e is cached on the
+        way, each one product from the one before, in a loop whatever e
+        is."""
         if e < 0:
             raise ValueError("negative power")
         if e == 0:
@@ -353,7 +356,12 @@ class Poly:
             object.__setattr__(self, "_powers", powers)
         out = powers.get(e)
         if out is None:
-            out = powers[e] = self ** (e - 1) * self
+            k = e - 1
+            while k > 1 and k not in powers:
+                k -= 1
+            out = powers.get(k, self)
+            for j in range(k + 1, e + 1):
+                out = powers[j] = out * self
         return out
 
     def __eq__(self, other):

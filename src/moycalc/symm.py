@@ -34,13 +34,24 @@ def power_sum_expand(n, s1=("y", 1), s2=("z", 1)):
     return power_sum_at(n, Poly.var(s1), Poly.var(s2))
 
 
+def _sum_of_products(pairs):
+    """The sum of f*g over the pairs (f, g), each product's terms added
+    straight into one dict: adding the products one at a time would copy
+    the whole running sum for each one."""
+    acc = {}
+    for f, g in pairs:
+        right = g.terms.items()
+        for m1, c1 in f.terms.items():
+            for m2, c2 in right:
+                m = m1 + m2
+                acc[m] = acc.get(m, 0) + c1 * c2
+    return Poly(acc)
+
+
 def _h(j, a, b):
     """The complete homogeneous h_j(a, b) = sum_{i=0}^{j} a^i b^{j-i};
     0 for j < 0.  It is the quotient (a^{j+1} - b^{j+1})/(a - b)."""
-    out = Poly()
-    for i in range(j + 1):
-        out = out + a ** i * b ** (j - i)
-    return out
+    return _sum_of_products((a ** i, b ** (j - i)) for i in range(j + 1))
 
 
 def pi_poly(n, v1=("x", 1), v2=("x", 2)):
@@ -55,12 +66,12 @@ def slot_quotients(n, s, t, p, q):
     With f = sum_k c_k s^{n+1-2k} p^k, u = sum_k c_k p^k h_{n-2k}(s, t)
     and v = sum_k c_k t^{n+1-2k} h_{k-1}(p, q): no division is needed.
     """
-    u = v = Poly()
-    for mono, c in power_sum_expand(n).terms.items():
-        k = mono_exponent(mono, ("z", 1))
-        u = u + c * p ** k * _h(n - 2 * k, s, t)
-        v = v + c * t ** (n + 1 - 2 * k) * _h(k - 1, p, q)
-    return u, v
+    terms = [(mono_exponent(mono, ("z", 1)), c)
+             for mono, c in power_sum_expand(n).terms.items()]
+    return (_sum_of_products((c * p ** k, _h(n - 2 * k, s, t))
+                             for k, c in terms),
+            _sum_of_products((c * t ** (n + 1 - 2 * k), _h(k - 1, p, q))
+                             for k, c in terms))
 
 
 def uv_polys(n, xs=(("x", 1), ("x", 2), ("x", 3), ("x", 4))):

@@ -258,6 +258,21 @@ def test_infinite_dimension_message_ignores_hash_seed(tmp_path):
     assert code == 0 and "rule: " in out
 
 
+def test_large_n_runs_without_recursion(tmp_path, capsys):
+    # f_n and the closure's homology raise x1 to about n: a power computed
+    # one level of recursion per exponent would pass the interpreter's
+    # recursion limit at this n
+    arc = tmp_path / "arc.moy"
+    arc.write_text("n 1200\narc x1 x2\n")
+    assert main(["build", str(arc)]) == 0
+    assert "potential: -x1^1201 + x2^1201" in capsys.readouterr().out
+    circle = tmp_path / "circle.moy"
+    circle.write_text("n 1200\narc x1 x2\nglue x1 x2\n")
+    assert main(["euler", str(circle), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["euler"] == {str(d): 1 for d in range(-1199, 1200, 2)}
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])

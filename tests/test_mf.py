@@ -12,8 +12,8 @@ from moycalc.diagram import build_primitive, glue, parse_diagram
 from moycalc.poly import Poly
 from moycalc.quotient import QuotientRing
 from moycalc.mf import (ExplicitMF, KoszulMF, KoszulRow, NotAFactorization,
-                        OddShift, SparseMat, _block_omega, _product_omega,
-                        koszul_new, verify_factorization)
+                        OddShift, SparseMat, _block_form, _block_omega,
+                        _product_omega, koszul_new, verify_factorization)
 from test_acceptance import _random_diagram
 from test_reduce import _load_workloads
 
@@ -354,11 +354,11 @@ def test_explicit_form_matches_the_block_formula():
 
 
 def test_explicit_form_shares_entry_objects():
-    # verify_factorization's block check compares the pair with its rebuilt
-    # block form as dicts, and dict equality takes identical entries as
-    # equal without comparing them: that pays off because a_r, -a_r, b_r
-    # and -b_r are one object each across both matrices, also after
-    # ExplicitMF.translate negates them
+    # verify_factorization's block check compares each position's entry
+    # with the one the layout names by list.count, which takes identical
+    # entries as equal without comparing them: that pays off because a_r,
+    # -a_r, b_r and -b_r are one object each across both matrices, also
+    # after ExplicitMF.translate negates them
     for k, mf in _explicit_cases():
         got = mf.to_explicit()
         for pair in (got, got.translate()):
@@ -671,6 +671,106 @@ def test_block_path_compares_entries_by_value():
                     omega = _block_omega(case)
                     assert omega is not None
                     assert _block_omega(copy) == omega
+
+
+def _recursive_block_form(c0, c1, corner, levels):
+    """_block_form's layout by its recursion: each level (l, u, nl, nu, s)
+    turns the pair into d0 = [[d0, u*I], [l*I, d1]] and
+    d1 = [[d1, nu*I], [nl*I, d0]], copying the lower blocks."""
+    x, y = corner
+    g0, g1 = [c0], [c1]
+    d0 = {} if x is None else {(0, 0): x}
+    d1 = {} if y is None else {(0, 0): y}
+    for l, u, nl, nu, s in levels:
+        h = len(g0)
+        lower0 = {(h + i, h + j): p for (i, j), p in d1.items()}
+        lower1 = {(h + i, h + j): p for (i, j), p in d0.items()}
+        for d, lower, left, right in ((d0, lower0, l, u),
+                                      (d1, lower1, nl, nu)):
+            d.update(lower)
+            for i in range(h):
+                if left is not None:
+                    d[(h + i, i)] = left
+                if right is not None:
+                    d[(i, h + i)] = right
+        g0, g1 = g0 + [g + s for g in g1], g1 + [g + s for g in g0]
+    return g0, g1, d0, d1
+
+
+def test_closed_form_layout_equals_the_recursive_one():
+    # _block_form names each entry from its position; the recursion copies
+    # the lower blocks level by level.  Both must give the same pair, with
+    # the same entry objects, whichever entries are 0 (None)
+    rng = random.Random(61)
+    cases = 0
+    for count in range(11):
+        for parity in (0, 1):
+            rows = [(_homogeneous(rng, 2), _homogeneous(rng, 6))
+                    for _ in range(count + 1)]
+            (a, b), shift = rows[0], rng.randint(-3, 3)
+            corner, c0, c1 = (a, b), shift, shift + 2
+            if parity:
+                corner, c0, c1 = (-b, -a), c1, c0
+            levels = [(a, -b, -a, b, 2) for a, b in rows[1:]]
+            holes = [("corner", 0), ("corner", 1)]
+            holes += [(k, slot) for k in range(count) for slot in (0, 1)]
+            for hole in [None] + holes:
+                got_corner, got_levels = list(corner), list(levels)
+                if hole is not None and hole[0] == "corner":
+                    got_corner[hole[1]] = None
+                elif hole is not None:
+                    l, u, nl, nu, s = levels[hole[0]]
+                    got_levels[hole[0]] = ((None, u, None, nu, s)
+                                           if hole[1] == 0
+                                           else (l, None, nl, None, s))
+                expected = _recursive_block_form(c0, c1, got_corner,
+                                                 got_levels)
+                g0, g1, d0, d1 = _block_form(c0, c1, got_corner, got_levels)
+                assert (list(g0), list(g1)) == expected[:2]
+                for got, want in ((d0, expected[2]), (d1, expected[3])):
+                    assert got.keys() == want.keys(), (count, parity, hole)
+                    assert all(got[pos] is p for pos, p in want.items())
+                cases += 1
+    assert cases == 2 * sum(3 + 2 * count for count in range(11))
+
+
+def test_block_path_checks_every_position_class():
+    # one layout entry moved to an empty position keeps each map's entry
+    # count, so only the check of each position class can refuse the pair;
+    # the product kernel then gives the verdict
+    rng = random.Random(67)
+    refused = 0
+    for rows in range(3, 9):
+        for parity in (0, 1):
+            for base in (QuotientRing(), _RULED):
+                e = _random_koszul(rng, rows, base, parity).to_explicit()
+                size = len(e.gens0)
+                # the positions _block_omega reads its corner and levels at
+                read = {(0, 0)} | {(1 << k, 0) for k in range(rows - 1)}
+                read |= {(j, i) for i, j in read}
+                for case in (e, e.translate()):
+                    which = rng.choice(("d0", "d1"))
+                    mat = getattr(case, which)
+                    entries = dict(mat.entries)
+                    pos = rng.choice(sorted(set(entries) - read))
+                    empty = [(i, j) for i in range(size)
+                             for j in range(size) if (i, j) not in entries]
+                    entries[rng.choice(empty)] = entries.pop(pos)
+                    broken = SparseMat(mat.nrows, mat.ncols, entries)
+                    d0, d1 = ((broken, case.d1) if which == "d0"
+                              else (case.d0, broken))
+                    broken = ExplicitMF(case.gens0, case.gens1, d0, d1,
+                                        case.base)
+                    assert _block_omega(broken) is None, (rows, parity)
+                    got = _outcome(verify_factorization, broken)
+                    assert got == _outcome(_product_omega, broken)
+                    refused += got[0] == "refused"
+    assert refused == 6 * 2 * 2 * 2
+
+
+def test_layout_cache_is_bounded():
+    maxsize = mf_module._layout.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 64
 
 
 def test_both_squares_are_checked_where_the_theorem_does_not_hold():

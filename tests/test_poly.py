@@ -335,6 +335,23 @@ def test_negative_powers_are_refused():
     assert Poly.var(X1, 0) == Poly.const(1)
 
 
+def test_large_powers_need_no_recursion():
+    # a power one level of recursion per exponent would pass the
+    # interpreter's recursion limit here
+    assert v(X1) ** 5000 == Poly.var(X1, 5000)
+    # each power is cached from the largest one cached below it, and every
+    # cached power equals the repeated product
+    p = v(X1) - 2 * v(Y1)
+    assert p ** 3 == p * p * p
+    assert p ** 9 == p ** 3 * p ** 3 * p ** 3
+    assert sorted(p._powers) == list(range(2, 10))
+    product = Poly.const(1)
+    for e in range(12):
+        assert p ** e == product, e
+        product = product * p
+    assert all(q == p ** (e - 1) * p for e, q in p._powers.items())
+
+
 def _is_monomial(mono):
     found = pairs(mono)
     variables = [var for var, _ in found]
