@@ -27,7 +27,7 @@ Crossings have no factorization here: only the bracket resolves them
 import functools
 import re
 
-from .poly import Poly
+from .poly import Poly, sum_of_products
 from .quotient import QuotientRing
 from .mf import KoszulMF, KoszulRow
 from .symm import pi_poly, power_sum_at, slot_quotients, uv_polys
@@ -313,7 +313,7 @@ def _template(kind, n):
         u, v = slot_quotients(n, s, t, p, q)
         rows = pair(u, s - t, v, p - q)
         shift = -1 if kind == "vout" else 0
-    return rows, shift, slots, sum((r.a * r.b for r in rows), Poly())
+    return rows, shift, slots, sum_of_products((r.a, r.b) for r in rows)
 
 
 def class_variables(diagram):

@@ -34,7 +34,7 @@ checked by computing both squares.
 import functools
 from itertools import repeat
 
-from .poly import Poly, as_coeff, mono_degree, qdiv
+from .poly import Poly, as_coeff, mono_degree, qdiv, sum_of_products
 from .quotient import QuotientRing
 
 
@@ -158,9 +158,7 @@ class KoszulMF:
 
     def potential(self):
         if self._potential is None:
-            out = Poly()
-            for row in self.rows:
-                out = out + row.a * row.b
+            out = sum_of_products((row.a, row.b) for row in self.rows)
             object.__setattr__(self, "_potential",
                                self.base.normal_form(out))
         return self._potential
@@ -644,9 +642,8 @@ def _block_omega(exp):
         for cls, p in filled:
             if list(map(entries.get, cls)).count(p) != len(cls):
                 return None
-    omega = exp.base.normal_form(sum((p * q for p, q in products
-                                      if p is not None and q is not None),
-                                     Poly()))
+    omega = exp.base.normal_form(sum_of_products(
+        (p, q) for p, q in products if p is not None and q is not None))
     if not omega.is_zero() and (not omega.is_homogeneous()
                                 or degrees != {omega.degree() // 2}):
         return None

@@ -20,8 +20,8 @@ So a product of monomials is an integer sum, a degree is a mask, and an
 exponent is a shift and a mask.  A variable's field comes from its kind
 and index by arithmetic alone: there is no registry of variables, and W
 is one constant, not an option.  The ``mono_*`` functions,
-``monomials_of_degree`` and ``UNIT`` own the layout, and no other module
-reads or builds the int.
+``monomials_of_degree``, ``sum_of_products`` and ``UNIT`` own the layout,
+and no other module reads or builds the int.
 
 No field carries into the next.  Every variable's weight is at least 2,
 so no exponent exceeds half the degree, and a monomial whose degree is
@@ -481,6 +481,20 @@ def monomials_of_degree(variables, degree):
     v, w = variables[0], var_degree(variables[0])
     return [mono_power(v, e) + m for e in range(degree // w + 1)
             for m in monomials_of_degree(variables[1:], degree - e * w)]
+
+
+def sum_of_products(pairs):
+    """The sum of f*g over the pairs (f, g) of Polys, each product's terms
+    added straight into one dict: adding the products one at a time would
+    copy the whole running sum for each one."""
+    acc = {}
+    for f, g in pairs:
+        right = g.terms.items()
+        for m1, c1 in f.terms.items():
+            for m2, c2 in right:
+                m = m1 + m2
+                acc[m] = acc.get(m, 0) + c1 * c2
+    return Poly(acc)
 
 
 def exact_div(num, den):

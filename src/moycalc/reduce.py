@@ -46,29 +46,14 @@ potential the search just takes the first feasible (row, variable, side).
 Under a zero potential a greedy choice can dead-end, so the search
 backtracks depth-first to the first branch that reaches zero rows
 everywhere; after 16 exclusions it settles for first branches instead.
-The d copies of a split are one factorization shifted by k*deg v, and
-the search reduces copy 0 only, whenever the budget cannot tell the
-copies apart; copies 1..d-1 then take copy 0's steps and its summands
-with each shift raised by k*deg v, and the budget is charged what copy 0
-spent, once per copy.  This is exact:
-  1. The copies have the same rows, base and parity, and _reduce only
-     ever adds to a shift: a side-"a" exclusion adds internal_shift, and
-     a split adds k*deg v.
-  2. The budget is the only state the copies share, and copy k starts
-     with no more of it than copy 0.  It is read in one place: a node
-     that already holds a failed branch (best) decides whether to try
-     its next candidate.
-  3. Suppose copy 0's search never went on past a failed branch: each
-     node returned on its first accepted branch, ran out of candidates,
-     or stopped because the budget was spent.  Copy k spends the budget
-     at the same steps, so at each read it has no more left than copy 0
-     had, and stops there too.  It makes the same decisions, takes the
-     same steps, reaches the same summands (shifted) and spends the same
-     budget.
-budget["continued"] counts the nodes that went on past a failed branch,
-and a split's copies are shared only when copy 0 left it unchanged;
-otherwise each copy is reduced in turn.  A split step still lists every
-copy's steps, so replay re-runs each copy and checks the sharing.
+The d copies of a split are one factorization shifted by k*deg v, so
+the search reduces copy 0 only: copies 1..d-1 take copy 0's steps and
+its summands with each shift raised by k*deg v, and the budget is charged
+what copy 0 spent, once per copy.  This is exact: the copies have the
+same rows, base and parity, and _reduce only ever adds to a shift (a
+side-"a" exclusion adds internal_shift, and a split adds k*deg v).
+A split step still lists every copy's steps, so replay re-runs each copy
+and checks the sharing.
 
 A trace is a flat list of (kind, info) steps: exclude (row, var, side,
 power) and split (var, power, sizes), where a split is followed by its
@@ -222,21 +207,18 @@ def auto_reduce(mf):
     mf = mf.normalized_rows()
     potential = mf.potential()
     summands, steps = _reduce(mf, potential.variables(), potential.is_zero(),
-                              {"branches": 16, "continued": 0})
+                              {"branches": 16})
     return MFSum(summands), ReductionTrace(steps)
 
 
 def _reduce(mf, potential_vars, zero, budget):
     """(summands, steps); potential_vars and zero (is the potential 0?)
     describe the potential, which no exclusion or split changes; budget
-    holds the branches left and the count of nodes that went on past a
-    failed branch."""
+    holds the one count of branches left."""
     best = None
     for (i, v, side, d) in _exclusion_candidates(mf, potential_vars):
-        if best is not None:
-            if budget["branches"] <= 0:
-                break
-            budget["continued"] += 1
+        if best is not None and budget["branches"] <= 0:
+            break
         try:
             nxt = exclude_variable(mf, i, v, side, potential_vars)
         except TriangularityViolation:
@@ -255,21 +237,15 @@ def _reduce(mf, potential_vars, zero, budget):
         return best
 
     for v in _splittable_variables(mf):
-        first, *rest = split_free_module(mf, v)
-        left, continued = budget["branches"], budget["continued"]
-        summands, sub = _reduce(first, potential_vars, zero, budget)
-        copies = [(summands, sub)]
-        if budget["continued"] == continued:
-            # the budget cannot tell the copies apart (module docstring)
-            budget["branches"] -= len(rest) * (left - budget["branches"])
-            copies += [([s.shifted(k * var_degree(v)) for s in summands], sub)
-                       for k in range(1, len(rest) + 1)]
-        else:
-            copies += [_reduce(c, potential_vars, zero, budget) for c in rest]
-        sizes = tuple(len(sub) for _, sub in copies)
-        split = ("split", {"var": v, "power": len(copies), "sizes": sizes})
-        return ([s for summands, _ in copies for s in summands],
-                [split] + [step for _, sub in copies for step in sub])
+        copies = split_free_module(mf, v).summands
+        left, d = budget["branches"], len(copies)
+        summands, sub = _reduce(copies[0], potential_vars, zero, budget)
+        # the copies share copy 0's search (module docstring)
+        budget["branches"] -= (d - 1) * (left - budget["branches"])
+        split = ("split", {"var": v, "power": d, "sizes": (len(sub),) * d})
+        return (summands + [s.shifted(k * var_degree(v))
+                            for k in range(1, d) for s in summands],
+                [split] + sub * d)
 
     return [mf], []
 

@@ -10,7 +10,7 @@ polynomials h_j(a, b) = (a^{j+1} - b^{j+1})/(a - b), so they are built
 without dividing.
 """
 
-from .poly import Poly, mono_exponent, qdiv
+from .poly import Poly, mono_exponent, qdiv, sum_of_products
 from .quotient import QuotientRing, TriangularityViolation
 
 
@@ -34,24 +34,10 @@ def power_sum_expand(n, s1=("y", 1), s2=("z", 1)):
     return power_sum_at(n, Poly.var(s1), Poly.var(s2))
 
 
-def _sum_of_products(pairs):
-    """The sum of f*g over the pairs (f, g), each product's terms added
-    straight into one dict: adding the products one at a time would copy
-    the whole running sum for each one."""
-    acc = {}
-    for f, g in pairs:
-        right = g.terms.items()
-        for m1, c1 in f.terms.items():
-            for m2, c2 in right:
-                m = m1 + m2
-                acc[m] = acc.get(m, 0) + c1 * c2
-    return Poly(acc)
-
-
 def _h(j, a, b):
     """The complete homogeneous h_j(a, b) = sum_{i=0}^{j} a^i b^{j-i};
     0 for j < 0.  It is the quotient (a^{j+1} - b^{j+1})/(a - b)."""
-    return _sum_of_products((a ** i, b ** (j - i)) for i in range(j + 1))
+    return sum_of_products((a ** i, b ** (j - i)) for i in range(j + 1))
 
 
 def pi_poly(n, v1=("x", 1), v2=("x", 2)):
@@ -68,10 +54,10 @@ def slot_quotients(n, s, t, p, q):
     """
     terms = [(mono_exponent(mono, ("z", 1)), c)
              for mono, c in power_sum_expand(n).terms.items()]
-    return (_sum_of_products((c * p ** k, _h(n - 2 * k, s, t))
-                             for k, c in terms),
-            _sum_of_products((c * t ** (n + 1 - 2 * k), _h(k - 1, p, q))
-                             for k, c in terms))
+    return (sum_of_products((c * p ** k, _h(n - 2 * k, s, t))
+                            for k, c in terms),
+            sum_of_products((c * t ** (n + 1 - 2 * k), _h(k - 1, p, q))
+                            for k, c in terms))
 
 
 def uv_polys(n, xs=(("x", 1), ("x", 2), ("x", 3), ("x", 4))):

@@ -667,7 +667,7 @@ def test_shared_copies_equal_the_unshared_search(monkeypatch):
     # the copies of every split, and those of them the search reduced
     split, search = split_free_module, reduce_module._reduce
     copies_of, reduced = {}, set()
-    shared = each = 0
+    splits = 0
 
     def recording_split(mf, var):
         out = split(mf, var)
@@ -686,23 +686,21 @@ def test_shared_copies_equal_the_unshared_search(monkeypatch):
         potential = mf.potential()
         args = mf, potential.variables(), potential.is_zero()
         for seed, branches in itertools.product(range(4), (2, 6, 16)):
-            want = {"branches": branches}
-            expected = _unshared_reduce(*args, want)
-            got = {"branches": branches, "continued": 0}
+            expected = _unshared_reduce(*args, {"branches": branches})
             with monkeypatch.context() as patch:
                 patch.setattr(reduce_module, "split_free_module",
                               recording_split)
                 patch.setattr(reduce_module, "_reduce", recording_search)
-                assert reduce_module._reduce(*args, got) == expected
-            assert got["branches"] == want["branches"], item.text
+                got = reduce_module._reduce(*args, {"branches": branches})
+            assert got == expected, item.text
+        # exactly copy 0 of every split is searched
         for copies in {id(c): c for c in copies_of.values()}.values():
-            ran = [id(c) in reduced for c in copies]
-            shared += ran == [True] + [False] * (len(copies) - 1)
-            each += all(ran)
-            assert ran[0] and ran[1] == all(ran)
+            assert [id(c) in reduced for c in copies] == (
+                [True] + [False] * (len(copies) - 1)), item.text
+            splits += 1
         copies_of.clear()
         reduced.clear()
-    assert shared and each
+    assert splits
 
 
 def test_theta_matches_digon_times_double_circle():
