@@ -192,13 +192,16 @@ class KoszulMF:
         return KoszulMF(rows, self.base, self.shift + delta, self.parity + 1)
 
     def normalized_rows(self):
-        """Normal-form every entry over the base; without rules every
-        entry is normal already, so this is self and keeps its cached
-        potential."""
+        """Normal-form every entry over the base; when every entry is
+        normal already (always, without rules), this is self and keeps
+        its cached potential."""
         if not self.base.rules:
             return self
         nf = self.base.normal_form
-        return self.replace(rows=[r.mapped(nf) for r in self.rows])
+        rows = [r.mapped(nf) for r in self.rows]
+        if all(new is old for new, old in zip(rows, self.rows)):
+            return self
+        return self.replace(rows=rows)
 
     def ambient_variables(self):
         out = set()

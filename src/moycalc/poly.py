@@ -20,8 +20,8 @@ So a product of monomials is an integer sum, a degree is a mask, and an
 exponent is a shift and a mask.  A variable's field comes from its kind
 and index by arithmetic alone: there is no registry of variables, and W
 is one constant, not an option.  The ``mono_*`` functions,
-``monomials_of_degree``, ``sum_of_products`` and ``UNIT`` own the layout,
-and no other module reads or builds the int.
+``monomials_of_degree``, ``sum_of_products``, ``staircase`` and ``UNIT``
+own the layout, and no other module reads or builds the int.
 
 No field carries into the next.  Every variable's weight is at least 2,
 so no exponent exceeds half the degree, and a monomial whose degree is
@@ -31,6 +31,14 @@ exactly when bit W - 1 is set; so does a renamed one, whose degree at
 most doubles.  Every function that returns a monomial, ``Poly``
 construction included, refuses a degree of 2^(W-1) or more with
 ``MonomialOverflow``; nothing wraps.
+
+The same bound makes divisibility by any of several powers v^d (d >= 1,
+one per variable) one add and one mask: ``staircase`` gives the pair
+(offset, high), with 2^(W-1) - d in v's field of offset and 2^(W-1) in
+v's field of high, and m is divisible by some v^d exactly when
+(m + offset) & high is nonzero.  A field e below 2^(W-1) becomes
+e + 2^(W-1) - d, which is below 2^W, so no field carries into the next,
+and it has bit W - 1 set exactly when e >= d.
 
 One helper, ``_fields``, decodes a monomial, stepping from its lowest set
 bit.  The per-term work does not call it: ``degree_in``,
@@ -158,6 +166,18 @@ def mono_div(m1, m2):
         if m1 >> s & _MASK < e:
             return None
     return m1 - m2
+
+
+def staircase(pairs):
+    """(offset, high) for the powers v^d of the (v, d) pairs, at most one
+    per variable and each d >= 1: a monomial m is divisible by one of them
+    exactly when (m + offset) & high is nonzero (the module docstring)."""
+    offset = high = 0
+    for v, d in pairs:
+        s = _shift(v)
+        offset += (_LIMIT - d) << s
+        high += _LIMIT << s
+    return offset, high
 
 
 def mono_sort_key(mono):

@@ -3,8 +3,13 @@ Quotient rings by triangular monic rewrite systems.
 
 A rule is ``v^d -> p`` where v is a variable, d >= 1 and p is homogeneous
 of the same weighted degree with deg_v(p) < d.  Each variable carries at
-most one rule.  Normal forms are computed by memoized per-monomial
-rewriting; since mixed-variable replacements can make naive rewriting
+most one rule.  A monomial is reducible when some rule's v^d divides it,
+which the ring tests with one add and one mask (``poly.staircase``); a
+polynomial with no reducible monomial is normal and its normal form is the
+polynomial itself, the same object.  Otherwise the normal monomials are
+kept as they are and each reducible one is rewritten by memoized
+per-monomial rewriting, so the memo holds only reducible monomials.
+Since mixed-variable replacements can make naive rewriting
 cycle (a monomial may reduce to a multiple of itself), a rewrite chain
 that revisits a monomial resolves it exactly by linear algebra in its
 graded piece, modulo the ideal generated by the rule polynomials v^d - p.
@@ -15,7 +20,7 @@ staircase-basis check below and with the homology ranks.
 from .laurent import LaurentPoly
 from .poly import (UNIT, Poly, mono_div, mono_exponent, mono_mul,
                    mono_power, mono_sort_key, monomials_of_degree, qdiv,
-                   var_degree)
+                   staircase, var_degree)
 
 class TriangularityViolation(ValueError):
     """A rule insertion or substitution would break the triangular shape."""
@@ -28,11 +33,15 @@ class InfiniteDimension(ValueError):
 class QuotientRing:
     """Polynomial ring modulo an ordered triangular system of monic rules."""
 
-    __slots__ = ("rules", "_nf_cache", "_nf_stack", "_pivot_cache")
+    __slots__ = ("rules", "_staircase", "_nf_cache", "_nf_stack",
+                 "_pivot_cache")
 
     def __init__(self, rules=()):
         # rules: tuple of (var, power, replacement Poly), insertion order
-        object.__setattr__(self, "rules", tuple(rules))
+        rules = tuple(rules)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "_staircase",
+                           staircase((v, d) for v, d, _ in rules))
         # per-instance memo tables; safe because the ring never changes
         object.__setattr__(self, "_nf_cache", {})
         object.__setattr__(self, "_nf_stack", set())
@@ -98,7 +107,8 @@ class QuotientRing:
     def rules_reducible_by(self, v, d):
         """The rules whose replacement has degree >= d in v: a new rule
         v^d -> ... would make them reducible."""
-        return [rule for rule in self.rules if rule[2].degree_in(v) >= d]
+        return [rule for rule in self.rules
+                if v in rule[2].variables() and rule[2].degree_in(v) >= d]
 
     def substitute(self, v, repl):
         """Eliminate v entirely by substituting v -> repl in every rule;
@@ -130,35 +140,42 @@ class QuotientRing:
     # -- normal forms ----------------------------------------------------
 
     def normal_form(self, p):
-        if not self.rules or p.is_zero():
+        """The normal form of p; p itself when it is normal already."""
+        if not self.rules:
+            return p
+        offset, high = self._staircase
+        terms = p.terms
+        for mono in terms:
+            if (mono + offset) & high:
+                break
+        else:
             return p
         # accumulate in one dict: summing Polys would copy it once per term
         acc = {}
-        for mono, coeff in p.terms.items():
-            for m, c in self._mono_normal_form(mono).terms.items():
-                acc[m] = acc.get(m, 0) + c * coeff
+        for mono, coeff in terms.items():
+            if (mono + offset) & high:
+                for m, c in self._mono_normal_form(mono).terms.items():
+                    acc[m] = acc.get(m, 0) + c * coeff
+            else:
+                acc[mono] = acc.get(mono, 0) + coeff
         return Poly(acc)
 
     def _mono_normal_form(self, mono):
+        """The normal form of a reducible monomial, memoized."""
         cached = self._nf_cache.get(mono)
         if cached is not None:
             return cached
-        target = None
-        for v, d, repl in self.rules:
-            if mono_exponent(mono, v) >= d:
-                target = (v, d, repl)
-                break
-        if target is None:
-            result = Poly({mono: 1})
-        elif mono in self._nf_stack:
+        if mono in self._nf_stack:
             # the rewrite chain returned to this monomial: resolve exactly
             result = self._reduce_graded_piece(Poly({mono: 1}))
         else:
+            v, d, repl = next(rule for rule in self.rules
+                              if mono_exponent(mono, rule[0]) >= rule[1])
+            rest = mono_div(mono, mono_power(v, d))
             self._nf_stack.add(mono)
             try:
-                v, d, repl = target
-                rest = mono_div(mono, mono_power(v, d))
-                result = self.normal_form(Poly({rest: 1}) * repl)
+                result = self.normal_form(
+                    Poly({mono_mul(rest, m): c for m, c in repl.terms.items()}))
             finally:
                 self._nf_stack.discard(mono)
         self._nf_cache[mono] = result
@@ -302,10 +319,11 @@ def _relation_echelon(rules, variables, degree):
     each group in decreasing monomial order; returns (columns, number of
     reducible monomials, pivots).
     """
+    offset, high = staircase((v, d) for v, d, _ in rules)
     reducible, rest = [], []
     for m in sorted(monomials_of_degree(variables, degree),
                     key=mono_sort_key, reverse=True):
-        if any(mono_exponent(m, v) >= d for v, d, _ in rules):
+        if (m + offset) & high:
             reducible.append(m)
         else:
             rest.append(m)

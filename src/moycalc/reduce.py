@@ -137,7 +137,7 @@ def exclude_variable(mf, i, v, side, potential_vars=None):
     def rewrite(p):
         # an entry of v-degree < d is normal over base as it is (the
         # module docstring's kept-row rule)
-        if p.degree_in(v) < d:
+        if v not in p.variables() or p.degree_in(v) < d:
             return p
         return base.normal_form(p.substitute({v: repl}) if d == 1 else p)
 
@@ -176,7 +176,10 @@ def _residual(mf, v):
 
 
 def _exclusion_candidates(mf, potential_vars):
-    """Feasible (row, var, side, power) in deterministic preference order.
+    """Feasible (row, var, side, power) in deterministic preference order,
+    generated lazily: a search that takes an early candidate never builds
+    or checks the later ones, and the order does not depend on how far
+    the caller reads.
 
     A rule's leader is never a candidate: the base cannot take a second
     rule on it, nor substitute it away.  Nor is a power d >= 2 of v that
@@ -184,7 +187,6 @@ def _exclusion_candidates(mf, potential_vars):
     with_rule always refuses it.
     """
     leaders = {w for w, _, _ in mf.base.rules}
-    out = []
     for i, row in enumerate(mf.rows):
         monic_b, monic_a = row.b.monic_variables(), row.a.monic_variables()
         for v in sorted(monic_b.keys() | monic_a.keys()):
@@ -192,9 +194,9 @@ def _exclusion_candidates(mf, potential_vars):
                 continue
             for side, monic in (("b", monic_b), ("a", monic_a)):
                 if v in monic:
-                    out.append((i, v, side, monic[v][0]))
-    return [c for c in out
-            if c[3] < 2 or not mf.base.rules_reducible_by(c[1], c[3])]
+                    d = monic[v][0]
+                    if d < 2 or not mf.base.rules_reducible_by(v, d):
+                        yield i, v, side, d
 
 
 def _splittable_variables(mf):
@@ -217,8 +219,6 @@ def _reduce(mf, potential_vars, zero, budget):
     holds the one count of branches left."""
     best = None
     for (i, v, side, d) in _exclusion_candidates(mf, potential_vars):
-        if best is not None and budget["branches"] <= 0:
-            break
         try:
             nxt = exclude_variable(mf, i, v, side, potential_vars)
         except TriangularityViolation:
@@ -233,6 +233,10 @@ def _reduce(mf, potential_vars, zero, budget):
         if not zero or all(not s.rows for s in summands):
             return branch
         best = best or branch
+        if budget["branches"] <= 0:
+            # checked here, not before the next candidate, so that the
+            # search generates no candidate it will not take
+            break
     if best is not None:
         return best
 

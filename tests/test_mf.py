@@ -797,13 +797,20 @@ def test_both_squares_are_checked_where_the_theorem_does_not_hold():
         verify_factorization(ExplicitMF([0, -2], [-1, -1], d0, d1, base))
 
 
-def test_normalized_rows_is_self_only_without_rules():
+def test_normalized_rows_is_self_when_every_entry_is_normal():
     rows = [KoszulRow(v(X1, 3), v(X1))]
     free = KoszulMF(rows)
     assert free.normalized_rows() is free
-    ruled = KoszulMF(rows, QuotientRing().with_rule(X1, 2, Poly()))
+    base = QuotientRing().with_rule(X1, 2, Poly())
+    ruled = KoszulMF(rows + [KoszulRow(v(X2, 2), v(X2))], base)
     normal = ruled.normalized_rows()
+    assert normal is not ruled
     assert normal.rows[0].a.is_zero() and normal.rows[0].b == v(X1)
+    assert normal.rows[1] is ruled.rows[1]    # a normal row is kept
+    # normal rows over a ruled base: self, with its cached potential
+    potential = normal.potential()
+    assert normal.normalized_rows() is normal
+    assert normal.normalized_rows().potential() is potential
 
 
 def test_sparse_mat_rejects_positions_outside_its_shape():

@@ -15,7 +15,7 @@ from moycalc import quotient
 from moycalc.poly import (UNIT, W, MonomialOverflow, NonExactDivision, Poly,
                           exact_div, mono_degree, mono_div, mono_exponent,
                           mono_mul, mono_power, mono_sort_key, mono_variables,
-                          monomials_of_degree, var_degree)
+                          monomials_of_degree, staircase, var_degree)
 
 X1, X2, Y1, Z1 = ("x", 1), ("x", 2), ("y", 1), ("z", 1)
 
@@ -400,6 +400,42 @@ def test_every_monomial_keeps_the_layout():
             assert _is_monomial(mono), mono
 
     check()
+
+
+def test_staircase_is_divisibility_by_a_rule_power():
+    # nine variables in nine adjacent fields (x1, y1, z1, x2, ...), so
+    # every rule field has a neighbour in the monomial that a carry would
+    # change; exponents reach the limit a monomial's degree allows, and
+    # the powers run from 1 to past any exponent
+    pool = [(kind, i) for i in (1, 2, 3) for kind in "xyz"]
+    limit = 2 ** (W - 1)
+    rng = random.Random(38)
+    hits = 0
+    for case in range(3000):
+        rules = {var: rng.choice([1, 2, rng.randint(1, 9),
+                                  rng.randint(1, limit // 4)])
+                 for var in rng.sample(pool, rng.randint(1, 5))}
+        budget = limit - 1
+        exponents = []
+        for var in rng.sample(pool, len(pool)):
+            top = budget // var_degree(var)
+            d = rules.get(var, 1)
+            e = min(top, rng.choice([0, 1, d - 1, d, d + 1, top,
+                                     rng.randint(0, top)]))
+            budget -= e * var_degree(var)
+            exponents.append((var, e))
+        mono = packed(exponents)
+        offset, high = staircase(rules.items())
+        divisible = any(mono_exponent(mono, var) >= d
+                        for var, d in rules.items())
+        assert bool((mono + offset) & high) == divisible, (rules, exponents)
+        hits += divisible
+    # a single variable at its largest exponent, ruled and not
+    top = mono_power(X1, limit // 2 - 1)
+    for d in (1, limit // 2 - 1, limit // 2):
+        offset, high = staircase([(X1, d), (Y1, 1)])
+        assert bool((top + offset) & high) == (d <= limit // 2 - 1)
+    assert 0 < hits < 3000
 
 
 # the spellings of the monomial layout that only poly may use: the

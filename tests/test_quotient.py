@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 from moycalc import quotient
-from moycalc.poly import (UNIT, Poly, mono_exponent, mono_mul, mono_power,
-                          mono_sort_key, monomials_of_degree)
+from moycalc.poly import (UNIT, Poly, mono_div, mono_exponent, mono_mul,
+                          mono_power, mono_sort_key, monomials_of_degree)
 from moycalc.quotient import (InfiniteDimension, QuotientRing,
                               TriangularityViolation, echelon)
 from moycalc.laurent import LaurentPoly
 
-X1, Y1, Z1 = ("x", 1), ("y", 1), ("z", 1)
+X1, X2, Y1, Z1 = ("x", 1), ("x", 2), ("y", 1), ("z", 1)
 
 
 def v(name):
@@ -172,3 +172,113 @@ def test_unbounded_cycle_message_ignores_hash_seed():
         assert run.returncode == 0, run.stderr
         messages.add(run.stdout)
     assert messages == {"cyclic rules through unbounded variable x1\n"}
+
+
+class _PerMonomialNormalForm:
+    """normal_form as it was before the staircase test: every monomial,
+    normal or not, goes through the memo, and a rewrite multiplies the
+    monomial's cofactor into the replacement.  A test-side reference with
+    its own memo."""
+
+    def __init__(self, ring):
+        self.ring, self.cache, self.stack = ring, {}, set()
+
+    def __call__(self, p):
+        if not self.ring.rules or p.is_zero():
+            return p
+        acc = {}
+        for mono, coeff in p.terms.items():
+            for m, c in self.mono(mono).terms.items():
+                acc[m] = acc.get(m, 0) + c * coeff
+        return Poly(acc)
+
+    def mono(self, mono):
+        cached = self.cache.get(mono)
+        if cached is not None:
+            return cached
+        target = None
+        for w, d, repl in self.ring.rules:
+            if mono_exponent(mono, w) >= d:
+                target = (w, d, repl)
+                break
+        if target is None:
+            result = Poly({mono: 1})
+        elif mono in self.stack:
+            result = self.ring._reduce_graded_piece(Poly({mono: 1}))
+        else:
+            self.stack.add(mono)
+            try:
+                w, d, repl = target
+                rest = mono_div(mono, mono_power(w, d))
+                result = self(Poly({rest: 1}) * repl)
+            finally:
+                self.stack.discard(mono)
+        self.cache[mono] = result
+        return result
+
+
+def _rings():
+    """The rings of this file's tests, the cyclic one included (its
+    rewriting falls back to _reduce_graded_piece), and one with Fraction
+    coefficients and a leader in its own replacement."""
+    cyclic = (QuotientRing()
+              .with_rule(Y1, 3, 2 * v(Y1) * v(Z1))
+              .with_rule(Z1, 2, v(Y1) ** 2 * v(Z1)))
+    mixed = (QuotientRing()
+             .with_rule(X1, 2, Fraction(1, 2) * v(X1) * v(X2) - v(Y1) ** 2)
+             .with_rule(X2, 3, 3 * v(X2) * v(Y1) ** 2 + v(Z1) * v(Y1)))
+    return [QuotientRing().with_rule(X1, 3, Poly()),
+            QuotientRing().with_rule(X1, 3, Poly()).merge(
+                QuotientRing().with_rule(Y1, 2, Poly())),
+            QuotientRing().with_rule(Y1, 2, Poly()).with_rule(Z1, 2, Poly()),
+            cyclic, mixed]
+
+
+def _random_poly(rng, variables, top=5):
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        mono = UNIT
+        for var in variables:
+            mono = mono_mul(mono, mono_power(var, rng.randint(0, top)))
+        terms[mono] = rng.choice([rng.randint(-4, 4), Fraction(
+            rng.randint(-4, 4), rng.randint(1, 3))])
+    return Poly(terms)
+
+
+def _is_reducible(ring, mono):
+    return any(mono_exponent(mono, w) >= d for w, d, _ in ring.rules)
+
+
+def test_normal_form_equals_the_per_monomial_loop():
+    rng = random.Random(38)
+    variables = [X1, X2, Y1, Z1]
+    for ring in _rings():
+        # an equal ring of its own, so that the two memos stay apart
+        reference = _PerMonomialNormalForm(QuotientRing(ring.rules))
+        for _ in range(150):
+            p = _random_poly(rng, variables)
+            got = ring.normal_form(p)
+            assert got.terms == reference(p).terms, (ring, p)
+            # the memo holds reducible monomials only
+            assert all(_is_reducible(ring, m) for m in ring._nf_cache)
+        # the rewriting cycles exactly on the cyclic ring, where the
+        # graded-piece fallback ran
+        cyclic = ring.rules[0][2].variables() == {Y1, Z1}
+        assert bool(ring._pivot_cache) == cyclic, ring
+
+
+def test_normal_input_comes_back_as_it_is():
+    rng = random.Random(39)
+    variables = [X1, X2, Y1, Z1]
+    for ring in _rings() + [QuotientRing()]:
+        for _ in range(60):
+            p = ring.normal_form(_random_poly(rng, variables))
+            assert ring.normal_form(p) is p
+            normal = Poly({m: c for m, c in _random_poly(
+                rng, variables).terms.items() if not _is_reducible(ring, m)})
+            assert ring.normal_form(normal) is normal
+        assert ring.normal_form(Poly()).is_zero()
+    # a normal input leaves the memo as it was
+    ring = _rings()[3]
+    ring.normal_form(v(Y1) ** 2 * v(Z1) + v(Y1))
+    assert not ring._nf_cache

@@ -425,6 +425,49 @@ def test_reduction_keeps_the_potential_of_a_unit_row():
     assert [s.potential() for s in reduced] == [v(X1)]
 
 
+def _eager_candidates(mf, potential_vars):
+    """reduce._exclusion_candidates as it was before it was a generator:
+    every candidate built, then every power checked against the rules."""
+    leaders = {w for w, _, _ in mf.base.rules}
+    out = []
+    for i, row in enumerate(mf.rows):
+        monic_b, monic_a = row.b.monic_variables(), row.a.monic_variables()
+        for var in sorted(monic_b.keys() | monic_a.keys()):
+            if var in potential_vars or var in leaders:
+                continue
+            for side, monic in (("b", monic_b), ("a", monic_a)):
+                if var in monic:
+                    out.append((i, var, side, monic[var][0]))
+    return [c for c in out
+            if c[3] < 2 or not mf.base.rules_reducible_by(c[1], c[3])]
+
+
+def test_lazy_candidates_equal_the_eager_list(monkeypatch):
+    # on every state auto_reduce visits, the generated candidates are the
+    # eager list in its order; the search reads them one at a time
+    search = reduce_module._reduce
+    visited = []
+
+    def recording_search(mf, potential_vars, *args):
+        visited.append((mf, potential_vars))
+        return search(mf, potential_vars, *args)
+
+    monkeypatch.setattr(reduce_module, "_reduce", recording_search)
+    workloads = _load_workloads()
+    for name in ("closed-webs", "open-random"):
+        for item in workloads.corpus(workloads.WORKLOADS[name], 1, 20):
+            auto_reduce(glue(parse_diagram(item.text)))
+    assert len(visited) > 100
+    with_candidates = 0
+    for mf, potential_vars in visited:
+        lazy = reduce_module._exclusion_candidates(mf, potential_vars)
+        assert iter(lazy) is lazy    # a generator, not a list
+        eager = _eager_candidates(mf, potential_vars)
+        assert list(lazy) == eager
+        with_candidates += bool(eager)
+    assert with_candidates > 100
+
+
 def test_rule_leaders_are_no_exclusion_candidates():
     # the base takes no second rule on a leader and cannot substitute it
     for summand in auto_reduce(glue(parse_diagram(NESTED)))[0]:
@@ -433,6 +476,17 @@ def test_rule_leaders_are_no_exclusion_candidates():
         candidates = reduce_module._exclusion_candidates(
             summand, summand.potential().variables())
         assert not any(var in leaders for _, var, _, _ in candidates)
+
+
+def test_replay_keeps_an_already_normal_summand():
+    # a reduced summand's rows are normal over its ruled base, so replaying
+    # no steps gives the summand itself, with its cached potential
+    for summand in auto_reduce(glue(parse_diagram(NESTED)))[0]:
+        assert summand.base.rules and summand.rows
+        potential = summand.potential()
+        replayed, = replay(summand, ReductionTrace())
+        assert replayed is summand
+        assert replayed.potential() is potential
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -602,7 +656,7 @@ def test_reduction_order_does_not_change_homology(monkeypatch):
             order = random.Random(seed)
 
             def shuffled(*args):
-                out = candidates(*args)
+                out = list(candidates(*args))
                 order.shuffle(out)
                 return out
 
@@ -657,7 +711,7 @@ def test_shared_copies_equal_the_unshared_search(monkeypatch):
     candidates = reduce_module._exclusion_candidates
 
     def shuffled(mf, potential_vars):
-        out = candidates(mf, potential_vars)
+        out = list(candidates(mf, potential_vars))
         state = ([(r.deg_a, r.deg_b, len(r.a.terms), len(r.b.terms))
                   for r in mf.rows],
                  [(w, d, len(p.terms)) for w, d, p in mf.base.rules])
