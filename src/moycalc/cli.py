@@ -97,9 +97,10 @@ def _n_max(text):
 
 
 def _read_text(args):
-    """The text of args.file, which must be UTF-8."""
+    """The text of args.file, which must be UTF-8; a leading byte-order
+    mark is dropped."""
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(args.file, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise DiagramError("not UTF-8 text (%s)" % exc) from None
@@ -190,8 +191,7 @@ def _cmd_homology(args):
     if args.json:
         print(json.dumps(_json_doc(n, euler, hom, steps), indent=2))
     else:
-        print("parity 0: %s" % hom.poincare0)
-        print("parity 1: %s" % hom.poincare1)
+        print(hom)
         print("euler: %s" % euler)
     return 0
 

@@ -94,9 +94,6 @@ class Piece:
         self.params = tuple(params)
         self.line = line
 
-    def __repr__(self):
-        return "%s(%s)" % (self.kind, ", ".join(self.params))
-
 
 class Diagram:
     """Validated diagram: pieces plus the merged parameter classes.
@@ -196,11 +193,9 @@ def parse_diagram(text):
         columns = [m.start() + 1 for m in found]
         head, column = tokens[0], columns[0]
         if head == "n":
+            # any statement before n raises below, so n is first or doubled
             if n is not None:
                 raise ParseError("duplicate n statement", lineno, column)
-            if pieces or merges:
-                raise ParseError("n must be the first statement",
-                                 lineno, column)
             if (len(tokens) != 2 or not tokens[1].isascii()
                     or not tokens[1].isdigit()):
                 raise ParseError("usage: n <int>", lineno, column)

@@ -51,9 +51,6 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             return LaurentPoly({e: c * other for e, c in self.terms.items()})
@@ -84,10 +81,6 @@ class LaurentPoly:
         if self.terms.keys() <= {0}:
             return hash(self.terms.get(0, 0))   # equal to that int
         return hash(frozenset(self.terms.items()))
-
-    def shifted(self, m):
-        """Multiply by q^m."""
-        return LaurentPoly({e + m: c for e, c in self.terms.items()})
 
     def evaluate_at_one(self):
         return sum(self.terms.values())

@@ -253,18 +253,12 @@ def koszul_new(a, b, base=None, deg_a=None, deg_b=None):
 
 
 class MFSum:
-    """A flat direct sum of factorizations."""
+    """A direct sum of factorizations."""
 
     __slots__ = ("summands",)
 
     def __init__(self, summands):
-        flat = []
-        for s in summands:
-            if isinstance(s, MFSum):
-                flat.extend(s.summands)
-            else:
-                flat.append(s)
-        object.__setattr__(self, "summands", tuple(flat))
+        object.__setattr__(self, "summands", tuple(summands))
 
     def __setattr__(self, name, value):
         raise AttributeError("MFSum is immutable")
@@ -314,9 +308,6 @@ class SparseMat:
 
     def __getitem__(self, pos):
         return self.entries.get(pos, Poly())
-
-    def __neg__(self):
-        return _negated(self, {})
 
     def __matmul__(self, other):
         """Matrix product (see _ProductTables)."""

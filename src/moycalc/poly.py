@@ -340,9 +340,6 @@ class Poly:
             other = Poly.const(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = as_coeff(other)

@@ -53,9 +53,6 @@ class QuotientRing:
     def __eq__(self, other):
         return isinstance(other, QuotientRing) and self.rules == other.rules
 
-    def __hash__(self):
-        return hash(self.rules)
-
     def __str__(self):
         if not self.rules:
             return "Q[...]"
@@ -101,7 +98,7 @@ class QuotientRing:
             raise TriangularityViolation(
                 "rule %s%d^%d reducible by new rule on %s%d"
                 % (w[0], w[1], dw, v[0], v[1]))
-        _check_acyclic(new_rules, (v,))
+        _check_acyclic(new_rules)
         return QuotientRing(new_rules)
 
     def rules_reducible_by(self, v, d):
@@ -124,18 +121,17 @@ class QuotientRing:
         return out
 
     def merge(self, other):
-        """Union of two rule systems; shared leaders must carry equal rules."""
-        rules = list(self.rules)
-        mine = {v: (d, p) for v, d, p in self.rules}
+        """Union of two rule systems: each of other's rules is added by
+        with_rule, so the union is in canonical form; a shared leader must
+        carry equal rules on both sides.  self when other has no rules."""
+        out = self
         for v, d, p in other.rules:
-            if v in mine:
-                if mine[v] != (d, p):
-                    raise TriangularityViolation(
-                        "conflicting rules on %s%d" % v)
-            else:
-                rules.append((v, d, p))
-        _check_acyclic(rules, [v for v, _, _ in rules])
-        return QuotientRing(rules)
+            mine = self.rule_for(v)
+            if mine is None:
+                out = out.with_rule(v, d, p)
+            elif mine != (d, p):
+                raise TriangularityViolation("conflicting rules on %s%d" % v)
+        return out
 
     # -- normal forms ----------------------------------------------------
 
@@ -226,24 +222,25 @@ class QuotientRing:
         return out
 
 
-def _check_acyclic(rules, leaders):
-    """Guard the staircase-basis assumption of the rewrite system.
+def _check_acyclic(rules):
+    """Guard the staircase-basis assumption of the rewrite system, whose
+    last rule, on leader v, is new.
 
-    When leader dependencies are acyclic (v's replacement never reaches
-    back to v through other leaders), the quotient is an iterated monic
+    When leader dependencies are acyclic (no replacement reaches back to
+    its leader through other leaders), the quotient is an iterated monic
     extension and the monomials below the staircase are a module basis,
     so normal forms are canonical.  A rule may mention its own leader
     below its power; that is just monicity.
 
-    Cyclic dependencies can break that basis property silently.  Each of
-    the given leaders on a cycle is checked on its closure (cyclic_closure):
-    a closure of leaders only is a finite-dimensional closed subsystem,
-    whose basis property is checked degree by degree by linear algebra.
-    A closure with any other variable is rejected.
+    Cyclic dependencies can break that basis property silently.  A leader
+    on a cycle is checked on its closure (cyclic_closure): a closure of
+    leaders only is a finite-dimensional closed subsystem, whose basis
+    property is checked degree by degree by linear algebra.  A closure
+    with any other variable is rejected.
 
-    merge checks every leader.  with_rule checks only its new leader v,
-    which reaches the same verdict and message as checking every leader,
-    because the rules before v's passed this check:
+    Only the new leader v is checked.  That reaches the same verdict and
+    message as checking every leader, because the rules before v's passed
+    this check:
       1. A new cycle must pass through v: v's rule adds the only new
          edges, those from v to its replacement's variables.
       2. Every leader on such a cycle has the same closure as v (each
@@ -252,13 +249,10 @@ def _check_acyclic(rules, leaders):
       3. An accepted cyclic closure holds only leaders, so it cannot
          contain v, which led no rule; v's rule leaves it as it was.
     """
-    by_leader = {v: (v, d, p) for v, d, p in rules}
-    checked = set()
-    for v in leaders:
-        closure = cyclic_closure(rules, v, by_leader[v][2].variables())
-        if closure is None or closure in checked:
-            continue
-        checked.add(closure)
+    v, _, repl = rules[-1]
+    closure = cyclic_closure(rules, v, repl.variables())
+    if closure is not None:
+        by_leader = {rule[0]: rule for rule in rules}
         _verify_staircase([by_leader[w] for w in sorted(closure)])
 
 

@@ -277,3 +277,50 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 2
+
+
+def test_selftest_json(capsys):
+    assert main(["selftest", "--n-max", "3", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(doc) == ["checks", "failures"]
+    assert doc["failures"] == 0
+    assert [c["check"] for c in doc["checks"]] == [
+        "circle euler", "double circle euler", "circle bracket",
+        "double circle bracket", "theta bracket", "theta confluence",
+        "theta euler"]
+    for c in doc["checks"]:
+        assert sorted(c) == ["check", "got", "n", "pass", "want"]
+        assert c["n"] == 3 and c["pass"] and c["got"] == c["want"]
+
+
+ARC_ROWS = {
+    "build": "rows: 1  shift: {0}  parity: <0>\n"
+             "  (x1^3 + x1^2*x2 + x1*x2^2 + x2^3 ; -x1 + x2)\n"
+             "potential: -x1^4 + x2^4\n",
+    "reduce": "steps: 0  summands: 1\nsummand 0:\n"
+              "rows: 1  shift: {0}  parity: <0>\n"
+              "  (-x1^3 - x1^2*x2 - x1*x2^2 - x2^3 ; x1 - x2)\n"}
+
+
+@pytest.mark.parametrize("command", sorted(ARC_ROWS))
+def test_show_rows_on_an_open_arc(command, tmp_path, capsys):
+    path = tmp_path / "arc.moy"
+    path.write_text("n 3\narc x1 x2\n")
+    assert main([command, str(path), "--show-rows"]) == 0
+    assert capsys.readouterr().out == ARC_ROWS[command]
+
+
+@pytest.mark.parametrize("argv", [["build"], ["euler", "--json"]])
+def test_a_byte_order_mark_is_accepted(argv, tmp_path, capsys):
+    # a UTF-8 byte-order mark, as some editors save one, prints exactly
+    # what the plain text prints
+    plain, bom = tmp_path / "theta.moy", tmp_path / "bom.moy"
+    plain.write_text(THETA, encoding="utf-8")
+    bom.write_text(THETA, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    outputs = []
+    for path in (plain, bom):
+        assert main([argv[0], str(path)] + argv[1:]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == ""

@@ -39,6 +39,23 @@ def test_parse_errors_carry_position():
         parse_diagram("")
 
 
+def test_n_statement_and_glue_messages():
+    # a statement before n is refused on its own line, so n is first or
+    # it is a second n
+    for text, message in (
+            ("arc x1 x2\nn 3\n",
+             "line 1, column 1: the first statement must be 'n <int>'"),
+            ("n 3\narc x1 x2\n  n 4\n",
+             "line 3, column 3: duplicate n statement"),
+            ("n 3\narc x1 x2\nglue x1\n",
+             "line 3, column 1: usage: glue <p> <q>"),
+            ("n 3\narc x1 x2\nglue x1 x2 x3\n",
+             "line 3, column 1: usage: glue <p> <q>")):
+        with pytest.raises(ParseError) as e:
+            parse_diagram(text)
+        assert str(e.value) == message
+
+
 def test_n_takes_ascii_digits_only():
     for digit in ("\u00b2", "\u0663"):    # superscript two, Arabic-Indic three
         with pytest.raises(ParseError, match="column 1: usage: n <int>"):

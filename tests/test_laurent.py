@@ -73,5 +73,4 @@ def test_json_roundtrip():
 
 def test_shift_and_evaluate():
     p = quantum_integer(4)
-    assert p.shifted(2) == LaurentPoly({-1: 1, 1: 1, 3: 1, 5: 1})
     assert p.evaluate_at_one() == 4

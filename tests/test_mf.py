@@ -116,7 +116,8 @@ def test_translate_is_an_involution():
     m = koszul_new(v(X1, 2), v(X1)) @ koszul_new(v(X2, 4), v(X2))
     e = m.to_explicit()
     t = e.translate()
-    assert t.gens0 == e.gens1 and t.d0 == -e.d1
+    assert t.gens0 == e.gens1
+    assert t.d0.entries == {pos: -p for pos, p in e.d1.entries.items()}
     assert t.translate() == e
 
 
@@ -871,3 +872,13 @@ def test_explicit_forms_never_reach_the_product_kernel(monkeypatch):
                 assert verify_factorization(m.to_explicit()) == m.potential()
     with pytest.raises(AssertionError, match="_ProductTables"):
         verify_factorization(_perturbed(rng, m.to_explicit(), "d0"))
+
+
+def test_explicit_shapes_must_match_the_generators():
+    for d0, d1, message in ((SparseMat(2, 1), SparseMat(1, 1),
+                             "d0 shape mismatch"),
+                            (SparseMat(1, 1), SparseMat(1, 2),
+                             "d1 shape mismatch")):
+        with pytest.raises(ValueError) as e:
+            ExplicitMF([0], [0], d0, d1)
+        assert str(e.value) == message

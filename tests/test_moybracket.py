@@ -870,3 +870,23 @@ def test_equal_partial_keys_rank_the_pending_vins_alike():
         assert _outcome(_bracket_leaves, d) == expected, text
         stuck += isinstance(expected, str)
     assert merged and 0 < stuck < len(texts)
+
+
+def test_all_path_values_of_loops_and_of_a_stuck_graph():
+    # a graph of loops only has no rewrite to take: its one value is the
+    # bracket's; a graph that no relation matches has none
+    for n in range(2, 6):
+        assert all_path_values(_graph(CIRCLE % n)) == {quantum_integer(n)}
+    # the closure of (W1 W0)^3 on three strands (ROADMAP item 6)
+    stuck = _graph("n 4\narc x1 x2\narc x3 x4\narc x5 x6\n"
+                   "wide x7 x8 x9 x10\nwide x11 x12 x13 x14\n"
+                   "wide x15 x16 x17 x18\nwide x19 x20 x21 x22\n"
+                   "wide x23 x24 x25 x26\nwide x27 x28 x29 x30\n"
+                   "glue x4 x9\nglue x6 x10\nglue x2 x13\nglue x7 x14\n"
+                   "glue x12 x17\nglue x8 x18\nglue x11 x21\n"
+                   "glue x15 x22\nglue x20 x25\nglue x16 x26\n"
+                   "glue x19 x29\nglue x23 x30\nglue x27 x1\n"
+                   "glue x28 x3\nglue x24 x5\n")
+    with pytest.raises(StuckGraph) as e:
+        all_path_values(stuck)
+    assert str(e.value).startswith("no relation applies; residual graph:")

@@ -282,3 +282,17 @@ def test_normal_input_comes_back_as_it_is():
     ring = _rings()[3]
     ring.normal_form(v(Y1) ** 2 * v(Z1) + v(Y1))
     assert not ring._nf_cache
+
+
+def test_merge_adds_the_rules_in_normal_form():
+    # x2^2 -> x1^2 is not normal over x1^2 -> 0: merge adds it as
+    # with_rule does, so both rings are the same quotient and compare equal
+    ruled = QuotientRing().with_rule(X1, 2, Poly())
+    merged = ruled.merge(QuotientRing().with_rule(X2, 2, v(X1) ** 2))
+    assert merged.rules == ((X1, 2, Poly()), (X2, 2, Poly()))
+    assert merged == ruled.with_rule(X2, 2, v(X1) ** 2)
+    assert ruled.merge(QuotientRing()) is ruled
+    assert ruled.merge(ruled) == ruled
+    with pytest.raises(TriangularityViolation) as e:
+        ruled.merge(QuotientRing().with_rule(X1, 3, Poly()))
+    assert str(e.value) == "conflicting rules on x1"

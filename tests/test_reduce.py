@@ -10,7 +10,7 @@ import pytest
 
 from moycalc.diagram import glue, parse_diagram
 from moycalc.homology import euler_characteristic, graded_homology
-from moycalc.mf import KoszulMF, KoszulRow, MFSum, koszul_new
+from moycalc.mf import KoszulMF, KoszulRow, MFSum, ZeroScalar, koszul_new
 from moycalc.poly import (UNIT, Poly, mono_exponent, mono_mul, mono_power,
                           mono_variables, qdiv)
 from moycalc import quotient
@@ -19,7 +19,7 @@ from moycalc.quotient import (QuotientRing, TriangularityViolation,
 from moycalc import reduce as reduce_module
 from moycalc.symm import jacobi_algebra
 from moycalc.reduce import (NotMonicInVariable, ReductionTrace,
-                            VariableInPotential, _normalize_rows, _relabel,
+                            ResidualVariable, VariableInPotential, _normalize_rows, _relabel,
                             auto_reduce, canonical_form, exclude_variable,
                             replay, scale_row, split_free_module)
 from test_acceptance import _random_diagram
@@ -236,10 +236,10 @@ def test_early_refusal_is_exactly_with_rules_refusal(workload, items,
     assert 0 < refused < checked
 
 
-def _check_every_leader(rules, leaders):
-    """The acyclicity check on every leader's closure, whatever leaders
-    says: the reference that with_rule's check of its new leader must
-    match."""
+def _check_every_leader(rules):
+    """The acyclicity check on every leader's closure, not only on the new
+    last rule's: the reference that with_rule's check of its new leader
+    must match."""
     by_leader = {v: (v, d, p) for v, d, p in rules}
     checked = set()
     for v, _, p in rules:
@@ -786,3 +786,20 @@ def test_reduced_coefficients_obey_the_policy(text):
         entries = [p for row in summand.rows for p in (row.a, row.b)]
         entries += [repl for _, _, repl in summand.base.rules]
         assert all(map(_obeys_policy, entries))
+
+
+def test_scale_split_and_replay_refusals():
+    mf = koszul_new(v(X1), v(X1, 2))
+    with pytest.raises(ZeroScalar) as e:
+        scale_row(mf, 0, 0)
+    assert str(e.value) == "row scale factor must be nonzero"
+    with pytest.raises(ValueError) as e:
+        split_free_module(mf, X1)
+    assert str(e.value) == "no rule with leader x1"
+    ruled = KoszulMF(mf.rows, QuotientRing().with_rule(X1, 3, Poly()))
+    with pytest.raises(ResidualVariable) as e:
+        split_free_module(ruled, X1)
+    assert str(e.value) == "row 0 still contains x1"
+    with pytest.raises(ValueError) as e:
+        replay(mf, ReductionTrace([("bogus", {})]))
+    assert str(e.value) == "unknown step 'bogus'"

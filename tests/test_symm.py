@@ -107,3 +107,9 @@ def test_jacobi_algebra_graded_dimension():
                 .graded_dimension())
         assert ring.graded_dimension() == want
         assert ring.graded_dimension().evaluate_at_one() == n * (n - 1) // 2
+
+
+def test_jacobi_algebra_needs_n_at_least_3():
+    with pytest.raises(ValueError) as e:
+        jacobi_algebra(2)
+    assert str(e.value) == "n must be >= 3"
