@@ -122,7 +122,7 @@ def _print_summand(mf, show_rows):
 
 def _cmd_build(args):
     diagram = _read_diagram(args)
-    mf = glue(diagram).normalized_rows()
+    mf = glue(diagram)
     if args.json:
         doc = {"n": diagram.n, "rows": [str(r) for r in mf.rows],
                "shift": mf.shift, "parity": mf.parity,

@@ -115,8 +115,8 @@ class Diagram:
                 raise UnsupportedN("line %d: %s needs n >= 3"
                                    % (p.line, p.kind))
             if len(p.params) != ARITY[p.kind]:
-                raise ArityMismatch("%s takes %d parameters"
-                                    % (p.kind, ARITY[p.kind]))
+                raise ArityMismatch("line %d: %s takes %d parameters"
+                                    % (p.line, p.kind, ARITY[p.kind]))
 
         # every name marks exactly one piece slot; glue joins two names
         uses = {}

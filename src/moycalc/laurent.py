@@ -47,20 +47,14 @@ class LaurentPoly:
         return LaurentPoly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self.terms.items()})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return LaurentPoly(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k):
         """self^k, by repeated squaring."""

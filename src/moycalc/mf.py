@@ -126,6 +126,10 @@ class ZeroScalar(ValueError):
 class KoszulMF:
     """rows tensored over a quotient base, with a shift {m} and parity <k>.
 
+    The rows are held in normal form over the base; a row that is normal
+    already is kept as the same object, so every step of a reduction
+    hands on the rows it does not touch as they are.
+
     potential, if given, is the potential as the caller already knows it
     (see the module docstring); it must equal what potential() would
     compute from the rows.  Without rows the potential is 0.
@@ -134,9 +138,12 @@ class KoszulMF:
     __slots__ = ("rows", "base", "shift", "parity", "_potential")
 
     def __init__(self, rows=(), base=None, shift=0, parity=0, potential=None):
+        base = base or QuotientRing()
         rows = tuple(rows)
+        if base.rules:
+            rows = tuple(r.mapped(base.normal_form) for r in rows)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "base", base or QuotientRing())
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "parity", parity % 2)
         object.__setattr__(self, "_potential",
@@ -191,18 +198,6 @@ class KoszulMF:
         rows[i] = rows[i].flipped()
         return KoszulMF(rows, self.base, self.shift + delta, self.parity + 1)
 
-    def normalized_rows(self):
-        """Normal-form every entry over the base; when every entry is
-        normal already (always, without rules), this is self and keeps
-        its cached potential."""
-        if not self.base.rules:
-            return self
-        nf = self.base.normal_form
-        rows = [r.mapped(nf) for r in self.rows]
-        if all(new is old for new, old in zip(rows, self.rows)):
-            return self
-        return self.replace(rows=rows)
-
     def ambient_variables(self):
         out = set()
         for row in self.rows:
@@ -222,16 +217,15 @@ class KoszulMF:
                 g0, g1 = g1, g0
             return ExplicitMF(g0, g1, SparseMat(len(g1), len(g0)),
                               SparseMat(len(g0), len(g1)), self.base)
-        nf = self.base.normal_form
         first = self.rows[0]
-        (a, na), (b, nb) = _signed(nf(first.a)), _signed(nf(first.b))
+        (a, na), (b, nb) = _signed(first.a), _signed(first.b)
         corner = (a, b)
         c0, c1 = self.shift, self.shift + first.internal_shift
         if self.parity:
             corner, c0, c1 = (nb, na), c1, c0
         levels = []
         for row in self.rows[1:]:
-            (a, na), (b, nb) = _signed(nf(row.a)), _signed(nf(row.b))
+            (a, na), (b, nb) = _signed(row.a), _signed(row.b)
             levels.append((a, nb, na, b, row.internal_shift))
         g0, g1, d0, d1 = _block_form(c0, c1, corner, levels)
         return ExplicitMF(g0, g1, _trusted(len(g1), len(g0), d0),
@@ -248,6 +242,8 @@ class KoszulMF:
 def koszul_new(a, b, base=None, deg_a=None, deg_b=None):
     """Single-row K(a; b) with shift 0 and parity 0."""
     base = base or QuotientRing()
+    # normalized before the row is built: an unpinned zero entry takes its
+    # degree from its normal form
     row = KoszulRow(base.normal_form(a), base.normal_form(b), deg_a, deg_b)
     return KoszulMF([row], base)
 

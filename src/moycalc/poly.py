@@ -190,8 +190,6 @@ def mono_sort_key(mono):
 
 
 def mono_str(mono):
-    if not mono:
-        return "1"
     parts = []
     for v, _, e in sorted(_fields(mono)):
         parts.append(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e))

@@ -9,22 +9,6 @@ rule lingers in the base; higher powers become quotient-ring rules.
 A row with a unit entry stays: K(1; b) is contractible, so the whole
 summand is zero, and its homology reads as zero.
 
-Rows are in normal form over the base: auto_reduce, replay and
-canonical_form normalize their input once, and every later step keeps it so.
-
-An exclusion v^d -> repl keeps every entry of v-degree < d as the same
-object, and so every row whose two entries both have v-degree < d: such
-an entry is its own normal form over the new base.  A polynomial is
-normal when none of its monomials is divisible by w^e for a rule
-w^e -> p, so normality depends only on the rules' (leader, power) pairs,
-and a normal polynomial is its own normal form.  The entry is normal over
-the old base, and
-  1. d = 1: the new base substitutes v into the replacements and keeps
-     the pairs.  An entry without v is unchanged by substituting v, and
-     is still normal.
-  2. d >= 2: the new base adds the pair (v, d).  No monomial of an entry
-     of v-degree < d is divisible by v^d, so it is still normal.
-
 A power rule v^d -> repl (d >= 2) that must close a cycle through an
 unbounded variable is refused before any work on it, by the check that
 with_rule makes on v: quotient.cyclic_closure, here called on the base's
@@ -107,11 +91,8 @@ def exclude_variable(mf, i, v, side, potential_vars=None):
     potential_vars, the variables of mf's potential, is computed when not
     given; exclusion leaves it unchanged, so a search passes it down.
 
-    mf's rows must be in normal form over its base.  Entries of v-degree
-    < d, and rows of two such entries, are kept as the same objects; a
-    power rule that closes a cycle through an unbounded variable is
-    refused before any normal form (see the module docstring for both
-    proofs).
+    A power rule that closes a cycle through an unbounded variable is
+    refused before any normal form (proof in the module docstring).
     """
     if side not in ("a", "b"):
         raise ValueError("side must be 'a' or 'b', not %r" % (side,))
@@ -131,17 +112,12 @@ def exclude_variable(mf, i, v, side, potential_vars=None):
         cyclic_closure(mf.base.rules, v, entry.variables())
 
     repl = Poly.var(v, d) - entry * qdiv(1, c)
-    base = (mf.base.substitute(v, repl) if d == 1
-            else mf.base.with_rule(v, d, repl))
-
-    def rewrite(p):
-        # an entry of v-degree < d is normal over base as it is (the
-        # module docstring's kept-row rule)
-        if v not in p.variables() or p.degree_in(v) < d:
-            return p
-        return base.normal_form(p.substitute({v: repl}) if d == 1 else p)
-
-    rows = [r.mapped(rewrite) for k, r in enumerate(mf.rows) if k != i]
+    rows = [r for k, r in enumerate(mf.rows) if k != i]
+    if d == 1:
+        base = mf.base.substitute(v, repl)
+        rows = [r.mapped(lambda p: p.substitute({v: repl})) for r in rows]
+    else:
+        base = mf.base.with_rule(v, d, repl)
     if side == "a":
         return KoszulMF(rows, base, mf.shift + row.internal_shift,
                         mf.parity + 1)
@@ -150,7 +126,7 @@ def exclude_variable(mf, i, v, side, potential_vars=None):
 
 def split_free_module(mf, v):
     """Split along the rule basis 1, v, ..., v^{d-1} of the base module;
-    the copies share mf's rows, which must be in normal form."""
+    the copies share mf's rows."""
     rule = mf.base.rule_for(v)
     if rule is None:
         raise ValueError("no rule with leader %s%d" % v)
@@ -206,7 +182,6 @@ def _splittable_variables(mf):
 
 def auto_reduce(mf):
     """Reduce to a fixpoint; returns (MFSum, ReductionTrace)."""
-    mf = mf.normalized_rows()
     potential = mf.potential()
     summands, steps = _reduce(mf, potential.variables(), potential.is_zero(),
                               {"branches": 16})
@@ -256,7 +231,7 @@ def _reduce(mf, potential_vars, zero, budget):
 
 def replay(mf, trace):
     """Re-apply a recorded trace to the input factorization."""
-    return MFSum(_replay(mf.normalized_rows(), iter(trace.steps)))
+    return MFSum(_replay(mf, iter(trace.steps)))
 
 
 def _replay(cur, steps):
@@ -281,7 +256,7 @@ def canonical_form(mf):
     insensitive to the arbitrary names reduction happens to leave behind.
     Relabeling can cycle between namings; the least state of the cycle wins."""
     seen = []
-    cur = _normalize_rows(mf.normalized_rows())
+    cur = _normalize_rows(mf)
     while cur not in seen:
         seen.append(cur)
         cur = _normalize_rows(_relabel(cur))

@@ -6,8 +6,9 @@ import pytest
 
 from moycalc import diagram
 from moycalc.diagram import (ArityMismatch, CrossingComplex, DiagramError,
-                             DuplicateUse, KindMismatch, OrientationMismatch,
-                             ParseError, UnsupportedN, boundary_potential,
+                             Diagram, DuplicateUse, KindMismatch,
+                             OrientationMismatch, ParseError, Piece,
+                             UnsupportedN, boundary_potential,
                              build_primitive, class_variables,
                              crossing_complex, glue, parse_diagram)
 from moycalc.mf import KoszulMF, KoszulRow, verify_factorization
@@ -108,6 +109,18 @@ def test_semantic_errors_name_their_line():
     with pytest.raises(DuplicateUse, match="^line 4: parameter 'x1' glued "
                                            "more than once$"):
         parse_diagram(head + "glue x1 x1\n")
+
+
+def test_diagram_constructor_checks_n_and_arity():
+    # Diagram is public: its own checks hold for pieces that no parse made
+    with pytest.raises(UnsupportedN, match="^n must be >= 2$"):
+        Diagram(1, [Piece("arc", ("x1", "x2"), 2)])
+    with pytest.raises(ArityMismatch, match="^line 3: vin takes 3 "
+                                            "parameters$"):
+        Diagram(3, [Piece("arc", ("x1", "x2"), 2),
+                    Piece("vin", ("x3", "x4"), 3)])
+    assert Diagram(3, [Piece("arc", ("x1", "x2"), 2)]).boundary() == [
+        ("x1", "single", "in"), ("x2", "single", "out")]
 
 
 def test_primitive_shifts_and_parities():

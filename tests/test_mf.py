@@ -798,20 +798,42 @@ def test_both_squares_are_checked_where_the_theorem_does_not_hold():
         verify_factorization(ExplicitMF([0, -2], [-1, -1], d0, d1, base))
 
 
-def test_normalized_rows_is_self_when_every_entry_is_normal():
-    rows = [KoszulRow(v(X1, 3), v(X1))]
+def _assert_rows_normal(mf):
+    offset, high = mf.base._staircase
+    for row in mf.rows:
+        for entry in (row.a, row.b):
+            assert all(not (m + offset) & high for m in entry.terms), entry
+
+
+def test_rows_are_normal_over_the_base_by_construction():
+    rows = [KoszulRow(v(X1, 3), v(X1)), KoszulRow(v(X2, 2), v(X2))]
     free = KoszulMF(rows)
-    assert free.normalized_rows() is free
+    assert all(new is old for new, old in zip(free.rows, rows))
     base = QuotientRing().with_rule(X1, 2, Poly())
-    ruled = KoszulMF(rows + [KoszulRow(v(X2, 2), v(X2))], base)
-    normal = ruled.normalized_rows()
-    assert normal is not ruled
-    assert normal.rows[0].a.is_zero() and normal.rows[0].b == v(X1)
-    assert normal.rows[1] is ruled.rows[1]    # a normal row is kept
-    # normal rows over a ruled base: self, with its cached potential
-    potential = normal.potential()
-    assert normal.normalized_rows() is normal
-    assert normal.normalized_rows().potential() is potential
+    ruled = KoszulMF(rows, base)
+    # a row that is not normal is normalized, keeping its pinned degrees
+    assert ruled.rows[0].a.is_zero() and ruled.rows[0].b == v(X1)
+    assert (ruled.rows[0].deg_a, ruled.rows[0].deg_b) == (6, 2)
+    # a normal row is kept as the same object
+    assert ruled.rows[1] is rows[1]
+    _assert_rows_normal(ruled)
+    # rows that are normal already stay the same objects, and a potential
+    # the caller knows is kept as given
+    potential = ruled.potential()
+    again = KoszulMF(ruled.rows, base, potential=potential)
+    assert all(new is old for new, old in zip(again.rows, ruled.rows))
+    assert again.potential() is potential
+    assert potential == v(X2, 3)
+
+
+def test_tensor_rows_are_normal_over_the_merged_base():
+    m = KoszulMF([KoszulRow(v(X1, 3), v(X1)), KoszulRow(v(X3, 2), v(X1))])
+    base = QuotientRing().with_rule(X1, 2, Poly())
+    n = KoszulMF([KoszulRow(v(X2, 2), v(X2))], base)
+    for product in (m @ n, n @ m):
+        assert product.base == base
+        _assert_rows_normal(product)
+        assert product.potential() == v(X2, 3) + v(X3, 2) * v(X1)
 
 
 def test_sparse_mat_rejects_positions_outside_its_shape():

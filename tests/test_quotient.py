@@ -10,11 +10,14 @@ from pathlib import Path
 import pytest
 
 from moycalc import quotient
+from moycalc.diagram import glue, parse_diagram
 from moycalc.poly import (UNIT, Poly, mono_div, mono_exponent, mono_mul,
                           mono_power, mono_sort_key, monomials_of_degree)
 from moycalc.quotient import (InfiniteDimension, QuotientRing,
                               TriangularityViolation, echelon)
 from moycalc.laurent import LaurentPoly
+from moycalc.reduce import auto_reduce
+from test_reduce import _load_workloads
 
 X1, X2, Y1, Z1 = ("x", 1), ("x", 2), ("y", 1), ("z", 1)
 
@@ -296,3 +299,31 @@ def test_merge_adds_the_rules_in_normal_form():
     with pytest.raises(TriangularityViolation) as e:
         ruled.merge(QuotientRing().with_rule(X1, 3, Poly()))
     assert str(e.value) == "conflicting rules on x1"
+
+
+def test_normal_forms_lie_below_every_staircase(monkeypatch):
+    # with_rule checks a normalized replacement against its own leader
+    # only: no monomial of a normal form, _reduce_graded_piece's included,
+    # is reducible by any rule of its ring, on every ring that auto_reduce
+    # visits and on the cyclic ring
+    normal_form = QuotientRing.normal_form
+    rings = {}
+
+    def checked(ring, p):
+        out = normal_form(ring, p)
+        offset, high = ring._staircase
+        assert all(not (m + offset) & high for m in out.terms), (ring, p)
+        rings[id(ring)] = ring
+        return out
+
+    monkeypatch.setattr(QuotientRing, "normal_form", checked)
+    workloads = _load_workloads()
+    for name in ("closed-webs", "open-random"):
+        for item in workloads.corpus(workloads.WORKLOADS[name], 1, 20):
+            auto_reduce(glue(parse_diagram(item.text)))
+    assert sum(bool(ring.rules) for ring in rings.values()) > 100
+    rng = random.Random(40)
+    cyclic = _rings()[3]
+    for _ in range(150):
+        cyclic.normal_form(_random_poly(rng, [X1, X2, Y1, Z1]))
+    assert cyclic._pivot_cache

@@ -185,7 +185,7 @@ def _walked_states(workload, items, per_item):
     the first items of a benchmark workload at seed 1, depth first."""
     workloads = _load_workloads()
     for item in workloads.corpus(workloads.WORKLOADS[workload], 1, items):
-        states = [glue(parse_diagram(item.text)).normalized_rows()]
+        states = [glue(parse_diagram(item.text))]
         potential_vars = states[0].potential().variables()
         for _ in range(per_item):
             if not states:
@@ -397,8 +397,8 @@ def test_nonzero_potential_search_does_not_backtrack(monkeypatch):
 
 def test_rule_free_search_reuses_the_cached_potential(monkeypatch):
     # glue carries the potential by linearity, so no potential is
-    # multiplied out from rows; without rules normalized_rows is the
-    # identity, so auto_reduce reads the glued object's potential
+    # multiplied out from rows, and auto_reduce reads the glued object's
+    # potential
     computed, read = [], []
     potential = KoszulMF.potential
 
@@ -494,7 +494,7 @@ def test_left_out_candidates_are_refused_by_with_rule(n):
     # walk the states the search can reach; every monic (row, var, side)
     # past rule leaders and potential variables is either a candidate or
     # an exclusion that raises
-    states = [glue(parse_diagram(SQUARE_WEB % n)).normalized_rows()]
+    states = [glue(parse_diagram(SQUARE_WEB % n))]
     visited = left_out = 0
     while states and visited < 40:
         mf = states.pop()
@@ -587,7 +587,7 @@ def test_side_a_exclusion_matches_the_flipped_row(text):
     # walk the states exclusions and splits reach from the input; side "a"
     # must equal side "b" on the row flipped by the translation functor,
     # and every state handed on keeps its rows in normal form
-    states = [glue(parse_diagram(text)).normalized_rows()]
+    states = [glue(parse_diagram(text))]
     visited = compared = splits = 0
     while states and visited < 40:
         mf = states.pop()
@@ -736,7 +736,7 @@ def test_shared_copies_equal_the_unshared_search(monkeypatch):
     monkeypatch.setattr(reduce_module, "_exclusion_candidates", shuffled)
     workloads = _load_workloads()
     for item in workloads.corpus(workloads.WORKLOADS["closed-webs"], 1, 84):
-        mf = glue(parse_diagram(item.text)).normalized_rows()
+        mf = glue(parse_diagram(item.text))
         potential = mf.potential()
         args = mf, potential.variables(), potential.is_zero()
         for seed, branches in itertools.product(range(4), (2, 6, 16)):
