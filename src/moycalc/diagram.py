@@ -182,58 +182,77 @@ class Diagram:
 
 
 def parse_diagram(text):
+    """Parse diagram source into a validated Diagram.
+
+    A line ends at a line feed, a carriage return or the two together,
+    as a universal-newline read counts lines; every other character that
+    str.split splits on (form feed and vertical tab among them) is
+    whitespace inside a line.
+    """
     n = None
     pieces = []
     merges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        found = list(re.finditer(r"\S+", raw.split("#", 1)[0]))
-        if not found:
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.partition("#")[0]
+        tokens = line.split()
+        if not tokens:
             continue
-        tokens = [m.group() for m in found]
-        columns = [m.start() + 1 for m in found]
-        head, column = tokens[0], columns[0]
+        head = tokens[0]
         if head == "n":
             # any statement before n raises below, so n is first or doubled
             if n is not None:
-                raise ParseError("duplicate n statement", lineno, column)
+                raise ParseError("duplicate n statement", lineno,
+                                 _column(line, 0))
             if (len(tokens) != 2 or not tokens[1].isascii()
                     or not tokens[1].isdigit()):
-                raise ParseError("usage: n <int>", lineno, column)
+                raise ParseError("usage: n <int>", lineno, _column(line, 0))
             n = int(tokens[1])
             if n < 2:
                 raise UnsupportedN("line %d: n must be >= 2" % lineno)
             continue
         if n is None:
             raise ParseError("the first statement must be 'n <int>'",
-                             lineno, column)
+                             lineno, _column(line, 0))
         if head == "glue":
             if len(tokens) != 3:
-                raise ParseError("usage: glue <p> <q>", lineno, column)
-            _check_ids(tokens[1:], columns[1:], lineno)
+                raise ParseError("usage: glue <p> <q>", lineno,
+                                 _column(line, 0))
+            _check_ids(line, tokens, lineno)
             merges.append((tokens[1], tokens[2], lineno))
             continue
         if head not in ARITY:
-            raise ParseError("unknown statement %r" % head, lineno, column)
+            raise ParseError("unknown statement %r" % head, lineno,
+                             _column(line, 0))
         if len(tokens) != 1 + ARITY[head]:
             raise ParseError("%s takes %d parameters" % (head, ARITY[head]),
-                             lineno, column)
-        _check_ids(tokens[1:], columns[1:], lineno)
+                             lineno, _column(line, 0))
+        _check_ids(line, tokens, lineno)
         for slot, name in enumerate(tokens[1:]):
             want = "d" if slot in DOUBLE_SLOTS[head] else "x"
             if not name.startswith(want):
                 raise ParseError("parameter %r should be a %s-identifier"
-                                 % (name, want), lineno, columns[slot + 1])
+                                 % (name, want), lineno,
+                                 _column(line, slot + 1))
         pieces.append(Piece(head, tokens[1:], lineno))
     if n is None:
         raise ParseError("empty diagram: missing 'n <int>'", 1)
     return Diagram(n, pieces, merges)
 
 
-def _check_ids(tokens, columns, lineno):
-    for tok, column in zip(tokens, columns):
-        if not _ID.match(tok):
+def _check_ids(line, tokens, lineno):
+    """Raise at the first parameter of a statement that is no identifier."""
+    for index in range(1, len(tokens)):
+        if not _ID.match(tokens[index]):
             raise ParseError("bad identifier %r (expected x<int> or d<int>)"
-                             % tok, lineno, column)
+                             % tokens[index], lineno, _column(line, index))
+
+
+def _column(line, index):
+    """The column, from 1, of the index-th token of line (\\S matches what
+    str.split keeps).  Only the path that raises a ParseError looks a
+    column up."""
+    return [m.start() for m in re.finditer(r"\S+", line)][index] + 1
 
 
 # -- factorization builders --------------------------------------------------

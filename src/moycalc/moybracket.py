@@ -26,6 +26,14 @@ exponent tuples (k, a, b, c, ls, ld), and the value is the sum over the
 distinct tuples.  Each product [2]^a [n-1]^b [n-2]^c [n]^ls D^ld is
 multiplied out once per n, each factor raised by LaurentPoly's ``**``.
 
+A port, where an edge meets a vertex, is the int 4 * vid + slot, with
+slot SD = 0 for the double port d and S0 = 1, S1 = 2 for the single
+ports s0 and s1.  The slots stay below 4 and follow the names' order d <
+s0 < s1, so ports sort, and so the matchers, the keys and the walk order
+run, exactly as the pairs (vid, name) would; port >> 2 is the vid and
+port & 3 the slot, for negative vids too, and port ^ 3 swaps s0 and s1.
+Only MOYGraph.__str__ spells a port as that pair.
+
 Building a graph from a diagram is one splice: arcs and dlines are wires
 that the splice absorbs into the edges they carry, or counts as loops.
 A crossing piece (xplus/xminus) is built as its wide edge, and its arcs
@@ -118,8 +126,14 @@ from .diagram import (CROSSINGS, parse_diagram, refuse_crossings,
                       require_closed)
 from .laurent import LaurentPoly, quantum_integer
 
-# the port at each parameter slot of a vin or vout piece
-VERTEX_PORTS = {"vin": ("s0", "s1", "d"), "vout": ("d", "s0", "s1")}
+# the slots of a port 4 * vid + slot (MOYGraph), in the order of their names
+SD, S0, S1 = range(3)
+PORT_NAMES = ("d", "s0", "s1")
+
+# the port slot at each parameter slot of a vin or vout piece, and the slot
+# of the one port of a wire (_build)
+VERTEX_PORTS = {"vin": (S0, S1, SD), "vout": (SD, S0, S1)}
+WIRE_SLOTS = {"arc": S0, "dline": SD}
 
 
 class StuckGraph(ValueError):
@@ -134,10 +148,16 @@ class MOYGraph:
     """Mutable closed graph: vertices, the edges between their ports, and
     free loops.
 
-    A port is (vertex id, "s0" | "s1" | "d"): the single slots and the
-    double slot of a vertex.  Each port carries exactly one edge, stored
-    once as succ[out-port] = in-port and pred[in-port] = out-port; an
-    edge is double when its ports are "d" and single otherwise.
+    A port is one int, 4 * vid + slot, for the double slot d (SD = 0) and
+    the single slots s0 (S0 = 1) and s1 (S1 = 2) of a vertex; port >> 2
+    is its vid and port & 3 its slot, negative vids included.  As the
+    slots lie in 0..3 and their order is that of the names "d" < "s0" <
+    "s1", ports sort as the (vid, name) pairs they stand for, which
+    __str__ prints.  Each port carries exactly one edge, stored once as
+    succ[out-port] = in-port and pred[in-port] = out-port; an edge is
+    double when its ports are d ports and single otherwise.  A vin's
+    out-port is its d and its in-ports its s0 and s1; a vout's are the
+    reverse.
     """
 
     def __init__(self, n):
@@ -165,18 +185,19 @@ class MOYGraph:
         Chains of stitches compose, and a closed chain becomes a free
         loop.  Every other edge at a deleted vertex goes.
         """
+        succ, pred = self.succ, self.pred
         gone = set(vids)
         cont = dict(stitches)
         links = []
         seen = set()
         for start in cont:
-            src = self.pred[start]
-            if src[0] in gone:
+            src = pred[start]
+            if src >> 2 in gone:
                 continue            # inside a chain, or on a closed one
             dst = start
             while dst in cont:
                 seen.add(dst)
-                dst = self.succ[cont[dst]]
+                dst = succ[cont[dst]]
             links.append((src, dst))
         for start in cont:
             if start in seen:
@@ -184,27 +205,36 @@ class MOYGraph:
             dst = start
             while dst not in seen:
                 seen.add(dst)
-                dst = self.succ[cont[dst]]
-            if start[1] == "d":
+                dst = succ[cont[dst]]
+            if start & 3 == SD:
                 self.loops_double += 1
             else:
                 self.loops_single += 1
         for vid in gone:
-            del self.vertices[vid]
-            for port in ("s0", "s1", "d"):
-                self.succ.pop((vid, port), None)
-                self.pred.pop((vid, port), None)
+            kind = self.vertices.pop(vid)
+            port = 4 * vid
+            if kind == "vin":
+                del succ[port], pred[port + S0], pred[port + S1]
+            elif kind == "vout":
+                del pred[port], succ[port + S0], succ[port + S1]
+            else:       # a wire of _build: one port, in and out
+                port += WIRE_SLOTS[kind]
+                del succ[port], pred[port]
         for src, dst in links:
-            self.succ[src] = dst
-            self.pred[dst] = src
+            succ[src] = dst
+            pred[dst] = src
 
     def __str__(self):
+        def named(port):
+            return port >> 2, PORT_NAMES[port & 3]
+
         parts = ["n=%d" % self.n]
         for vid in sorted(self.vertices):
             parts.append("vertex %d: %s" % (vid, self.vertices[vid]))
         for src, dst in sorted(self.succ.items()):
             parts.append("edge: %s %s -> %s" % (
-                "double" if src[1] == "d" else "single", src, dst))
+                "double" if src & 3 == SD else "single", named(src),
+                named(dst)))
         if self.loops_single:
             parts.append("single loops: %d" % self.loops_single)
         if self.loops_double:
@@ -235,24 +265,24 @@ def _build(diagram):
     require_closed(diagram, "bracket")
     g = MOYGraph(diagram.n)
     vids = itertools.count()
-    endpoint = {}     # (piece, slot) -> (vid, port)
+    endpoint = {}     # (piece, slot) -> port
     pairs = []        # (vin, vout) of each crossing
     wires = []
     for p in diagram.pieces:
         if p.kind in VERTEX_PORTS:
             vid = next(vids)
             g.vertices[vid] = p.kind
-            ports = [(vid, port) for port in VERTEX_PORTS[p.kind]]
-        elif p.kind in ("arc", "dline"):
-            wire = (-1 - len(wires), "s0" if p.kind == "arc" else "d")
-            g.vertices[wire[0]] = p.kind    # until the splice below
+            ports = [4 * vid + slot for slot in VERTEX_PORTS[p.kind]]
+        elif p.kind in WIRE_SLOTS:
+            wire = 4 * (-1 - len(wires)) + WIRE_SLOTS[p.kind]
+            g.vertices[wire >> 2] = p.kind  # until the splice below
             wires.append(wire)
             ports = (wire, wire)
         else:
             win, wout = next(vids), next(vids)
             g.vertices[win], g.vertices[wout] = "vin", "vout"
-            g.succ[(win, "d")] = (wout, "d")
-            ports = ((wout, "s0"), (wout, "s1"), (win, "s0"), (win, "s1"))
+            g.succ[4 * win + SD] = 4 * wout + SD
+            ports = (4 * wout + S0, 4 * wout + S1, 4 * win + S0, 4 * win + S1)
             if p.kind in CROSSINGS:
                 pairs.append((win, wout))
         for slot, port in enumerate(ports):
@@ -260,14 +290,11 @@ def _build(diagram):
     for info in diagram.classes.values():
         g.succ[endpoint[info["out"]]] = endpoint[info["in"]]
     g.pred = {dst: src for src, dst in g.succ.items()}
-    g.splice([vid for vid, _ in wires], [(port, port) for port in wires])
+    g.splice([port >> 2 for port in wires], [(port, port) for port in wires])
     return g, pairs
 
 
 # -- relation matching -------------------------------------------------------
-
-_OTHER = {"s0": "s1", "s1": "s0"}
-
 
 def double_loop_value(n):
     """[n][n-1]/[2], the value of a free double loop.
@@ -287,16 +314,17 @@ TWO, N_MINUS_1, N_MINUS_2, LOOP, DOUBLE_LOOP = range(1, 6)
 
 def _digon_matches(graph):
     """Relation (5): two parallel single edges vout w -> vin v."""
+    succ = graph.succ
     for w in sorted(graph.vertices):
         if graph.vertices[w] == "vout":
-            v = graph.succ[(w, "s0")][0]
-            if graph.succ[(w, "s1")][0] == v:
+            v = succ[4 * w + S0] >> 2
+            if succ[4 * w + S1] >> 2 == v:
                 yield w, v
 
 
 def _apply_digon(graph, match):
     w, v = match
-    return (w, v), [(TWO, [((w, "d"), (v, "d"))])]
+    return (w, v), [(TWO, [(4 * w + SD, 4 * v + SD)])]
 
 
 def _bigon_matches(graph):
@@ -304,19 +332,19 @@ def _bigon_matches(graph):
 
     A match (v, w, back) names the back edge by its out-port at w.
     """
+    succ = graph.succ
     for v in sorted(graph.vertices):
         if graph.vertices[v] != "vin":
             continue
-        w = graph.succ[(v, "d")][0]
-        for port in ("s0", "s1"):
-            if graph.succ[(w, port)][0] == v:
-                yield v, w, (w, port)
+        w = succ[4 * v + SD] >> 2
+        for port in (4 * w + S0, 4 * w + S1):
+            if succ[port] >> 2 == v:
+                yield v, w, port
 
 
 def _apply_bigon(graph, match):
     v, w, back = match
-    return (v, w), [(N_MINUS_1, [((v, _OTHER[graph.succ[back][1]]),
-                                  (w, _OTHER[back[1]]))])]
+    return (v, w), [(N_MINUS_1, [(graph.succ[back] ^ 3, back ^ 3)])]
 
 
 def _square_matches(graph):
@@ -328,20 +356,21 @@ def _square_matches(graph):
     (p, q, r, s, qr, sp) names the edges q -> r and s -> p by their
     out-ports.
     """
+    succ = graph.succ
     for p in sorted(graph.vertices):
         if graph.vertices[p] != "vin":
             continue
-        q = graph.succ[(p, "d")][0]
-        targets = sorted((graph.succ[(q, port)][0], (q, port))
-                         for port in ("s0", "s1"))
+        q = succ[4 * p + SD] >> 2
+        targets = sorted((succ[port] >> 2, port)
+                         for port in (4 * q + S0, 4 * q + S1))
         if targets[0][0] == targets[1][0]:
             continue                # both singles of q go to one vertex
         for r, qr in targets:
             if r == p:
                 continue
-            s = graph.succ[(r, "d")][0]
-            sp = [(s, port) for port in ("s0", "s1")
-                  if graph.succ[(s, port)][0] == p]
+            s = succ[4 * r + SD] >> 2
+            sp = [port for port in (4 * s + S0, 4 * s + S1)
+                  if succ[port] >> 2 == p]
             if len(sp) == 1:
                 yield p, q, r, s, qr, sp[0]
 
@@ -349,11 +378,12 @@ def _square_matches(graph):
 def _apply_square(graph, match):
     """A two-term sum: the square opens up one way or the other."""
     p, q, r, s, qr, sp = match
-    # the external in-ports of p and r, and out-ports of q and s
-    in_p = (p, _OTHER[graph.succ[sp][1]])
-    in_r = (r, _OTHER[graph.succ[qr][1]])
-    out_q = (q, _OTHER[qr[1]])
-    out_s = (s, _OTHER[sp[1]])
+    # the external in-ports of p and r, and out-ports of q and s: the other
+    # single port of each port of the edges q -> r and s -> p
+    in_p = graph.succ[sp] ^ 3
+    in_r = graph.succ[qr] ^ 3
+    out_q = qr ^ 3
+    out_s = sp ^ 3
     return (p, q, r, s), [(None, ((in_r, out_q), (in_p, out_s))),
                           (N_MINUS_2, ((in_p, out_q), (in_r, out_s)))]
 
@@ -460,14 +490,18 @@ def _product(n, powers):
 
 def _evaluate(n, leaves):
     """The sum of count * q^k [2]^a [n-1]^b [n-2]^c [n]^ls D^ld over the
-    counted leaves, multiplying out each distinct (a, b, c, ls, ld) once."""
+    counted leaves, multiplying out each distinct (a, b, c, ls, ld) once
+    and adding every term into one sum."""
     shifts = defaultdict(Counter)
     for (k, *powers), count in leaves.items():
         shifts[tuple(powers)][k] += count
-    total = LaurentPoly()
+    total = defaultdict(int)
     for powers, terms in shifts.items():
-        total = total + LaurentPoly(terms) * _product(n, powers)
-    return total
+        product = _product(n, powers).terms.items()
+        for k, count in terms.items():
+            for e, c in product:
+                total[k + e] += count * c
+    return LaurentPoly(total)
 
 
 def _next_rewrite(graph):
@@ -525,7 +559,7 @@ def _resolution_key(graph):
     A flat tuple of ints: the loop counts, then per vertex in id order
     (the order the matchers scan) a vin's double-edge target as ~rank
     (negative, so the key also spells each vertex's kind), or a vout's
-    s0 and s1 targets as rank * 2 + (port == "s1").  Equal keys mean the
+    s0 and s1 targets as rank * 2 + (slot == S1).  Equal keys mean the
     walk makes the same rewrites on both graphs and reaches the same
     leaves.
     """
@@ -535,11 +569,11 @@ def _resolution_key(graph):
     key = [graph.loops_single, graph.loops_double]
     for v in vids:
         if graph.vertices[v] == "vin":
-            key.append(~rank[succ[(v, "d")][0]])
+            key.append(~rank[succ[4 * v + SD] >> 2])
         else:
-            for port in ("s0", "s1"):
-                w, w_port = succ[(v, port)]
-                key.append(2 * rank[w] + (w_port == "s1"))
+            for port in (4 * v + S0, 4 * v + S1):
+                target = succ[port]
+                key.append(2 * rank[target >> 2] + (target & 3 == S1))
     return tuple(key)
 
 
@@ -590,7 +624,8 @@ def _bracket_leaves(diagram):
     level = {_resolution_key(graph): (graph, {0: 1})}
     for p, (win, wout) in zip(crossings, pairs):
         s = 1 if p.kind == "xplus" else -1
-        stitches = [((win, port), (wout, port)) for port in ("s0", "s1")]
+        stitches = [(4 * win + S0, 4 * wout + S0),
+                    (4 * win + S1, 4 * wout + S1)]
         # the vertices from win on: a vin has one entry in a key, a vout two
         above = [kind for v, kind in graph.vertices.items() if v >= win]
         tail = len(above) + above.count("vout")
@@ -601,7 +636,8 @@ def _bracket_leaves(diagram):
                 arcs = g.copy()
                 arcs.splice((win, wout), stitches)
                 merged[arcs_key] = (arcs, {})
-            merged.setdefault(key, (g, {}))
+            if key not in merged:
+                merged[key] = (g, {})
             for child_key, shift, flip in ((arcs_key, s * (n - 1), 1),
                                            (key, s * n, -1)):
                 acc = merged[child_key][1]

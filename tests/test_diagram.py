@@ -74,6 +74,58 @@ def test_parse_errors_point_at_the_token():
         parse_diagram("n 3\n  glue  x1  x  # x\n")
 
 
+def test_parse_error_messages_name_line_and_column():
+    # a column counts characters, and every whitespace character that
+    # str.split splits on separates two tokens
+    cases = [("n 3\narc%sx1%sq2\n" % (space, space),
+              "line 2, column 8: bad identifier 'q2' (expected x<int> or "
+              "d<int>)")
+             for space in ("\t", "\u00a0", "\u3000")]
+    cases += [
+        ("n 3\n  frob x1 x2\n", "line 2, column 3: unknown statement 'frob'"),
+        ("n 3\n\tvin x1 x2\n", "line 2, column 2: vin takes 3 parameters"),
+        ("n 3\narc x1 x2 x3\n", "line 2, column 1: arc takes 2 parameters"),
+        (" n three\n", "line 1, column 2: usage: n <int>"),
+        ("n 3 4\n", "line 1, column 1: usage: n <int>"),
+        ("# header\n   arc x1 x2\nn 3\n",
+         "line 2, column 4: the first statement must be 'n <int>'"),
+        ("n 3\narc x1 x2\n glue x1 x2 x3\n",
+         "line 3, column 2: usage: glue <p> <q>"),
+        ("n 3\narc x1 x2\nglue x1 q2 # x1 q2\n",
+         "line 3, column 9: bad identifier 'q2' (expected x<int> or "
+         "d<int>)"),
+        ("n 3\narc x1 q2 # a comment\n",
+         "line 2, column 8: bad identifier 'q2' (expected x<int> or "
+         "d<int>)"),
+        ("n 3\nvin x1 x2 x3 # vin x1 x2 d3\n",
+         "line 2, column 11: parameter 'x3' should be a d-identifier"),
+        ("n 3\narc x1 x2 x3# x4\n",
+         "line 2, column 1: arc takes 2 parameters"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as e:
+            parse_diagram(text)
+        assert str(e.value) == message, text
+
+
+def test_only_newlines_end_a_line():
+    # \n, \r\n and \r end a line, as a universal-newline read counts them;
+    # a form feed, a vertical tab, \x1c-\x1e, \x85, U+2028 and U+2029 are
+    # whitespace inside one
+    with pytest.raises(ParseError) as e:
+        parse_diagram("n 3\n\f\narc x1 q2\n")
+    assert str(e.value) == ("line 3, column 8: bad identifier 'q2' "
+                            "(expected x<int> or d<int>)")
+    for space in ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                  "\u2029"):
+        d = parse_diagram("n 3\narc x1%sx2\nglue x2 x1\n" % space)
+        assert [p.params for p in d.pieces] == [("x1", "x2")]
+        with pytest.raises(ParseError) as e:
+            parse_diagram("n 3%s\r\narc x1 x2\rarc x3%sq4\n" % (space, space))
+        assert str(e.value).startswith("line 3, column 8: bad identifier "
+                                       "'q4'"), repr(space)
+
+
 def test_semantic_errors():
     with pytest.raises(DuplicateUse):
         parse_diagram("n 3\narc x1 x1\n")
