@@ -6,7 +6,7 @@ excluding internal variables, read off graded homology, and evaluate
 closed diagrams to Laurent polynomials in q.
 """
 
-from .poly import Poly, NonExactDivision, exact_div
+from .poly import DomainError, Poly, NonExactDivision, exact_div
 from .quotient import QuotientRing, TriangularityViolation, InfiniteDimension
 from .laurent import LaurentPoly, quantum_integer
 from .symm import (ReductionFailed, jacobi_algebra, pi_poly,

@@ -8,7 +8,8 @@ Command-line front end.
   moycalc bracket FILE     rewrite-based graph evaluation (crossings allowed)
   moycalc selftest         consistency checks for a range of n
 
-Exit status: 0 success, 1 domain error, 2 usage error.
+Exit status: 0 success, 1 domain error (a ``DomainError``, which every
+package exception is, or an unreadable file), 2 usage error.
 """
 
 import argparse
@@ -16,22 +17,14 @@ import json
 import sys
 
 from .diagram import DiagramError, glue, parse_diagram, require_closed
-from .homology import NonzeroPotential, euler_characteristic, graded_homology
-from .laurent import LaurentDivisionError, LaurentPoly, quantum_integer
-from .mf import NotAFactorization, OddShift, ZeroScalar
-from .moybracket import (MOYGraph, StuckGraph, all_path_values, bracket_text,
+from .homology import euler_characteristic, graded_homology
+from .laurent import quantum_integer
+from .moybracket import (MOYGraph, all_path_values, bracket_text,
                          double_loop_value)
-from .poly import MonomialOverflow, NonExactDivision
-from .quotient import InfiniteDimension, TriangularityViolation
-from .reduce import (NotMonicInVariable, ResidualVariable, VariableInPotential,
-                     auto_reduce, canonical_form)
-from .symm import ReductionFailed
+from .poly import DomainError
+from .reduce import auto_reduce, canonical_form
 
-DOMAIN_ERRORS = (DiagramError, NonzeroPotential, LaurentDivisionError,
-                 NotAFactorization, OddShift, ZeroScalar, StuckGraph,
-                 NonExactDivision, InfiniteDimension, TriangularityViolation,
-                 NotMonicInVariable, ResidualVariable, VariableInPotential,
-                 ReductionFailed, MonomialOverflow, OSError)
+DOMAIN_ERRORS = (DomainError, OSError)
 
 
 def main(argv=None):

@@ -27,7 +27,7 @@ Crossings have no factorization here: only the bracket resolves them
 import functools
 import re
 
-from .poly import Poly, sum_of_products
+from .poly import DomainError, Poly, sum_of_products
 from .quotient import QuotientRing
 from .mf import KoszulMF, KoszulRow
 from .symm import pi_poly, power_sum_at, slot_quotients, uv_polys
@@ -55,7 +55,7 @@ DOUBLE_SLOTS = {"arc": (), "wide": (), "dline": (0, 1), "vin": (2,),
 _ID = re.compile(r"^[xd][0-9]+$")
 
 
-class DiagramError(ValueError):
+class DiagramError(DomainError, ValueError):
     pass
 
 

@@ -18,15 +18,15 @@ from collections import Counter
 
 from .laurent import LaurentPoly
 from .mf import MFSum
-from .poly import Poly, mono_degree
+from .poly import DomainError, Poly, _Immutable, mono_degree
 from .quotient import echelon
 
 
-class NonzeroPotential(ValueError):
+class NonzeroPotential(DomainError, ValueError):
     """Homology is only defined when the potential vanishes."""
 
 
-class HomologyResult:
+class HomologyResult(_Immutable):
     """Graded dimensions of the two parity parts."""
 
     __slots__ = ("poincare0", "poincare1")
@@ -34,9 +34,6 @@ class HomologyResult:
     def __init__(self, poincare0=None, poincare1=None):
         object.__setattr__(self, "poincare0", poincare0 or LaurentPoly())
         object.__setattr__(self, "poincare1", poincare1 or LaurentPoly())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomologyResult is immutable")
 
     def __add__(self, other):
         return HomologyResult(self.poincare0 + other.poincare0,

@@ -1,11 +1,15 @@
 """Integer Laurent polynomials in q, with exact division and [n]."""
 
+from fractions import Fraction
 
-class LaurentDivisionError(ArithmeticError):
+from .poly import DomainError, _Immutable
+
+
+class LaurentDivisionError(DomainError, ArithmeticError):
     """Division of Laurent polynomials left a remainder."""
 
 
-class LaurentPoly:
+class LaurentPoly(_Immutable):
     """Finite map exponent -> nonzero integer coefficient."""
 
     __slots__ = ("terms",)
@@ -22,9 +26,6 @@ class LaurentPoly:
                 if c:
                     clean[e] = c
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     @staticmethod
     def const(c):
@@ -67,8 +68,8 @@ class LaurentPoly:
         return square * self if k % 2 else square
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
+        if isinstance(other, (int, Fraction)):
+            return self.terms == ({0: other} if other else {})
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __hash__(self):

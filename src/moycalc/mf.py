@@ -34,19 +34,20 @@ checked by computing both squares.
 import functools
 from itertools import repeat
 
-from .poly import Poly, as_coeff, mono_degree, qdiv, sum_of_products
+from .poly import (DomainError, Poly, _Immutable, as_coeff, mono_degree,
+                   qdiv, sum_of_products)
 from .quotient import QuotientRing
 
 
-class OddShift(ValueError):
+class OddShift(DomainError, ValueError):
     """A Koszul row whose internal shift is not an integer."""
 
 
-class NotAFactorization(ValueError):
+class NotAFactorization(DomainError, ValueError):
     """d1*d0 is not a scalar multiple of the identity."""
 
 
-class KoszulRow:
+class KoszulRow(_Immutable):
     """One row (a; b) with the Z-degrees of its two entries pinned.
 
     Degrees are stored explicitly because substitution can send an entry
@@ -70,9 +71,6 @@ class KoszulRow:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "deg_a", deg_a)
         object.__setattr__(self, "deg_b", deg_b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KoszulRow is immutable")
 
     @property
     def internal_shift(self):
@@ -119,11 +117,11 @@ def _slot_degree(degrees, pinned, slot):
     return degree
 
 
-class ZeroScalar(ValueError):
+class ZeroScalar(DomainError, ValueError):
     pass
 
 
-class KoszulMF:
+class KoszulMF(_Immutable):
     """rows tensored over a quotient base, with a shift {m} and parity <k>.
 
     The rows are held in normal form over the base; a row that is normal
@@ -148,9 +146,6 @@ class KoszulMF:
         object.__setattr__(self, "parity", parity % 2)
         object.__setattr__(self, "_potential",
                            Poly() if not rows else potential)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KoszulMF is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, KoszulMF)
@@ -248,16 +243,13 @@ def koszul_new(a, b, base=None, deg_a=None, deg_b=None):
     return KoszulMF([row], base)
 
 
-class MFSum:
+class MFSum(_Immutable):
     """A direct sum of factorizations."""
 
     __slots__ = ("summands",)
 
     def __init__(self, summands):
         object.__setattr__(self, "summands", tuple(summands))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MFSum is immutable")
 
     def __iter__(self):
         return iter(self.summands)
@@ -276,7 +268,7 @@ class MFSum:
 
 # -- explicit form -----------------------------------------------------------
 
-class SparseMat:
+class SparseMat(_Immutable):
     """Sparse matrix of Poly entries."""
 
     __slots__ = ("nrows", "ncols", "entries")
@@ -294,9 +286,6 @@ class SparseMat:
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseMat is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, SparseMat) and self.nrows == other.nrows
@@ -511,7 +500,7 @@ class _ProductTables:
         return SparseMat(self.mats[x].nrows, self.mats[y].ncols, entries)
 
 
-class ExplicitMF:
+class ExplicitMF(_Immutable):
     """Generator degrees for both slots plus the two differentials."""
 
     __slots__ = ("gens0", "gens1", "d0", "d1", "base")
@@ -526,9 +515,6 @@ class ExplicitMF:
         object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "d1", d1)
         object.__setattr__(self, "base", base or QuotientRing())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExplicitMF is immutable")
 
     def translate(self):
         # one memo for both maps, so an entry that both hold stays one

@@ -125,6 +125,7 @@ from functools import lru_cache
 from .diagram import (CROSSINGS, parse_diagram, refuse_crossings,
                       require_closed)
 from .laurent import LaurentPoly, quantum_integer
+from .poly import DomainError
 
 # the slots of a port 4 * vid + slot (MOYGraph), in the order of their names
 SD, S0, S1 = range(3)
@@ -136,7 +137,7 @@ VERTEX_PORTS = {"vin": (S0, S1, SD), "vout": (SD, S0, S1)}
 WIRE_SLOTS = {"arc": S0, "dline": SD}
 
 
-class StuckGraph(ValueError):
+class StuckGraph(DomainError, ValueError):
     """No relation applies to the residual graph."""
 
     def __init__(self, graph):

@@ -68,11 +68,29 @@ _LIMIT = 1 << (W - 1)
 UNIT = 0
 
 
-class NonExactDivision(ArithmeticError):
+class DomainError(Exception):
+    """The root of every exception the package raises for its input, which
+    the CLI reports; each subclass also keeps a builtin base."""
+
+
+class _Immutable:
+    """Refuses assigning and deleting attributes; a value class sets its
+    slots through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class NonExactDivision(DomainError, ArithmeticError):
     """Raised when a multivariate division leaves a nonzero remainder."""
 
 
-class MonomialOverflow(OverflowError):
+class MonomialOverflow(DomainError, OverflowError):
     """A monomial's degree does not fit its packed field."""
 
 
@@ -196,7 +214,7 @@ def mono_str(mono):
     return "*".join(parts)
 
 
-class Poly:
+class Poly(_Immutable):
     """Immutable sparse polynomial: map monomial -> nonzero coefficient,
     an int or a non-integral Fraction (see the module docstring).
 
@@ -221,9 +239,6 @@ class Poly:
                 if c:
                     clean[mono] = c
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------
 
@@ -381,7 +396,7 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
+            return self.terms == ({UNIT: other} if other else {})
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self):

@@ -18,19 +18,19 @@ staircase-basis check below and with the homology ranks.
 """
 
 from .laurent import LaurentPoly
-from .poly import (UNIT, Poly, mono_div, mono_exponent, mono_mul,
-                   mono_power, mono_sort_key, monomials_of_degree, qdiv,
-                   staircase, var_degree)
+from .poly import (UNIT, DomainError, Poly, _Immutable, mono_div,
+                   mono_exponent, mono_mul, mono_power, mono_sort_key,
+                   monomials_of_degree, qdiv, staircase, var_degree)
 
-class TriangularityViolation(ValueError):
+class TriangularityViolation(DomainError, ValueError):
     """A rule insertion or substitution would break the triangular shape."""
 
 
-class InfiniteDimension(ValueError):
+class InfiniteDimension(DomainError, ValueError):
     """The quotient is not a finite-dimensional vector space."""
 
 
-class QuotientRing:
+class QuotientRing(_Immutable):
     """Polynomial ring modulo an ordered triangular system of monic rules."""
 
     __slots__ = ("rules", "_staircase", "_nf_cache", "_nf_stack",
@@ -46,9 +46,6 @@ class QuotientRing:
         object.__setattr__(self, "_nf_cache", {})
         object.__setattr__(self, "_nf_stack", set())
         object.__setattr__(self, "_pivot_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotientRing is immutable")
 
     def __eq__(self, other):
         return isinstance(other, QuotientRing) and self.rules == other.rules

@@ -31,11 +31,12 @@ Under a zero potential a greedy choice can dead-end, so the search
 backtracks depth-first to the first branch that reaches zero rows
 everywhere; after 16 exclusions it settles for first branches instead.
 The d copies of a split are one factorization shifted by k*deg v, so
-the search reduces copy 0 only: copies 1..d-1 take copy 0's steps and
-its summands with each shift raised by k*deg v, and the budget is charged
-what copy 0 spent, once per copy.  This is exact: the copies have the
-same rows, base and parity, and _reduce only ever adds to a shift (a
-side-"a" exclusion adds internal_shift, and a split adds k*deg v).
+the search builds and reduces copy 0 only, along the first leader that
+can split: copies 1..d-1 take copy 0's steps and its summands with each
+shift raised by k*deg v, and the budget is charged what copy 0 spent,
+once per copy.  This is exact: the copies have the same rows, base and
+parity, and _reduce only ever adds to a shift (a side-"a" exclusion adds
+internal_shift, and a split adds k*deg v).
 A split step still lists every copy's steps, so replay re-runs each copy
 and checks the sharing.
 
@@ -47,20 +48,21 @@ copies' steps, sizes[k] of them for copy k (the split tree in pre-order).
 import itertools
 from operator import itemgetter
 
-from .poly import Poly, mono_sort_key, mono_variables, qdiv, var_degree
+from .poly import (DomainError, Poly, mono_sort_key, mono_variables, qdiv,
+                   var_degree)
 from .quotient import QuotientRing, TriangularityViolation, cyclic_closure
 from .mf import KoszulMF, MFSum
 
 
-class VariableInPotential(ValueError):
+class VariableInPotential(DomainError, ValueError):
     pass
 
 
-class NotMonicInVariable(ValueError):
+class NotMonicInVariable(DomainError, ValueError):
     pass
 
 
-class ResidualVariable(ValueError):
+class ResidualVariable(DomainError, ValueError):
     pass
 
 
@@ -134,9 +136,15 @@ def split_free_module(mf, v):
     residual = _residual(mf, v)
     if residual:
         raise ResidualVariable(residual)
+    copy = _first_copy(mf, v)
+    return MFSum([copy] + [copy.shifted(k * var_degree(v))
+                           for k in range(1, d)])
+
+
+def _first_copy(mf, v):
+    """Copy 0 of the split along v's rule: mf over the base without it."""
     base = QuotientRing([r for r in mf.base.rules if r[0] != v])
-    return MFSum([KoszulMF(mf.rows, base, mf.shift + k * var_degree(v),
-                           mf.parity) for k in range(d)])
+    return KoszulMF(mf.rows, base, mf.shift, mf.parity)
 
 
 def _residual(mf, v):
@@ -176,8 +184,8 @@ def _exclusion_candidates(mf, potential_vars):
 
 
 def _splittable_variables(mf):
-    return sorted(v for v, _, _ in mf.base.rules
-                  if mf.rows and not _residual(mf, v))
+    return (v for v in sorted(w for w, _, _ in mf.base.rules)
+            if mf.rows and not _residual(mf, v))
 
 
 def auto_reduce(mf):
@@ -216,9 +224,10 @@ def _reduce(mf, potential_vars, zero, budget):
         return best
 
     for v in _splittable_variables(mf):
-        copies = split_free_module(mf, v).summands
-        left, d = budget["branches"], len(copies)
-        summands, sub = _reduce(copies[0], potential_vars, zero, budget)
+        d, _ = mf.base.rule_for(v)
+        left = budget["branches"]
+        summands, sub = _reduce(_first_copy(mf, v), potential_vars, zero,
+                                budget)
         # the copies share copy 0's search (module docstring)
         budget["branches"] -= (d - 1) * (left - budget["branches"])
         split = ("split", {"var": v, "power": d, "sizes": (len(sub),) * d})

@@ -10,11 +10,11 @@ polynomials h_j(a, b) = (a^{j+1} - b^{j+1})/(a - b), so they are built
 without dividing.
 """
 
-from .poly import Poly, mono_exponent, qdiv, sum_of_products
+from .poly import DomainError, Poly, mono_exponent, qdiv, sum_of_products
 from .quotient import QuotientRing, TriangularityViolation
 
 
-class ReductionFailed(RuntimeError):
+class ReductionFailed(DomainError, RuntimeError):
     """A triangularization or reduction that must succeed did not."""
 
 

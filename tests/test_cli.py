@@ -1,7 +1,9 @@
 """Command-line interface: outputs, JSON mode, exit codes."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +147,40 @@ def test_selftest_euler_takes_the_euler_command_path(monkeypatch, capsys):
     assert main(["selftest", "--n-max", "3"]) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert len(calls) == 3
+
+
+# the package exceptions the CLI caught when it listed them one by one,
+# each with the builtin base it keeps
+CAUGHT = {
+    "ArityMismatch": ValueError, "DiagramError": ValueError,
+    "DuplicateUse": ValueError, "InfiniteDimension": ValueError,
+    "KindMismatch": ValueError, "LaurentDivisionError": ArithmeticError,
+    "MonomialOverflow": OverflowError, "NonExactDivision": ArithmeticError,
+    "NonzeroPotential": ValueError, "NotAFactorization": ValueError,
+    "NotMonicInVariable": ValueError, "OddShift": ValueError,
+    "OrientationMismatch": ValueError, "ParseError": ValueError,
+    "ReductionFailed": RuntimeError, "ResidualVariable": ValueError,
+    "StuckGraph": ValueError, "TriangularityViolation": ValueError,
+    "UnsupportedN": ValueError, "VariableInPotential": ValueError,
+    "ZeroScalar": ValueError}
+
+
+def test_every_package_exception_is_one_domain_error():
+    # every exception class that a package module defines, found by
+    # walking the modules: one added without the root fails here
+    modules = [importlib.import_module("moycalc." + info.name)
+               for info in pkgutil.iter_modules(moycalc.__path__)]
+    defined = {value for module in modules for value in vars(module).values()
+               if isinstance(value, type) and issubclass(value, BaseException)
+               and value.__module__ == module.__name__}
+    assert moycalc.DomainError in defined
+    assert all(issubclass(cls, moycalc.DomainError) for cls in defined)
+    assert cli.DOMAIN_ERRORS == (moycalc.DomainError, OSError)
+    caught = {cls.__name__: cls for cls in defined - {moycalc.DomainError}
+              if issubclass(cls, cli.DOMAIN_ERRORS)}
+    assert caught.keys() == CAUGHT.keys()
+    for name, cls in caught.items():
+        assert issubclass(cls, CAUGHT[name]), name
 
 
 def test_missing_file_is_domain_error(capsys):

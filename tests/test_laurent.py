@@ -38,13 +38,16 @@ def test_non_integral_terms_raise():
 
 
 def test_constants_hash_like_their_ints():
-    # equal values must hash alike, or a set or dict keeps both
-    for c in (0, 3, -2):
+    # equal values must hash alike, or a set or dict keeps both; as for
+    # Poly, an integral Fraction and a bool equal their constants
+    for c in (0, 3, -2, Fraction(2), Fraction(0), True, False):
         assert LaurentPoly.const(c) == c
         assert hash(LaurentPoly.const(c)) == hash(c)
         assert len({c, LaurentPoly.const(c)}) == 1
     assert LaurentPoly() == 0 and len({0, LaurentPoly()}) == 1
     assert hash(LaurentPoly({1: 2})) == hash(LaurentPoly({1: 2}))
+    assert LaurentPoly.const(2) != Fraction(1, 2)
+    assert LaurentPoly({1: 1}) != 1 and LaurentPoly({1: 1}) != Fraction(1)
 
 
 def test_exact_div():

@@ -485,6 +485,17 @@ def test_constants_hash_as_their_coefficient():
     assert v(X1) not in {0, 1, Fraction(1, 2)}
 
 
+def test_numbers_compare_with_the_constant_term_and_never_raise():
+    # a bool is the int it is; no Poly is built from the number
+    assert Poly() == False and Poly() in [False]
+    assert Poly.const(1) == True and Poly.const(1) != False
+    assert Poly.const(2) == Fraction(2) and Poly.const(2) != Fraction(1, 2)
+    assert Poly.const(Fraction(1, 2)) == Fraction(1, 2)
+    assert Poly() != 1 and Poly.const(3) != 0
+    assert v(X1) != 1 and v(X1) != True and v(X1) != Fraction(1, 2)
+    assert v(X1) + 1 != 1
+
+
 def test_overflow_is_refused_never_wrapped():
     limit = 2 ** (W - 1)
     # the first power of x1 at the limit, and the last one below it

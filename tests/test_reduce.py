@@ -718,20 +718,23 @@ def test_shared_copies_equal_the_unshared_search(monkeypatch):
         random.Random(repr((out, state, seed))).shuffle(out)
         return out
 
-    # the copies of every split, and those of them the search reduced
-    split, search = split_free_module, reduce_module._reduce
-    copies_of, reduced = {}, set()
+    # the copy that each split builds, and those the search reduced
+    first_copy, search = reduce_module._first_copy, reduce_module._reduce
+    built, reduced = {}, set()
     splits = 0
 
-    def recording_split(mf, var):
-        out = split(mf, var)
-        copies_of.update((id(c), out.summands) for c in out)
+    def recording_copy(mf, var):
+        out = first_copy(mf, var)
+        built[id(out)] = out
         return out
 
     def recording_search(mf, *args):
-        if id(mf) in copies_of:
+        if id(mf) in built:
             reduced.add(id(mf))
         return search(mf, *args)
+
+    def all_copies(mf, var):
+        raise AssertionError("the search built every copy of a split")
 
     monkeypatch.setattr(reduce_module, "_exclusion_candidates", shuffled)
     workloads = _load_workloads()
@@ -743,16 +746,15 @@ def test_shared_copies_equal_the_unshared_search(monkeypatch):
             expected = _unshared_reduce(*args, {"branches": branches})
             with monkeypatch.context() as patch:
                 patch.setattr(reduce_module, "split_free_module",
-                              recording_split)
+                              all_copies)
+                patch.setattr(reduce_module, "_first_copy", recording_copy)
                 patch.setattr(reduce_module, "_reduce", recording_search)
                 got = reduce_module._reduce(*args, {"branches": branches})
             assert got == expected, item.text
-        # exactly copy 0 of every split is searched
-        for copies in {id(c): c for c in copies_of.values()}.values():
-            assert [id(c) in reduced for c in copies] == (
-                [True] + [False] * (len(copies) - 1)), item.text
-            splits += 1
-        copies_of.clear()
+        # each split builds copy 0 alone, and the search reduces it
+        assert reduced == built.keys(), item.text
+        splits += len(built)
+        built.clear()
         reduced.clear()
     assert splits
 

@@ -18,8 +18,11 @@ there or be listed in ``NOT_RUN`` with a reason.  A reason names an
 acceptance criterion of test_acceptance.py, a named test oracle, a
 ``perfbench/tracing.py`` binding, or the ROADMAP item that owns the
 decision.  A listed definition that runs fails the gate as well, so the
-list cannot go stale.  Classes keep a name check: each is used by a NAME
-token in the package outside its definition, or in perfbench.
+list cannot go stale.  No program path changes a value, so the one
+refusal that the nine value classes share, ``poly._Immutable``'s
+``__setattr__`` and ``__delattr__``, is listed.  Classes keep a name
+check: each is used by a NAME token in the package outside its
+definition, or in perfbench.
 """
 
 import ast
@@ -47,7 +50,8 @@ ROOT = SRC.parents[1]
 # definitions that no program path runs, each with the acceptance
 # criterion (test_acceptance.py), test oracle, perfbench/tracing.py binding
 # or ROADMAP item that keeps it
-IMMUTABLE = "the refusal of test_every_value_class_refuses_assignment"
+IMMUTABLE = ("poly._Immutable's one refusal for every value class, of "
+             "test_every_value_class_refuses_assignment")
 NOT_RUN = {
     "diagram.CrossingComplex.__init__": "criterion 11's crossing complex",
     "diagram.CrossingComplex.positions": "criterion 11's positions",
@@ -55,34 +59,27 @@ NOT_RUN = {
     "homology.HomologyResult.__eq__":
         "the homology comparison of test_eliminator_oracle.py::"
         "test_homology_stable_under_reduction",
-    "homology.HomologyResult.__setattr__": IMMUTABLE,
     "homology._graded_ranks": "ROADMAP item 10: no corpus summand with rows "
                               "has a finite base",
     "homology._module_basis": "ROADMAP item 10, with _graded_ranks",
-    "laurent.LaurentPoly.__setattr__": IMMUTABLE,
     "laurent.LaurentPoly.evaluate_at_one": "criterion 3's total dimension",
     "laurent.LaurentPoly.exact_div": "criterion 2's [n][n-1]/[2]",
     "laurent.LaurentPoly.is_zero": "exact_div's zero test, criterion 2",
     "mf.ExplicitMF.__eq__": "criterion 9's matrix equations",
-    "mf.ExplicitMF.__setattr__": IMMUTABLE,
     "mf.ExplicitMF.translate": "criterion 9's translation laws",
-    "mf.KoszulMF.__setattr__": IMMUTABLE,
     "mf.KoszulMF.flip_row":
         "the oracle of test_reduce.py::test_side_a_exclusion_matches_the_"
         "flipped_row: side a against side b of the flipped row",
     "mf.KoszulMF.translate": "criterion 8's translation invariance and "
                              "criterion 11's crossing complex",
-    "mf.KoszulRow.__setattr__": IMMUTABLE,
     "mf.KoszulRow.flipped": "flip_row's row, for test_reduce.py::"
                             "test_side_a_exclusion_matches_the_flipped_row",
-    "mf.MFSum.__setattr__": IMMUTABLE,
     "mf.SparseMat.__eq__": "criterion 9's matrix equations",
     "mf.SparseMat.__getitem__":
         "the dense lists of test_mf.py::test_two_row_tensor_block_matrices",
     "mf.SparseMat.__init__": "the checked constructor of criterion 9's "
                              "signed permutations",
     "mf.SparseMat.__matmul__": "criterion 9's commutation law",
-    "mf.SparseMat.__setattr__": IMMUTABLE,
     "mf._ProductTables.__init__": "ROADMAP item 18: the two-square verifier",
     "mf._ProductTables.product": "ROADMAP item 18: the two-square verifier",
     "mf._check_homogeneity": "ROADMAP item 18: the two-square verifier",
@@ -92,19 +89,23 @@ NOT_RUN = {
     "mf.koszul_new": "the one-row constructor of criterion 9",
     "moybracket.expand_crossings": "perfbench/tracing.py binds it by name "
                                    "for moybracket.resolutions",
+    "poly._Immutable.__delattr__": IMMUTABLE,
+    "poly._Immutable.__setattr__": IMMUTABLE,
     "poly.Poly.__hash__": "ROADMAP item 18: _ProductTables keys its "
                           "symbols by entry",
-    "poly.Poly.__setattr__": IMMUTABLE,
     "poly.Poly.diff": "the partial derivatives of criteria 2 and 3",
     "poly._overflow": "the refusal of test_poly.py::"
                       "test_overflow_is_refused_never_wrapped",
     "poly.exact_div": "the division of test_diagram.py::"
                       "test_primitive_matches_the_dividing_reference",
-    "quotient.QuotientRing.__setattr__": IMMUTABLE,
     "quotient.QuotientRing._reduce_graded_piece":
         "the cyclic-rule fallback of test_quotient.py::"
         "test_rewriting_cycle_falls_back_to_linear_algebra",
     "reduce.scale_row": "criterion 8's row rescaling invariance",
+    "reduce.split_free_module":
+        "every copy that replay re-runs in test_reduce.py::"
+        "test_replay_reproduces_auto_reduce_exactly; the search builds "
+        "copy 0 alone",
     "symm._monic_rule": "the Jacobi algebra of criteria 2 and 3",
     "symm.jacobi_algebra": "the Jacobi algebra of criteria 2 and 3",
 }
@@ -229,11 +230,17 @@ VALUES = [Poly(), LaurentPoly(), QuotientRing(), KoszulRow(Poly(), Poly()),
 
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
 def test_every_value_class_refuses_assignment(value):
-    # a slot the class has and a name it does not are both refused
-    for name in (type(value).__slots__[0], "other"):
+    # assigning a slot the class has or a name it does not, and deleting
+    # the slot, are all refused, and the value keeps its slot
+    slot = type(value).__slots__[0]
+    kept = getattr(value, slot)
+    for change in (lambda: setattr(value, slot, None),
+                   lambda: setattr(value, "other", None),
+                   lambda: delattr(value, slot)):
         with pytest.raises(AttributeError) as e:
-            setattr(value, name, None)
+            change()
         assert str(e.value) == "%s is immutable" % type(value).__name__
+    assert getattr(value, slot) is kept
 
 
 def _name_tokens(path):
