@@ -331,18 +331,12 @@ def _template(kind, n):
 
 
 def class_variables(diagram):
-    """Assign one polynomial variable (or pair) to every parameter class."""
-    order = []
-    seen = set()
-    for p in diagram.pieces:
-        for name in p.params:
-            cls = diagram.class_of(name)
-            if cls not in seen:
-                seen.add(cls)
-                order.append(cls)
+    """Assign one polynomial variable (or pair) to every parameter class,
+    numbered in the order ``Diagram.classes`` holds them: the order in
+    which the pieces' slots first name each class."""
     assign = {}
-    for k, cls in enumerate(order, start=1):
-        if diagram.classes[cls]["kind"] == "single":
+    for k, (cls, info) in enumerate(diagram.classes.items(), start=1):
+        if info["kind"] == "single":
             assign[cls] = ("x", k)
         else:
             assign[cls] = (("y", k), ("z", k))

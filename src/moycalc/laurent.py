@@ -1,41 +1,38 @@
-"""Integer Laurent polynomials in q, with exact division and [n]."""
+"""Integer Laurent polynomials in q, with exact division and [n].
 
-from fractions import Fraction
+A ``LaurentPoly`` is a ``poly._Terms`` value keyed by the exponent of q:
+it shares ``Poly``'s number policy (``poly.as_coeff``), equality, hashing,
+powers and printer, and takes only integral exponents and coefficients.
+"""
 
-from .poly import DomainError, _Immutable
+from .poly import DomainError, _Terms, as_coeff
 
 
 class LaurentDivisionError(DomainError, ArithmeticError):
     """Division of Laurent polynomials left a remainder."""
 
 
-class LaurentPoly(_Immutable):
-    """Finite map exponent -> nonzero integer coefficient."""
+class LaurentPoly(_Terms):
+    """Finite map exponent -> nonzero integer coefficient; its powers are
+    cached as ``Poly``'s are."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_powers")
 
     def __init__(self, terms=None):
         clean = {}
         if terms:
             for e, c in terms.items():
                 if type(e) is not int or type(c) is not int:
-                    if int(e) != e or int(c) != c:
+                    e, c = as_coeff(e), as_coeff(c)
+                    if type(e) is not int or type(c) is not int:
                         raise ValueError("non-integral Laurent term %r: %r"
                                          % (e, c))
-                    e, c = int(e), int(c)
                 if c:
                     clean[e] = c
         object.__setattr__(self, "terms", clean)
 
-    @staticmethod
-    def const(c):
-        return LaurentPoly({0: c})
-
-    def is_zero(self):
-        return not self.terms
-
     def __add__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, LaurentPoly):
             other = LaurentPoly.const(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -44,38 +41,14 @@ class LaurentPoly(_Immutable):
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
+        if not isinstance(other, LaurentPoly):
+            other = LaurentPoly.const(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return LaurentPoly(out)
-
-    def __pow__(self, k):
-        """self^k, by repeated squaring."""
-        if k < 0:
-            raise ValueError("negative power")
-        if k <= 1:
-            return self if k else LaurentPoly.const(1)
-        half = self ** (k // 2)
-        square = half * half
-        return square * self if k % 2 else square
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.terms == ({0: other} if other else {})
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        if self.terms.keys() <= {0}:
-            return hash(self.terms.get(0, 0))   # equal to that int
-        return hash(frozenset(self.terms.items()))
 
     def evaluate_at_one(self):
         return sum(self.terms.values())
@@ -103,31 +76,12 @@ class LaurentPoly(_Immutable):
                     del rem[k]
         return LaurentPoly(quo)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            if e == 0:
-                body = str(c)
-            else:
-                q = "q^%d" % e if e != 1 else "q"
-                if c == 1:
-                    body = q
-                elif c == -1:
-                    body = "-" + q
-                else:
-                    body = "%d*%s" % (c, q)
-            if parts and not body.startswith("-"):
-                parts.append("+ " + body)
-            elif parts:
-                parts.append("- " + body[1:])
-            else:
-                parts.append(body)
-        return " ".join(parts)
+    def _ordered(self):
+        return sorted(self.terms.items())
 
-    __repr__ = __str__
+    @staticmethod
+    def _key_str(e):
+        return "q" if e == 1 else "q^%d" % e
 
     def to_json(self):
         return {str(e): c for e, c in sorted(self.terms.items())}

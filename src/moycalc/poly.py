@@ -1,10 +1,21 @@
 """
-Sparse multivariate polynomials with exact rational coefficients.
+Sparse multivariate polynomials with exact rational coefficients, and the
+value core they share with ``laurent.LaurentPoly``.
 
 A coefficient is an ``int`` when it is integral and a ``Fraction`` with
-denominator > 1 otherwise; ``Poly`` normalizes to that form once, at
-construction, and refuses a ``float``.  Every division of coefficients
-goes through ``qdiv``, since ``/`` on two ints would give a float.
+denominator > 1 otherwise.  ``as_coeff`` is the one gate that decides
+what a number is, for both polynomial classes: a bool is the int it is,
+an integral ``Fraction`` becomes an int, and a ``float`` (or anything
+else) is refused with ``TypeError``.  ``Poly`` normalizes to that form
+once, at construction.  Every division of coefficients goes through
+``qdiv``, since ``/`` on two ints would give a float.
+
+``_Terms`` is that shared core: a map ``terms`` from a key to a nonzero
+coefficient, in which key 0 (``UNIT``, or q^0) is the constant term.  It
+owns ``const``, ``is_zero``, negation, subtraction, powers, equality and
+hashing (a constant equals and hashes as its number), and the printer.
+Each class keeps its own key rule, ``__add__`` and ``__mul__``, which take
+a number as its constant.
 
 Variables come in three kinds, each with a fixed even Z-degree:
 ``x`` and ``y`` variables have degree 2, ``z`` variables have degree 4.
@@ -100,11 +111,14 @@ def _overflow(degree):
 
 
 def as_coeff(c):
-    """c in coefficient form: an int if integral, else a Fraction."""
+    """c in coefficient form: an int if integral, else a Fraction.  A bool
+    is the int it is; a float, or any other type, is refused."""
     if type(c) is int:
         return c
     if type(c) is Fraction:
         return c.numerator if c.denominator == 1 else c
+    if type(c) is bool:
+        return int(c)
     raise TypeError("coefficient must be an int or a Fraction, not %s"
                     % type(c).__name__)
 
@@ -214,7 +228,89 @@ def mono_str(mono):
     return "*".join(parts)
 
 
-class Poly(_Immutable):
+class _Terms(_Immutable):
+    """The value core of ``Poly`` and ``LaurentPoly`` (the module
+    docstring).  A class declares the slots ``terms`` and ``_powers``,
+    its ``__add__`` and ``__mul__``, and the printer's two hooks:
+    ``_ordered()``, the terms in print order, and ``_key_str``, which
+    writes a nonconstant key."""
+
+    __slots__ = ()
+
+    @classmethod
+    def const(cls, c):
+        return cls({UNIT: c})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __pow__(self, e):
+        """self^e, multiplied out once per object and exponent: every
+        power from the largest one cached below e up to e is cached on the
+        way, each one product from the one before, in a loop whatever e
+        is."""
+        if e < 0:
+            raise ValueError("negative power")
+        if e == 0:
+            return type(self).const(1)
+        if e == 1:
+            return self
+        try:
+            powers = self._powers
+        except AttributeError:
+            powers = {}
+            object.__setattr__(self, "_powers", powers)
+        out = powers.get(e)
+        if out is None:
+            k = e - 1
+            while k > 1 and k not in powers:
+                k -= 1
+            out = powers.get(k, self)
+            for j in range(k + 1, e + 1):
+                out = powers[j] = out * self
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.terms == ({UNIT: other} if other else {})
+        return isinstance(other, type(self)) and self.terms == other.terms
+
+    def __hash__(self):
+        if self.terms.keys() <= {UNIT}:
+            return hash(self.terms.get(UNIT, 0))    # equal to that number
+        return hash(frozenset(self.terms.items()))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for key, coeff in self._ordered():
+            if not key:
+                body = str(coeff)
+            elif coeff == 1:
+                body = self._key_str(key)
+            elif coeff == -1:
+                body = "-" + self._key_str(key)
+            else:
+                body = "%s*%s" % (coeff, self._key_str(key))
+            if parts and not body.startswith("-"):
+                parts.append("+ " + body)
+            elif parts:
+                parts.append("- " + body[1:])
+            else:
+                parts.append(body)
+        return " ".join(parts)
+
+    __repr__ = __str__
+
+
+class Poly(_Terms):
     """Immutable sparse polynomial: map monomial -> nonzero coefficient,
     an int or a non-integral Fraction (see the module docstring).
 
@@ -243,11 +339,6 @@ class Poly(_Immutable):
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def const(c):
-        c = as_coeff(c)
-        return Poly({UNIT: c}) if c else Poly()
-
-    @staticmethod
     def var(v, e=1):
         if v[0] not in KINDS or v[1] < 1:
             raise ValueError("bad variable %r" % (v,))
@@ -256,9 +347,6 @@ class Poly(_Immutable):
         return Poly({mono_power(v, e): 1})
 
     # -- predicates / views ------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def _occupied(self):
         """The bitwise or of the monomials: a field is nonzero in it
@@ -345,18 +433,9 @@ class Poly(_Immutable):
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(other)
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = as_coeff(other)
-            return Poly({m: co * c for m, co in self.terms.items()})
+            other = Poly.const(other)
         # mono_mul inlined: construction refuses a product past the limit
         out = {}
         right = other.terms.items()
@@ -367,42 +446,6 @@ class Poly(_Immutable):
         return Poly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e):
-        """self^e, multiplied out once per object and exponent: every
-        power from the largest one cached below e up to e is cached on the
-        way, each one product from the one before, in a loop whatever e
-        is."""
-        if e < 0:
-            raise ValueError("negative power")
-        if e == 0:
-            return Poly.const(1)
-        if e == 1:
-            return self
-        try:
-            powers = self._powers
-        except AttributeError:
-            powers = {}
-            object.__setattr__(self, "_powers", powers)
-        out = powers.get(e)
-        if out is None:
-            k = e - 1
-            while k > 1 and k not in powers:
-                k -= 1
-            out = powers.get(k, self)
-            for j in range(k + 1, e + 1):
-                out = powers[j] = out * self
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.terms == ({UNIT: other} if other else {})
-        return isinstance(other, Poly) and self.terms == other.terms
-
-    def __hash__(self):
-        if self.terms.keys() <= {UNIT}:
-            return hash(self.terms.get(UNIT, 0))    # equal to that number
-        return hash(frozenset(self.terms.items()))
 
     def substitute(self, mapping):
         """Substitute variables by polynomials; mapping: var -> Poly.
@@ -475,30 +518,11 @@ class Poly(_Immutable):
                 out[m] = out.get(m, 0) + coeff * e
         return Poly(out)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        items = sorted(self.terms.items(), key=lambda it: mono_sort_key(it[0]),
-                       reverse=True)
-        parts = []
-        for mono, coeff in items:
-            if not mono:
-                body = str(coeff)
-            elif coeff == 1:
-                body = mono_str(mono)
-            elif coeff == -1:
-                body = "-" + mono_str(mono)
-            else:
-                body = "%s*%s" % (coeff, mono_str(mono))
-            if parts and not body.startswith("-"):
-                parts.append("+ " + body)
-            elif parts:
-                parts.append("- " + body[1:])
-            else:
-                parts.append(body)
-        return " ".join(parts)
+    def _ordered(self):
+        return sorted(self.terms.items(), key=lambda it: mono_sort_key(it[0]),
+                      reverse=True)
 
-    __repr__ = __str__
+    _key_str = staticmethod(mono_str)
 
 
 def monomials_of_degree(variables, degree):

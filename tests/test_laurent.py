@@ -30,11 +30,23 @@ def test_negative_power_raises():
 
 
 def test_non_integral_terms_raise():
-    for terms in ({0: Fraction(1, 2)}, {Fraction(1, 2): 3}, {1: 2.7}):
+    # floats are refused with TypeError, as for Poly (test_poly.py::
+    # test_one_number_policy_for_both_polynomial_classes)
+    for terms in ({0: Fraction(1, 2)}, {Fraction(1, 2): 3}):
         with pytest.raises(ValueError, match="non-integral"):
             LaurentPoly(terms)
     # integral values of other types are still accepted
-    assert LaurentPoly({Fraction(4, 2): 3.0}) == LaurentPoly({2: 3})
+    assert LaurentPoly({Fraction(4, 2): True}) == LaurentPoly({2: 1})
+
+
+def test_numbers_combine_as_their_constants():
+    one = LaurentPoly.const(1)
+    assert one + Fraction(2) == 3 and 2 + one == 3
+    assert one * 2 == 2 and one - True == 0
+    with pytest.raises(ValueError, match="non-integral"):
+        one + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        one * 2.5
 
 
 def test_constants_hash_like_their_ints():

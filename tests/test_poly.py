@@ -12,6 +12,7 @@ import pytest
 
 import moycalc
 from moycalc import quotient
+from moycalc.laurent import LaurentPoly
 from moycalc.poly import (UNIT, W, MonomialOverflow, NonExactDivision, Poly,
                           exact_div, mono_degree, mono_div, mono_exponent,
                           mono_mul, mono_power, mono_sort_key, mono_variables,
@@ -323,6 +324,39 @@ def test_float_coefficients_are_refused():
                     lambda p: 0.5 * p):
         with pytest.raises(TypeError):
             combine(v(X1))
+
+
+# each number and what both classes make of it: the int or Fraction it
+# is, or the error it raises
+POLICY = [(0, 0), (3, 3), (True, 1), (False, 0), (Fraction(4, 2), 2),
+          (Fraction(1, 2), Fraction(1, 2)), (0.5, TypeError),
+          (3.0, TypeError), ("3", TypeError)]
+
+
+@pytest.mark.parametrize("c, want", POLICY, ids=lambda x: getattr(
+    x, "__name__", repr(x)))
+def test_one_number_policy_for_both_polynomial_classes(c, want):
+    for cls, p in ((Poly, v(X1)), (LaurentPoly, LaurentPoly({1: 1}))):
+        ways = [lambda: cls.const(c), lambda: cls({UNIT: c}),
+                lambda: p + c, lambda: p - c, lambda: p * c]
+        if cls is LaurentPoly:
+            # a Laurent exponent is a number under the same policy
+            ways.append(lambda: LaurentPoly({c: 1}))
+            if type(want) is Fraction:
+                want = ValueError    # a Laurent term is integral
+        if isinstance(want, type):
+            for way in ways:
+                with pytest.raises(want):
+                    way()
+            continue
+        k = cls({UNIT: want})
+        got = [way() for way in ways]
+        expected = [k, k, p + k, p + (-k), p * k]
+        if cls is LaurentPoly:
+            expected.append(LaurentPoly({want: 1}))
+        assert got == expected
+        assert all(_obeys_policy(value) for value in got)
+        assert type(got[0].terms.get(UNIT, 0)) is type(want)
 
 
 def test_negative_powers_are_refused():

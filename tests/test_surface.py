@@ -64,7 +64,6 @@ NOT_RUN = {
     "homology._module_basis": "ROADMAP item 10, with _graded_ranks",
     "laurent.LaurentPoly.evaluate_at_one": "criterion 3's total dimension",
     "laurent.LaurentPoly.exact_div": "criterion 2's [n][n-1]/[2]",
-    "laurent.LaurentPoly.is_zero": "exact_div's zero test, criterion 2",
     "mf.ExplicitMF.__eq__": "criterion 9's matrix equations",
     "mf.ExplicitMF.translate": "criterion 9's translation laws",
     "mf.KoszulMF.flip_row":
@@ -91,8 +90,6 @@ NOT_RUN = {
                                    "for moybracket.resolutions",
     "poly._Immutable.__delattr__": IMMUTABLE,
     "poly._Immutable.__setattr__": IMMUTABLE,
-    "poly.Poly.__hash__": "ROADMAP item 18: _ProductTables keys its "
-                          "symbols by entry",
     "poly.Poly.diff": "the partial derivatives of criteria 2 and 3",
     "poly._overflow": "the refusal of test_poly.py::"
                       "test_overflow_is_refused_never_wrapped",
