@@ -27,7 +27,7 @@ Crossings have no factorization here: only the bracket resolves them
 import functools
 import re
 
-from .poly import DomainError, Poly, sum_of_products
+from .poly import DomainError, Poly
 from .quotient import QuotientRing
 from .mf import KoszulMF, KoszulRow
 from .symm import pi_poly, power_sum_at, slot_quotients, uv_polys
@@ -292,10 +292,14 @@ def _template(kind, n):
     slot i is x_{i+1}, or (y_{i+1}, z_{i+1}) for a d-parameter.
 
     Rows are built over distinct local variables and renamed afterwards,
-    because the difference quotients depend only on (kind, n); so is the
-    potential, multiplied out here once.  Slot degrees are pinned because
-    renaming can cancel an entry to zero while the slot keeps its degree
-    (the circle's x1 - x1, say).
+    because the difference quotients depend only on (kind, n).  Slot
+    degrees are pinned because renaming can cancel an entry to zero while
+    the slot keeps its degree (the circle's x1 - x1, say).
+
+    The potential is the piece's boundary potential, one _slot_potential
+    per slot, so the rows are not multiplied out: a row pair's products
+    telescope to f_n(s, p) - f_n(t, q) (symm.slot_quotients), and the
+    arc's to x2^{n+1} - x1^{n+1}.
     """
     slots = tuple((("y", i + 1), ("z", i + 1)) if i in DOUBLE_SLOTS[kind]
                   else ("x", i + 1) for i in range(ARITY[kind]))
@@ -327,7 +331,20 @@ def _template(kind, n):
         u, v = slot_quotients(n, s, t, p, q)
         rows = pair(u, s - t, v, p - q)
         shift = -1 if kind == "vout" else 0
-    return rows, shift, slots, sum_of_products((r.a, r.b) for r in rows)
+    potential = Poly()
+    for role, var in zip(ROLES[kind], slots):
+        potential = potential + _slot_potential(n, role, var)
+    return rows, shift, slots, potential
+
+
+def _slot_potential(n, role, var):
+    """The potential of one boundary slot: x^{n+1} for a single variable
+    x, f_n(y, z) for a double (y, z), with + for "out" and - for "in"."""
+    if var[0] == "x":
+        term = Poly.var(var, n + 1)
+    else:
+        term = power_sum_at(n, *map(Poly.var, var))
+    return term if role == "out" else -term
 
 
 def class_variables(diagram):
@@ -381,14 +398,8 @@ def boundary_potential(diagram):
     """Signed sum of boundary potentials: out minus in."""
     assign = class_variables(diagram)
     total = Poly()
-    for cls, kind, role in diagram.boundary():
-        sign = 1 if role == "out" else -1
-        if kind == "single":
-            total = total + sign * Poly.var(assign[cls]) ** (diagram.n + 1)
-        else:
-            yv, zv = assign[cls]
-            total = total + sign * power_sum_at(diagram.n, Poly.var(yv),
-                                                Poly.var(zv))
+    for cls, _, role in diagram.boundary():
+        total = total + _slot_potential(diagram.n, role, assign[cls])
     return total
 
 

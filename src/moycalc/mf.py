@@ -35,7 +35,7 @@ import functools
 from itertools import repeat
 
 from .poly import (DomainError, Poly, _Immutable, as_coeff, mono_degree,
-                   qdiv, sum_of_products)
+                   sum_of_products)
 from .quotient import QuotientRing
 
 
@@ -80,7 +80,7 @@ class KoszulRow(_Immutable):
         c = as_coeff(c)
         if not c:
             raise ZeroScalar("row scale factor must be nonzero")
-        return KoszulRow(self.a * c, self.b * qdiv(1, c), self.deg_a,
+        return KoszulRow(self.a * c, self.b.divided(c), self.deg_a,
                          self.deg_b)
 
     def flipped(self):
@@ -131,6 +131,20 @@ class KoszulMF(_Immutable):
     potential, if given, is the potential as the caller already knows it
     (see the module docstring); it must equal what potential() would
     compute from the rows.  Without rows the potential is 0.
+
+    _from_normal builds one without the scan, for rows the caller knows
+    are normal over the base.  A monomial is normal exactly when no
+    leader power v^d of a rule divides it, so normality depends only on
+    each entry's monomial set and on the rules' (leader, power) pairs.
+    Its callers:
+      - shifted and translate: the rows and the base are self's;
+      - flip_row, reduce.scale_row and reduce._normalize_rows: the base
+        is self's, and (-b; -a), (c*a; b/c) keep each entry's monomials;
+      - reduce._first_copy: its base drops one rule, so it has fewer
+        leader powers, and a monomial that none of the larger base's
+        divides is normal over it.
+    After a renaming, a substitution or a new rule the monomials or the
+    leader powers change, so those paths scan.
     """
 
     __slots__ = ("rows", "base", "shift", "parity", "_potential")
@@ -140,6 +154,17 @@ class KoszulMF(_Immutable):
         rows = tuple(rows)
         if base.rules:
             rows = tuple(r.mapped(base.normal_form) for r in rows)
+        self._fill(rows, base, shift, parity, potential)
+
+    @classmethod
+    def _from_normal(cls, rows, base, shift, parity):
+        """KoszulMF(rows, base, shift, parity) for rows normal over base,
+        without normal forms: the rows are kept as the same objects."""
+        mf = object.__new__(cls)
+        mf._fill(tuple(rows), base, shift, parity, None)
+        return mf
+
+    def _fill(self, rows, base, shift, parity, potential):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "shift", shift)
@@ -151,12 +176,6 @@ class KoszulMF(_Immutable):
         return (isinstance(other, KoszulMF)
                 and self.rows == other.rows and self.base == other.base
                 and self.shift == other.shift and self.parity == other.parity)
-
-    def replace(self, **kw):
-        fields = {"rows": self.rows, "base": self.base,
-                  "shift": self.shift, "parity": self.parity}
-        fields.update(kw)
-        return KoszulMF(**fields)
 
     def potential(self):
         if self._potential is None:
@@ -180,10 +199,12 @@ class KoszulMF(_Immutable):
     __matmul__ = tensor
 
     def shifted(self, m):
-        return self.replace(shift=self.shift + m)
+        return KoszulMF._from_normal(self.rows, self.base, self.shift + m,
+                                     self.parity)
 
     def translate(self):
-        return self.replace(parity=self.parity + 1)
+        return KoszulMF._from_normal(self.rows, self.base, self.shift,
+                                     self.parity + 1)
 
     def flip_row(self, i):
         """Rewrite using row_i = row_i<1><1>: same object, row i becomes
@@ -191,7 +212,8 @@ class KoszulMF(_Immutable):
         rows = list(self.rows)
         delta = rows[i].internal_shift
         rows[i] = rows[i].flipped()
-        return KoszulMF(rows, self.base, self.shift + delta, self.parity + 1)
+        return KoszulMF._from_normal(rows, self.base, self.shift + delta,
+                                     self.parity + 1)
 
     def ambient_variables(self):
         out = set()

@@ -8,7 +8,10 @@ what a number is, for both polynomial classes: a bool is the int it is,
 an integral ``Fraction`` becomes an int, and a ``float`` (or anything
 else) is refused with ``TypeError``.  ``Poly`` normalizes to that form
 once, at construction.  Every division of coefficients goes through
-``qdiv``, since ``/`` on two ints would give a float.
+``qdiv``, since ``/`` on two ints would give a float.  So does
+``Poly.divided``, the one division of a polynomial by a scalar: it is
+exact term by term, and a quotient that is integral stays an ``int``
+without a ``Fraction`` being made for it.
 
 ``_Terms`` is that shared core: a map ``terms`` from a key to a nonzero
 coefficient, in which key 0 (``UNIT``, or q^0) is the constant term.  It
@@ -446,6 +449,14 @@ class Poly(_Terms):
         return Poly(out)
 
     __rmul__ = __mul__
+
+    def divided(self, c):
+        """self / c for a nonzero coefficient c, each coefficient by
+        ``qdiv``."""
+        c = as_coeff(c)
+        if not c:
+            raise ZeroDivisionError("division of a Poly by 0")
+        return Poly({m: qdiv(a, c) for m, a in self.terms.items()})
 
     def substitute(self, mapping):
         """Substitute variables by polynomials; mapping: var -> Poly.

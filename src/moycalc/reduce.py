@@ -6,6 +6,9 @@ translation trick, whose a-entry) is monic in a variable v absent from
 the potential can be deleted, passing to the quotient by that entry.
 Linear entries (power 1) are eliminated by outright substitution, so no
 rule lingers in the base; higher powers become quotient-ring rules.
+An entry c*v^d + (lower in v) gives the replacement v^d - entry/c, and
+Poly.divided divides it by c term by term: a coefficient that c divides
+gives an int, and only the others a Fraction.
 A row with a unit entry stays: K(1; b) is contractible, so the whole
 summand is zero, and its homology reads as zero.
 
@@ -80,7 +83,7 @@ def scale_row(mf, i, c):
     """Lemma-equiv rescaling: row i becomes (c*a; b/c)."""
     rows = list(mf.rows)
     rows[i] = rows[i].scaled(c)
-    return mf.replace(rows=rows)
+    return KoszulMF._from_normal(rows, mf.base, mf.shift, mf.parity)
 
 
 def exclude_variable(mf, i, v, side, potential_vars=None):
@@ -113,7 +116,7 @@ def exclude_variable(mf, i, v, side, potential_vars=None):
     if d >= 2:
         cyclic_closure(mf.base.rules, v, entry.variables())
 
-    repl = Poly.var(v, d) - entry * qdiv(1, c)
+    repl = Poly.var(v, d) + entry.divided(-c)     # v^d - entry/c
     rows = [r for k, r in enumerate(mf.rows) if k != i]
     if d == 1:
         base = mf.base.substitute(v, repl)
@@ -142,9 +145,10 @@ def split_free_module(mf, v):
 
 
 def _first_copy(mf, v):
-    """Copy 0 of the split along v's rule: mf over the base without it."""
+    """Copy 0 of the split along v's rule: mf over the base without it,
+    whose rows stay normal (KoszulMF's docstring)."""
     base = QuotientRing([r for r in mf.base.rules if r[0] != v])
-    return KoszulMF(mf.rows, base, mf.shift, mf.parity)
+    return KoszulMF._from_normal(mf.rows, base, mf.shift, mf.parity)
 
 
 def _residual(mf, v):
@@ -292,7 +296,7 @@ def _normalize_rows(mf):
             row = row.scaled(qdiv(1, lc))
         rows.append(row)
     rows.sort(key=_row_key)
-    return mf.replace(rows=rows)
+    return KoszulMF._from_normal(rows, mf.base, mf.shift, mf.parity)
 
 
 def _relabel(mf):

@@ -10,7 +10,7 @@ polynomials h_j(a, b) = (a^{j+1} - b^{j+1})/(a - b), so they are built
 without dividing.
 """
 
-from .poly import DomainError, Poly, mono_exponent, qdiv, sum_of_products
+from .poly import DomainError, Poly, mono_exponent, sum_of_products
 from .quotient import QuotientRing, TriangularityViolation
 
 
@@ -97,5 +97,5 @@ def _monic_rule(p, v):
     if data is None:
         raise ReductionFailed("%s is not monic in %s%d" % (p, *v))
     d, c = data
-    repl = -(p * qdiv(1, c) - Poly.var(v, d))
+    repl = Poly.var(v, d) + p.divided(-c)     # v^d - p/c
     return v, d, repl

@@ -12,7 +12,7 @@ from moycalc.diagram import (ArityMismatch, CrossingComplex, DiagramError,
                              build_primitive, class_variables,
                              crossing_complex, glue, parse_diagram)
 from moycalc.mf import KoszulMF, KoszulRow, verify_factorization
-from moycalc.poly import Poly, exact_div
+from moycalc.poly import Poly, exact_div, sum_of_products
 from moycalc.quotient import QuotientRing
 from moycalc.symm import pi_poly, power_sum_at
 from test_acceptance import _random_diagram
@@ -234,6 +234,19 @@ def test_glued_potential_matches_boundary():
         mf = glue(d)
         assert mf.potential() == _rows_potential(mf), text
         assert mf.potential() == boundary_potential(d), text
+
+
+def test_template_potential_is_its_rows_multiplied_out():
+    # the template takes its potential from the boundary; the rows must
+    # multiply out to it for every kind and n
+    cases = [("arc", 2)] + [(kind, n) for kind in diagram.ARITY
+                            if kind not in diagram.CROSSINGS
+                            for n in range(3, 13)]
+    assert len(cases) == 51
+    for kind, n in cases:
+        rows, _, _, potential = diagram._template(kind, n)
+        assert potential == sum_of_products((r.a, r.b) for r in rows), (
+            kind, n)
 
 
 def test_closed_diagram_has_zero_potential():

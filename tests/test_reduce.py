@@ -12,7 +12,7 @@ from moycalc.diagram import glue, parse_diagram
 from moycalc.homology import euler_characteristic, graded_homology
 from moycalc.mf import KoszulMF, KoszulRow, MFSum, ZeroScalar, koszul_new
 from moycalc.poly import (UNIT, Poly, mono_exponent, mono_mul, mono_power,
-                          mono_variables, qdiv)
+                          mono_variables, monomials_of_degree, qdiv)
 from moycalc import quotient
 from moycalc.quotient import (QuotientRing, TriangularityViolation,
                               cyclic_closure)
@@ -367,6 +367,81 @@ def test_kept_rows_are_exact(workload, items, per_item):
     assert kept and rewritten
 
 
+def test_exact_division_is_the_old_division():
+    # Poly.divided equals multiplying by qdiv(1, c), and keeps every
+    # integral quotient an int; an exclusion whose lead coefficient does
+    # not divide every coefficient still makes the Fraction
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    variables = [X1, X2, Y1, Z1]
+    coeffs = st.one_of(st.integers(-12, 12),
+                       st.fractions(min_value=-12, max_value=12,
+                                    max_denominator=6))
+    scalars = coeffs.filter(bool)
+    polys = st.integers(0, 4).flatmap(
+        lambda degree: st.dictionaries(
+            st.sampled_from(monomials_of_degree(variables, 2 * degree)),
+            coeffs, max_size=5)).map(Poly)
+
+    @hypothesis.seed(2024)
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(polys, scalars)
+    def check(p, c):
+        got = p.divided(c)
+        assert got == p * qdiv(1, c)
+        for mono, coeff in got.terms.items():
+            want = Fraction(p.terms[mono]) / Fraction(c)
+            assert type(coeff) is (int if want.denominator == 1 else Fraction)
+
+    check()
+    # b = 2*x1^2 + 4*x1*x2 + 3*x2^2: 2 divides 4 but not 3
+    b = 2 * v(X1, 2) + 4 * v(X1) * v(X2) + 3 * v(X2, 2)
+    mf = KoszulMF([KoszulRow(Poly(), b, 0, 4),
+                   KoszulRow(Poly(), v(X1, 2) * v(Y1), 0, 6)])
+    got = exclude_variable(mf, 0, X1, "b")
+    (_, _, repl), = got.base.rules
+    assert repl == -2 * v(X1) * v(X2) - Fraction(3, 2) * v(X2, 2)
+    assert [type(c) for _, c in repl.sort_key()] == [int, Fraction]
+    assert got.rows[0].b == repl * v(Y1)
+
+
+def _assert_normal_without_scan(mf):
+    """mf is what the scanning constructor makes of its fields, with the
+    same row objects."""
+    want = KoszulMF(mf.rows, mf.base, mf.shift, mf.parity)
+    assert mf == want
+    assert all(got is row for got, row in zip(mf.rows, want.rows,
+                                              strict=True))
+
+
+def test_unscanned_factorizations_hold_normal_rows(monkeypatch):
+    # every factorization that auto_reduce builds without the normal-form
+    # scan has rows normal over its base
+    made = []
+    from_normal = KoszulMF._from_normal
+
+    def recording(cls, *fields):
+        out = from_normal(*fields)
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(KoszulMF, "_from_normal", classmethod(recording))
+    workloads = _load_workloads()
+    for name in ("closed-webs", "open-random"):
+        for item in workloads.corpus(workloads.WORKLOADS[name], 1, 24):
+            auto_reduce(glue(parse_diagram(item.text)))
+    assert any(mf.base.rules for mf in made)
+    for mf in made:
+        _assert_normal_without_scan(mf)
+    # one row that the base reduces fails the check
+    base = QuotientRing().with_rule(X1, 2, v(X2, 2))
+    rows = [KoszulRow(Poly(), v(X1) - v(X2), 0, 2),
+            KoszulRow(Poly(), v(X1, 2) * v(Y1), 0, 6)]
+    _assert_normal_without_scan(KoszulMF._from_normal(rows[:1], base, 0, 0))
+    with pytest.raises(AssertionError):
+        _assert_normal_without_scan(KoszulMF._from_normal(rows, base, 0, 0))
+
+
 def test_exclusions_repeat_refusals_and_rings():
     # substituting x1 -> y1 would turn y1^2 -> x1*y1 into y1^2 -> y1^2;
     # x2^2 -> x2*y2 is a rule the base takes
@@ -622,8 +697,7 @@ def test_side_a_exclusion_matches_the_flipped_row(text):
 def test_split_free_module():
     base = auto_reduce(_circle_mf(3))[0].summands[0].base
     (var, power, _), = base.rules
-    m = koszul_new(Poly(), Poly(), base=base, deg_a=2, deg_b=2).replace(
-        rows=())
+    m = KoszulMF((), base)
     parts = split_free_module(m, var)
     assert len(parts) == power
     assert [p.shift for p in parts] == [2 * k for k in range(power)]
