@@ -72,50 +72,79 @@ bracket_text builds the graph once and resolves its crossings one level
 at a time, in piece order, without ever building all 2^c resolutions.
 A partial state, with the first d crossings resolved, is keyed by its
 plain order-relative key.  Each level maps a key to one representative
-graph and a dict of skein starts {k: sign} summed over every way of
-reaching it.  A state's arcs child has its key derived from the
+graph and a dict of skein starts {(k, a): sign} summed over every way
+of reaching it.  A state's arcs child has its key derived from the
 state's key, and its starts gain ±(n-1) in k; only when the level does
 not hold that key yet is the crossing's pair spliced on a copy of the
 state's graph.  The wide child is the state's own graph under the
-parent's key, and its starts gain ±n in k and flip sign.  After the last
-level each distinct resolution is walked once, under the key its level
+parent's key, and its starts gain ±n in k and flip sign.  Before the
+next crossing is resolved, every digon of a state whose two vertices
+lie below that crossing's vin is spliced in place, its factor [2]
+raises a in the state's starts, and the states whose new keys agree
+are merged, in the order of first appearance.  After the last level
+each distinct resolution is walked once, under the key its level
 already holds, and its leaves are shifted by its starts before all are
 evaluated together.
+
+Splicing those digons early is exact, and reaches the very graphs the
+walks would:
+
+  - the later arcs splices of a call delete only the vertices of
+    crossings still to resolve, all at or above the next vin, so they
+    touch neither vertex of such a digon nor its two edges w -> v: the
+    digon is in every resolution below the state;
+  - a walk splices every digon of its graph before any bigon or
+    square, since digons come first in RELATIONS, and a digon splice
+    rewires only double edges, so it makes and breaks no other digon;
+  - digons are vertex-disjoint, and their splices commute, so the
+    early splices and the walk's own digons reach the graph the walk's
+    digon phase would reach, with the same vids, the same loops and the
+    same count of factors [2];
+  - only vertices below the next vin go, so every vertex from that vin
+    on stays in every state of the level, which the keys below rely on.
+
+From there on every walk makes the rewrites it would have made on the
+resolution as built, so the leaves, and the graph a StuckGraph names,
+stay the same.  The last level is left to the walk.  Bigons are not
+spliced early: that would change which rewrites the walk makes, and so
+its leaves, though not their value.
 
 The plain key is enough to merge on.  _build numbers the vertices in
 piece order, so every resolved crossing's ids lie below the ids of every
 crossing still to resolve, and a splice never makes a vertex.  At depth
-d a state's vertices are all the non-crossing vertices, the vertices of
-every crossing still to resolve, and the resolved crossings kept as
-wide edges.  Equal keys mean equal vertex counts, so two such states
-keep equally many resolved vertices.  Below the vin of a crossing still
-to resolve lie the same non-crossing and unresolved vertices in both and
-every kept resolved one, so it has the same rank in both: the same
-crossings are still to resolve at the same places, and the same subtree
-of resolutions lies below.
+d every vertex from the vin of the crossing at depth d on is in every
+state of the level: an arcs splice deletes a resolved crossing's pair
+and a digon splice two vertices below that vin.  Equal keys mean equal
+vertex counts, so two such states keep equally many vertices below it.
+A crossing still to resolve has the same vertices between that vin and
+its own in both, so it has the same rank in both: the same crossings
+are still to resolve at the same places, and the same subtree of
+resolutions lies below.
 
-The same facts give the arcs child's key without its graph.  Every
-vertex from the vin of the crossing at depth d on is in every state of
-the level, so the vin's entry begins a key tail of fixed length (one
-int per vin, two per vout), and its rank r is the state's vertex count
-less the fixed count of those vertices; its vout, with id vin + 1, has
-rank r + 1.  The arcs splice drops the two entries, points the single
-edges that went to 2r and 2r + 1 at where the vout's s0 and s1 lead,
-following the chain through the vin and counting a closed chain as one
-single loop, and lowers every rank above r + 1 by two (_arcs_key).  So
-a copy is made only for a key new to its level, and the first
-representative of every key is the graph it was before.
+The same facts give the arcs child's key without its graph.  The vin
+of the crossing at depth d begins a key tail of fixed length (one int
+per vin, two per vout), and its rank r is the state's vertex count less
+the fixed count of the vertices from it on; its vout, with id vin + 1,
+has rank r + 1.  The arcs splice drops the two entries, points the
+single edges that went to 2r and 2r + 1 at where the vout's s0 and s1
+lead, following the chain through the vin and counting a closed chain
+as one single loop, and lowers every rank above r + 1 by two
+(_arcs_key).  So a copy is made only for an arcs key new to its level.
+A wide child and a digon splice take the state's own graph, which no
+other key of the level holds, and the first representative of every
+key is the first state's graph that reached it.
 
 A parent's arcs child comes before its wide child, and the parents of a
 level come in the order of their smallest resolution prefix (arcs before
 wide, the first crossing outermost); so does each key's first
-appearance.  Hence the walks are of the first resolution of each key
-in the order of expand_crossings.  A stuck graph raises StuckGraph and
-ends the call; a memo hit is always a finished subtree, so it stuck
-nowhere, and the graph a StuckGraph names is the first stuck graph in
-expand_crossings order, exactly as if every resolution were built and
-walked without sharing.  The sharing is exact, not a heuristic, and it
-lives only as long as one call.
+appearance, before and after the digons are spliced.  Hence the walks
+are of the first resolution of each key in the order of
+expand_crossings.  A stuck graph raises StuckGraph and ends the call; a
+memo hit is always a finished subtree, so it stuck nowhere, and the
+graph a StuckGraph names is the first stuck graph in expand_crossings
+order, exactly as if every resolution were built and walked without
+sharing.  The sharing is exact, not a heuristic, and it lives only as
+long as one call.
 """
 
 import itertools
@@ -607,28 +636,32 @@ def _bracket_leaves(diagram):
 
     The crossings are resolved level by level in piece order, and equal
     partial states are merged: a level maps each key to its first graph
-    and its summed skein starts {k: sign}.  Every vertex from a
+    and its summed skein starts {(k, a): sign}.  Every vertex from a
     crossing's vin on is in every state of its level, so the vin's entry
     starts a key tail of fixed length and its rank r is the state's
     vertex count less a fixed count; the arcs child's key is the
     parent's, spliced there (_arcs_key), and its graph is copied and
-    spliced only when that key is new to the level.  Then each distinct
-    resolution is walked once under its key, in the order its key first
-    appeared, with one memo shared by all the walks, and its leaves are
-    shifted by its starts.  That is the order of its first resolution in
-    expand_crossings, so StuckGraph names the graph a walk of every
-    resolution would stop at.
+    spliced only when that key is new to the level.  Before the next
+    crossing, each state's digons below its vin are spliced and the
+    states are merged again on their new keys (_contract_digons).  Then
+    each distinct resolution is walked once under its key, in the order
+    its key first appeared, with one memo shared by all the walks, and
+    its leaves are shifted by its starts.  That is the order of its first
+    resolution in expand_crossings, so StuckGraph names the graph a walk
+    of every resolution would stop at.
     """
     graph, pairs = _build(diagram)
     n = diagram.n
     crossings = [p for p in diagram.pieces if p.kind in CROSSINGS]
-    level = {_resolution_key(graph): (graph, {0: 1})}
-    for p, (win, wout) in zip(crossings, pairs):
+    # the built vertices: digon splices shrink graph itself below each vin
+    kinds = sorted(graph.vertices.items())
+    level = {_resolution_key(graph): (graph, {(0, 0): 1})}
+    for depth, (p, (win, wout)) in enumerate(zip(crossings, pairs)):
         s = 1 if p.kind == "xplus" else -1
         stitches = [(4 * win + S0, 4 * wout + S0),
                     (4 * win + S1, 4 * wout + S1)]
         # the vertices from win on: a vin has one entry in a key, a vout two
-        above = [kind for v, kind in graph.vertices.items() if v >= win]
+        above = [kind for v, kind in kinds if v >= win]
         tail = len(above) + above.count("vout")
         merged = {}
         for key, (g, starts) in level.items():
@@ -639,28 +672,63 @@ def _bracket_leaves(diagram):
                 merged[arcs_key] = (arcs, {})
             if key not in merged:
                 merged[key] = (g, {})
-            for child_key, shift, flip in ((arcs_key, s * (n - 1), 1),
-                                           (key, s * n, -1)):
-                acc = merged[child_key][1]
-                for k, sign in starts.items():
-                    acc[k + shift] = acc.get(k + shift, 0) + flip * sign
+            _add_starts(merged[arcs_key][1], starts, s * (n - 1), 0, 1)
+            _add_starts(merged[key][1], starts, s * n, 0, -1)
+        if depth + 1 < len(pairs):
+            merged = _contract_digons(merged, pairs[depth + 1][0])
         level = merged
     memo = {}
     total = Counter()
     for key, (g, starts) in level.items():
-        for powers, count in _walk(g, memo, key).items():
-            for k, sign in starts.items():
-                total[(k, *powers)] += sign * count
+        for (a, *powers), count in _walk(g, memo, key).items():
+            for (k, a0), sign in starts.items():
+                total[(k, a0 + a, *powers)] += sign * count
     return total
+
+
+def _add_starts(acc, starts, dk, da, flip):
+    """Add flip times the skein starts {(k, a): sign}, shifted by dk in k
+    and by da in a, into acc."""
+    for (k, a), sign in starts.items():
+        acc[(k + dk, a + da)] = acc.get((k + dk, a + da), 0) + flip * sign
+
+
+def _contract_digons(level, below):
+    """level with the digons of each state spliced whose vout and vin both
+    lie below the vid below, and the states merged again on their new
+    keys in the order of first appearance.
+
+    A state's graph is its own (no other key of the level holds it), so
+    it is spliced in place.  Each digon raises a in the state's starts by
+    one, for its factor [2].
+    """
+    out = {}
+    for key, (g, starts) in level.items():
+        succ = g.succ
+        gone, stitches = [], []
+        for w, kind in g.vertices.items():
+            if kind == "vout" and w < below:
+                v = succ[4 * w + S0] >> 2
+                if v < below and succ[4 * w + S1] >> 2 == v:
+                    gone += (w, v)
+                    stitches.append((4 * w + SD, 4 * v + SD))
+        if stitches:
+            g.splice(gone, stitches)
+            key = _resolution_key(g)
+        if key not in out:
+            out[key] = (g, {})
+        _add_starts(out[key][1], starts, 0, len(stitches), 1)
+    return out
 
 
 def bracket_text(text):
     """Parse diagram source (crossings allowed) and evaluate the bracket.
 
     The graph is built once, its crossings are resolved level by level
-    with equal partial states merged, and each distinct resolution is
-    walked once, the walks sharing their sub-walks by key
-    (_bracket_leaves); all their leaves are evaluated together.
+    with equal partial states merged and the digons below the next
+    crossing spliced, and each distinct resolution is walked once, the
+    walks sharing their sub-walks by key (_bracket_leaves); all their
+    leaves are evaluated together.
     """
     d = parse_diagram(text)
     return _evaluate(d.n, _bracket_leaves(d))
