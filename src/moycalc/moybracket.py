@@ -507,15 +507,23 @@ def _add(acc, exps, leaves, base=(0, 0, 0)):
 
 @lru_cache(maxsize=512)
 def _product(n, powers):
-    """[2]^a [n-1]^b [n-2]^c [n]^ls D^ld for powers (a, b, c, ls, ld)."""
-    value = LaurentPoly.const(1)
-    for slot, e in enumerate(powers, 1):
+    """[2]^a [n-1]^b [n-2]^c [n]^ls D^ld for powers (a, b, c, ls, ld).
+
+    A factor alone is the product of its own slot's power 1, so this cache
+    holds each factor of n as one object, and the powers cached on it
+    serve every product that raises it."""
+    if sum(powers) == 1:
+        slot = powers.index(1) + 1
+        return (double_loop_value(n) if slot == DOUBLE_LOOP else
+                quantum_integer({TWO: 2, N_MINUS_1: n - 1,
+                                 N_MINUS_2: n - 2, LOOP: n}[slot]))
+    value = None
+    for slot, e in enumerate(powers):
         if e:
-            factor = (double_loop_value(n) if slot == DOUBLE_LOOP else
-                      quantum_integer({TWO: 2, N_MINUS_1: n - 1,
-                                       N_MINUS_2: n - 2, LOOP: n}[slot]))
-            value = value * factor ** e
-    return value
+            unit = (0,) * slot + (1,) + (0,) * (len(powers) - slot - 1)
+            term = _product(n, unit) ** e
+            value = term if value is None else value * term
+    return LaurentPoly.const(1) if value is None else value
 
 
 def _evaluate(n, leaves):

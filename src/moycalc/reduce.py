@@ -33,6 +33,15 @@ potential the search just takes the first feasible (row, variable, side).
 Under a zero potential a greedy choice can dead-end, so the search
 backtracks depth-first to the first branch that reaches zero rows
 everywhere; after 16 exclusions it settles for first branches instead.
+There it tries the candidates sparsest entry first: by the number of
+terms of the entry it excludes, then by its power, ties in (row,
+variable, side) order.  Exclusions may come in any order (the exclusion
+lemma), and a sparse entry leaves a small substitution or rule behind;
+in this order every closed-webs item of the benchmark reaches zero rows
+within the budget, where 28 of 84 did not in (row, variable, side)
+order.  A nonzero potential keeps (row, variable, side) order: sorted
+there, the first feasible candidates leave about three times as many
+rows on the open-random items.
 The d copies of a split are one factorization shifted by k*deg v, so
 the search builds and reduces copy 0 only, along the first leader that
 can split: copies 1..d-1 take copy 0's steps and its summands with each
@@ -164,10 +173,12 @@ def _residual(mf, v):
 
 
 def _exclusion_candidates(mf, potential_vars):
-    """Feasible (row, var, side, power) in deterministic preference order,
-    generated lazily: a search that takes an early candidate never builds
-    or checks the later ones, and the order does not depend on how far
-    the caller reads.
+    """Feasible (row, var, side, power) in (row, var, side) order,
+    generated lazily: a search under a nonzero potential takes the first
+    one that the base accepts and never builds or checks the later ones,
+    while under a zero potential _reduce reads them all to sort them
+    (module docstring).  The order does not depend on how far the caller
+    reads.
 
     A rule's leader is never a candidate: the base cannot take a second
     rule on it, nor substitute it away.  Nor is a power d >= 2 of v that
@@ -205,7 +216,12 @@ def _reduce(mf, potential_vars, zero, budget):
     describe the potential, which no exclusion or split changes; budget
     holds the one count of branches left."""
     best = None
-    for (i, v, side, d) in _exclusion_candidates(mf, potential_vars):
+    candidates = _exclusion_candidates(mf, potential_vars)
+    if zero:
+        # sparsest entry first, then lowest power (module docstring)
+        candidates = sorted(candidates, key=lambda c: (
+            len(getattr(mf.rows[c[0]], c[2]).terms), c[3]))
+    for (i, v, side, d) in candidates:
         try:
             nxt = exclude_variable(mf, i, v, side, potential_vars)
         except TriangularityViolation:
@@ -222,7 +238,7 @@ def _reduce(mf, potential_vars, zero, budget):
         best = best or branch
         if budget["branches"] <= 0:
             # checked here, not before the next candidate, so that the
-            # search generates no candidate it will not take
+            # search builds no exclusion it will not take
             break
     if best is not None:
         return best

@@ -14,6 +14,7 @@ import moycalc
 from moycalc import cli
 from moycalc.cli import main
 from moycalc.reduce import auto_reduce
+from test_moybracket import _closure_text
 
 CIRCLE = "n 3\narc x1 x2\nglue x1 x2\n"
 KINK = "n 3\nxplus x1 x2 x3 x4\nglue x2 x3\nglue x1 x4\n"
@@ -98,7 +99,7 @@ JSON_DOCS = {
     ("theta", "build"): {"n": 3, "rows": THETA_ROWS, "shift": -1, "parity": 0,
                        "potential": "0"},
     ("theta", "reduce"): {"n": 3, "steps": 4, "summands": [
-        {"rows": [], "rules": ["x1^2 -> x1*y1 - y1^2", "y1^3 -> 0"],
+        {"rows": [], "rules": ["x1^3 -> 0", "y1^2 -> -x1^2 + x1*y1"],
          "shift": -3, "parity": 0}]},
     ("theta", "homology"): {"n": 3,
                           "euler": {"-3": 1, "-1": 2, "1": 2, "3": 1},
@@ -271,12 +272,11 @@ def test_small_n_names_the_piece(tmp_path, capsys):
 
 
 def test_infinite_dimension_message_ignores_hash_seed(tmp_path):
-    # the search stops short on this diagram and homology names an
-    # unbounded variable; which one must not depend on set iteration order,
-    # and neither may the residual rows reduce prints
+    # the search stops short on the closure of (W1 W0)^2 and homology
+    # names an unbounded variable; which one must not depend on set
+    # iteration order, and neither may the residual rows reduce prints
     path = tmp_path / "hard.moy"
-    path.write_text("n 4\ndline d1 d2\ndline d3 d4\nwide x1 x2 x3 x4\n"
-                    "glue x1 x4\nglue x2 x3\nglue d1 d2\nglue d3 d4\n")
+    path.write_text(_closure_text(3, 3, [("wide", 1), ("wide", 0)] * 2))
     src = str(Path(moycalc.__file__).resolve().parents[1])
     commands = (["euler"], ["reduce", "--show-rows"], ["homology", "--json"])
     outputs = {command[0]: set() for command in commands}
@@ -289,7 +289,7 @@ def test_infinite_dimension_message_ignores_hash_seed(tmp_path):
             outputs[command[0]].add((run.returncode, run.stdout, run.stderr))
     assert all(len(seen) == 1 for seen in outputs.values())
     (code, _, err), = outputs["euler"]
-    assert code == 1 and "no bounding rule for" in err
+    assert code == 1 and "no bounding rule for x8" in err
     (code, out, _), = outputs["reduce"]
     assert code == 0 and "rule: " in out
 

@@ -1,5 +1,7 @@
 """Graded homology of zero-potential factorizations."""
 
+import random
+
 import pytest
 
 from moycalc import reduce as reduce_module
@@ -102,9 +104,9 @@ def test_row_free_piece_over_an_infinite_base_is_refused():
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_closed_webs_homology_law(seed, monkeypatch):
-    # every reduced closed web either has its bracket as homology, all in
-    # the parity of its strand count, or raises InfiniteDimension; homology
-    # reads the pieces it is given and never searches again
+    # every reduced closed web has its bracket as homology, all in the
+    # parity of its strand count, and none raises InfiniteDimension;
+    # homology reads the pieces it is given and never searches again
     workloads = _load_workloads()
     items = workloads.corpus(workloads.WORKLOADS["closed-webs"], seed, 84)
     reduced = [auto_reduce(glue(parse_diagram(item.text)))[0]
@@ -126,7 +128,35 @@ def test_closed_webs_homology_law(seed, monkeypatch):
         parts = (h.poincare0, h.poincare1)
         assert parts[strands % 2] == bracket_text(item.text), item.text
         assert parts[1 - strands % 2] == LaurentPoly(), item.text
-    assert infinite == 28
+    assert infinite == 0
+
+
+def _line_shuffle(text, rng):
+    """text with the lines below its header in a random order."""
+    header, *lines = text.splitlines()
+    rng.shuffle(lines)
+    return "\n".join([header] + lines) + "\n"
+
+
+def test_line_order_keeps_the_closed_web_homology():
+    # ROADMAP item 23: three line shuffles of each closed-webs item at seed
+    # 1; where both spellings reduce, the homology is equal.  The search
+    # budget still stops short on 2 of the 252 shuffles
+    workloads = _load_workloads()
+    rng = random.Random(5)
+    failing = []
+    for item in workloads.corpus(workloads.WORKLOADS["closed-webs"], 1, 84):
+        expected = graded_homology(
+            auto_reduce(glue(parse_diagram(item.text)))[0])
+        for _ in range(3):
+            text = _line_shuffle(item.text, rng)
+            try:
+                h = graded_homology(auto_reduce(glue(parse_diagram(text)))[0])
+            except InfiniteDimension:
+                failing.append(item.index)
+                continue
+            assert h == expected, text
+    assert failing == [62, 78]
 
 
 def test_result_equality_and_str():

@@ -2,7 +2,10 @@
 its first 25 items at seed 1.  Each item adds a line: the workload's
 digest(result), or the type and message of the domain error it raised.
 One more sha256 pins the search itself on the first 84 closed-webs items
-at seed 1, where splits occur: the fields `moycalc reduce --json` prints.
+at seed 1, the deepest zero-potential search of the corpora: the fields
+`moycalc reduce --json` prints.  And one pins the traces of the 78
+open-random items at seed 1 whose potential is nonzero, where the search
+takes the first feasible candidate in (row, var, side) order.
 
 A change that only makes the program faster or smaller keeps these.  A
 change that alters outputs on purpose updates the pin, and says in
@@ -21,15 +24,18 @@ from test_reduce import _load_workloads
 
 PINNED = {
     "open-random":
-        "d2c86a00137f3acc749831ab881db8b96fe8243689c0a96a96969699b81136fb",
+        "885975be8dd6668e86cb10b055c089e6582a13a2403b293bbcfe6ff3b16ca3c1",
     "closed-webs":
-        "7bca52d059ed3459e4972d19d29dfb2d380405e8182628ffdbc7a9177e6e623f",
+        "f8af2c8fe1e6336c4c6abeb4b4e20488801e099015c09899978dfa9e258ceb2b",
     "links":
         "2dd545e1aa9a6c4356a6c63799d277cae2e0731ba98b0d69d58134b92faa0c21",
 }
 
 SEARCH_PINNED = (
-    "98762706a928b63b0827674c7f319696b7a86330efe6063a2fbd24a4e44dab80")
+    "06f5e6d6fb6788d1d2c78c64fe58c276a08ba78abed85695e774d3f911221632")
+
+NONZERO_TRACES_PINNED = (
+    "482db5e6ce0244f7903634dee9782865ce52b2e92661f0aa57da0e0ccb4a49a1")
 
 
 def _outputs_digest(workload, items=25):
@@ -74,3 +80,19 @@ def _search_digest(items=84):
 
 def test_search_matches_the_pin():
     assert _search_digest() == SEARCH_PINNED
+
+
+def test_nonzero_potential_traces_match_the_pin():
+    # one line per item: its trace steps as JSON
+    workloads = _load_workloads()
+    digest = hashlib.sha256()
+    traced = 0
+    for item in workloads.corpus(workloads.WORKLOADS["open-random"], 1, 82):
+        mf = glue(parse_diagram(item.text))
+        if mf.potential().is_zero():
+            continue
+        _, trace = auto_reduce(mf)
+        digest.update(("%s\n" % json.dumps(trace.steps)).encode())
+        traced += 1
+    assert traced == 78
+    assert digest.hexdigest() == NONZERO_TRACES_PINNED

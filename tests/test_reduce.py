@@ -36,12 +36,18 @@ THETA = ("n %d\nvin x1 x2 d1\nvout d2 x3 x4\nglue d1 d2\n"
 ITEM31 = ("n 3\narc x1 x2\nvout d1 x3 x4\nwide x5 x6 x7 x8\n"
           "vout d2 x9 x10\narc x11 x12\nglue x2 x1\nglue x6 x7\n"
           "glue x10 x8\nglue x5 x11\n")
-# a closed web (zero potential) whose reduction splits inside a split
+# a closed web (zero potential) whose reduction split inside a split while
+# the search took its candidates in (row, var, side) order; sparsest entry
+# first, it reduces to zero rows without a split
 NESTED = ("n 3\narc x1 x2\narc x3 x4\narc x5 x6\narc x7 x8\n"
           "wide x9 x10 x11 x12\nwide x13 x14 x15 x16\nwide x17 x18 x19 x20\n"
           "glue x6 x11\nglue x8 x12\nglue x2 x15\nglue x4 x16\n"
           "glue x14 x19\nglue x9 x20\nglue x13 x1\nglue x17 x3\n"
           "glue x18 x5\nglue x10 x7\n")
+# open-random's item 20 at seed 1: nonzero potential, a split inside a split
+ITEM20 = ("n 4\nvout d80 x129 x16\nvout d73 x117 x104\nwide x94 x27 x3 x90\n"
+          "vin x135 x28 d2\nglue x28 x94\nglue x117 x90\nglue x27 x3\n"
+          "glue x135 x104\n")
 
 # criterion 8's seed-2024 item 85: its reduction has non-integral entries
 ITEM85 = "n 3\nwide x1 x2 x3 x4\nglue x1 x4\n"
@@ -144,7 +150,7 @@ def test_auto_reduce_circle_and_trace_replay():
         assert replay(mf, trace) == reduced
 
 
-@pytest.mark.parametrize("text", [ITEM31, NESTED], ids=["item31", "nested"])
+@pytest.mark.parametrize("text", [ITEM31, ITEM20], ids=["item31", "nested"])
 def test_replay_follows_splits(text):
     mf = glue(parse_diagram(text))
     reduced, trace = auto_reduce(mf)
@@ -543,9 +549,21 @@ def test_lazy_candidates_equal_the_eager_list(monkeypatch):
     assert with_candidates > 100
 
 
+def _ruled_summands():
+    """The reduced summands that keep rows over a ruled base, from the 82
+    open-random items at seed 1: 36 summands of 28 items."""
+    workloads = _load_workloads()
+    out = []
+    for item in workloads.corpus(workloads.WORKLOADS["open-random"], 1, 82):
+        out += [s for s in auto_reduce(glue(parse_diagram(item.text)))[0]
+                if s.rows and s.base.rules]
+    assert len(out) == 36
+    return out
+
+
 def test_rule_leaders_are_no_exclusion_candidates():
     # the base takes no second rule on a leader and cannot substitute it
-    for summand in auto_reduce(glue(parse_diagram(NESTED)))[0]:
+    for summand in _ruled_summands():
         leaders = {w for w, _, _ in summand.base.rules}
         assert leaders and summand.rows
         candidates = reduce_module._exclusion_candidates(
@@ -556,7 +574,7 @@ def test_rule_leaders_are_no_exclusion_candidates():
 def test_replay_keeps_an_already_normal_summand():
     # a reduced summand's rows are normal over its ruled base, so replaying
     # no steps gives the summand itself, with its cached potential
-    for summand in auto_reduce(glue(parse_diagram(NESTED)))[0]:
+    for summand in _ruled_summands():
         assert summand.base.rules and summand.rows
         potential = summand.potential()
         replayed, = replay(summand, ReductionTrace())
@@ -742,10 +760,17 @@ def test_reduction_order_does_not_change_homology(monkeypatch):
 
 def _unshared_reduce(mf, potential_vars, zero, budget):
     """reduce._reduce as it was before split copies were shared: every
-    copy of a split is searched in turn."""
+    copy of a split is searched in turn.  Under a zero potential the
+    candidates go fewest terms of the excluded entry first, then lowest
+    power, ties in the order given."""
     best = None
-    for (i, var, side, d) in reduce_module._exclusion_candidates(
-            mf, potential_vars):
+    candidates = list(reduce_module._exclusion_candidates(mf, potential_vars))
+    if zero:
+        def terms(c):
+            row = mf.rows[c[0]]
+            return len((row.b if c[2] == "b" else row.a).terms)
+        candidates.sort(key=lambda c: (terms(c), c[3]))
+    for (i, var, side, d) in candidates:
         if budget["branches"] <= 0 and best is not None:
             break
         try:

@@ -5,11 +5,12 @@ The gate runs the program under ``sys.setprofile`` and records every
 package code object that is called:
 
 - each benchmark workload's ``run``, ``check`` and ``digest`` on its first
-  6 items at seed 1;
+  6 items at seed 1, and open-random's ``run`` and ``check`` on item 6;
 - ``cli.main`` for every command, bare and with each of its flags, on a
   closed theta, an open arc, a closed-webs text and a links text;
 - ``cli.main`` on error texts: a parse error, a crossing outside
-  ``bracket``, an open diagram given to ``homology`` and a stuck link;
+  ``bracket``, an open diagram given to ``homology``, a stuck link, and
+  ``homology`` on a closed web whose search stops at its budget;
 - ``selftest --n-max 3``, as text and as JSON;
 - the README's library example.
 
@@ -153,8 +154,11 @@ def _program_paths(tmp_path):
                 continue
             work.check(item, result)
             work.digest(result)
-    # closed-webs item 7 stops at the search budget, so homology reaches
-    # the explicit complex of a summand with rows and refuses it there
+    # open-random item 6 is the one seed-1 item whose search checks a
+    # staircase (quotient._verify_staircase)
+    work = workloads.WORKLOADS["open-random"]
+    item = workloads.corpus(work, 1, 7)[6]
+    work.check(item, work.run(item.text))
     web = workloads.corpus(workloads.WORKLOADS["closed-webs"], 1, 8)[7]
     link, = workloads.corpus(workloads.WORKLOADS["links"], 1, 1)
     # among these runs, every command but bracket refuses the link's
@@ -169,9 +173,15 @@ def _program_paths(tmp_path):
         # the closure of (s2 s1)^3: no rewrite applies to its all-wide
         # resolution (ROADMAP item 6)
         "stuck": workloads._closure_text(4, 3,
-                                         [("xplus", 1), ("xplus", 0)] * 3)}
+                                         [("xplus", 1), ("xplus", 0)] * 3),
+        # the closure of (W1 W0)^2 stops at the search budget, so homology
+        # reaches the explicit complex of a summand with rows and refuses
+        # it there
+        "unbounded": workloads._closure_text(3, 3,
+                                             [("wide", 1), ("wide", 0)] * 2)}
     runs += [[command, "parse"] for command in FLAGS]
-    runs += [["bracket", "stuck"], ["selftest", "--n-max", "3"],
+    runs += [["bracket", "stuck"], ["homology", "unbounded"],
+             ["selftest", "--n-max", "3"],
              ["selftest", "--n-max", "3", "--json"]]
     for name, text in {**texts, **errors}.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
