@@ -39,34 +39,23 @@ that the splice absorbs into the edges they carry, or counts as loops.
 A crossing piece (xplus/xminus) is built as its wide edge, and its arcs
 resolution is a splice of that vin/vout pair.
 
-Many graphs a walk meets are the same graph under other vertex ids.
-Every choice the walk makes reads only the order of the ids, their
-kinds, the edges' ports and the loop counts: the matchers scan the ids
-in sorted order, a square orders its two candidates by id, and a splice
-deletes vertices but never makes one.  Take two graphs with equal
-order-relative keys (_resolution_key: the loop counts, then per vertex
-in id order its out-edges as ranks), so that an order-preserving
-renaming of the ids maps one onto the other.  Both make the same
-rewrite, at vertices matched by the renaming, with the same factors.
-Each term splices matched vertices with matched stitches, so it counts
-the same loops and leaves two graphs that the same renaming, restricted
-to the vertices left, again maps onto each other: their keys are equal
-again.  By induction on the vertex count, two graphs with equal keys,
-resolutions or any graph a walk reaches, make the same rewrites and
-reach the same leaves, counted from the exponents each was reached with.
-
-So the walks of one bracket_text or bracket call share their sub-walks
-by key.  A walk returns the leaves of its graph counted from that graph,
-and looks every graph on its way up in a memo that lives for the call
-and dies with it.  A miss enters the graph with the exponents reached so
-far and the Counter that collects its leaves; a hit adds the stored
-leaves at the current exponents and ends that branch.  A graph is
-entered before its subtree is finished, but nothing in its subtree can
-hit it, since every rewrite deletes vertices and equal keys mean equal
-vertex counts: a key has 2 + 3 * #vin entries, and #vin = #vout.  The
-walk loops along single-term rewrites (digon, bigon) and recurses only
-into the terms of a sum but the last, as a walk without a memo does, so
-its depth does not grow.
+Many resolutions, and many partial states on the way to them, are the
+same graph under other vertex ids.  Every choice the walk makes reads
+only the order of the ids, their kinds, the edges' ports and the loop
+counts: the matchers scan the ids in sorted order, a square orders its
+two candidates by id, and a splice deletes vertices but never makes one.
+Take two graphs with equal order-relative keys (_resolution_key: the
+loop counts, then per vertex in id order its out-edges as ranks), so
+that an order-preserving renaming of the ids maps one onto the other.
+Both make the same rewrite, at vertices matched by the renaming, with
+the same factors.  Each term splices matched vertices with matched
+stitches, so it counts the same loops and leaves two graphs that the
+same renaming, restricted to the vertices left, again maps onto each
+other: their keys are equal again.  By induction on the vertex count,
+two graphs with equal keys make the same rewrites and reach the same
+leaves, counted from the exponents each was reached with.  So of the
+resolutions that share a key only one need be walked, and the partial
+states below are merged on the same keys.
 
 bracket_text builds the graph once and resolves its crossings one level
 at a time, in piece order, without ever building all 2^c resolutions.
@@ -82,9 +71,8 @@ next crossing is resolved, every digon of a state whose two vertices
 lie below that crossing's vin is spliced in place, its factor [2]
 raises a in the state's starts, and the states whose new keys agree
 are merged, in the order of first appearance.  After the last level
-each distinct resolution is walked once, under the key its level
-already holds, and its leaves are shifted by its starts before all are
-evaluated together.
+each distinct resolution is walked once, and its leaves are shifted by
+its starts before all are evaluated together.
 
 Splicing those digons early is exact, and reaches the very graphs the
 walks would:
@@ -139,12 +127,14 @@ level come in the order of their smallest resolution prefix (arcs before
 wide, the first crossing outermost); so does each key's first
 appearance, before and after the digons are spliced.  Hence the walks
 are of the first resolution of each key in the order of
-expand_crossings.  A stuck graph raises StuckGraph and ends the call; a
-memo hit is always a finished subtree, so it stuck nowhere, and the
-graph a StuckGraph names is the first stuck graph in expand_crossings
-order, exactly as if every resolution were built and walked without
-sharing.  The sharing is exact, not a heuristic, and it lives only as
-long as one call.
+expand_crossings.  A stuck graph raises StuckGraph and ends the call.
+Resolutions of one key stick alike (the induction above), so the first
+resolution that sticks in expand_crossings order is the first of its
+key, and every key walked before it is that of an earlier resolution,
+which sticks nowhere.  So the graph a StuckGraph names is the first stuck
+graph in expand_crossings order, exactly as if every resolution were
+built and walked on its own.  The merge is exact, not a heuristic, and
+it lives only as long as one call.
 """
 
 import itertools
@@ -433,39 +423,24 @@ def bracket(graph, first_match=None):
     first_match optionally forces the first rewrite, as a pair
     (relation name, match tuple) — used to compare rewrite paths.
     """
-    leaves = _walk(graph.copy(), {}, first_match=first_match)
+    leaves = _walk(graph.copy(), first_match)
     return _evaluate(graph.n, {(0, *powers): count
                                for powers, count in leaves.items()})
 
 
-def _walk(graph, memo, key=None, first_match=None):
-    """Rewrite graph in place down to free loops and return its leaves: a
-    Counter of their exponent tuples (a, b, c, ls, ld), with a, b and c
-    counted from graph.
+def _walk(graph, first_match=None, exps=(0, 0, 0), acc=None):
+    """Rewrite graph in place down to free loops, count its leaves into acc
+    and return acc: a Counter of their exponent tuples (a, b, c, ls, ld),
+    with a, b and c counted from exps.
 
-    memo maps the key of every graph entered so far in one call to (acc,
-    base): that graph's leaves are those counted in acc, less base in a,
-    b and c.  key is graph's own, when the caller has it.  Each graph on
-    the way is looked up by its key: a hit adds the stored leaves at the
-    exponents reached so far and ends the walk; a miss enters the graph
-    with those exponents, since every leaf counted in acc from then on
-    lies below it.  A sum's last term is walked in place, collected in a
-    fresh Counter that joins acc at its offset when the walk ends; every
-    other term is walked, in full, on a copy.  first_match, when given,
-    is the rewrite made on graph itself; graph is entered all the same,
-    as no graph below it can hit it (the module docstring).
+    The walk loops along single-term rewrites (digon, bigon) and the last
+    term of a sum, made on graph itself; every other term of a sum is
+    spliced on a copy and walked, in full, into the same acc.  first_match,
+    when given, is the rewrite made on graph first.
     """
-    acc, exps = Counter(), (0, 0, 0)
-    outer = []          # (acc, exps) that each fresh Counter joins
+    if acc is None:
+        acc = Counter()
     while graph.vertices:
-        if key is None:
-            key = _resolution_key(graph)
-        hit = memo.get(key)
-        if hit is not None:
-            _add(acc, exps, *hit)
-            break
-        memo[key] = (acc, exps)
-        key = None
         name, match = first_match or _next_rewrite(graph)
         first_match = None
         vids, terms = RELATIONS[name][1](graph, match)
@@ -473,18 +448,10 @@ def _walk(graph, memo, key=None, first_match=None):
         for other_slot, other_stitches in others:
             g = graph.copy()
             g.splice(vids, other_stitches)
-            _add(acc, _raised(exps, other_slot), _walk(g, memo))
+            _walk(g, exps=_raised(exps, other_slot), acc=acc)
         graph.splice(vids, stitches)
         exps = _raised(exps, slot)
-        if others:
-            outer.append((acc, exps))
-            acc, exps = Counter(), (0, 0, 0)
-    else:
-        acc[(*exps, graph.loops_single, graph.loops_double)] += 1
-    while outer:
-        parent, offset = outer.pop()
-        _add(parent, offset, acc)
-        acc = parent
+    acc[(*exps, graph.loops_single, graph.loops_double)] += 1
     return acc
 
 
@@ -496,13 +463,6 @@ def _raised(exps, slot):
     out = list(exps)
     out[slot - 1] += 1
     return tuple(out)
-
-
-def _add(acc, exps, leaves, base=(0, 0, 0)):
-    """Count into acc the leaves less base plus exps in a, b, c."""
-    da, db, dc = (e - b for e, b in zip(exps, base))
-    for (a, b, c, ls, ld), count in leaves.items():
-        acc[(a + da, b + db, c + dc, ls, ld)] += count
 
 
 @lru_cache(maxsize=512)
@@ -652,11 +612,10 @@ def _bracket_leaves(diagram):
     spliced only when that key is new to the level.  Before the next
     crossing, each state's digons below its vin are spliced and the
     states are merged again on their new keys (_contract_digons).  Then
-    each distinct resolution is walked once under its key, in the order
-    its key first appeared, with one memo shared by all the walks, and
-    its leaves are shifted by its starts.  That is the order of its first
-    resolution in expand_crossings, so StuckGraph names the graph a walk
-    of every resolution would stop at.
+    each distinct resolution is walked once, in the order its key first
+    appeared, and its leaves are shifted by its starts.  That is the
+    order of its first resolution in expand_crossings, so StuckGraph
+    names the graph a walk of every resolution would stop at.
     """
     graph, pairs = _build(diagram)
     n = diagram.n
@@ -685,10 +644,9 @@ def _bracket_leaves(diagram):
         if depth + 1 < len(pairs):
             merged = _contract_digons(merged, pairs[depth + 1][0])
         level = merged
-    memo = {}
     total = Counter()
-    for key, (g, starts) in level.items():
-        for (a, *powers), count in _walk(g, memo, key).items():
+    for g, starts in level.values():
+        for (a, *powers), count in _walk(g).items():
             for (k, a0), sign in starts.items():
                 total[(k, a0 + a, *powers)] += sign * count
     return total
@@ -734,9 +692,8 @@ def bracket_text(text):
 
     The graph is built once, its crossings are resolved level by level
     with equal partial states merged and the digons below the next
-    crossing spliced, and each distinct resolution is walked once, the
-    walks sharing their sub-walks by key (_bracket_leaves); all their
-    leaves are evaluated together.
+    crossing spliced, and each distinct resolution is walked once
+    (_bracket_leaves); all their leaves are evaluated together.
     """
     d = parse_diagram(text)
     return _evaluate(d.n, _bracket_leaves(d))

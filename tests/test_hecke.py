@@ -201,6 +201,28 @@ def test_bracket_equals_the_hecke_trace_on_longer_words():
     assert digest == LONGER_WORDS_SHA256
 
 
+def test_bracket_equals_the_hecke_trace_on_fresh_words():
+    # 100 closures of 4-12 letters on 2-4 strands at n = 3..6, from a
+    # generator seed that no corpus uses: wherever the rewrite bracket
+    # evaluates, at n = 6 too, it equals the trace; 16 of them are stuck
+    rng = random.Random(46)
+    evaluated, stuck = set(), 0
+    for _ in range(100):
+        strands = rng.randint(2, 4)
+        word = [(rng.choice(("xplus", "xminus", "wide")),
+                 rng.randrange(strands - 1))
+                for _ in range(rng.randint(4, 12))]
+        n = rng.randint(3, 6)
+        value = _value(_closure_text(n, strands, word))
+        if value is None:
+            stuck += 1
+            continue
+        evaluated.add(n)
+        assert value == hecke_bracket(n, strands, word), (n, strands, word)
+    assert stuck == 16
+    assert evaluated == {3, 4, 5, 6}
+
+
 # the Hecke values of the links items at seed 1 that relations (5)-(7)
 # leave stuck (ROADMAP item 6's targets), by item index
 STUCK_LINKS = {
@@ -237,3 +259,35 @@ def test_stuck_links_items_have_pinned_hecke_values():
     assert hecke_bracket(4, 3, [("wide", 1), ("wide", 0)] * 3) == {
         -9: 1, -7: 8, -5: 24, -3: 45, -1: 60, 1: 60, 3: 45, 5: 24, 7: 8,
         9: 1}
+
+
+# the closures of (W1 W0)^k on three strands, Wi a wide edge between
+# strands i and i + 1 (ROADMAP items 6 and 15): their Hecke values by
+# (k, n); relations (5)-(7) evaluate k = 1 and 2 and stick at k = 3
+W1W0_POWERS = {
+    (1, 3): {-4: 1, -2: 3, 0: 4, 2: 3, 4: 1},
+    (1, 4): {-7: 1, -5: 3, -3: 6, -1: 8, 1: 8, 3: 6, 5: 3, 7: 1},
+    (1, 5): {-10: 1, -8: 3, -6: 6, -4: 10, -2: 13, 0: 14, 2: 13, 4: 10,
+             6: 6, 8: 3, 10: 1},
+    (2, 3): {-4: 2, -2: 6, 0: 8, 2: 6, 4: 2},
+    (2, 4): {-7: 2, -5: 7, -3: 14, -1: 19, 1: 19, 3: 14, 5: 7, 7: 2},
+    (2, 5): {-10: 2, -8: 7, -6: 15, -4: 25, -2: 33, 0: 36, 2: 33, 4: 25,
+             6: 15, 8: 7, 10: 2},
+    (3, 3): {-6: 1, -4: 7, -2: 17, 0: 22, 2: 17, 4: 7, 6: 1},
+    (3, 4): {-9: 1, -7: 8, -5: 24, -3: 45, -1: 60, 1: 60, 3: 45, 5: 24,
+             7: 8, 9: 1},
+    (3, 5): {-12: 1, -10: 8, -8: 25, -6: 52, -4: 84, -2: 110, 0: 120,
+             2: 110, 4: 84, 6: 52, 8: 25, 10: 8, 12: 1},
+}
+
+
+@pytest.mark.parametrize("k, n", sorted(W1W0_POWERS))
+def test_w1_w0_power_closures(k, n):
+    word = [("wide", 1), ("wide", 0)] * k
+    assert hecke_bracket(n, 3, word) == W1W0_POWERS[k, n]
+    text = _closure_text(n, 3, word)
+    if k < 3:
+        assert dict(bracket_text(text).terms) == W1W0_POWERS[k, n]
+    else:
+        with pytest.raises(StuckGraph):
+            bracket_text(text)

@@ -641,7 +641,8 @@ def test_arcs_key_is_the_key_of_the_spliced_graph():
 
 def _count_leaves(graph, leaves, sign, exps):
     """Rewrite graph in place down to free loops, adding sign to leaves[t]
-    for the exponent tuple t of every leaf: the walk without a memo.
+    for the exponent tuple t of every leaf: a walk written apart from
+    moybracket._walk, on the same matchers and splices.
 
     exps holds the exponents (k, a, b, c) reached so far and is updated in
     place.  Each term but the last of a sum is walked, in full, on a copy.
@@ -707,9 +708,10 @@ def _load_workloads():
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_shared_walks_on_the_links_corpus(seed):
-    # the links benchmark's first 192 items: walks that share sub-walks by
-    # key count the leaves of every resolution walked on its own, and a
-    # stuck item names the same graph in the same message
+    # the links benchmark's first 192 items: the level merge, which walks
+    # each distinct resolution once, counts the leaves of every resolution
+    # walked on its own, and a stuck item names the same graph in the same
+    # message
     workloads = _load_workloads()
     stuck = 0
     for item in workloads.corpus(workloads.WORKLOADS["links"], seed, 192):
@@ -743,7 +745,7 @@ def test_links_corpus_outputs_are_pinned(seed):
 
 def test_shared_walks_on_trivalent_closed_webs():
     # the vin/vout and dline spellings of 40 closed-webs items: one
-    # resolution each, whose walk shares the terms of its squares by key
+    # resolution each, whose walk opens each square into a two-term sum
     workloads = _load_workloads()
     for item in workloads.corpus(workloads.WORKLOADS["closed-webs"], 1, 40):
         header, (_, *trivalent) = _spellings(item.text)
@@ -793,7 +795,8 @@ def test_split_closures_multiply_without_blowing_up():
 @pytest.fixture
 def counted_walks(monkeypatch):
     """The keys of the graphs moybracket._walk is called on from outside
-    itself: one per walk of a resolution."""
+    itself, one per distinct resolution; the walk's own calls on the
+    terms of its sums are not counted."""
     walks = []
     depth = [0]
     walk = moybracket._walk
