@@ -62,17 +62,17 @@ at a time, in piece order, without ever building all 2^c resolutions.
 A partial state, with the first d crossings resolved, is keyed by its
 plain order-relative key.  Each level maps a key to one representative
 graph and a dict of skein starts {(k, a): sign} summed over every way
-of reaching it.  A state's arcs child has its key derived from the
-state's key, and its starts gain ±(n-1) in k; only when the level does
-not hold that key yet is the crossing's pair spliced on a copy of the
-state's graph.  The wide child is the state's own graph under the
-parent's key, and its starts gain ±n in k and flip sign.  Before the
-next crossing is resolved, every digon of a state whose two vertices
-lie below that crossing's vin is spliced in place, its factor [2]
-raises a in the state's starts, and the states whose new keys agree
-are merged, in the order of first appearance.  After the last level
-each distinct resolution is walked once, and its leaves are shifted by
-its starts before all are evaluated together.
+of reaching it.  A state has two children: its arcs child is the
+crossing's pair spliced on a copy of the state's graph, and its starts
+gain ±(n-1) in k; its wide child is the state's own graph, and its
+starts gain ±n in k and flip sign.  Before the next crossing is
+resolved, every digon of a child whose two vertices lie below that
+crossing's vin is spliced in place, and its factor [2] raises a in the
+child's starts.  Each child is then merged into the next level on its
+key, in the order of first appearance; a wide child none of whose
+digons went keeps its parent's key.  After the last level each distinct
+resolution is walked once, and its leaves are shifted by its starts
+before all are evaluated together.
 
 Splicing those digons early is exact, and reaches the very graphs the
 walks would:
@@ -109,25 +109,17 @@ its own in both, so it has the same rank in both: the same crossings
 are still to resolve at the same places, and the same subtree of
 resolutions lies below.
 
-The same facts give the arcs child's key without its graph.  The vin
-of the crossing at depth d begins a key tail of fixed length (one int
-per vin, two per vout), and its rank r is the state's vertex count less
-the fixed count of the vertices from it on; its vout, with id vin + 1,
-has rank r + 1.  The arcs splice drops the two entries, points the
-single edges that went to 2r and 2r + 1 at where the vout's s0 and s1
-lead, following the chain through the vin and counting a closed chain
-as one single loop, and lowers every rank above r + 1 by two
-(_arcs_key).  So a copy is made only for an arcs key new to its level.
-A wide child and a digon splice take the state's own graph, which no
-other key of the level holds, and the first representative of every
-key is the first state's graph that reached it.
+A wide child's digons are spliced on the state's own graph only after
+the arcs child has been copied from it, and a level's graph belongs to
+one of its keys, so no splice reaches a graph another state holds.  The
+first representative of every key is the first child that reached it.
 
 A parent's arcs child comes before its wide child, and the parents of a
 level come in the order of their smallest resolution prefix (arcs before
 wide, the first crossing outermost); so does each key's first
-appearance, before and after the digons are spliced.  Hence the walks
-are of the first resolution of each key in the order of
-expand_crossings.  A stuck graph raises StuckGraph and ends the call.
+appearance.  Hence the walks are of the first resolution of each key in
+the order of expand_crossings.  A stuck graph raises StuckGraph and ends
+the call.
 Resolutions of one key stick alike (the induction above), so the first
 resolution that sticks in expand_crossings order is the first of its
 key, and every key walked before it is that of an earlier resolution,
@@ -575,44 +567,17 @@ def _resolution_key(graph):
     return tuple(key)
 
 
-def _arcs_key(key, tail, r):
-    """The key of a partial state's arcs child, from the state's key alone.
-
-    The crossing's vin has rank r and its entry begins the last tail
-    entries of the key; its vout, at rank r + 1, follows with its s0 and
-    s1 targets.  The splice drops those three entries.  A single edge into
-    the vin's s0 or s1 (2r or 2r + 1) goes on to where the vout's s0 or
-    s1 leads, through the vin once more if it leads back there; a chain
-    that closes on the vin is one single loop, and no other edge points
-    into it.  Every rank above r + 1 drops by two.
-    """
-    a, pos = 2 * r, len(key) - tail
-    t0, t1 = key[pos + 1], key[pos + 2]
-    loops = (t0 == a) + (t1 == a + 1) + (t0 == a + 1 and t1 == a)
-    # where a strand into the vin's s0 (a) or s1 (a + 1) leaves the pair
-    into = {a: t1 if t0 == a + 1 else t0, a + 1: t0 if t1 == a else t1}
-    into = {v: w - 4 if w > a + 3 else w for v, w in into.items()}
-    low = ~(r + 1)      # a vin's target below low has a rank above r + 1
-    return (key[0] + loops, key[1],
-            *[v - 4 if v > a + 3 else into[v] if v >= a
-              else v + 2 if v < low else v
-              for v in key[2:pos] + key[pos + 3:]])
-
-
 def _bracket_leaves(diagram):
     """The counted leaves of every resolution of a closed diagram.
 
     The crossings are resolved level by level in piece order, and equal
     partial states are merged: a level maps each key to its first graph
-    and its summed skein starts {(k, a): sign}.  Every vertex from a
-    crossing's vin on is in every state of its level, so the vin's entry
-    starts a key tail of fixed length and its rank r is the state's
-    vertex count less a fixed count; the arcs child's key is the
-    parent's, spliced there (_arcs_key), and its graph is copied and
-    spliced only when that key is new to the level.  Before the next
-    crossing, each state's digons below its vin are spliced and the
-    states are merged again on their new keys (_contract_digons).  Then
-    each distinct resolution is walked once, in the order its key first
+    and its summed skein starts {(k, a): sign}.  Each state's arcs child
+    is spliced on a copy of its graph and its wide child is the graph
+    itself; each child has its digons below the next crossing's vin
+    spliced in place (_contract_digons) and is merged on its key, which
+    a wide child without such digons keeps from its parent.  Then each
+    distinct resolution is walked once, in the order its key first
     appeared, and its leaves are shifted by its starts.  That is the
     order of its first resolution in expand_crossings, so StuckGraph
     names the graph a walk of every resolution would stop at.
@@ -620,29 +585,25 @@ def _bracket_leaves(diagram):
     graph, pairs = _build(diagram)
     n = diagram.n
     crossings = [p for p in diagram.pieces if p.kind in CROSSINGS]
-    # the built vertices: digon splices shrink graph itself below each vin
-    kinds = sorted(graph.vertices.items())
     level = {_resolution_key(graph): (graph, {(0, 0): 1})}
     for depth, (p, (win, wout)) in enumerate(zip(crossings, pairs)):
         s = 1 if p.kind == "xplus" else -1
         stitches = [(4 * win + S0, 4 * wout + S0),
                     (4 * win + S1, 4 * wout + S1)]
-        # the vertices from win on: a vin has one entry in a key, a vout two
-        above = [kind for v, kind in kinds if v >= win]
-        tail = len(above) + above.count("vout")
+        # digons go below the next crossing's vin, which is at least 2;
+        # after the last crossing they are left to the walk
+        below = pairs[depth + 1][0] if depth + 1 < len(pairs) else 0
         merged = {}
         for key, (g, starts) in level.items():
-            arcs_key = _arcs_key(key, tail, len(g.vertices) - len(above))
-            if arcs_key not in merged:
-                arcs = g.copy()
-                arcs.splice((win, wout), stitches)
-                merged[arcs_key] = (arcs, {})
-            if key not in merged:
-                merged[key] = (g, {})
-            _add_starts(merged[arcs_key][1], starts, s * (n - 1), 0, 1)
-            _add_starts(merged[key][1], starts, s * n, 0, -1)
-        if depth + 1 < len(pairs):
-            merged = _contract_digons(merged, pairs[depth + 1][0])
+            arcs = g.copy()
+            arcs.splice((win, wout), stitches)
+            for child, dk, flip in ((arcs, s * (n - 1), 1), (g, s * n, -1)):
+                da = _contract_digons(child, below) if below else 0
+                child_key = (key if child is g and not da
+                             else _resolution_key(child))
+                if child_key not in merged:
+                    merged[child_key] = (child, {})
+                _add_starts(merged[child_key][1], starts, dk, da, flip)
         level = merged
     total = Counter()
     for g, starts in level.values():
@@ -659,32 +620,21 @@ def _add_starts(acc, starts, dk, da, flip):
         acc[(k + dk, a + da)] = acc.get((k + dk, a + da), 0) + flip * sign
 
 
-def _contract_digons(level, below):
-    """level with the digons of each state spliced whose vout and vin both
-    lie below the vid below, and the states merged again on their new
-    keys in the order of first appearance.
-
-    A state's graph is its own (no other key of the level holds it), so
-    it is spliced in place.  Each digon raises a in the state's starts by
-    one, for its factor [2].
-    """
-    out = {}
-    for key, (g, starts) in level.items():
-        succ = g.succ
-        gone, stitches = [], []
-        for w, kind in g.vertices.items():
-            if kind == "vout" and w < below:
-                v = succ[4 * w + S0] >> 2
-                if v < below and succ[4 * w + S1] >> 2 == v:
-                    gone += (w, v)
-                    stitches.append((4 * w + SD, 4 * v + SD))
-        if stitches:
-            g.splice(gone, stitches)
-            key = _resolution_key(g)
-        if key not in out:
-            out[key] = (g, {})
-        _add_starts(out[key][1], starts, 0, len(stitches), 1)
-    return out
+def _contract_digons(graph, below):
+    """Splice in place every digon of graph whose vout and vin both lie
+    below the vid below, and return how many there were: each raises a
+    in the graph's skein starts by one, for its factor [2]."""
+    succ = graph.succ
+    gone, stitches = [], []
+    for w, kind in graph.vertices.items():
+        if kind == "vout" and w < below:
+            v = succ[4 * w + S0] >> 2
+            if v < below and succ[4 * w + S1] >> 2 == v:
+                gone += (w, v)
+                stitches.append((4 * w + SD, 4 * v + SD))
+    if stitches:
+        graph.splice(gone, stitches)
+    return len(stitches)
 
 
 def bracket_text(text):

@@ -254,10 +254,10 @@ class _Terms(_Immutable):
         return self + (-other)
 
     def __pow__(self, e):
-        """self^e, multiplied out once per object and exponent: every
-        power from the largest one cached below e up to e is cached on the
-        way, each one product from the one before, in a loop whatever e
-        is."""
+        """self^e, multiplied out once per object and exponent, by
+        squaring: self^(e // 2) squared, times self when e is odd.  Only
+        the powers the recursion makes are cached, about log2 e of them,
+        and it recurses about log2 e levels deep."""
         if e < 0:
             raise ValueError("negative power")
         if e == 0:
@@ -271,12 +271,11 @@ class _Terms(_Immutable):
             object.__setattr__(self, "_powers", powers)
         out = powers.get(e)
         if out is None:
-            k = e - 1
-            while k > 1 and k not in powers:
-                k -= 1
-            out = powers.get(k, self)
-            for j in range(k + 1, e + 1):
-                out = powers[j] = out * self
+            half = self ** (e // 2)
+            out = half * half
+            if e % 2:
+                out = out * self
+            powers[e] = out
         return out
 
     def __eq__(self, other):

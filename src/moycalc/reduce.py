@@ -172,13 +172,15 @@ def _residual(mf, v):
     return None
 
 
-def _exclusion_candidates(mf, potential_vars):
-    """Feasible (row, var, side, power) in (row, var, side) order,
-    generated lazily: a search under a nonzero potential takes the first
-    one that the base accepts and never builds or checks the later ones,
-    while under a zero potential _reduce reads them all to sort them
-    (module docstring).  The order does not depend on how far the caller
-    reads.
+def _exclusion_candidates(mf, potential_vars, zero=False):
+    """Feasible (row, var, side, power) in the order the search tries
+    them, generated lazily: (row, var, side) order, or under a zero
+    potential (zero) sparsest entry first, then lowest power, ties in
+    (row, var, side) order (module docstring).  Only a zero potential
+    lists every monic entry first, to sort them; a power is checked
+    only when the caller reads it, so a search that takes an early
+    candidate never checks the later ones.  The order does not depend
+    on how far the caller reads.
 
     A rule's leader is never a candidate: the base cannot take a second
     rule on it, nor substitute it away.  Nor is a power d >= 2 of v that
@@ -186,16 +188,24 @@ def _exclusion_candidates(mf, potential_vars):
     with_rule always refuses it.
     """
     leaders = {w for w, _, _ in mf.base.rules}
-    for i, row in enumerate(mf.rows):
-        monic_b, monic_a = row.b.monic_variables(), row.a.monic_variables()
-        for v in sorted(monic_b.keys() | monic_a.keys()):
-            if v in potential_vars or v in leaders:
-                continue
-            for side, monic in (("b", monic_b), ("a", monic_a)):
-                if v in monic:
-                    d = monic[v][0]
-                    if d < 2 or not mf.base.rules_reducible_by(v, d):
-                        yield i, v, side, d
+
+    def monic_entries():
+        for i, row in enumerate(mf.rows):
+            monic_b, monic_a = row.b.monic_variables(), row.a.monic_variables()
+            for v in sorted(monic_b.keys() | monic_a.keys()):
+                if v in potential_vars or v in leaders:
+                    continue
+                for side, monic in (("b", monic_b), ("a", monic_a)):
+                    if v in monic:
+                        yield i, v, side, monic[v][0]
+
+    entries = monic_entries()
+    if zero:
+        entries = sorted(entries, key=lambda c: (
+            len(getattr(mf.rows[c[0]], c[2]).terms), c[3]))
+    for i, v, side, d in entries:
+        if d < 2 or not mf.base.rules_reducible_by(v, d):
+            yield i, v, side, d
 
 
 def _splittable_variables(mf):
@@ -216,12 +226,7 @@ def _reduce(mf, potential_vars, zero, budget):
     describe the potential, which no exclusion or split changes; budget
     holds the one count of branches left."""
     best = None
-    candidates = _exclusion_candidates(mf, potential_vars)
-    if zero:
-        # sparsest entry first, then lowest power (module docstring)
-        candidates = sorted(candidates, key=lambda c: (
-            len(getattr(mf.rows[c[0]], c[2]).terms), c[3]))
-    for (i, v, side, d) in candidates:
+    for (i, v, side, d) in _exclusion_candidates(mf, potential_vars, zero):
         try:
             nxt = exclude_variable(mf, i, v, side, potential_vars)
         except TriangularityViolation:

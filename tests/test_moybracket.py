@@ -517,55 +517,58 @@ def _state_keys(diagram, depth):
     return keys
 
 
-def _new_arcs_keys(diagram, crossings):
-    """How many keys first appear on their level as an arcs child.
-
-    At each depth _state_keys lists the arcs child of every contracted
-    state of the level above, then its wide child, so a key's first index
-    is even when it first appears as an arcs child."""
-    new = 0
-    for depth in range(1, crossings + 1):
-        first = {}
-        for i, key in enumerate(_state_keys(diagram, depth)):
-            first.setdefault(key, i)
-        new += sum(i % 2 == 0 for i in first.values())
-    return new
+def _level_sizes(diagram, crossings):
+    """The number of distinct states on the level that each crossing is
+    resolved from: the keys of _contracted_states at its depth."""
+    return [len({_resolution_key(g)
+                 for g in _contracted_states(diagram, depth)[0]})
+            for depth in range(crossings)]
 
 
-def test_bracket_text_copies_once_per_partial_state(counted_copies):
-    # one copy per key that first appears on its level as an arcs child
-    # (a wide child takes its parent's own graph, an arcs child whose key
-    # the level already holds is never built, and digons are spliced in
-    # place), and one more for the first term of each square walked
+def test_bracket_text_copies_once_per_partial_state(counted_copies,
+                                                    monkeypatch):
+    # one copy per state of the level above each crossing, for its arcs
+    # child (a wide child takes its parent's own graph, and digons are
+    # spliced in place), and one more for the first term of each square
+    # walked; each such state adds its skein starts once into each child
     copies, squares = counted_copies
+    adds = []
+    add_starts = moybracket._add_starts
+
+    def counted_add_starts(*args):
+        adds.append(args)
+        return add_starts(*args)
+
+    monkeypatch.setattr(moybracket, "_add_starts", counted_add_starts)
     for n, strands, spec, value in PINNED:
         if value is None:
             continue
         text = _closure_text(n, strands, _word(spec))
-        d = parse_diagram(text)
         c = len(_word(spec))
-        states = sum(len({_resolution_key(g)
-                          for g in _contracted_states(d, depth)[0]})
-                     for depth in range(c))
-        new = _new_arcs_keys(d, c)
+        states = sum(_level_sizes(parse_diagram(text), c))
         before = len(squares)
         copies.clear()
+        adds.clear()
         bracket_text(text)
-        assert len(copies) == new + len(squares) - before
-        assert new < states < 2 ** c - 1
+        assert len(copies) == states + len(squares) - before
+        assert len(adds) == 2 * states
+        assert states < 2 ** c - 1
     assert squares
 
 
 def test_sigma_power_copies_one_graph_per_state(counted_copies):
-    # at depth d the closure of s1^c has d + 1 partial states, one per
-    # count of arcs crossings; only the all-arcs state's arcs child is new
-    # to its level, so its c levels copy c graphs, not c(c+1)/2
+    # after the first crossing of the closure of s1^c every level holds two
+    # states, no wide edge or one: the digons of the wide edges below the
+    # next crossing merge every state that has one, so its c levels copy
+    # 2c - 1 graphs, not c(c+1)/2
     copies, squares = counted_copies
     for c in range(1, 8):
         copies.clear()
         squares.clear()
-        bracket_text(_closure_text(4, 2, [("xplus", 0)] * c))
-        assert len(copies) - len(squares) == c
+        text = _closure_text(4, 2, [("xplus", 0)] * c)
+        bracket_text(text)
+        assert len(copies) - len(squares) == \
+            sum(_level_sizes(parse_diagram(text), c)) == 2 * c - 1
 
 
 def _permuted_closures():
@@ -588,52 +591,12 @@ def _permuted_closures():
     return texts
 
 
-def test_arcs_key_is_the_key_of_the_spliced_graph():
-    # on every partial state, the arcs child's key spliced on the parent's
-    # key equals the key of the parent's graph copied and spliced; the
-    # vin's key tail and its count of vertices above are fixed per level
-    workloads = _load_workloads()
-    texts = [item.text for seed in (1, 2) for item in
-             workloads.corpus(workloads.WORKLOADS["links"], seed, 192)]
-    texts += [_closure_text(n, strands, _word(spec))
-              for n, strands, spec, _ in PINNED]
-    rng = random.Random(31)
-    for _ in range(60):
-        strands = rng.randint(2, 4)
-        word = [(rng.choice(("xplus", "xminus", "wide")),
-                 rng.randrange(strands - 1))
-                for _ in range(rng.randint(1, 8))]
-        texts.append(_closure_text(rng.randint(3, 5), strands, word))
-    permuted = _permuted_closures()
-    cases = Counter()
-    for text in texts + permuted:
-        d = parse_diagram(text)
-        crossings = sum(p.kind in CROSSINGS for p in d.pieces)
-        for depth in range(crossings):
-            graphs, pairs = _partial_states(d, depth)
-            win, wout = pairs[depth]
-            fixed = set()
-            for g in graphs:
-                key = _resolution_key(g)
-                vids = sorted(g.vertices)
-                r = vids.index(win)
-                pos = 2 + sum(1 if g.vertices[v] == "vin" else 2
-                              for v in vids[:r])
-                fixed.add((len(key) - pos, len(vids) - r))
-                arcs = g.copy()
-                arcs.splice((win, wout), [(4 * win + slot, 4 * wout + slot)
-                                          for slot in (S0, S1)])
-                assert moybracket._arcs_key(key, len(key) - pos, r) == \
-                    _resolution_key(arcs), text
-                t0, t1 = key[pos + 1] - 2 * r, key[pos + 2] - 2 * r
-                cases["s0 -> s0"] += t0 == 0
-                cases["s1 -> s1"] += t1 == 1
-                cases["crossed"] += (t0, t1) == (1, 0)
-                cases["one-sided"] += (t0 == 1) != (t1 == 0)
-            assert len(fixed) == 1, text
-    assert all(cases[case] for case in
-               ("s0 -> s0", "s1 -> s1", "crossed", "one-sided")), cases
-    for text in permuted:
+def test_permuted_closures_count_the_leaves_of_every_resolution():
+    # gluing the strands by every permutation sends the single edges out of
+    # a crossing's vout back into its own vin in every arrangement (s0 to
+    # s0, s1 to s1, crossed, one-sided), which the arcs splice chains
+    # through or closes into loops
+    for text in _permuted_closures():
         d = parse_diagram(text)
         assert _outcome(_bracket_leaves, d) == \
             _outcome(_every_resolution_walked, d), text
@@ -772,7 +735,12 @@ def test_long_wide_chains_do_not_recurse_per_rewrite():
                              * quantum_integer(n - 1))
     chain = [("wide", 0)] * 1500
     expected = _two_power(1499) * quantum_integer(3) * quantum_integer(2)
+    moybracket._product.cache_clear()
     assert bracket_text(_closure_text(3, 2, chain)) == expected
+    # [2]^1499 is raised by squaring, so its factor [2] caches only the
+    # powers that makes, about log2 1499 of them
+    powers = moybracket._product(3, (1, 0, 0, 0, 0))._powers
+    assert len(powers) <= 2 * (1499).bit_length()
     twisted = _closure_text(3, 2, [("xplus", 0)] * 2 + chain)
     assert bracket_text(twisted) == LaurentPoly({8: 1}) * expected
 

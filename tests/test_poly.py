@@ -373,17 +373,21 @@ def test_large_powers_need_no_recursion():
     # a power one level of recursion per exponent would pass the
     # interpreter's recursion limit here
     assert v(X1) ** 5000 == Poly.var(X1, 5000)
-    # each power is cached from the largest one cached below it, and every
-    # cached power equals the repeated product
+    # a power is the half power squared, times the base when the exponent
+    # is odd, and only the powers that recursion makes are cached
     p = v(X1) - 2 * v(Y1)
-    assert p ** 3 == p * p * p
-    assert p ** 9 == p ** 3 * p ** 3 * p ** 3
-    assert sorted(p._powers) == list(range(2, 10))
-    product = Poly.const(1)
-    for e in range(12):
-        assert p ** e == product, e
-        product = product * p
-    assert all(q == p ** (e - 1) * p for e, q in p._powers.items())
+    assert p ** 9 == p * p * p * p * p * p * p * p * p
+    assert sorted(p._powers) == [2, 4, 9]
+    # every power equals the repeated product, over Fraction coefficients
+    # and for a LaurentPoly
+    for base in (Fraction(1, 3) * v(X1) - 2 * v(Y1),
+                 LaurentPoly({-1: 2, 3: -1})):
+        product = type(base).const(1)
+        for e in range(41):
+            assert base ** e == product, e
+            product = product * base
+        assert all(q == base ** (e - 1) * base
+                   for e, q in base._powers.items())
 
 
 def _is_monomial(mono):

@@ -3,6 +3,7 @@
 import importlib.util
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -525,13 +526,15 @@ def _eager_candidates(mf, potential_vars):
 
 def test_lazy_candidates_equal_the_eager_list(monkeypatch):
     # on every state auto_reduce visits, the generated candidates are the
-    # eager list in its order; the search reads them one at a time
+    # eager list in its order, stably sorted sparsest entry first, then
+    # lowest power, under a zero potential; the search reads them one at
+    # a time
     search = reduce_module._reduce
     visited = []
 
-    def recording_search(mf, potential_vars, *args):
-        visited.append((mf, potential_vars))
-        return search(mf, potential_vars, *args)
+    def recording_search(mf, potential_vars, zero, budget):
+        visited.append((mf, potential_vars, zero))
+        return search(mf, potential_vars, zero, budget)
 
     monkeypatch.setattr(reduce_module, "_reduce", recording_search)
     workloads = _load_workloads()
@@ -539,14 +542,17 @@ def test_lazy_candidates_equal_the_eager_list(monkeypatch):
         for item in workloads.corpus(workloads.WORKLOADS[name], 1, 20):
             auto_reduce(glue(parse_diagram(item.text)))
     assert len(visited) > 100
-    with_candidates = 0
-    for mf, potential_vars in visited:
-        lazy = reduce_module._exclusion_candidates(mf, potential_vars)
+    with_candidates = Counter()
+    for mf, potential_vars, zero in visited:
+        lazy = reduce_module._exclusion_candidates(mf, potential_vars, zero)
         assert iter(lazy) is lazy    # a generator, not a list
         eager = _eager_candidates(mf, potential_vars)
+        if zero:
+            eager.sort(key=lambda c: (len(getattr(mf.rows[c[0]], c[2]).terms),
+                                      c[3]))
         assert list(lazy) == eager
-        with_candidates += bool(eager)
-    assert with_candidates > 100
+        with_candidates[zero] += bool(eager)
+    assert with_candidates[True] > 100 and with_candidates[False] > 20
 
 
 def _ruled_summands():
@@ -806,15 +812,21 @@ def test_shared_copies_equal_the_unshared_search(monkeypatch):
     # see the same order wherever they meet the same state; a shared rng
     # would drift, since the shared search asks for fewer candidate lists
     # (the rows and rules enter by their degrees and term counts, which
-    # are much cheaper to spell than their polynomials)
+    # are much cheaper to spell than their polynomials); under a zero
+    # potential the shuffle breaks only the ties of the search's order,
+    # which _unshared_reduce sorts by and reduce._exclusion_candidates
+    # owns
     candidates = reduce_module._exclusion_candidates
 
-    def shuffled(mf, potential_vars):
+    def shuffled(mf, potential_vars, zero=False):
         out = list(candidates(mf, potential_vars))
         state = ([(r.deg_a, r.deg_b, len(r.a.terms), len(r.b.terms))
                   for r in mf.rows],
                  [(w, d, len(p.terms)) for w, d, p in mf.base.rules])
         random.Random(repr((out, state, seed))).shuffle(out)
+        if zero:
+            out.sort(key=lambda c: (len(getattr(mf.rows[c[0]], c[2]).terms),
+                                    c[3]))
         return out
 
     # the copy that each split builds, and those the search reduced
