@@ -22,6 +22,7 @@ from .laurent import quantum_integer
 from .moybracket import (MOYGraph, all_path_values, bracket_text,
                          double_loop_value)
 from .poly import DomainError
+from .quotient import InfiniteDimension
 from .reduce import auto_reduce, canonical_form
 
 DOMAIN_ERRORS = (DomainError, OSError)
@@ -159,9 +160,22 @@ def _homology_of(text, signed, command):
     mf = glue(diagram)    # a crossing is refused first
     require_closed(diagram, command)
     reduced, trace = auto_reduce(mf)
-    hom = graded_homology(reduced)
+    try:
+        hom = graded_homology(reduced)
+    except InfiniteDimension as exc:
+        exc.args = ("%s (%s)" % (exc, _where(diagram, exc.variable)),)
+        raise
     euler = euler_characteristic(hom, signed=signed)
     return diagram.n, euler, hom, len(trace)
+
+
+def _where(diagram, variable):
+    """The identifier that names variable's parameter class, numbered as
+    class_variables numbers it, and the line of the piece that writes it."""
+    cls, info = list(diagram.classes.items())[variable[1] - 1]
+    p = next(use[0] for use in (info["in"], info["out"])
+             if use and use[0].params[use[1]] == cls)
+    return "edge %s, line %d" % (cls, p.line)
 
 
 def _json_doc(n, euler, hom, steps):

@@ -27,7 +27,12 @@ class TriangularityViolation(DomainError, ValueError):
 
 
 class InfiniteDimension(DomainError, ValueError):
-    """The quotient is not a finite-dimensional vector space."""
+    """The quotient is not a finite-dimensional vector space: variable
+    leads no rule."""
+
+    def __init__(self, variable):
+        super().__init__("no bounding rule for %s%d" % variable)
+        self.variable = variable
 
 
 class QuotientRing(_Immutable):
@@ -200,7 +205,7 @@ class QuotientRing(_Immutable):
         """Raise InfiniteDimension unless every variable leads a rule."""
         for v in sorted(variables):
             if self.rule_for(v) is None:
-                raise InfiniteDimension("no bounding rule for %s%d" % v)
+                raise InfiniteDimension(v)
 
     def graded_dimension(self, shift=0):
         """Graded dimension of the monomial basis, as a LaurentPoly in q."""

@@ -35,8 +35,11 @@ backtracks depth-first to the first branch that reaches zero rows
 everywhere; after 16 exclusions it settles for first branches instead.
 There it tries the candidates sparsest entry first: by the number of
 terms of the entry it excludes, then by its power, ties in (row,
-variable, side) order.  Exclusions may come in any order (the exclusion
-lemma), and a sparse entry leaves a small substitution or rule behind;
+variable, side) order.  The monic tables that give the powers are read
+one sparsity group at a time, and only as far as the search reads, so
+the dense entries of a node that takes a sparse candidate go untabled.
+Exclusions may come in any order (the exclusion lemma), and a sparse
+entry leaves a small substitution or rule behind;
 in this order every closed-webs item of the benchmark reaches zero rows
 within the budget, where 28 of 84 did not in (row, variable, side)
 order.  A nonzero potential keeps (row, variable, side) order: sorted
@@ -176,11 +179,13 @@ def _exclusion_candidates(mf, potential_vars, zero=False):
     """Feasible (row, var, side, power) in the order the search tries
     them, generated lazily: (row, var, side) order, or under a zero
     potential (zero) sparsest entry first, then lowest power, ties in
-    (row, var, side) order (module docstring).  Only a zero potential
-    lists every monic entry first, to sort them; a power is checked
-    only when the caller reads it, so a search that takes an early
-    candidate never checks the later ones.  The order does not depend
-    on how far the caller reads.
+    (row, var, side) order (module docstring).  A zero potential groups
+    the entries by their number of terms, which needs no monic table, and
+    reads the tables of one group at a time, sparsest first, to sort its
+    candidates: a group's tables are built only when the caller reads
+    past every sparser group.  A power is checked only when the caller
+    reads it, so a search that takes an early candidate never checks the
+    later ones.  The order does not depend on how far the caller reads.
 
     A rule's leader is never a candidate: the base cannot take a second
     rule on it, nor substitute it away.  Nor is a power d >= 2 of v that
@@ -199,10 +204,19 @@ def _exclusion_candidates(mf, potential_vars, zero=False):
                     if v in monic:
                         yield i, v, side, monic[v][0]
 
-    entries = monic_entries()
-    if zero:
-        entries = sorted(entries, key=lambda c: (
-            len(getattr(mf.rows[c[0]], c[2]).terms), c[3]))
+    def sparsest_first():
+        groups = {}
+        for i, row in enumerate(mf.rows):
+            for rank, entry in enumerate((row.b, row.a)):
+                groups.setdefault(len(entry.terms), []).append(
+                    (i, rank, entry))
+        for size in sorted(groups):
+            yield from ((i, v, "ba"[rank], d) for d, i, v, rank in sorted(
+                (d, i, v, rank) for i, rank, entry in groups[size]
+                for v, (d, _) in entry.monic_variables().items()
+                if v not in potential_vars and v not in leaders))
+
+    entries = sparsest_first() if zero else monic_entries()
     for i, v, side, d in entries:
         if d < 2 or not mf.base.rules_reducible_by(v, d):
             yield i, v, side, d

@@ -14,7 +14,7 @@ from moycalc.moybracket import bracket_text
 from moycalc.poly import Poly
 from moycalc.quotient import InfiniteDimension, QuotientRing
 from moycalc.reduce import auto_reduce
-from test_moybracket import _spellings
+from test_moybracket import _respelled
 from test_reduce import _load_workloads
 
 CIRCLE = "n %d\narc x1 x2\nglue x1 x2\n"
@@ -101,13 +101,6 @@ def test_row_free_piece_over_an_infinite_base_is_refused():
     base = QuotientRing().with_rule(X1, 2, Poly.var(("x", 2), 2))
     with pytest.raises(InfiniteDimension, match="^no bounding rule for x2$"):
         graded_homology(KoszulMF((), base))
-
-
-def _respelled(text):
-    """text and its vin/vout and dline spellings (ROADMAP item 12)."""
-    header, (_, *trivalent) = _spellings(text)
-    return [text] + ["\n".join([header] + pieces + glues) + "\n"
-                     for pieces, glues in trivalent]
 
 
 @pytest.mark.parametrize("seed", [1, 2])

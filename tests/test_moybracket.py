@@ -894,6 +894,13 @@ def _spellings(text):
     return header, spelled.values()
 
 
+def _respelled(text):
+    """text and its vin/vout and dline spellings (ROADMAP item 12)."""
+    header, (_, *trivalent) = _spellings(text)
+    return [text] + ["\n".join([header] + pieces + glues) + "\n"
+                     for pieces, glues in trivalent]
+
+
 def test_equal_partial_keys_rank_the_pending_vins_alike():
     # merging partial states on the plain key is exact only if equal keys
     # put each crossing still to resolve at the same rank; closed braids of

@@ -24,7 +24,7 @@ from moycalc.reduce import (NotMonicInVariable, ReductionTrace,
                             auto_reduce, canonical_form, exclude_variable,
                             replay, scale_row, split_free_module)
 from test_acceptance import _random_diagram
-from test_moybracket import SQUARE_WEB, _spellings
+from test_moybracket import SQUARE_WEB, _respelled, _spellings
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -540,7 +540,12 @@ def test_lazy_candidates_equal_the_eager_list(monkeypatch):
     workloads = _load_workloads()
     for name in ("closed-webs", "open-random"):
         for item in workloads.corpus(workloads.WORKLOADS[name], 1, 20):
-            auto_reduce(glue(parse_diagram(item.text)))
+            # the vin/vout and dline spellings bring entries in
+            # d-parameters and side-"a" ties across term counts
+            texts = _respelled(item.text) if name == "closed-webs" else [
+                item.text]
+            for text in texts:
+                auto_reduce(glue(parse_diagram(text)))
     assert len(visited) > 100
     with_candidates = Counter()
     for mf, potential_vars, zero in visited:
@@ -553,6 +558,26 @@ def test_lazy_candidates_equal_the_eager_list(monkeypatch):
         assert list(lazy) == eager
         with_candidates[zero] += bool(eager)
     assert with_candidates[True] > 100 and with_candidates[False] > 20
+
+
+def test_search_tables_only_the_sparsity_groups_it_reaches(monkeypatch):
+    # under a zero potential the candidates are grouped by term count, and
+    # a group's monic tables are built only when the search reads past
+    # every sparser group; tabling every entry of every node built 2 770
+    # tables over 20 768 terms
+    monic_variables = Poly.monic_variables
+    built = []
+
+    def counting(self):
+        if not hasattr(self, "_monic"):
+            built.append(len(self.terms))
+        return monic_variables(self)
+
+    monkeypatch.setattr(Poly, "monic_variables", counting)
+    workloads = _load_workloads()
+    for item in workloads.corpus(workloads.WORKLOADS["closed-webs"], 1, 84):
+        auto_reduce(glue(parse_diagram(item.text)))
+    assert (len(built), sum(built)) == (1460, 3237)
 
 
 def _ruled_summands():
