@@ -19,8 +19,8 @@ import sys
 from .diagram import DiagramError, glue, parse_diagram, require_closed
 from .homology import euler_characteristic, graded_homology
 from .laurent import quantum_integer
-from .moybracket import (MOYGraph, all_path_values, bracket_text,
-                         double_loop_value)
+from .moybracket import (MOYGraph, StuckGraph, all_path_values,
+                         bracket_text, double_loop_value)
 from .poly import DomainError
 from .quotient import InfiniteDimension
 from .reduce import auto_reduce, canonical_form
@@ -204,7 +204,12 @@ def _cmd_homology(args):
 
 
 def _cmd_bracket(args):
-    value = bracket_text(_read_text(args))
+    try:
+        value = bracket_text(_read_text(args))
+    except StuckGraph as exc:
+        exc.args = ("no relation applies; residual graph of the pieces at "
+                    "lines %s" % ", ".join(map(str, exc.lines)),)
+        raise
     if args.json:
         print(json.dumps({"bracket": value.to_json()}, indent=2))
     else:

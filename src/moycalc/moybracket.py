@@ -129,7 +129,6 @@ built and walked on its own.  The merge is exact, not a heuristic, and
 it lives only as long as one call.
 """
 
-import itertools
 from collections import Counter, defaultdict
 from functools import lru_cache
 
@@ -149,11 +148,13 @@ WIRE_SLOTS = {"arc": S0, "dline": SD}
 
 
 class StuckGraph(DomainError, ValueError):
-    """No relation applies to the residual graph."""
+    """No relation applies to the residual graph.  lines are the sorted
+    input lines of the pieces left in it, which _bracket_leaves sets."""
 
     def __init__(self, graph):
         super().__init__("no relation applies; residual graph:\n%s" % graph)
         self.graph = graph
+        self.lines = None
 
 
 class MOYGraph:
@@ -259,14 +260,14 @@ class MOYGraph:
 
     @classmethod
     def from_diagram(cls, diagram):
-        graph, _ = _build(diagram)
+        graph, _, _ = _build(diagram)
         refuse_crossings(diagram)
         return graph
 
 
 def _build(diagram):
-    """The graph of a closed diagram, and the vin/vout pair of each crossing
-    in piece order.
+    """The graph of a closed diagram, the vin/vout pair of each crossing
+    in piece order, and the input line of each vid's piece, indexed by vid.
 
     The vertices are numbered 0, 1, ... in piece order; a wide edge or a
     crossing is a vin/vout pair, numbered in turn and joined by an
@@ -276,13 +277,14 @@ def _build(diagram):
     """
     require_closed(diagram, "bracket")
     g = MOYGraph(diagram.n)
-    vids = itertools.count()
+    lines = []        # vid -> the line of its piece
     endpoint = {}     # (piece, slot) -> port
     pairs = []        # (vin, vout) of each crossing
     wires = []
     for p in diagram.pieces:
         if p.kind in VERTEX_PORTS:
-            vid = next(vids)
+            vid = len(lines)
+            lines.append(p.line)
             g.vertices[vid] = p.kind
             ports = [4 * vid + slot for slot in VERTEX_PORTS[p.kind]]
         elif p.kind in WIRE_SLOTS:
@@ -291,7 +293,8 @@ def _build(diagram):
             wires.append(wire)
             ports = (wire, wire)
         else:
-            win, wout = next(vids), next(vids)
+            win, wout = len(lines), len(lines) + 1
+            lines += [p.line] * 2
             g.vertices[win], g.vertices[wout] = "vin", "vout"
             g.succ[4 * win + SD] = 4 * wout + SD
             ports = (4 * wout + S0, 4 * wout + S1, 4 * win + S0, 4 * win + S1)
@@ -303,7 +306,7 @@ def _build(diagram):
         g.succ[endpoint[info["out"]]] = endpoint[info["in"]]
     g.pred = {dst: src for src, dst in g.succ.items()}
     g.splice([port >> 2 for port in wires], [(port, port) for port in wires])
-    return g, pairs
+    return g, pairs, lines
 
 
 # -- relation matching -------------------------------------------------------
@@ -580,9 +583,10 @@ def _bracket_leaves(diagram):
     distinct resolution is walked once, in the order its key first
     appeared, and its leaves are shifted by its starts.  That is the
     order of its first resolution in expand_crossings, so StuckGraph
-    names the graph a walk of every resolution would stop at.
+    names the graph a walk of every resolution would stop at, and the
+    input lines of the pieces left in it.
     """
-    graph, pairs = _build(diagram)
+    graph, pairs, lines = _build(diagram)
     n = diagram.n
     crossings = [p for p in diagram.pieces if p.kind in CROSSINGS]
     level = {_resolution_key(graph): (graph, {(0, 0): 1})}
@@ -607,7 +611,12 @@ def _bracket_leaves(diagram):
         level = merged
     total = Counter()
     for g, starts in level.values():
-        for (a, *powers), count in _walk(g).items():
+        try:
+            leaves = _walk(g)
+        except StuckGraph as exc:
+            exc.lines = sorted({lines[v] for v in exc.graph.vertices})
+            raise
+        for (a, *powers), count in leaves.items():
             for (k, a0), sign in starts.items():
                 total[(k, a0 + a, *powers)] += sign * count
     return total

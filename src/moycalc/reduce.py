@@ -12,19 +12,10 @@ gives an int, and only the others a Fraction.
 A row with a unit entry stays: K(1; b) is contractible, so the whole
 summand is zero, and its homology reads as zero.
 
-A power rule v^d -> repl (d >= 2) that must close a cycle through an
-unbounded variable is refused before any work on it, by the check that
-with_rule makes on v: quotient.cyclic_closure, here called on the base's
-rules and the variables of the entry c*v^d + (lower in v), normal over
-those rules.  Where it refuses, with_rule must refuse the rule:
-  1. v is no leader (with_rule refuses a second rule on it at once), so
-     repl = v^d - entry/c is normal already, and its variables other
-     than v are the entry's.
-  2. cyclic_closure reaches the same closure with or without v's rule,
-     so with_rule's call on the new rules and repl's variables refuses
-     too, unless with_rule has refused the rule before it gets there.
-A linear entry (d = 1) is substituted into the rules, where cancellation
-could undo the cycle, so it always takes the exact path.
+Only the base ring judges whether it can take a rule: with_rule, or
+substitute for d = 1, refuses one it cannot take, such as a power rule
+that closes a cycle through an unbounded variable, and the search skips
+that candidate.
 
 auto_reduce drives exclusions to a fixpoint and splits the base module
 along a rule where none is left.  Exclusions and splits keep the
@@ -35,9 +26,10 @@ backtracks depth-first to the first branch that reaches zero rows
 everywhere; after 16 exclusions it settles for first branches instead.
 There it tries the candidates sparsest entry first: by the number of
 terms of the entry it excludes, then by its power, ties in (row,
-variable, side) order.  The monic tables that give the powers are read
-one sparsity group at a time, and only as far as the search reads, so
-the dense entries of a node that takes a sparse candidate go untabled.
+variable, side) order.  In either order the monic tables that give the
+powers are built one group of entries at a time (a sparsity group, or a
+row), and only as far as the search reads, so a node that takes an early
+candidate leaves the later groups untabled.
 Exclusions may come in any order (the exclusion lemma), and a sparse
 entry leaves a small substitution or rule behind;
 in this order every closed-webs item of the benchmark reaches zero rows
@@ -65,7 +57,7 @@ from operator import itemgetter
 
 from .poly import (DomainError, Poly, mono_sort_key, mono_variables, qdiv,
                    var_degree)
-from .quotient import QuotientRing, TriangularityViolation, cyclic_closure
+from .quotient import QuotientRing, TriangularityViolation
 from .mf import KoszulMF, MFSum
 
 
@@ -108,8 +100,8 @@ def exclude_variable(mf, i, v, side, potential_vars=None):
     potential_vars, the variables of mf's potential, is computed when not
     given; exclusion leaves it unchanged, so a search passes it down.
 
-    A power rule that closes a cycle through an unbounded variable is
-    refused before any normal form (proof in the module docstring).
+    The new base ring is the only judge of the rule (module docstring):
+    a rule it cannot take raises TriangularityViolation.
     """
     if side not in ("a", "b"):
         raise ValueError("side must be 'a' or 'b', not %r" % (side,))
@@ -125,8 +117,6 @@ def exclude_variable(mf, i, v, side, potential_vars=None):
     d, c = data
     if v in potential_vars:
         raise VariableInPotential("potential contains %s%d" % v)
-    if d >= 2:
-        cyclic_closure(mf.base.rules, v, entry.variables())
 
     repl = Poly.var(v, d) + entry.divided(-c)     # v^d - entry/c
     rows = [r for k, r in enumerate(mf.rows) if k != i]
@@ -179,13 +169,14 @@ def _exclusion_candidates(mf, potential_vars, zero=False):
     """Feasible (row, var, side, power) in the order the search tries
     them, generated lazily: (row, var, side) order, or under a zero
     potential (zero) sparsest entry first, then lowest power, ties in
-    (row, var, side) order (module docstring).  A zero potential groups
-    the entries by their number of terms, which needs no monic table, and
-    reads the tables of one group at a time, sparsest first, to sort its
-    candidates: a group's tables are built only when the caller reads
-    past every sparser group.  A power is checked only when the caller
-    reads it, so a search that takes an early candidate never checks the
-    later ones.  The order does not depend on how far the caller reads.
+    (row, var, side) order (module docstring).  Both orders group the
+    entries, by their number of terms under a zero potential and by row
+    otherwise, which needs no monic table, and read the groups in key
+    order: a group's tables are built, and its candidates sorted, only
+    when the caller reads past every earlier group.  A power is checked
+    only when the caller reads it, so a search that takes an early
+    candidate never checks the later ones.  The order does not depend on
+    how far the caller reads.
 
     A rule's leader is never a candidate: the base cannot take a second
     rule on it, nor substitute it away.  Nor is a power d >= 2 of v that
@@ -193,33 +184,19 @@ def _exclusion_candidates(mf, potential_vars, zero=False):
     with_rule always refuses it.
     """
     leaders = {w for w, _, _ in mf.base.rules}
-
-    def monic_entries():
-        for i, row in enumerate(mf.rows):
-            monic_b, monic_a = row.b.monic_variables(), row.a.monic_variables()
-            for v in sorted(monic_b.keys() | monic_a.keys()):
-                if v in potential_vars or v in leaders:
-                    continue
-                for side, monic in (("b", monic_b), ("a", monic_a)):
-                    if v in monic:
-                        yield i, v, side, monic[v][0]
-
-    def sparsest_first():
-        groups = {}
-        for i, row in enumerate(mf.rows):
-            for rank, entry in enumerate((row.b, row.a)):
-                groups.setdefault(len(entry.terms), []).append(
-                    (i, rank, entry))
-        for size in sorted(groups):
-            yield from ((i, v, "ba"[rank], d) for d, i, v, rank in sorted(
-                (d, i, v, rank) for i, rank, entry in groups[size]
+    groups = {}
+    for i, row in enumerate(mf.rows):
+        for rank, entry in enumerate((row.b, row.a)):
+            groups.setdefault(len(entry.terms) if zero else i, []).append(
+                (i, rank, entry))
+    for key in sorted(groups):
+        for _, i, v, rank, d in sorted(
+                (d if zero else 0, i, v, rank, d)
+                for i, rank, entry in groups[key]
                 for v, (d, _) in entry.monic_variables().items()
-                if v not in potential_vars and v not in leaders))
-
-    entries = sparsest_first() if zero else monic_entries()
-    for i, v, side, d in entries:
-        if d < 2 or not mf.base.rules_reducible_by(v, d):
-            yield i, v, side, d
+                if v not in potential_vars and v not in leaders):
+            if d < 2 or not mf.base.rules_reducible_by(v, d):
+                yield i, v, "ba"[rank], d
 
 
 def _splittable_variables(mf):

@@ -298,6 +298,24 @@ def test_infinite_dimension_message_ignores_hash_seed(tmp_path):
     assert code == 0 and "rule: " in out
 
 
+def test_stuck_bracket_names_the_lines_of_its_residual_graph(tmp_path):
+    # no relation reduces the closure of (W1 W0)^3 at n = 4; the error is
+    # one line naming the lines of the wide pieces left in the residual
+    # graph (lines 5-10), the same under both hash seeds
+    path = tmp_path / "stuck.moy"
+    path.write_text(_closure_text(4, 3, [("wide", 1), ("wide", 0)] * 3))
+    src = str(Path(moycalc.__file__).resolve().parents[1])
+    runs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "moycalc.cli", "bracket", str(path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        runs.add((run.returncode, run.stdout, run.stderr))
+    assert runs == {(1, "", "error: %s: no relation applies; residual graph "
+                     "of the pieces at lines 5, 6, 7, 8, 9, 10\n" % path)}
+
+
 def test_large_n_runs_without_recursion(tmp_path, capsys):
     # f_n and the closure's homology raise x1 to about n: a power computed
     # one level of recursion per exponent would pass the interpreter's

@@ -5,10 +5,8 @@ Texts are the benchmark corpora with one or two line-level mutations
 2..12, append a token) and random closed webs built from every piece
 kind.  Every command runs in process through ``cli.main``, 30 % of the
 runs with ``--json``.  Each run must return 0 or 1 and raise nothing, and
-on 1 the first line of stderr must start with ``error: ``: every failure
+on 1 stderr must be one line that starts with ``error: ``: every failure
 is a ``DomainError`` (or an unreadable file), which the CLI reports.
-A ``StuckGraph`` message goes on with the residual graph, so a message
-may span several lines.
 """
 
 import contextlib
@@ -112,6 +110,7 @@ def test_every_run_exits_0_or_reports_an_error(seed, tmp_path):
             assert status in (0, 1), (argv, text)
             if status:
                 assert err.getvalue().startswith("error: "), (argv, text)
+                assert err.getvalue().count("\n") == 1, (argv, text)
             else:
                 assert not err.getvalue(), (argv, text)
     # the texts reach both outcomes

@@ -466,7 +466,7 @@ def _partial_states(diagram, depth):
     resolved, each spliced on its own copy of the built graph, in the
     order of its choices (arcs before wide, the first crossing outermost),
     and the vin/vout pair of each crossing."""
-    graph, pairs = _build(diagram)
+    graph, pairs, _ = _build(diagram)
     states = []
     for choice in itertools.product((True, False), repeat=depth):
         arcs = [pair for pair, a in zip(pairs, choice) if a]
@@ -630,7 +630,7 @@ def _count_leaves(graph, leaves, sign, exps):
 def _every_resolution_walked(diagram):
     """The leaves of every resolution, each spliced on its own copy of the
     built graph and walked from its skein start: no tree, no sharing."""
-    graph, pairs = _build(diagram)
+    graph, pairs, _ = _build(diagram)
     pair_of = dict(zip((p for p in diagram.pieces if p.kind in CROSSINGS),
                        pairs))
     leaves = Counter()

@@ -561,10 +561,11 @@ def test_lazy_candidates_equal_the_eager_list(monkeypatch):
 
 
 def test_search_tables_only_the_sparsity_groups_it_reaches(monkeypatch):
-    # under a zero potential the candidates are grouped by term count, and
-    # a group's monic tables are built only when the search reads past
-    # every sparser group; tabling every entry of every node built 2 770
-    # tables over 20 768 terms
+    # the candidates are grouped, by term count under a zero potential
+    # (closed webs) and by row otherwise (open-random), and a group's
+    # monic tables are built only when the search reads past every
+    # earlier group; on closed webs, tabling every entry of every node
+    # built 2 770 tables over 20 768 terms
     monic_variables = Poly.monic_variables
     built = []
 
@@ -575,9 +576,12 @@ def test_search_tables_only_the_sparsity_groups_it_reaches(monkeypatch):
 
     monkeypatch.setattr(Poly, "monic_variables", counting)
     workloads = _load_workloads()
-    for item in workloads.corpus(workloads.WORKLOADS["closed-webs"], 1, 84):
-        auto_reduce(glue(parse_diagram(item.text)))
-    assert (len(built), sum(built)) == (1460, 3237)
+    for workload, items, tables in (("closed-webs", 84, (1460, 3237)),
+                                    ("open-random", 82, (961, 7104))):
+        built.clear()
+        for item in workloads.corpus(workloads.WORKLOADS[workload], 1, items):
+            auto_reduce(glue(parse_diagram(item.text)))
+        assert (len(built), sum(built)) == tables, workload
 
 
 def _ruled_summands():
