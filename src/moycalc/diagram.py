@@ -424,6 +424,8 @@ def crossing_complex(sign, n, params=(("x", 1), ("x", 2), ("x", 3), ("x", 4))):
         raise DiagramError("sign must be '+' or '-'")
     if n < 2:
         raise UnsupportedN("n must be >= 2")
+    if len(params) != 4:
+        raise ArityMismatch("a crossing takes 4 parameters")
     x1, x2, x3, x4 = params
     arcs = (build_primitive("arc", n, (x3, x1))
             @ build_primitive("arc", n, (x4, x2)))

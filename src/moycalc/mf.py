@@ -131,20 +131,6 @@ class KoszulMF(_Immutable):
     potential, if given, is the potential as the caller already knows it
     (see the module docstring); it must equal what potential() would
     compute from the rows.  Without rows the potential is 0.
-
-    _from_normal builds one without the scan, for rows the caller knows
-    are normal over the base.  A monomial is normal exactly when no
-    leader power v^d of a rule divides it, so normality depends only on
-    each entry's monomial set and on the rules' (leader, power) pairs.
-    Its callers:
-      - shifted and translate: the rows and the base are self's;
-      - flip_row, reduce.scale_row and reduce._normalize_rows: the base
-        is self's, and (-b; -a), (c*a; b/c) keep each entry's monomials;
-      - reduce._first_copy: its base drops one rule, so it has fewer
-        leader powers, and a monomial that none of the larger base's
-        divides is normal over it.
-    After a renaming, a substitution or a new rule the monomials or the
-    leader powers change, so those paths scan.
     """
 
     __slots__ = ("rows", "base", "shift", "parity", "_potential")
@@ -154,17 +140,6 @@ class KoszulMF(_Immutable):
         rows = tuple(rows)
         if base.rules:
             rows = tuple(r.mapped(base.normal_form) for r in rows)
-        self._fill(rows, base, shift, parity, potential)
-
-    @classmethod
-    def _from_normal(cls, rows, base, shift, parity):
-        """KoszulMF(rows, base, shift, parity) for rows normal over base,
-        without normal forms: the rows are kept as the same objects."""
-        mf = object.__new__(cls)
-        mf._fill(tuple(rows), base, shift, parity, None)
-        return mf
-
-    def _fill(self, rows, base, shift, parity, potential):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "shift", shift)
@@ -198,22 +173,28 @@ class KoszulMF(_Immutable):
 
     __matmul__ = tensor
 
+    def row(self, i):
+        """Row i, for the operations on one row; a ValueError for an i
+        outside 0..len(rows) - 1, so a negative i names no row."""
+        if not 0 <= i < len(self.rows):
+            raise ValueError("row %d out of range for %d rows"
+                             % (i, len(self.rows)))
+        return self.rows[i]
+
     def shifted(self, m):
-        return KoszulMF._from_normal(self.rows, self.base, self.shift + m,
-                                     self.parity)
+        return KoszulMF(self.rows, self.base, self.shift + m, self.parity)
 
     def translate(self):
-        return KoszulMF._from_normal(self.rows, self.base, self.shift,
-                                     self.parity + 1)
+        return KoszulMF(self.rows, self.base, self.shift, self.parity + 1)
 
     def flip_row(self, i):
         """Rewrite using row_i = row_i<1><1>: same object, row i becomes
         (-b; -a), the compensating shift is absorbed, parity flips."""
+        row = self.row(i)
         rows = list(self.rows)
-        delta = rows[i].internal_shift
-        rows[i] = rows[i].flipped()
-        return KoszulMF._from_normal(rows, self.base, self.shift + delta,
-                                     self.parity + 1)
+        rows[i] = row.flipped()
+        return KoszulMF(rows, self.base, self.shift + row.internal_shift,
+                        self.parity + 1)
 
     def ambient_variables(self):
         out = set()

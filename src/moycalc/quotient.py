@@ -237,10 +237,11 @@ def _check_acyclic(rules):
     below its power; that is just monicity.
 
     Cyclic dependencies can break that basis property silently.  A leader
-    on a cycle is checked on its closure (cyclic_closure): a closure of
-    leaders only is a finite-dimensional closed subsystem, whose basis
-    property is checked degree by degree by linear algebra.  A closure
-    with any other variable is rejected.
+    on a cycle is checked on its closure, what the variables of its
+    replacement other than itself reach through the replacements: a
+    closure of leaders only is a finite-dimensional closed subsystem,
+    whose basis property is checked degree by degree by linear algebra.
+    A closure with any other variable is rejected.
 
     Only the new leader v is checked.  That reaches the same verdict and
     message as checking every leader, because the rules before v's passed
@@ -254,30 +255,15 @@ def _check_acyclic(rules):
          contain v, which led no rule; v's rule leaves it as it was.
     """
     v, _, repl = rules[-1]
-    closure = cyclic_closure(rules, v, repl.variables())
-    if closure is not None:
-        by_leader = {rule[0]: rule for rule in rules}
-        _verify_staircase([by_leader[w] for w in sorted(closure)])
-
-
-def cyclic_closure(rules, v, variables):
-    """The closure of a replacement for v when it reaches back to v, else
-    None; raises TriangularityViolation when that closure holds a
-    non-leader other than v.
-
-    variables are the replacement's (or those of an entry monic in v);
-    the closure is what those other than v reach through the rules'
-    replacements.  rules need not hold v's own rule: reaching v adds only
-    the replacement's variables, which the closure holds already.
-    """
-    closure = frozenset(_reach(variables - {v}, rules))
+    closure = _reach(repl.variables() - {v}, rules)
     if v not in closure:
-        return None
-    unbounded = closure - {w for w, _, _ in rules} - {v}
+        return
+    by_leader = {rule[0]: rule for rule in rules}
+    unbounded = closure - by_leader.keys()
     if unbounded:
         raise TriangularityViolation(
             "cyclic rules through unbounded variable %s%d" % min(unbounded))
-    return closure
+    _verify_staircase([by_leader[w] for w in sorted(closure)])
 
 
 def _reach(variables, rules):

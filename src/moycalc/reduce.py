@@ -86,8 +86,8 @@ class ReductionTrace:
 def scale_row(mf, i, c):
     """Lemma-equiv rescaling: row i becomes (c*a; b/c)."""
     rows = list(mf.rows)
-    rows[i] = rows[i].scaled(c)
-    return KoszulMF._from_normal(rows, mf.base, mf.shift, mf.parity)
+    rows[i] = mf.row(i).scaled(c)
+    return KoszulMF(rows, mf.base, mf.shift, mf.parity)
 
 
 def exclude_variable(mf, i, v, side, potential_vars=None):
@@ -105,11 +105,9 @@ def exclude_variable(mf, i, v, side, potential_vars=None):
     """
     if side not in ("a", "b"):
         raise ValueError("side must be 'a' or 'b', not %r" % (side,))
-    if not 0 <= i < len(mf.rows):
-        raise ValueError("row %d out of range for %d rows" % (i, len(mf.rows)))
+    row = mf.row(i)
     if potential_vars is None:
         potential_vars = mf.potential().variables()
-    row = mf.rows[i]
     entry = row.b if side == "b" else row.a
     data = entry.monic_variables().get(v)
     if data is None:
@@ -147,10 +145,9 @@ def split_free_module(mf, v):
 
 
 def _first_copy(mf, v):
-    """Copy 0 of the split along v's rule: mf over the base without it,
-    whose rows stay normal (KoszulMF's docstring)."""
+    """Copy 0 of the split along v's rule: mf over the base without it."""
     base = QuotientRing([r for r in mf.base.rules if r[0] != v])
-    return KoszulMF._from_normal(mf.rows, base, mf.shift, mf.parity)
+    return KoszulMF(mf.rows, base, mf.shift, mf.parity)
 
 
 def _residual(mf, v):
@@ -308,7 +305,7 @@ def _normalize_rows(mf):
             row = row.scaled(qdiv(1, lc))
         rows.append(row)
     rows.sort(key=_row_key)
-    return KoszulMF._from_normal(rows, mf.base, mf.shift, mf.parity)
+    return KoszulMF(rows, mf.base, mf.shift, mf.parity)
 
 
 def _relabel(mf):

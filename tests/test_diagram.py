@@ -398,3 +398,10 @@ def test_primitive_matches_the_dividing_reference():
                 assert got.potential() == _rows_potential(want), (
                     cache, kind, n, params)
     assert diagram._template.cache_info().hits > 0
+
+
+def test_crossing_complex_refuses_a_wrong_arity():
+    for params in ((("x", 1), ("x", 2), ("x", 3)),
+                   tuple(("x", k) for k in range(1, 6))):
+        with pytest.raises(ArityMismatch, match="takes 4 parameters"):
+            crossing_complex("+", 3, params)

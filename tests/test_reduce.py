@@ -15,8 +15,7 @@ from moycalc.mf import KoszulMF, KoszulRow, MFSum, ZeroScalar, koszul_new
 from moycalc.poly import (UNIT, Poly, mono_exponent, mono_mul, mono_power,
                           mono_variables, monomials_of_degree, qdiv)
 from moycalc import quotient
-from moycalc.quotient import (QuotientRing, TriangularityViolation,
-                              cyclic_closure)
+from moycalc.quotient import QuotientRing, TriangularityViolation
 from moycalc import reduce as reduce_module
 from moycalc.symm import jacobi_algebra
 from moycalc.reduce import (NotMonicInVariable, ReductionTrace,
@@ -210,6 +209,23 @@ def _walked_states(workload, items, per_item):
                 states.extend(split_free_module(mf, var))
 
 
+def _cyclic_closure(rules, v, variables):
+    """The closure of what variables other than v reach through the
+    rules' replacements when it reaches back to v, else None; raises
+    TriangularityViolation when it holds a non-leader other than v.
+    rules need not hold v's own rule, and variables may be those of an
+    entry monic in v: the general form of with_rule's acyclicity check,
+    which decides from the rules alone."""
+    closure = frozenset(quotient._reach(variables - {v}, rules))
+    if v not in closure:
+        return None
+    unbounded = closure - {w for w, _, _ in rules} - {v}
+    if unbounded:
+        raise TriangularityViolation(
+            "cyclic rules through unbounded variable %s%d" % min(unbounded))
+    return closure
+
+
 def _refused(step):
     try:
         step()
@@ -235,8 +251,8 @@ def test_early_refusal_is_exactly_with_rules_refusal(workload, items,
             entry = mf.rows[i].b if side == "b" else mf.rows[i].a
             _, c = entry.monic_variables()[var]
             repl = Poly.var(var, d) - entry * qdiv(1, c)
-            early = _refused(lambda: cyclic_closure(rules, var,
-                                                    entry.variables()))
+            early = _refused(lambda: _cyclic_closure(rules, var,
+                                                     entry.variables()))
             assert early == _refused(lambda: mf.base.with_rule(var, d, repl))
             checked += 1
             refused += early
@@ -412,41 +428,42 @@ def test_exact_division_is_the_old_division():
     assert got.rows[0].b == repl * v(Y1)
 
 
-def _assert_normal_without_scan(mf):
-    """mf is what the scanning constructor makes of its fields, with the
-    same row objects."""
-    want = KoszulMF(mf.rows, mf.base, mf.shift, mf.parity)
-    assert mf == want
-    assert all(got is row for got, row in zip(mf.rows, want.rows,
-                                              strict=True))
+@pytest.mark.parametrize("workload,items,per_item",
+                         [("closed-webs", 12, 12), ("open-random", 20, 8)])
+def test_row_operations_hand_on_untouched_rows(workload, items, per_item):
+    # the constructor's scan keeps a normal row as the same object, so an
+    # operation over the same base, or a base with one rule fewer, hands
+    # on every row it does not change as it is
+    def same_rows(got, mf, changed=None):
+        assert len(got.rows) == len(mf.rows)
+        return all(new is old for k, (new, old)
+                   in enumerate(zip(got.rows, mf.rows)) if k != changed)
+
+    checked = Counter()
+    for mf, _ in _walked_states(workload, items, per_item):
+        assert same_rows(mf.shifted(3), mf)
+        assert same_rows(mf.translate(), mf)
+        for i in range(len(mf.rows)):
+            assert same_rows(mf.flip_row(i), mf, i)
+            assert same_rows(scale_row(mf, i, -2), mf, i)
+        for leader, _, _ in mf.base.rules:
+            assert same_rows(reduce_module._first_copy(mf, leader), mf)
+            checked["first copy"] += 1
+        checked["rows"] += len(mf.rows)
+        checked["ruled"] += bool(mf.rows and mf.base.rules)
+    assert min(checked.values()) > 0, checked
 
 
-def test_unscanned_factorizations_hold_normal_rows(monkeypatch):
-    # every factorization that auto_reduce builds without the normal-form
-    # scan has rows normal over its base
-    made = []
-    from_normal = KoszulMF._from_normal
-
-    def recording(cls, *fields):
-        out = from_normal(*fields)
-        made.append(out)
-        return out
-
-    monkeypatch.setattr(KoszulMF, "_from_normal", classmethod(recording))
-    workloads = _load_workloads()
-    for name in ("closed-webs", "open-random"):
-        for item in workloads.corpus(workloads.WORKLOADS[name], 1, 24):
-            auto_reduce(glue(parse_diagram(item.text)))
-    assert any(mf.base.rules for mf in made)
-    for mf in made:
-        _assert_normal_without_scan(mf)
-    # one row that the base reduces fails the check
-    base = QuotientRing().with_rule(X1, 2, v(X2, 2))
-    rows = [KoszulRow(Poly(), v(X1) - v(X2), 0, 2),
-            KoszulRow(Poly(), v(X1, 2) * v(Y1), 0, 6)]
-    _assert_normal_without_scan(KoszulMF._from_normal(rows[:1], base, 0, 0))
-    with pytest.raises(AssertionError):
-        _assert_normal_without_scan(KoszulMF._from_normal(rows, base, 0, 0))
+@pytest.mark.parametrize("operation", [
+    lambda mf, i: mf.flip_row(i),
+    lambda mf, i: scale_row(mf, i, 2),
+    lambda mf, i: exclude_variable(mf, i, Z1, "b")])
+def test_row_operations_refuse_a_row_outside_the_rows(operation):
+    m = _two_linear_rows()
+    for i in (-1, len(m.rows)):
+        with pytest.raises(ValueError,
+                           match="^row %d out of range for 2 rows$" % i):
+            operation(m, i)
 
 
 def test_exclusions_repeat_refusals_and_rings():
