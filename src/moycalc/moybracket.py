@@ -61,58 +61,75 @@ bracket_text builds the graph once and resolves its crossings one level
 at a time, in piece order, without ever building all 2^c resolutions.
 A partial state, with the first d crossings resolved, is keyed by its
 plain order-relative key.  Each level maps a key to one representative
-graph and a dict of skein starts {(k, a): sign} summed over every way
+graph and a dict of skein starts {(k, a, b): sign} summed over every way
 of reaching it.  A state has two children: its arcs child is the
 crossing's pair spliced on a copy of the state's graph, and its starts
 gain ±(n-1) in k; its wide child is the state's own graph, and its
 starts gain ±n in k and flip sign.  Before the next crossing is
-resolved, every digon of a child whose two vertices lie below that
-crossing's vin is spliced in place, and its factor [2] raises a in the
-child's starts.  Each child is then merged into the next level on its
-key, in the order of first appearance; a wide child none of whose
-digons went keeps its parent's key.  After the last level each distinct
-resolution is walked once, and its leaves are shifted by its starts
-before all are evaluated together.
+resolved, the digons and bigons of a child whose two vertices lie below
+that crossing's vin are spliced in place, to a fixpoint (_contract):
+each factor [2] raises a and each [n-1] raises b in the child's starts.
+Each child is then merged into the next level on its key, in the order
+of first appearance; a wide child that lost no vertex keeps its
+parent's key.  After the last level each distinct resolution is walked
+once, and its leaves are shifted by its starts before all are evaluated
+together.  The last level is left to the walk.
 
-Splicing those digons early is exact, and reaches the very graphs the
-walks would:
+Splicing those digons and bigons early is exact in value:
 
-  - the later arcs splices of a call delete only the vertices of
-    crossings still to resolve, all at or above the next vin, so they
-    touch neither vertex of such a digon nor its two edges w -> v: the
-    digon is in every resolution below the state;
-  - a walk splices every digon of its graph before any bigon or
-    square, since digons come first in RELATIONS, and a digon splice
-    rewires only double edges, so it makes and breaks no other digon;
-  - digons are vertex-disjoint, and their splices commute, so the
-    early splices and the walk's own digons reach the graph the walk's
-    digon phase would reach, with the same vids, the same loops and the
-    same count of factors [2];
+  - persistence: the later arcs splices of a call delete only the
+    vertices of crossings still to resolve, all at or above the next
+    vin, and a splice keeps every edge between two vertices it keeps.
+    So a digon or bigon below that vin, with its two vertices and the
+    edges between them, is in every resolution below the state, and its
+    splice commutes with those arcs splices;
+  - confluence: two digon or bigon splices that share no vertex
+    commute, as each reroutes only the strands through its own two
+    vertices and leaves the other's match in place.  Either vertex
+    fixes the other in a digon, and in a bigon up to its back edge.  A
+    digon and a bigon that share a vertex share both, as the bigon's
+    single edge is one of the digon's two: together they are an
+    isolated theta, a vin v and a vout w with v -> w double and both
+    singles w -> v, the one place where a bigon has two back edges.
+    That is the one critical pair: the digon leaves a double loop and
+    [2], the bigon a single loop and [n-1], of equal value
+    [2] D = [n-1] [n].
+    Every splice deletes two vertices, so by Newman's lemma every order
+    of splicing digons and bigons, all of them or all below one vid,
+    ends at the same vertices and edges, the same number of loops and
+    the same value of factors times loops.  Only how many of the loops
+    are single, and so the exponents a, b, ls and ld, can differ;
   - only vertices below the next vin go, so every vertex from that vin
     on stays in every state of the level, which the keys below rely on.
 
-From there on every walk makes the rewrites it would have made on the
-resolution as built, so the leaves, and the graph a StuckGraph names,
-stay the same.  The last level is left to the walk.  Bigons are not
-spliced early: that would change which rewrites the walk makes, and so
-its leaves, though not their value.
+A walk splices every digon and bigon of its graph before any square, as
+they come first in RELATIONS.  By persistence, a resolution reached
+through the early splices is the resolution as built with some of its
+digons and bigons spliced; by confluence, its walk and the walk of the
+resolution as built reach the same graph before their first square,
+with loops and factors of equal value.  The matchers read no loop
+count, so from there both make the same rewrites at the same vertices.
+Their leaves differ at most by the theta's trade and have the same
+value after _evaluate.  Squares, whose rewrite is a sum of two terms,
+are left to the walk.
 
 The plain key is enough to merge on.  _build numbers the vertices in
 piece order, so every resolved crossing's ids lie below the ids of every
 crossing still to resolve, and a splice never makes a vertex.  At depth
 d every vertex from the vin of the crossing at depth d on is in every
-state of the level: an arcs splice deletes a resolved crossing's pair
-and a digon splice two vertices below that vin.  Equal keys mean equal
-vertex counts, so two such states keep equally many vertices below it.
-A crossing still to resolve has the same vertices between that vin and
-its own in both, so it has the same rank in both: the same crossings
-are still to resolve at the same places, and the same subtree of
-resolutions lies below.
+state of the level: an arcs splice deletes a resolved crossing's pair,
+and a digon or bigon splice two vertices below that vin.  Equal keys
+mean equal vertex counts, so two such states keep equally many vertices
+below it.  A crossing still to resolve has the same vertices between
+that vin and its own in both, so it has the same rank in both: the same
+crossings are still to resolve at the same places, and the same subtree
+of resolutions lies below.  Equal keys also put the same vertices below
+the next vin, so _contract makes matched splices on both.
 
-A wide child's digons are spliced on the state's own graph only after
-the arcs child has been copied from it, and a level's graph belongs to
-one of its keys, so no splice reaches a graph another state holds.  The
-first representative of every key is the first child that reached it.
+A wide child is contracted on the state's own graph only after the arcs
+child has been copied from it, and a level's graph belongs to one of
+its keys, so no splice reaches a graph another state holds.  The first
+representative of every key is the first child that reached it.
 
 A parent's arcs child comes before its wide child, and the parents of a
 level come in the order of their smallest resolution prefix (arcs before
@@ -120,13 +137,16 @@ wide, the first crossing outermost); so does each key's first
 appearance.  Hence the walks are of the first resolution of each key in
 the order of expand_crossings.  A stuck graph raises StuckGraph and ends
 the call.
-Resolutions of one key stick alike (the induction above), so the first
-resolution that sticks in expand_crossings order is the first of its
-key, and every key walked before it is that of an earlier resolution,
-which sticks nowhere.  So the graph a StuckGraph names is the first stuck
-graph in expand_crossings order, exactly as if every resolution were
-built and walked on its own.  The merge is exact, not a heuristic, and
-it lives only as long as one call.
+Resolutions of one key stick alike (the induction above), and whether a
+resolution sticks does not depend on which of its digons and bigons went
+early, so the first resolution that sticks in expand_crossings order is
+the first of its key, and every key walked before it is that of an
+earlier resolution, which sticks nowhere.  So a StuckGraph names the
+graph at which the first stuck resolution in expand_crossings order
+sticks, with the vertices and edges, and so the input lines, of
+evaluating every resolution on its own; its counts of single and double
+loops may differ from that evaluation's by thetas traded.  The merge is
+exact, not a heuristic, and it lives only as long as one call.
 """
 
 from collections import Counter, defaultdict
@@ -575,26 +595,27 @@ def _bracket_leaves(diagram):
 
     The crossings are resolved level by level in piece order, and equal
     partial states are merged: a level maps each key to its first graph
-    and its summed skein starts {(k, a): sign}.  Each state's arcs child
-    is spliced on a copy of its graph and its wide child is the graph
-    itself; each child has its digons below the next crossing's vin
-    spliced in place (_contract_digons) and is merged on its key, which
-    a wide child without such digons keeps from its parent.  Then each
-    distinct resolution is walked once, in the order its key first
+    and its summed skein starts {(k, a, b): sign}.  Each state's arcs
+    child is spliced on a copy of its graph and its wide child is the
+    graph itself; each child has its digons and bigons below the next
+    crossing's vin spliced in place (_contract) and is merged on its key,
+    which a wide child that lost no vertex keeps from its parent.  Then
+    each distinct resolution is walked once, in the order its key first
     appeared, and its leaves are shifted by its starts.  That is the
     order of its first resolution in expand_crossings, so StuckGraph
-    names the graph a walk of every resolution would stop at, and the
-    input lines of the pieces left in it.
+    names the graph a walk of every resolution would stop at, up to the
+    kinds of its free loops, and the input lines of the pieces left in
+    it.
     """
     graph, pairs, lines = _build(diagram)
     n = diagram.n
     crossings = [p for p in diagram.pieces if p.kind in CROSSINGS]
-    level = {_resolution_key(graph): (graph, {(0, 0): 1})}
+    level = {_resolution_key(graph): (graph, {(0, 0, 0): 1})}
     for depth, (p, (win, wout)) in enumerate(zip(crossings, pairs)):
         s = 1 if p.kind == "xplus" else -1
         stitches = [(4 * win + S0, 4 * wout + S0),
                     (4 * win + S1, 4 * wout + S1)]
-        # digons go below the next crossing's vin, which is at least 2;
+        # splices go below the next crossing's vin, which is at least 2;
         # after the last crossing they are left to the walk
         below = pairs[depth + 1][0] if depth + 1 < len(pairs) else 0
         merged = {}
@@ -602,12 +623,12 @@ def _bracket_leaves(diagram):
             arcs = g.copy()
             arcs.splice((win, wout), stitches)
             for child, dk, flip in ((arcs, s * (n - 1), 1), (g, s * n, -1)):
-                da = _contract_digons(child, below) if below else 0
-                child_key = (key if child is g and not da
+                da, db = _contract(child, below) if below else (0, 0)
+                child_key = (key if child is g and not (da or db)
                              else _resolution_key(child))
                 if child_key not in merged:
                     merged[child_key] = (child, {})
-                _add_starts(merged[child_key][1], starts, dk, da, flip)
+                _add_starts(merged[child_key][1], starts, dk, da, db, flip)
         level = merged
     total = Counter()
     for g, starts in level.values():
@@ -616,42 +637,69 @@ def _bracket_leaves(diagram):
         except StuckGraph as exc:
             exc.lines = sorted({lines[v] for v in exc.graph.vertices})
             raise
-        for (a, *powers), count in leaves.items():
-            for (k, a0), sign in starts.items():
-                total[(k, a0 + a, *powers)] += sign * count
+        for (a, b, *powers), count in leaves.items():
+            for (k, a0, b0), sign in starts.items():
+                total[(k, a0 + a, b0 + b, *powers)] += sign * count
     return total
 
 
-def _add_starts(acc, starts, dk, da, flip):
-    """Add flip times the skein starts {(k, a): sign}, shifted by dk in k
-    and by da in a, into acc."""
-    for (k, a), sign in starts.items():
-        acc[(k + dk, a + da)] = acc.get((k + dk, a + da), 0) + flip * sign
+def _add_starts(acc, starts, dk, da, db, flip):
+    """Add flip times the skein starts {(k, a, b): sign}, shifted by dk in
+    k, da in a and db in b, into acc."""
+    for (k, a, b), sign in starts.items():
+        shifted = (k + dk, a + da, b + db)
+        acc[shifted] = acc.get(shifted, 0) + flip * sign
 
 
-def _contract_digons(graph, below):
-    """Splice in place every digon of graph whose vout and vin both lie
-    below the vid below, and return how many there were: each raises a
-    in the graph's skein starts by one, for its factor [2]."""
-    succ = graph.succ
-    gone, stitches = [], []
-    for w, kind in graph.vertices.items():
-        if kind == "vout" and w < below:
-            v = succ[4 * w + S0] >> 2
-            if v < below and succ[4 * w + S1] >> 2 == v:
-                gone += (w, v)
-                stitches.append((4 * w + SD, 4 * v + SD))
-    if stitches:
+def _contract(graph, below):
+    """Splice in place the digons and bigons of graph whose two vertices
+    lie below the vid below, until none is left, and return how many of
+    each went: a digon raises a in the graph's skein starts by one, for
+    its factor [2], and a bigon b, for its [n-1].
+
+    Each round splices every such digon, then every such bigon, at the
+    first back edge of its vin.  The digons of one pass, like the bigons,
+    share no vertex, so each pass is one splice.  A digon splice rewires
+    only double edges and makes no digon, so the rounds end when a bigon
+    pass finds none.  The order of the splices can change only which
+    loops are single or double (the module docstring's theta), never the
+    graph left or the value.
+    """
+    succ, vertices = graph.succ, graph.vertices
+    twos = n_minus_1s = 0
+    while True:
+        gone, stitches = [], []
+        for w, kind in vertices.items():
+            if kind == "vout" and w < below:
+                v = succ[4 * w + S0] >> 2
+                if v < below and succ[4 * w + S1] >> 2 == v:
+                    gone += (w, v)
+                    stitches.append((4 * w + SD, 4 * v + SD))
+        if stitches:
+            graph.splice(gone, stitches)
+            twos += len(stitches)
+        gone, stitches = [], []
+        for v, kind in vertices.items():
+            if kind == "vin" and v < below:
+                w = succ[4 * v + SD] >> 2
+                if w < below:
+                    for back in (4 * w + S0, 4 * w + S1):
+                        if succ[back] >> 2 == v:
+                            gone += (v, w)
+                            stitches.append((succ[back] ^ 3, back ^ 3))
+                            break
+        if not stitches:
+            return twos, n_minus_1s
         graph.splice(gone, stitches)
-    return len(stitches)
+        n_minus_1s += len(stitches)
 
 
 def bracket_text(text):
     """Parse diagram source (crossings allowed) and evaluate the bracket.
 
     The graph is built once, its crossings are resolved level by level
-    with equal partial states merged and the digons below the next
-    crossing spliced, and each distinct resolution is walked once
+    with equal partial states merged and the digons and bigons below the
+    next crossing spliced, and each distinct resolution is walked once
     (_bracket_leaves); all their leaves are evaluated together.
     """
     d = parse_diagram(text)

@@ -31,9 +31,11 @@ from functools import lru_cache
 
 import pytest
 
+from moycalc.diagram import parse_diagram
 from moycalc.moybracket import StuckGraph, bracket_text
 
-from test_moybracket import _closure_text, _load_workloads
+from test_moybracket import (_closure_text, _every_resolution_walked,
+                             _load_workloads)
 
 
 def _add(acc, poly, scale=1):
@@ -221,6 +223,41 @@ def test_bracket_equals_the_hecke_trace_on_fresh_words():
         assert value == hecke_bracket(n, strands, word), (n, strands, word)
     assert stuck == 16
     assert evaluated == {3, 4, 5, 6}
+
+
+def _long_closures():
+    """24 seeded closures of 12-16 crossings on 3-5 strands at n = 3..5,
+    as (n, strands, word); each letter is an xplus or an xminus at a
+    uniform position, as in ROADMAP item 6's table."""
+    rng = random.Random(7)
+    words = []
+    for _ in range(24):
+        strands = rng.randint(3, 5)
+        word = [(rng.choice(("xplus", "xminus")), rng.randrange(strands - 1))
+                for _ in range(rng.randint(12, 16))]
+        words.append((rng.randint(3, 5), strands, word))
+    return words
+
+
+def test_long_closures_equal_the_trace_or_stick_as_walked_alone():
+    # past the benchmark's 4-9 crossings, where the early digon and bigon
+    # splices of the level merge act on many more states: every value the
+    # bracket reaches equals the trace, and a stuck closure names the
+    # lines of the pieces that the walk of every resolution as built, one
+    # at a time in expand_crossings order, sticks with
+    stuck = 0
+    for n, strands, word in _long_closures():
+        text = _closure_text(n, strands, word)
+        try:
+            value = bracket_text(text)
+        except StuckGraph as shared:
+            stuck += 1
+            with pytest.raises(StuckGraph) as alone:
+                _every_resolution_walked(parse_diagram(text), scheduled=False)
+            assert shared.lines == alone.value.lines, word
+        else:
+            assert dict(value.terms) == hecke_bracket(n, strands, word), word
+    assert stuck == 18
 
 
 # the Hecke values of the links items at seed 1 that relations (5)-(7)

@@ -15,7 +15,7 @@ from moycalc.laurent import LaurentPoly, quantum_integer
 from moycalc import moybracket
 from moycalc.moybracket import (N_MINUS_1, N_MINUS_2, PORT_NAMES, RELATIONS,
                                 S0, S1, TWO, MOYGraph, StuckGraph,
-                                _bracket_leaves, _build,
+                                _bracket_leaves, _build, _evaluate,
                                 _next_rewrite, _resolution_key,
                                 _square_matches, all_path_values, bracket,
                                 bracket_text, expand_crossings)
@@ -461,58 +461,91 @@ def counted_copies(monkeypatch):
     return copies, squares
 
 
-def _partial_states(diagram, depth):
+def _splice_arcs(graph, pairs):
+    """Splice the vin/vout pairs of crossings into their arcs
+    resolutions."""
+    graph.splice([v for pair in pairs for v in pair],
+                 [(4 * win + slot, 4 * wout + slot)
+                  for win, wout in pairs for slot in (S0, S1)])
+
+
+def _resolve(graph, pairs, choice, scheduled):
+    """Splice into graph the arcs resolution of each crossing whose entry
+    in choice is True, given the vin/vout pairs of the crossings in piece
+    order, and return the exponents of [2] and [n-1] spliced on the way.
+
+    scheduled splices one crossing at a time and, after each but the
+    last crossing of the diagram, the digons and bigons below the next
+    crossing's vin (_contract_below), as _bracket_leaves schedules them;
+    otherwise all arcs go in one splice and nothing else."""
+    if not scheduled:
+        _splice_arcs(graph, [pair for pair, a in zip(pairs, choice) if a])
+        return 0, 0
+    twos = n_minus_1s = 0
+    for depth, arcs in enumerate(choice):
+        if arcs:
+            _splice_arcs(graph, [pairs[depth]])
+        if depth + 1 < len(pairs):
+            a, b = _contract_below(graph, pairs[depth + 1][0])
+            twos, n_minus_1s = twos + a, n_minus_1s + b
+    return twos, n_minus_1s
+
+
+def _partial_states(diagram, depth, scheduled=False):
     """The graph of every partial state with the first depth crossings
     resolved, each spliced on its own copy of the built graph, in the
     order of its choices (arcs before wide, the first crossing outermost),
-    and the vin/vout pair of each crossing."""
+    and the vin/vout pair of each crossing.  scheduled resolves them on
+    _bracket_leaves's schedule (_resolve)."""
     graph, pairs, _ = _build(diagram)
     states = []
     for choice in itertools.product((True, False), repeat=depth):
-        arcs = [pair for pair, a in zip(pairs, choice) if a]
         g = graph.copy()
-        g.splice([v for pair in arcs for v in pair],
-                 [(4 * win + slot, 4 * wout + slot)
-                  for win, wout in arcs for slot in (S0, S1)])
+        _resolve(g, pairs, choice, scheduled)
         states.append(g)
     return states, pairs
 
 
-def _contract_digons_below(graph, below):
-    """Splice, by RELATIONS["digon"], every digon of graph whose two
-    vertices lie below the vid below."""
-    matcher, apply = RELATIONS["digon"]
-    for match in [m for m in matcher(graph) if max(m) < below]:
-        vids, [(_, stitches)] = apply(graph, match)
-        graph.splice(vids, stitches)
+def _contract_below(graph, below):
+    """Splice, through RELATIONS, every digon and then every bigon (the
+    first match of each vin) of graph whose two vertices lie below the vid
+    below, until none is left, and return how many digons and bigons
+    went: moybracket._contract's schedule."""
+    spliced = Counter()
+    while True:
+        for name in ("digon", "bigon"):
+            matcher, apply = RELATIONS[name]
+            matches = {}
+            for match in matcher(graph):
+                if max(match[:2]) < below:
+                    matches.setdefault(match[0], match)
+            for match in matches.values():
+                vids, [(_, stitches)] = apply(graph, match)
+                graph.splice(vids, stitches)
+            spliced[name] += len(matches)
+        if not matches:
+            return spliced["digon"], spliced["bigon"]
 
 
 def _contracted_states(diagram, depth):
-    """_partial_states, each with its digons below the vin of the crossing
-    at depth spliced, as the level at depth is held before that crossing
-    is resolved (no digon is spliced before the first crossing is
-    resolved, nor after the last)."""
-    graphs, pairs = _partial_states(diagram, depth)
-    if 0 < depth < len(pairs):
-        for g in graphs:
-            _contract_digons_below(g, pairs[depth][0])
-    return graphs, pairs
+    """_partial_states on _bracket_leaves's schedule: the level at depth
+    as it is held before that crossing is resolved (nothing is spliced
+    before the first crossing is resolved, nor after the last)."""
+    return _partial_states(diagram, depth, scheduled=True)
 
 
 def _state_keys(diagram, depth):
     """The keys of the partial states with the first depth crossings
-    resolved, before their digons are spliced: the arcs and then the wide
-    child of every state of _contracted_states(diagram, depth - 1), in
-    its order."""
+    resolved, before their digons and bigons are spliced: the arcs and
+    then the wide child of every state of _contracted_states(diagram,
+    depth - 1), in its order."""
     if not depth:
         return [_resolution_key(_build(diagram)[0])]
     graphs, pairs = _contracted_states(diagram, depth - 1)
-    win, wout = pairs[depth - 1]
     keys = []
     for g in graphs:
         arcs = g.copy()
-        arcs.splice((win, wout), [(4 * win + slot, 4 * wout + slot)
-                                  for slot in (S0, S1)])
+        _splice_arcs(arcs, [pairs[depth - 1]])
         keys += [_resolution_key(arcs), _resolution_key(g)]
     return keys
 
@@ -528,9 +561,10 @@ def _level_sizes(diagram, crossings):
 def test_bracket_text_copies_once_per_partial_state(counted_copies,
                                                     monkeypatch):
     # one copy per state of the level above each crossing, for its arcs
-    # child (a wide child takes its parent's own graph, and digons are
-    # spliced in place), and one more for the first term of each square
-    # walked; each such state adds its skein starts once into each child
+    # child (a wide child takes its parent's own graph, and digons and
+    # bigons are spliced in place), and one more for the first term of each
+    # square walked; each such state adds its skein starts once into each
+    # child
     copies, squares = counted_copies
     adds = []
     add_starts = moybracket._add_starts
@@ -627,40 +661,155 @@ def _count_leaves(graph, leaves, sign, exps):
     leaves[(*exps, graph.loops_single, graph.loops_double)] += sign
 
 
-def _every_resolution_walked(diagram):
+def _every_resolution_walked(diagram, scheduled=True):
     """The leaves of every resolution, each spliced on its own copy of the
-    built graph and walked from its skein start: no tree, no sharing."""
-    graph, pairs, _ = _build(diagram)
-    pair_of = dict(zip((p for p in diagram.pieces if p.kind in CROSSINGS),
-                       pairs))
+    built graph and walked from its skein start: no tree, no sharing.  A
+    StuckGraph carries the lines of the pieces left in its graph.
+
+    scheduled resolves the crossings one at a time in piece order and,
+    after each but the last, splices the digons and bigons below the next
+    crossing's vin (_contract_below), adding their [2] and [n-1] to the
+    start, as _bracket_leaves schedules them; otherwise the walk alone
+    rewrites each resolution as built."""
+    graph, pairs, lines = _build(diagram)
+    crossings = [p for p in diagram.pieces if p.kind in CROSSINGS]
     leaves = Counter()
     for coeff, arcs in expand_crossings(diagram):
         (k, sign), = coeff.terms.items()
         g = graph.copy()
-        g.splice([v for p in arcs for v in pair_of[p]],
-                 [(4 * pair_of[p][0] + slot, 4 * pair_of[p][1] + slot)
-                  for p in arcs for slot in (S0, S1)])
-        _count_leaves(g, leaves, sign, [k, 0, 0, 0])
+        twos, n_minus_1s = _resolve(g, pairs, [p in arcs for p in crossings],
+                                    scheduled)
+        try:
+            _count_leaves(g, leaves, sign, [k, twos, n_minus_1s, 0])
+        except StuckGraph as exc:
+            exc.lines = sorted({lines[v] for v in exc.graph.vertices})
+            raise
     return leaves
 
 
-def test_shared_walks_count_the_leaves_of_every_resolution():
+def _leaves_or_stuck(leaves_of, diagram, **options):
+    try:
+        return leaves_of(diagram, **options)
+    except StuckGraph as exc:
+        return exc
+
+
+def _assert_leaf_for_leaf(diagram):
+    """_bracket_leaves counts the leaves of the scheduled reference, leaf
+    for leaf, or raises its StuckGraph, message and lines alike.  Walking
+    every resolution as built gives leaves of the same value, or a
+    StuckGraph with the same lines.  Returns whether the diagram sticks."""
+    shared = _leaves_or_stuck(_bracket_leaves, diagram)
+    expected = _leaves_or_stuck(_every_resolution_walked, diagram)
+    alone = _leaves_or_stuck(_every_resolution_walked, diagram,
+                             scheduled=False)
+    if isinstance(expected, StuckGraph):
+        assert isinstance(shared, StuckGraph)
+        assert isinstance(alone, StuckGraph)
+        assert str(shared) == str(expected)
+        assert shared.lines == expected.lines == alone.lines
+        return True
+    assert shared == expected
+    assert not isinstance(alone, StuckGraph)
+    assert _evaluate(diagram.n, shared) == _evaluate(diagram.n, alone)
+    return False
+
+
+def _pinned_and_drawn(seed):
+    """The closures of the PINNED words, then of 40 words of 2-7 letters
+    on 2-4 strands at n = 3..5, drawn from seed."""
     texts = [_closure_text(n, strands, _word(spec))
              for n, strands, spec, _ in PINNED]
-    rng = random.Random(18)
+    rng = random.Random(seed)
     for _ in range(40):
         strands = rng.randint(2, 4)
         word = [(rng.choice(("xplus", "xminus", "wide")),
                  rng.randrange(strands - 1))
                 for _ in range(rng.randint(2, 7))]
         texts.append(_closure_text(rng.randint(3, 5), strands, word))
+    return texts
+
+
+def test_shared_walks_count_the_leaves_of_every_resolution():
     stuck = 0
-    for text in texts:
-        d = parse_diagram(text)
-        expected = _outcome(_every_resolution_walked, d)
-        assert _outcome(_bracket_leaves, d) == expected
-        stuck += isinstance(expected, str)
+    for text in _pinned_and_drawn(18):
+        stuck += _assert_leaf_for_leaf(parse_diagram(text))
     assert stuck >= 2
+
+
+def _spliced_in_order(graph, rng):
+    """Splice digons and bigons of graph, each a match that rng draws from
+    all of them, until none is left, and return how many factors [2] and
+    [n-1] the splices gave."""
+    factors = Counter()
+    while True:
+        matches = [(name, match) for name in ("digon", "bigon")
+                   for match in RELATIONS[name][0](graph)]
+        if not matches:
+            return factors[TWO], factors[N_MINUS_1]
+        name, match = rng.choice(matches)
+        vids, [(slot, stitches)] = RELATIONS[name][1](graph, match)
+        graph.splice(vids, stitches)
+        factors[slot] += 1
+
+
+def test_digon_and_bigon_splices_end_alike_in_every_order():
+    # the confluence lemma that the early splices of _bracket_leaves rest
+    # on: every order of splicing digons and bigons ends with the same
+    # vertices and edges, as many loops and the same value; a theta can
+    # trade a double loop and [2] for a single loop and [n-1], and does
+    rng = random.Random(52)
+    traded = 0
+    for text in _pinned_and_drawn(52):
+        d = parse_diagram(text)
+        crossings = sum(p.kind in CROSSINGS for p in d.pieces)
+        for depth in range(crossings + 1):
+            for state in _partial_states(d, depth)[0]:
+                ends, values, singles = [], set(), set()
+                for _ in range(4):
+                    g = state.copy()
+                    twos, n_minus_1s = _spliced_in_order(g, rng)
+                    ends.append((g.vertices, g.succ, g.pred,
+                                 g.loops_single + g.loops_double))
+                    values.add(_evaluate(d.n, {
+                        (0, twos, n_minus_1s, 0, g.loops_single,
+                         g.loops_double): 1}))
+                    singles.add(g.loops_single)
+                assert all(end == ends[0] for end in ends), text
+                assert len(values) == 1, text
+                traded += len(singles) > 1
+    assert traded
+
+
+def test_a_bigon_closed_into_a_theta_trades_its_loop():
+    # in the closure of W0 s1 on three strands, strand 0 leaves W0 and
+    # returns into it: a bigon below the crossing, which the crossing's
+    # arcs splice closes into a theta.  Spliced early, the bigon leaves
+    # [n-1] and a single loop; the walk of the resolution as built takes
+    # the theta's digon first and leaves [2] and a double loop
+    for n in (3, 4, 5):
+        d = parse_diagram(_closure_text(n, 3, [("wide", 0), ("xplus", 1)]))
+        graph, pairs, _ = _build(d)
+        early, late = graph.copy(), graph.copy()
+        assert _contract_below(early, pairs[0][0]) == (0, 1)
+        for g in (early, late):
+            _splice_arcs(g, pairs)
+        assert next(RELATIONS["digon"][0](late)) == (1, 0)
+        assert moybracket._walk(early) == Counter({(0, 0, 0, 2, 0): 1})
+        assert moybracket._walk(late) == Counter({(1, 0, 0, 1, 1): 1})
+        assert _evaluate(n, {(0, 0, 1, 0, 2, 0): 1}) == \
+            _evaluate(n, {(0, 1, 0, 0, 1, 1): 1})
+        # with a second crossing after it, _bracket_leaves splices the
+        # bigon at the first level: other leaves than the walk of every
+        # resolution as built, of the same value
+        d = parse_diagram(_closure_text(
+            n, 3, [("wide", 0), ("xplus", 1), ("xminus", 1)]))
+        shared = _bracket_leaves(d)
+        alone = _every_resolution_walked(d, scheduled=False)
+        assert shared != alone
+        assert shared == _every_resolution_walked(d)
+        assert _evaluate(n, shared) == _evaluate(n, alone) == \
+            quantum_integer(n) ** 2 * quantum_integer(n - 1)
 
 
 def _load_workloads():
@@ -678,10 +827,7 @@ def test_shared_walks_on_the_links_corpus(seed):
     workloads = _load_workloads()
     stuck = 0
     for item in workloads.corpus(workloads.WORKLOADS["links"], seed, 192):
-        d = parse_diagram(item.text)
-        expected = _outcome(_every_resolution_walked, d)
-        assert _outcome(_bracket_leaves, d) == expected, item.text
-        stuck += isinstance(expected, str)
+        stuck += _assert_leaf_for_leaf(parse_diagram(item.text))
     assert stuck == 13
 
 
@@ -796,9 +942,8 @@ def test_sigma_power_walks_one_graph_per_arcs_count(counted_walks):
 
 def test_walks_follow_the_distinct_resolution_keys(counted_walks):
     # one walk per distinct key of the resolutions spliced each on its own
-    # copy, with the digons below the last crossing's vin spliced, in the
-    # order of their first appearance; a stuck diagram stops at the walk
-    # that raises
+    # copy on the schedule of _bracket_leaves, in the order of their first
+    # appearance; a stuck diagram stops at the walk that raises
     walks = counted_walks
     words = [(n, strands, _word(spec)) for n, strands, spec, _ in PINNED]
     rng = random.Random(19)
@@ -923,7 +1068,7 @@ def test_equal_partial_keys_rank_the_pending_vins_alike():
         d = parse_diagram(text)
         crossings = sum(p.kind in CROSSINGS for p in d.pieces)
         for depth in range(crossings + 1):
-            graphs, pairs = _partial_states(d, depth)
+            graphs, pairs = _contracted_states(d, depth)
             ranks = {}
             for g in graphs:
                 vids = sorted(g.vertices)
@@ -931,9 +1076,7 @@ def test_equal_partial_keys_rank_the_pending_vins_alike():
                 key = _resolution_key(g)
                 merged += key in ranks
                 assert ranks.setdefault(key, pending) == pending, text
-        expected = _outcome(_every_resolution_walked, d)
-        assert _outcome(_bracket_leaves, d) == expected, text
-        stuck += isinstance(expected, str)
+        stuck += _assert_leaf_for_leaf(d)
     assert merged and 0 < stuck < len(texts)
 
 
