@@ -253,7 +253,7 @@ def test_long_closures_equal_the_trace_or_stick_as_walked_alone():
         except StuckGraph as shared:
             stuck += 1
             with pytest.raises(StuckGraph) as alone:
-                _every_resolution_walked(parse_diagram(text), scheduled=False)
+                _every_resolution_walked(parse_diagram(text))
             assert shared.lines == alone.value.lines, word
         else:
             assert dict(value.terms) == hecke_bracket(n, strands, word), word
