@@ -23,7 +23,7 @@ from .moybracket import (MOYGraph, StuckGraph, all_path_values,
                          bracket_text, double_loop_value)
 from .poly import DomainError
 from .quotient import InfiniteDimension
-from .reduce import auto_reduce, canonical_form
+from .reduce import _Search, auto_reduce, canonical_form
 
 DOMAIN_ERRORS = (DomainError, OSError)
 
@@ -163,7 +163,10 @@ def _homology_of(text, signed, command):
     try:
         hom = graded_homology(reduced)
     except InfiniteDimension as exc:
-        exc.args = ("%s (%s)" % (exc, _where(diagram, exc.variable)),)
+        # where the budget decided the reduction, say so on the same line
+        cut = ("; the exclusion search stopped at its %d-branch budget"
+               % _Search.BRANCHES if trace.cutoffs else "")
+        exc.args = ("%s (%s)%s" % (exc, _where(diagram, exc.variable), cut),)
         raise
     euler = euler_characteristic(hom, signed=signed)
     return diagram.n, euler, hom, len(trace)

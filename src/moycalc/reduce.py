@@ -22,10 +22,13 @@ along a rule where none is left.  Exclusions and splits keep the
 potential, and a summand without rows has potential 0, so under a nonzero
 potential the search just takes the first feasible (row, variable, side).
 Under a zero potential a greedy choice can dead-end, so the search
-backtracks depth-first to the first branch that reaches zero rows
-everywhere; after 16 exclusions it settles for first branches instead.
-There it tries the candidates sparsest entry first: by the number of
-terms of the entry it excludes, then by its power, ties in (row,
+backtracks depth-first to the first branch it accepts, one that reaches
+zero rows everywhere.  Its budget is one constant on the search object,
+_Search.BRANCHES exclusions: once they are spent, a node that has tried
+a branch returns its first one, and counts a cut-off in the trace's
+cutoffs, which the CLI names in the error where homology cannot be read.
+Under a zero potential the candidates go sparsest entry first: by the
+number of terms of the entry excluded, then by its power, ties in (row,
 variable, side) order.  In either order the monic tables that give the
 powers are built one group of entries at a time (a sparsity group, or a
 row), and only as far as the search reads, so a node that takes an early
@@ -40,16 +43,18 @@ rows on the open-random items.
 The d copies of a split are one factorization shifted by k*deg v, so
 the search builds and reduces copy 0 only, along the first leader that
 can split: copies 1..d-1 take copy 0's steps and its summands with each
-shift raised by k*deg v, and the budget is charged what copy 0 spent,
-once per copy.  This is exact: the copies have the same rows, base and
-parity, and _reduce only ever adds to a shift (a side-"a" exclusion adds
-internal_shift, and a split adds k*deg v).
+shift raised by k*deg v, and each of them is charged copy 0's spend,
+so the budget runs out where a search of every copy would.  This
+is exact: the copies have the same rows, base and parity, and the search
+only ever adds to a shift (a side-"a" exclusion adds internal_shift, and
+a split adds k*deg v).
 A split step still lists every copy's steps, so replay re-runs each copy
 and checks the sharing.
 
 A trace is a flat list of (kind, info) steps: exclude (row, var, side,
 power) and split (var, power, sizes), where a split is followed by its
 copies' steps, sizes[k] of them for copy k (the split tree in pre-order).
+The trace also counts the search's cut-offs, which replay ignores.
 """
 
 import itertools
@@ -74,10 +79,12 @@ class ResidualVariable(DomainError, ValueError):
 
 
 class ReductionTrace:
-    """The steps of one reduction, laid out as the module docstring says."""
+    """The steps of one reduction, laid out as the module docstring says,
+    and the search's cut-offs (auto_reduce), which replay ignores."""
 
     def __init__(self, steps=()):
         self.steps = list(steps)
+        self.cutoffs = 0
 
     def __len__(self):
         return len(self.steps)
@@ -202,53 +209,74 @@ def _splittable_variables(mf):
 
 
 def auto_reduce(mf):
-    """Reduce to a fixpoint; returns (MFSum, ReductionTrace)."""
-    potential = mf.potential()
-    summands, steps = _reduce(mf, potential.variables(), potential.is_zero(),
-                              {"branches": 16})
-    return MFSum(summands), ReductionTrace(steps)
+    """Reduce to a fixpoint; returns (MFSum, ReductionTrace).  One _Search
+    does it, on a budget of _Search.BRANCHES exclusions, where copies
+    1..d-1 of a split are each charged copy 0's spend; trace.cutoffs
+    counts the nodes where the budget ran out before a branch was
+    accepted, and the CLI names a cut-off in its error."""
+    search = _Search(mf.potential())
+    summands, search.trace.steps = search.reduce(mf)
+    return MFSum(summands), search.trace
 
 
-def _reduce(mf, potential_vars, zero, budget):
-    """(summands, steps); potential_vars and zero (is the potential 0?)
-    describe the potential, which no exclusion or split changes; budget
-    holds the one count of branches left."""
-    best = None
-    for (i, v, side, d) in _exclusion_candidates(mf, potential_vars, zero):
-        try:
-            nxt = exclude_variable(mf, i, v, side, potential_vars)
-        except TriangularityViolation:
-            # a candidate is monic in v and v is outside the potential, so
-            # only the new base ring can refuse it
-            continue
-        if zero:
-            budget["branches"] -= 1
-        summands, sub = _reduce(nxt, potential_vars, zero, budget)
-        step = ("exclude", {"row": i, "var": v, "side": side, "power": d})
-        branch = summands, [step] + sub
-        if not zero or all(not s.rows for s in summands):
-            return branch
-        best = best or branch
-        if budget["branches"] <= 0:
-            # checked here, not before the next candidate, so that the
-            # search builds no exclusion it will not take
-            break
-    if best is not None:
-        return best
+class _Search:
+    """The exclusion search of the module docstring under one potential:
+    its variables and whether it is zero, which no exclusion or split
+    changes, the branches left of its budget, and the trace it returns,
+    whose cutoffs count the nodes where the budget ran out before a
+    branch was accepted."""
 
-    for v in _splittable_variables(mf):
-        d, _ = mf.base.rule_for(v)
-        left = budget["branches"]
-        summands, sub = _reduce(_first_copy(mf, v), potential_vars, zero,
-                                budget)
-        # the copies share copy 0's search (module docstring)
-        budget["branches"] -= (d - 1) * (left - budget["branches"])
-        split = ("split", {"var": v, "power": d, "sizes": (len(sub),) * d})
-        return (summands + [s.shifted(k * var_degree(v))
-                            for k in range(1, d) for s in summands],
-                [split] + sub * d)
+    BRANCHES = 16
 
-    return [mf], []
+    def __init__(self, potential):
+        self.potential_vars = potential.variables()
+        self.zero = potential.is_zero()
+        self.branches, self.trace = self.BRANCHES, ReductionTrace()
+
+    def accepts(self, summands):
+        """Does a branch that ends in summands finish the search?"""
+        return not self.zero or all(not s.rows for s in summands)
+
+    def reduce(self, mf):
+        """(summands, steps) of mf."""
+        best = None
+        for (i, v, side, d) in _exclusion_candidates(mf, self.potential_vars,
+                                                     self.zero):
+            try:
+                nxt = exclude_variable(mf, i, v, side, self.potential_vars)
+            except TriangularityViolation:
+                # a candidate is monic in v and v is outside the potential,
+                # so only the new base ring can refuse it
+                continue
+            # under a nonzero potential the first branch is accepted, so
+            # the budget never ends that search
+            self.branches -= 1
+            summands, sub = self.reduce(nxt)
+            step = ("exclude", {"row": i, "var": v, "side": side, "power": d})
+            branch = summands, [step] + sub
+            if self.accepts(summands):
+                return branch
+            best = best or branch
+            if self.branches <= 0:
+                # checked here, not before the next candidate, so that the
+                # search builds no exclusion it will not take
+                self.trace.cutoffs += 1
+                break
+        if best is not None:
+            return best
+
+        for v in _splittable_variables(mf):
+            d, _ = mf.base.rule_for(v)
+            left = self.branches
+            summands, sub = self.reduce(_first_copy(mf, v))
+            # the copies share copy 0's search (module docstring)
+            self.branches -= (d - 1) * (left - self.branches)
+            split = ("split", {"var": v, "power": d, "sizes": (len(sub),) * d})
+            return (summands + [s.shifted(k * var_degree(v))
+                                for k in range(1, d) for s in summands],
+                    [split] + sub * d)
+
+        return [mf], []
 
 
 def replay(mf, trace):

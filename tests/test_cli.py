@@ -272,11 +272,12 @@ def test_small_n_names_the_piece(tmp_path, capsys):
 
 
 def test_infinite_dimension_message_ignores_hash_seed(tmp_path):
-    # the search stops short on the closure of (W1 W0)^2 and homology
-    # names an unbounded variable, with the identifier of its edge and the
-    # line that writes it (x8 and x18 are glued, and their class is
-    # numbered 8th); which one must not depend on set iteration order,
-    # and neither may the residual rows reduce prints
+    # the search stops at its budget on the closure of (W1 W0)^2 and
+    # homology names an unbounded variable, with the identifier of its edge
+    # and the line that writes it (x8 and x18 are glued, and their class is
+    # numbered 8th), and says on the same line that the budget decided;
+    # which variable must not depend on set iteration order, and neither
+    # may the residual rows reduce prints
     path = tmp_path / "hard.moy"
     path.write_text(_closure_text(3, 3, [("wide", 1), ("wide", 0)] * 2))
     src = str(Path(moycalc.__file__).resolve().parents[1])
@@ -292,7 +293,8 @@ def test_infinite_dimension_message_ignores_hash_seed(tmp_path):
     assert all(len(seen) == 1 for seen in outputs.values())
     (code, _, err), = outputs["euler"]
     assert code == 1
-    assert err == ("error: %s: no bounding rule for x8 (edge x18, line 7)\n"
+    assert err == ("error: %s: no bounding rule for x8 (edge x18, line 7); "
+                   "the exclusion search stopped at its 16-branch budget\n"
                    % path)
     (code, out, _), = outputs["reduce"]
     assert code == 0 and "rule: " in out

@@ -109,26 +109,28 @@ def test_closed_webs_homology_law(seed, monkeypatch):
     # parity of its strand count, and none raises InfiniteDimension;
     # homology reads the pieces it is given and never searches again.
     # The paper's own pieces spell each web again: where a spelling
-    # reduces, its homology is the wide spelling's; the search stops short
-    # on 3 items spelled with vin/vout and on 10 spelled with dlines
+    # reduces, its homology is the wide spelling's; the search stops at its
+    # budget on 3 items spelled with vin/vout and on 10 spelled with
+    # dlines, and exactly there homology raises InfiniteDimension
     workloads = _load_workloads()
     items = workloads.corpus(workloads.WORKLOADS["closed-webs"], seed, 84)
-    reduced = [[auto_reduce(glue(parse_diagram(text)))[0]
+    reduced = [[auto_reduce(glue(parse_diagram(text)))
                 for text in _respelled(item.text)] for item in items]
 
     def no_search(*args):
         raise AssertionError("graded_homology searched")
 
-    monkeypatch.setattr(reduce_module, "_reduce", no_search)
+    monkeypatch.setattr(reduce_module._Search, "reduce", no_search)
     infinite = [0, 0, 0]
     for item, spellings in zip(items, reduced):
         homologies = []
-        for spelling, pieces in enumerate(spellings):
+        for spelling, (pieces, trace) in enumerate(spellings):
             try:
                 homologies.append(graded_homology(pieces))
             except InfiniteDimension:
                 infinite[spelling] += 1
                 homologies.append(None)
+            assert (homologies[-1] is None) == (trace.cutoffs > 0), item.text
         h, *trivalent = homologies
         if h is None:
             continue
@@ -151,7 +153,8 @@ def _line_shuffle(text, rng):
 def test_line_order_keeps_the_closed_web_homology():
     # ROADMAP item 23: three line shuffles of each closed-webs item at seed
     # 1; where both spellings reduce, the homology is equal.  The search
-    # budget still stops short on 2 of the 252 shuffles
+    # budget still stops short on 2 of the 252 shuffles, and homology
+    # raises InfiniteDimension on exactly those
     workloads = _load_workloads()
     rng = random.Random(5)
     failing = []
@@ -160,11 +163,14 @@ def test_line_order_keeps_the_closed_web_homology():
             auto_reduce(glue(parse_diagram(item.text)))[0])
         for _ in range(3):
             text = _line_shuffle(item.text, rng)
+            reduced, trace = auto_reduce(glue(parse_diagram(text)))
             try:
-                h = graded_homology(auto_reduce(glue(parse_diagram(text)))[0])
+                h = graded_homology(reduced)
             except InfiniteDimension:
+                assert trace.cutoffs > 0, text
                 failing.append(item.index)
                 continue
+            assert trace.cutoffs == 0, text
             assert h == expected, text
     assert failing == [62, 78]
 

@@ -546,14 +546,14 @@ def test_lazy_candidates_equal_the_eager_list(monkeypatch):
     # eager list in its order, stably sorted sparsest entry first, then
     # lowest power, under a zero potential; the search reads them one at
     # a time
-    search = reduce_module._reduce
+    search = reduce_module._Search.reduce
     visited = []
 
-    def recording_search(mf, potential_vars, zero, budget):
-        visited.append((mf, potential_vars, zero))
-        return search(mf, potential_vars, zero, budget)
+    def recording_search(self, mf):
+        visited.append((mf, self.potential_vars, self.zero))
+        return search(self, mf)
 
-    monkeypatch.setattr(reduce_module, "_reduce", recording_search)
+    monkeypatch.setattr(reduce_module._Search, "reduce", recording_search)
     workloads = _load_workloads()
     for name in ("closed-webs", "open-random"):
         for item in workloads.corpus(workloads.WORKLOADS[name], 1, 20):
@@ -876,7 +876,8 @@ def test_shared_copies_equal_the_unshared_search(monkeypatch):
         return out
 
     # the copy that each split builds, and those the search reduced
-    first_copy, search = reduce_module._first_copy, reduce_module._reduce
+    first_copy = reduce_module._first_copy
+    search = reduce_module._Search.reduce
     built, reduced = {}, set()
     splits = 0
 
@@ -885,10 +886,10 @@ def test_shared_copies_equal_the_unshared_search(monkeypatch):
         built[id(out)] = out
         return out
 
-    def recording_search(mf, *args):
+    def recording_search(self, mf):
         if id(mf) in built:
             reduced.add(id(mf))
-        return search(mf, *args)
+        return search(self, mf)
 
     def all_copies(mf, var):
         raise AssertionError("the search built every copy of a split")
@@ -905,8 +906,11 @@ def test_shared_copies_equal_the_unshared_search(monkeypatch):
                 patch.setattr(reduce_module, "split_free_module",
                               all_copies)
                 patch.setattr(reduce_module, "_first_copy", recording_copy)
-                patch.setattr(reduce_module, "_reduce", recording_search)
-                got = reduce_module._reduce(*args, {"branches": branches})
+                patch.setattr(reduce_module._Search, "reduce",
+                              recording_search)
+                shared = reduce_module._Search(potential)
+                shared.branches = branches
+                got = shared.reduce(mf)
             assert got == expected, item.text
         # each split builds copy 0 alone, and the search reduces it
         assert reduced == built.keys(), item.text
@@ -914,6 +918,25 @@ def test_shared_copies_equal_the_unshared_search(monkeypatch):
         built.clear()
         reduced.clear()
     assert splits
+
+
+def test_trace_counts_the_budget_cut_offs():
+    # the budget ends the search at 9 nodes of the closure of (W1 W0)^2 at
+    # n = 3, which is left with one summand of 3 rows, and at none on the
+    # closed-webs and open-random items at seed 1; the count is no step, so
+    # replay still reproduces each reduction
+    workloads = _load_workloads()
+    hard = workloads._closure_text(3, 3, [("wide", 1), ("wide", 0)] * 2)
+    texts = [item.text
+             for name, count in (("closed-webs", 84), ("open-random", 82))
+             for item in workloads.corpus(workloads.WORKLOADS[name], 1, count)]
+    for text in [hard] + texts:
+        mf = glue(parse_diagram(text))
+        reduced, trace = auto_reduce(mf)
+        assert trace.cutoffs == (9 if text == hard else 0), text
+        assert replay(mf, trace) == reduced, text
+        if text == hard:
+            assert [len(s.rows) for s in reduced] == [3]
 
 
 def test_theta_matches_digon_times_double_circle():
