@@ -16,7 +16,8 @@ import argparse
 import json
 import sys
 
-from .diagram import DiagramError, glue, parse_diagram, require_closed
+from .diagram import (DiagramError, glue, parse_diagram, require_closed,
+                      variable_location)
 from .homology import euler_characteristic, graded_homology
 from .laurent import quantum_integer
 from .moybracket import (MOYGraph, StuckGraph, all_path_values,
@@ -61,7 +62,7 @@ def _build_parser():
     p.add_argument("file")
     p.add_argument("--show-rows", action="store_true")
 
-    p = add("euler", _cmd_euler, help="graded Euler characteristic")
+    p = add("euler", _cmd_homology, help="graded Euler characteristic")
     p.add_argument("file")
     p.add_argument("--signed-euler", action="store_true",
                    help="emit poincare0 - poincare1")
@@ -149,10 +150,6 @@ def _cmd_reduce(args):
     return 0
 
 
-def _homology_doc(args):
-    return _homology_of(_read_text(args), args.signed_euler, args.command)
-
-
 def _homology_of(text, signed, command):
     """(n, euler, homology, steps) of a closed diagram's text; command names
     the caller in the error for an open diagram."""
@@ -166,40 +163,25 @@ def _homology_of(text, signed, command):
         # where the budget decided the reduction, say so on the same line
         cut = ("; the exclusion search stopped at its %d-branch budget"
                % _Search.BRANCHES if trace.cutoffs else "")
-        exc.args = ("%s (%s)%s" % (exc, _where(diagram, exc.variable), cut),)
+        exc.args = ("%s (edge %s, line %d)%s"
+                    % (exc, *variable_location(diagram, exc.variable), cut),)
         raise
     euler = euler_characteristic(hom, signed=signed)
     return diagram.n, euler, hom, len(trace)
 
 
-def _where(diagram, variable):
-    """The identifier that names variable's parameter class, numbered as
-    class_variables numbers it, and the line of the piece that writes it."""
-    cls, info = list(diagram.classes.items())[variable[1] - 1]
-    p = next(use[0] for use in (info["in"], info["out"])
-             if use and use[0].params[use[1]] == cls)
-    return "edge %s, line %d" % (cls, p.line)
-
-
-def _json_doc(n, euler, hom, steps):
-    return {"n": n, "euler": euler.to_json(),
-            "parity0": hom.poincare0.to_json(),
-            "parity1": hom.poincare1.to_json(), "steps": steps}
-
-
-def _cmd_euler(args):
-    n, euler, hom, steps = _homology_doc(args)
-    if args.json:
-        print(json.dumps(_json_doc(n, euler, hom, steps), indent=2))
-    else:
-        print(euler)
-    return 0
-
-
 def _cmd_homology(args):
-    n, euler, hom, steps = _homology_doc(args)
+    """euler and homology: the Euler characteristic, or both Poincare
+    polynomials and it; as JSON, both commands print the same document."""
+    n, euler, hom, steps = _homology_of(_read_text(args), args.signed_euler,
+                                        args.command)
     if args.json:
-        print(json.dumps(_json_doc(n, euler, hom, steps), indent=2))
+        print(json.dumps({"n": n, "euler": euler.to_json(),
+                          "parity0": hom.poincare0.to_json(),
+                          "parity1": hom.poincare1.to_json(), "steps": steps},
+                         indent=2))
+    elif args.command == "euler":
+        print(euler)
     else:
         print(hom)
         print("euler: %s" % euler)

@@ -20,6 +20,11 @@ kind and n: it is built once per (kind, n) over local variables, without
 division, and renamed into place, its potential with it; glue adds the
 pieces' potentials (see the mf docstring).
 
+Each piece kind's slots are written once: ROLES gives each slot's
+orientation, DOUBLE_SLOTS the double ones, and ARITY is read off ROLES.
+The crossing skein is written once too, in skein; crossing_complex and
+the bracket's resolutions (moybracket) read its powers and signs.
+
 Crossings have no factorization here: only the bracket resolves them
 (moybracket.bracket_text), and glue refuses them.
 """
@@ -31,9 +36,6 @@ from .poly import DomainError, Poly
 from .quotient import QuotientRing
 from .mf import KoszulMF, KoszulRow
 from .symm import pi_poly, power_sum_at, slot_quotients, uv_polys
-
-ARITY = {"arc": 2, "wide": 4, "dline": 2, "vin": 3, "vout": 3,
-         "xplus": 4, "xminus": 4}
 
 CROSSINGS = ("xplus", "xminus")
 
@@ -48,9 +50,23 @@ ROLES = {
     "xminus": ("out", "out", "in", "in"),
 }
 
+ARITY = {kind: len(roles) for kind, roles in ROLES.items()}
+
 # which slots are double parameters
 DOUBLE_SLOTS = {"arc": (), "wide": (), "dline": (0, 1), "vin": (2,),
                 "vout": (0,), "xplus": (), "xminus": ()}
+
+
+def skein(kind, n):
+    """The crossing skein at n, as ((k, sign) of the arcs resolution,
+    (k, sign) of the wide one), each term sign * q^k:
+
+      xplus  = q^(n-1) * arcs - q^n * wide
+      xminus = q^(1-n) * arcs - q^(-n) * wide
+    """
+    s = 1 if kind == "xplus" else -1
+    return (s * (n - 1), 1), (s * n, -1)
+
 
 _ID = re.compile(r"^[xd][0-9]+$")
 
@@ -121,11 +137,13 @@ class Diagram:
         # every name marks exactly one piece slot; glue joins two names
         uses = {}
         for p in self.pieces:
+            roles, doubles = ROLES[p.kind], DOUBLE_SLOTS[p.kind]
             for slot, name in enumerate(p.params):
                 if name in uses:
                     raise DuplicateUse("line %d: parameter %r used more than "
                                        "once" % (p.line, name))
-                uses[name] = (p, slot)
+                uses[name] = (p, slot, roles[slot],
+                              "double" if slot in doubles else "single")
 
         # a name is glued at most once, so its class is named by the
         # second name of its glue, or by itself when it is not glued
@@ -139,30 +157,20 @@ class Diagram:
                     raise DuplicateUse("line %d: parameter %r glued more than "
                                        "once" % (line, name))
                 second[name] = b
-            roles = []
-            kinds = []
-            for name in (a, b):
-                p, slot = uses[name]
-                roles.append(ROLES[p.kind][slot])
-                kinds.append("double" if slot in DOUBLE_SLOTS[p.kind]
-                             else "single")
-            if kinds[0] != kinds[1]:
+            (_, _, role_a, kind_a), (_, _, role_b, kind_b) = uses[a], uses[b]
+            if kind_a != kind_b:
                 raise KindMismatch("line %d: glue %s %s mixes single and "
                                    "double" % (line, a, b))
-            if set(roles) != {"in", "out"}:
+            if {role_a, role_b} != {"in", "out"}:
                 raise OrientationMismatch(
                     "line %d: glue %s %s does not join an output to an input"
                     % (line, a, b))
 
         classes = {}
-        for p in self.pieces:
-            for slot, name in enumerate(p.params):
-                cls = second.get(name, name)
-                kind = "double" if slot in DOUBLE_SLOTS[p.kind] else "single"
-                role = ROLES[p.kind][slot]
-                info = classes.setdefault(cls, {"kind": kind, "in": None,
-                                                "out": None})
-                info[role] = (p, slot)
+        for name, (p, slot, role, kind) in uses.items():
+            info = classes.setdefault(second.get(name, name),
+                                      {"kind": kind, "in": None, "out": None})
+            info[role] = (p, slot)
 
         self._second = second
         self.classes = classes
@@ -360,6 +368,15 @@ def class_variables(diagram):
     return assign
 
 
+def variable_location(diagram, variable):
+    """The inverse of class_variables' numbering: (identifier, line) of the
+    name of variable's parameter class and of the piece that writes it."""
+    cls, info = list(diagram.classes.items())[variable[1] - 1]
+    p = next(use[0] for use in (info["in"], info["out"])
+             if use and use[0].params[use[1]] == cls)
+    return cls, p.line
+
+
 def glue(diagram):
     """Tensor all pieces over shared glued variables."""
     refuse_crossings(diagram)
@@ -417,8 +434,9 @@ class CrossingComplex:
 def crossing_complex(sign, n, params=(("x", 1), ("x", 2), ("x", 3), ("x", 4))):
     """Objects of the crossing complex; params are (top1, top2, bot1, bot2).
 
-    positive: wide{n}<1> at position -1, arcs{n-1}<1> at position 0;
-    negative: arcs{-n+1}<1> at position 0, wide{-n}<1> at position 1.
+    Each resolution is shifted by its skein power and translated (<1>):
+    positive: wide at position -1, arcs at position 0;
+    negative: arcs at position 0, wide at position 1.
     """
     if sign not in ("+", "-"):
         raise DiagramError("sign must be '+' or '-'")
@@ -430,10 +448,7 @@ def crossing_complex(sign, n, params=(("x", 1), ("x", 2), ("x", 3), ("x", 4))):
     arcs = (build_primitive("arc", n, (x3, x1))
             @ build_primitive("arc", n, (x4, x2)))
     wide = build_primitive("wide", n, params)
-    if sign == "+":
-        objects = {-1: wide.shifted(n).translate(),
-                   0: arcs.shifted(n - 1).translate()}
-    else:
-        objects = {0: arcs.shifted(-n + 1).translate(),
-                   1: wide.shifted(-n).translate()}
+    (k_arcs, _), (k_wide, _) = skein("xplus" if sign == "+" else "xminus", n)
+    objects = {0: arcs.shifted(k_arcs).translate(),
+               -1 if sign == "+" else 1: wide.shifted(k_wide).translate()}
     return CrossingComplex(sign, objects)

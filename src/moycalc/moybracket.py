@@ -63,9 +63,10 @@ A partial state, with the first d crossings resolved, is keyed by its
 plain order-relative key.  Each level maps a key to one representative
 graph and a dict of skein starts {(k, a, b): sign} summed over every way
 of reaching it.  A state has two children: its arcs child is the
-crossing's pair spliced on a copy of the state's graph, and its starts
-gain ±(n-1) in k; its wide child is the state's own graph, and its
-starts gain ±n in k and flip sign.  Before the next crossing is
+crossing's pair spliced on a copy of the state's graph, and its wide
+child is the state's own graph; each child's starts gain its skein power
+in k and are multiplied by its skein sign, both read from diagram.skein,
+which alone writes the skein down.  Before the next crossing is
 resolved, the digons and bigons of a child whose two vertices lie below
 that crossing's vin are spliced in place, to a fixpoint (_contract):
 each factor [2] raises a and each [n-1] raises b in the child's starts.
@@ -153,7 +154,7 @@ from collections import Counter, defaultdict
 from functools import lru_cache
 
 from .diagram import (CROSSINGS, parse_diagram, refuse_crossings,
-                      require_closed)
+                      require_closed, skein)
 from .laurent import LaurentPoly, quantum_integer
 from .poly import DomainError
 
@@ -547,22 +548,18 @@ def expand_crossings(diagram):
     into wide edges.  xplus a b c d / xminus a b c d use the wide-edge
     convention: a, b outgoing on top, c, d incoming on the bottom.  Each
     crossing expands into its oriented-arcs resolution (arcs c -> a and
-    d -> b) and its wide-edge resolution:
-
-      xplus  = q^(n-1) * arcs - q^n * wide
-      xminus = q^(1-n) * arcs - q^(-n) * wide
-
-    Arcs come before wide, with the first crossing outermost.
+    d -> b) and its wide-edge resolution, with the powers and signs of
+    diagram.skein.  Arcs come before wide, with the first crossing
+    outermost.
     """
-    n = diagram.n
     results = [(0, 1, ())]      # (k, sign, arcs) of a coefficient sign * q^k
     for p in diagram.pieces:
         if p.kind not in CROSSINGS:
             continue
-        s = 1 if p.kind == "xplus" else -1
+        (k_arcs, s_arcs), (k_wide, s_wide) = skein(p.kind, diagram.n)
         results = [term for k, sign, chosen in results
-                   for term in ((k + s * (n - 1), sign, chosen + (p,)),
-                                (k + s * n, -sign, chosen))]
+                   for term in ((k + k_arcs, sign * s_arcs, chosen + (p,)),
+                                (k + k_wide, sign * s_wide, chosen))]
     return [(LaurentPoly({k: sign}), chosen) for k, sign, chosen in results]
 
 
@@ -608,11 +605,10 @@ def _bracket_leaves(diagram):
     it.
     """
     graph, pairs, lines = _build(diagram)
-    n = diagram.n
     crossings = [p for p in diagram.pieces if p.kind in CROSSINGS]
     level = {_resolution_key(graph): (graph, {(0, 0, 0): 1})}
     for depth, (p, (win, wout)) in enumerate(zip(crossings, pairs)):
-        s = 1 if p.kind == "xplus" else -1
+        arcs_term, wide_term = skein(p.kind, diagram.n)
         stitches = [(4 * win + S0, 4 * wout + S0),
                     (4 * win + S1, 4 * wout + S1)]
         # splices go below the next crossing's vin, which is at least 2;
@@ -622,7 +618,7 @@ def _bracket_leaves(diagram):
         for key, (g, starts) in level.items():
             arcs = g.copy()
             arcs.splice((win, wout), stitches)
-            for child, dk, flip in ((arcs, s * (n - 1), 1), (g, s * n, -1)):
+            for child, (dk, flip) in ((arcs, arcs_term), (g, wide_term)):
                 da, db = _contract(child, below) if below else (0, 0)
                 child_key = (key if child is g and not (da or db)
                              else _resolution_key(child))

@@ -411,6 +411,16 @@ class Poly(_Terms):
         object.__setattr__(self, "_monic", out)
         return out
 
+    def monic_replacement(self, v):
+        """(d, v^d - self/c) when self = c*v^d + lower-in-v with c a
+        constant (monic_variables), else None: reading self = 0 as v^d ->
+        the replacement, whose degree in v is below d."""
+        data = self.monic_variables().get(v)
+        if data is None:
+            return None
+        d, c = data
+        return d, Poly.var(v, d) + self.divided(-c)
+
     def leading(self):
         """(monomial, coefficient) of the leading term."""
         if not self.terms:

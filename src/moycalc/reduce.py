@@ -6,9 +6,10 @@ translation trick, whose a-entry) is monic in a variable v absent from
 the potential can be deleted, passing to the quotient by that entry.
 Linear entries (power 1) are eliminated by outright substitution, so no
 rule lingers in the base; higher powers become quotient-ring rules.
-An entry c*v^d + (lower in v) gives the replacement v^d - entry/c, and
-Poly.divided divides it by c term by term: a coefficient that c divides
-gives an int, and only the others a Fraction.
+An entry c*v^d + (lower in v) gives the replacement v^d - entry/c
+(Poly.monic_replacement), and Poly.divided divides it by c term by term:
+a coefficient that c divides gives an int, and only the others a
+Fraction.
 A row with a unit entry stays: K(1; b) is contractible, so the whole
 summand is zero, and its homology reads as zero.
 
@@ -60,7 +61,7 @@ The trace also counts the search's cut-offs, which replay ignores.
 import itertools
 from operator import itemgetter
 
-from .poly import (DomainError, Poly, mono_sort_key, mono_variables, qdiv,
+from .poly import (DomainError, mono_sort_key, mono_variables, qdiv,
                    var_degree)
 from .quotient import QuotientRing, TriangularityViolation
 from .mf import KoszulMF, MFSum
@@ -116,14 +117,13 @@ def exclude_variable(mf, i, v, side, potential_vars=None):
     if potential_vars is None:
         potential_vars = mf.potential().variables()
     entry = row.b if side == "b" else row.a
-    data = entry.monic_variables().get(v)
-    if data is None:
+    monic = entry.monic_replacement(v)
+    if monic is None:
         raise NotMonicInVariable("entry %s is not monic in %s%d" % (entry, *v))
-    d, c = data
     if v in potential_vars:
         raise VariableInPotential("potential contains %s%d" % v)
 
-    repl = Poly.var(v, d) + entry.divided(-c)     # v^d - entry/c
+    d, repl = monic
     rows = [r for k, r in enumerate(mf.rows) if k != i]
     if d == 1:
         base = mf.base.substitute(v, repl)

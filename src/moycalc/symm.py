@@ -93,9 +93,7 @@ def _monic_rule(p, v):
     """Read p = c*v^d + lower (in v) as the rule v^d -> -(p - c v^d)/c."""
     if v not in p.variables():
         raise ReductionFailed("%s does not involve %s%d" % (p, *v))
-    data = p.monic_variables().get(v)
-    if data is None:
+    monic = p.monic_replacement(v)
+    if monic is None:
         raise ReductionFailed("%s is not monic in %s%d" % (p, *v))
-    d, c = data
-    repl = Poly.var(v, d) + p.divided(-c)     # v^d - p/c
-    return v, d, repl
+    return (v, *monic)

@@ -14,7 +14,8 @@ import moycalc
 from moycalc import cli
 from moycalc.cli import main
 from moycalc.reduce import auto_reduce
-from test_moybracket import _closure_text
+from test_moybracket import _closure_text, _respelled
+from test_reduce import _load_workloads
 
 CIRCLE = "n 3\narc x1 x2\nglue x1 x2\n"
 KINK = "n 3\nxplus x1 x2 x3 x4\nglue x2 x3\nglue x1 x4\n"
@@ -298,6 +299,22 @@ def test_infinite_dimension_message_ignores_hash_seed(tmp_path):
                    % path)
     (code, out, _), = outputs["reduce"]
     assert code == 0 and "rule: " in out
+
+
+def test_double_edge_message_names_its_class_and_line(tmp_path, capsys):
+    # the vin/vout spelling of closed-webs item 78 at seed 1 stops at the
+    # search budget with an unbounded y-variable: homology names the double
+    # edge's class and the line of the vout that writes it
+    workloads = _load_workloads()
+    item = workloads.corpus(workloads.WORKLOADS["closed-webs"], 1, 79)[78]
+    path = tmp_path / "web78.moy"
+    path.write_text(_respelled(item.text)[1])
+    assert main(["homology", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: %s: no bounding rule for y11 (edge d6, line 9); the "
+        "exclusion search stopped at its 16-branch budget\n" % path)
 
 
 def test_stuck_bracket_names_the_lines_of_its_residual_graph(tmp_path):

@@ -10,12 +10,14 @@ from moycalc.diagram import (ArityMismatch, CrossingComplex, DiagramError,
                              OrientationMismatch, ParseError, Piece,
                              UnsupportedN, boundary_potential,
                              build_primitive, class_variables,
-                             crossing_complex, glue, parse_diagram)
+                             crossing_complex, glue, parse_diagram,
+                             variable_location)
 from moycalc.mf import KoszulMF, KoszulRow, verify_factorization
 from moycalc.poly import Poly, exact_div, sum_of_products
 from moycalc.quotient import QuotientRing
 from moycalc.symm import pi_poly, power_sum_at
 from test_acceptance import _random_diagram
+from test_moybracket import _respelled
 from test_reduce import _load_workloads
 
 
@@ -405,3 +407,27 @@ def test_crossing_complex_refuses_a_wrong_arity():
                    tuple(("x", k) for k in range(1, 6))):
         with pytest.raises(ArityMismatch, match="takes 4 parameters"):
             crossing_complex("+", 3, params)
+
+
+@pytest.mark.parametrize("workload", ["closed-webs", "open-random"])
+def test_variable_location_inverts_the_class_numbering(workload):
+    # every variable of every class, on the benchmark's seed-1 items and
+    # their vin/vout and dline spellings, leads back to its class's name,
+    # on the line of a piece that writes that name
+    workloads = _load_workloads()
+    work = workloads.WORKLOADS[workload]
+    checked = 0
+    for item in workloads.corpus(work, 1, 84 if workload == "closed-webs"
+                                 else 82):
+        texts = (_respelled(item.text) if workload == "closed-webs"
+                 else [item.text])
+        for text in texts:
+            d = parse_diagram(text)
+            for cls, var in class_variables(d).items():
+                for v in (var,) if var[0] == "x" else var:
+                    name, line = variable_location(d, v)
+                    assert name == cls
+                    assert any(p.line == line and cls in p.params
+                               for p in d.pieces)
+                    checked += 1
+    assert checked

@@ -9,7 +9,8 @@ from math import comb
 import pytest
 
 from moycalc.diagram import (CROSSINGS, DiagramError, ParseError,
-                             build_primitive, glue, parse_diagram)
+                             build_primitive, crossing_complex, glue,
+                             parse_diagram, skein)
 from moycalc.homology import euler_characteristic, graded_homology
 from moycalc.laurent import LaurentPoly, quantum_integer
 from moycalc import moybracket
@@ -1103,3 +1104,39 @@ def test_all_path_values_of_loops_and_of_a_stuck_graph():
     with pytest.raises(StuckGraph) as e:
         all_path_values(stuck)
     assert str(e.value).startswith("no relation applies; residual graph:")
+
+
+@pytest.mark.parametrize("kind", CROSSINGS)
+def test_one_skein_for_expansion_complex_and_bracket(kind):
+    # diagram.skein is the one place the skein is written: the expansion's
+    # coefficients, the crossing complex's shifts and positions and the
+    # bracket of a one-crossing closure all read its powers and signs
+    for n in range(3, 7):
+        (k_arcs, s_arcs), (k_wide, s_wide) = skein(kind, n)
+        assert (s_arcs, s_wide) == (1, -1)
+        d = parse_diagram("n %d\n%s x1 x2 x3 x4\n" % (n, kind))
+        assert expand_crossings(d) == [
+            (LaurentPoly({k_arcs: s_arcs}), (d.pieces[0],)),
+            (LaurentPoly({k_wide: s_wide}), ())]
+        objects = crossing_complex("+" if kind == "xplus" else "-",
+                                   n).objects
+        arcs = (build_primitive("arc", n, (("x", 3), ("x", 1)))
+                @ build_primitive("arc", n, (("x", 4), ("x", 2))))
+        wide = build_primitive("wide", n, tuple(("x", i) for i in range(1, 5)))
+        # arcs sit at position 0 and wide at an odd one, as their signs say
+        wide_at, = set(objects) - {0}
+        assert objects[0].shift == arcs.shift + k_arcs
+        assert objects[wide_at].shift == wide.shift + k_wide
+        assert (-1) ** wide_at == s_wide
+        for word in ([(kind, 0)], [(kind, 0), ("wide", 1), ("wide", 0)],
+                     [("wide", 0), (kind, 1)]):
+            text = _closure_text(n, 3, word)
+            line = next(line for line in text.splitlines()
+                        if line.startswith(kind))
+            _, a, b, c, e = line.split()
+            arcs_text = text.replace(line, "arc %s %s\narc %s %s"
+                                     % (c, a, e, b))
+            wide_text = text.replace(line, "wide %s %s %s %s" % (a, b, c, e))
+            assert bracket_text(text) == (
+                LaurentPoly({k_arcs: s_arcs}) * bracket_text(arcs_text)
+                + LaurentPoly({k_wide: s_wide}) * bracket_text(wide_text))

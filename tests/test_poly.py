@@ -596,3 +596,34 @@ def test_cli_reports_an_overflow_as_a_domain_error(tmp_path):
     assert len(lines) == 1
     assert lines[0].startswith("error: %s: monomial degree " % path)
     assert lines[0].endswith("is not below 2^7")
+
+
+def test_monic_replacement_reads_the_entry_as_a_rule():
+    """Over random homogeneous polynomials: monic_replacement is None
+    exactly where monic_variables has no entry, and otherwise gives
+    (d, repl) with repl of lower degree in v and p == c*(v^d - repl)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    variables = (X1, X2, Y1, Z1)
+    coeffs = st.one_of(st.integers(-6, 6),
+                       st.fractions(min_value=-6, max_value=6,
+                                    max_denominator=4)).filter(bool)
+    polys = st.integers(1, 4).flatmap(lambda half: st.dictionaries(
+        st.sampled_from(monomials_of_degree(variables, 2 * half)), coeffs,
+        min_size=1, max_size=5)).map(Poly)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(polys)
+    def check(p):
+        assert p.is_homogeneous()
+        monic = p.monic_variables()
+        for var in variables + (("x", 3),):
+            got = p.monic_replacement(var)
+            assert (got is None) == (var not in monic)
+            if got is not None:
+                d, repl = got
+                assert (d, p.terms[mono_power(var, d)]) == monic[var]
+                assert repl.degree_in(var) < d
+                assert p == monic[var][1] * (Poly.var(var, d) - repl)
+
+    check()
